@@ -15,14 +15,11 @@ from .bench import (
     LossInversion,
     Mode1Observation,
     TransmittanceRescale,
-    apply_loss,
-    bogoliubov,
     invert_loss_homodyne,
     observe_mode1,
-    output_mode1_covariance,
+    output_mode1_moments,
     rescale_transmittance,
     sample_quadratures,
-    transform_covariance,
 )
 from .entanglement import (
     EntanglementReport,
@@ -107,8 +104,6 @@ __all__ = [
     "TranscriptRecord",
     "UnphysicalMeasurementError",
     "UnphysicalStateError",
-    "apply_loss",
-    "bogoliubov",
     "consistency_check",
     "detect_special_form",
     "entanglement_report",
@@ -121,7 +116,7 @@ __all__ = [
     "log_negativity",
     "mode_to_quad",
     "observe_mode1",
-    "output_mode1_covariance",
+    "output_mode1_moments",
     "quad_to_mode",
     "random_state",
     "reconstruct_from_transcript",
@@ -141,7 +136,6 @@ __all__ = [
     "state_to_dict",
     "thermal_state",
     "tmsv_state",
-    "transform_covariance",
     "two_mode_squeezed_thermal",
     "vacuum_state",
     "validate_physical",

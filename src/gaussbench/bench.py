@@ -9,24 +9,35 @@ mode 1 of the output.  Two single-mode quantities are observed:
   purity through purity = 1/(2 sqrt J) and the Wigner function at the
   origin through W(0) = purity / pi.
 
+The output mode's moments have closed forms.  With c = cos theta and
+s = sin theta,
+
+    n' = c^2 n1 + s^2 n2 - 2 s c Re(ms e^{-i phi})
+    m' = c^2 m1 e^{-2i phi} + s^2 m2 - 2 s c mc e^{-i phi}
+    j' = n'^2 - |m'|^2,
+
+evaluated elementwise over a batch of states (see :mod:`gaussbench.states`).
+
 Detector imperfections are modeled as a vacuum admixture
 V -> eta V + (1 - eta)/2 I (a fictitious beam splitter of transmittance
-eta in front of an ideal detector).  For homodyne readout the admixture is
-exactly invertible per quadrature variance, which is what
-:func:`invert_loss_homodyne` does; for photon counting the transmittance
-rescaling T -> eta T is exposed via :func:`rescale_transmittance` with an
-``unreachable`` flag for cos(theta)/eta > 1.
+eta in front of an ideal detector), that is n -> eta n + (1 - eta)/2 and
+m -> eta m.  For homodyne readout the admixture is exactly invertible per
+quadrature variance, which is what :func:`invert_loss_homodyne` does; for
+photon counting the transmittance rescaling T -> eta T is exposed via
+:func:`rescale_transmittance` with an ``unreachable`` flag for
+cos(theta)/eta > 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnphysicalMeasurementError
-from .states import ModeCovariance
+from .states import ModeCovariance, any_point, as_field, first_where
 
 __all__ = [
     "HOMODYNE_ANGLES",
@@ -35,13 +46,9 @@ __all__ = [
     "Mode1Observation",
     "LossInversion",
     "TransmittanceRescale",
-    "bogoliubov",
-    "transform_covariance",
-    "output_mode1_covariance",
-    "output_mode2_covariance",
-    "mode_block_to_quad",
-    "quadrature_variance",
-    "apply_loss",
+    "output_mode1_moments",
+    "lossy_moments",
+    "homodyne_variance",
     "invert_loss_homodyne",
     "rescale_transmittance",
     "sample_quadratures",
@@ -54,7 +61,11 @@ HOMODYNE_ANGLES = (0.0, math.pi / 2, math.pi / 4)
 
 _DETECTOR_KINDS = ("ideal", "lossy-homodyne", "lossy-photocount")
 
-_K1 = np.array([[1.0, 1.0j], [-1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
+
+def _check_efficiency(eta, name: str = "eta") -> None:
+    bad = np.logical_not((eta > 0.0) & (eta <= 1.0))
+    if any_point(bad):
+        raise ValueError(f"{name} = {first_where(bad, eta)} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,10 @@ class BenchSetting:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Detector kind, efficiency and shot budget (None = unlimited)."""
+    """Detector kind, efficiency and shot budget (None = unlimited).
+
+    ``eta`` may be an array, one efficiency per point of a batch.
+    """
 
     kind: str = "ideal"
     eta: float = 1.0
@@ -84,9 +98,8 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if self.kind not in _DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        object.__setattr__(self, "eta", float(self.eta))
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta = {self.eta} outside (0, 1]")
+        object.__setattr__(self, "eta", as_field(self.eta))
+        _check_efficiency(self.eta)
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
             if self.shots <= 0:
@@ -131,74 +144,42 @@ class TransmittanceRescale:
     unreachable: bool
 
 
-def bogoliubov(setting: BenchSetting) -> np.ndarray:
-    """4x4 unitary mixing (a1, a1+, a2, a2+) for the given bench setting.
+def output_mode1_moments(v: ModeCovariance, setting: BenchSetting):
+    """Closed-form moments (n', m') of output mode 1 at one bench setting.
 
-    Block form [[R, S], [-S*, R*]] with R = diag(e^{i phi} cos theta,
-    e^{-i phi} cos theta) and S = sin(theta) I.
+    n' = c^2 n1 + s^2 n2 - 2 s c Re(ms e^{-i phi}) and
+    m' = c^2 m1 e^{-2i phi} + s^2 m2 - 2 s c mc e^{-i phi}, with
+    c = cos theta and s = sin theta.
     """
     c, s = math.cos(setting.theta), math.sin(setting.theta)
-    phase = np.exp(1j * setting.phi)
-    r_block = np.diag([phase * c, np.conj(phase) * c])
-    s_block = s * np.eye(2, dtype=complex)
-    return np.block([[r_block, s_block], [-np.conj(s_block), np.conj(r_block)]])
+    phase = cmath.exp(-1j * setting.phi)
+    n = c * c * v.n1 + s * s * v.n2 - 2.0 * s * c * (v.ms * phase).real
+    m = c * c * v.m1 * phase * phase + s * s * v.m2 - 2.0 * s * c * v.mc * phase
+    return n, m
 
 
-def transform_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndarray:
-    """Full output covariance U+ V U (both modes)."""
-    u = bogoliubov(setting)
-    return u.conj().T @ v.matrix() @ u
+def lossy_moments(n, m, eta):
+    """Vacuum admixture of an inefficient detector: eta V + (1 - eta)/2 I on (n, m)."""
+    _check_efficiency(eta)
+    return eta * n + (1.0 - eta) * 0.5, eta * m
 
 
-def output_mode1_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndarray:
-    """Covariance block of output mode 1, written out term by term.
+def _determinant(n, m):
+    """det [[n, m], [m*, n]] = n^2 - |m|^2."""
+    return n * n - (m.real * m.real + m.imag * m.imag)
 
-    V'_1 = R* V1 R + S V2 S* - S C+ R - R* C S*, where V1, V2, C are the
-    input blocks and R, S the Bogoliubov blocks.  Agrees with the (1,1)
-    block of :func:`transform_covariance`; kept as an independent expression
-    so the two can cross-check each other.
+
+def homodyne_variance(n, m, angle: float):
+    """Variance of the rotated quadrature x cos(angle) + p sin(angle).
+
+    The mode (n, m) has quadrature covariance
+    2 [[n - Re m, -Im m], [-Im m, n + Re m]], so the variance is
+    2 n - 2 Re(m e^{-2i angle}).
     """
-    c, s = math.cos(setting.theta), math.sin(setting.theta)
-    phase = np.exp(1j * setting.phi)
-    r_block = np.diag([phase * c, np.conj(phase) * c])
-    s_block = s * np.eye(2, dtype=complex)
-    v1, v2, cross = v.block1(), v.block2(), v.cross()
-    return (
-        np.conj(r_block) @ v1 @ r_block
-        + s_block @ v2 @ np.conj(s_block)
-        - s_block @ cross.conj().T @ r_block
-        - np.conj(r_block) @ cross @ np.conj(s_block)
-    )
+    return 2.0 * n - 2.0 * (m * cmath.exp(-2j * angle)).real
 
 
-def output_mode2_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndarray:
-    """Covariance block of output mode 2, from the full conjugation."""
-    return transform_covariance(v, setting)[2:, 2:]
-
-
-def mode_block_to_quad(block: np.ndarray) -> np.ndarray:
-    """Convert a single-mode 2x2 block from mode to quadrature convention."""
-    g = 2.0 * _K1.conj().T @ np.asarray(block, dtype=complex) @ _K1
-    return g.real
-
-
-def quadrature_variance(quad_block: np.ndarray, angle: float) -> float:
-    """Variance of the rotated quadrature x cos(angle) + p sin(angle)."""
-    u = np.array([math.cos(angle), math.sin(angle)])
-    return float(u @ quad_block @ u)
-
-
-def apply_loss(v1p: np.ndarray, eta: float) -> np.ndarray:
-    """Vacuum admixture of an inefficient detector: eta V + (1 - eta)/2 I."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
-    v1p = np.asarray(v1p, dtype=complex)
-    return eta * v1p + (1.0 - eta) * 0.5 * np.eye(2, dtype=complex)
-
-
-def invert_loss_homodyne(
-    v_min_meas: float, v_max_meas: float, eta_hom: float
-) -> LossInversion:
+def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
     """Undo the vacuum admixture on measured principal quadrature variances.
 
     Each measured variance satisfies meas = eta * true + (1 - eta), so
@@ -207,21 +188,17 @@ def invert_loss_homodyne(
     n' = (v_min + v_max)/4, and det gamma'_1 = 4 det V'_1 gives
     j' = v_min v_max / 4.
     """
-    if not 0.0 < eta_hom <= 1.0:
-        raise ValueError(f"eta_hom = {eta_hom} outside (0, 1]")
+    _check_efficiency(eta_hom, "eta_hom")
     floor = 1.0 - eta_hom
-    if v_min_meas < floor - 1e-12 or v_max_meas < floor - 1e-12:
+    below = (v_min_meas < floor - 1e-12) | (v_max_meas < floor - 1e-12)
+    if any_point(below):
+        eta = first_where(below, eta_hom)
         raise UnphysicalMeasurementError(
-            f"measured variance below the vacuum floor {floor} for eta = {eta_hom}"
+            f"measured variance below the vacuum floor {1.0 - eta} for eta = {eta}"
         )
     v_min = (v_min_meas - floor) / eta_hom
     v_max = (v_max_meas - floor) / eta_hom
-    return LossInversion(
-        v_min=v_min,
-        v_max=v_max,
-        j_prime=v_min * v_max / 4.0,
-        n_prime=(v_min + v_max) / 4.0,
-    )
+    return LossInversion(v_min, v_max, j_prime=v_min * v_max / 4.0, n_prime=(v_min + v_max) / 4.0)
 
 
 def rescale_transmittance(theta_target: float, eta: float) -> TransmittanceRescale:
@@ -249,6 +226,13 @@ def _sampled_variance(
     return variance, math.sqrt(2.0 / (shots - 1)) * variance
 
 
+def _point_generators(seed, shape):
+    """One generator per point, each seeded with ``seed``: point i of a batch
+    draws exactly what a single-state call with the same seed draws."""
+    for index in np.ndindex(shape):
+        yield index, np.random.default_rng(seed)
+
+
 def sample_quadratures(
     v: ModeCovariance,
     setting: BenchSetting,
@@ -262,51 +246,46 @@ def sample_quadratures(
     Draws ``shots`` zero-mean Gaussian samples with the true variance of
     the (lossy) output mode at the given angle and returns the unbiased
     (ddof=1) sample variance together with its standard error
-    sqrt(2/(shots-1)) * variance.  Deterministic in ``seed``.
+    sqrt(2/(shots-1)) * variance.  Deterministic in ``seed``.  One state
+    only.
     """
     shots = int(shots)
     if shots < 2:
         raise ValueError("at least two shots are required for a sample variance")
-    lossy = apply_loss(output_mode1_covariance(v, setting), eta)
-    true_variance = quadrature_variance(mode_block_to_quad(lossy), angle)
+    n, m = lossy_moments(*output_mode1_moments(v, setting), eta)
+    true_variance = homodyne_variance(n, m, angle)
     return _sampled_variance(np.random.default_rng(seed), true_variance, shots)
 
 
-def _derived_purity(j_prime: float) -> tuple[float, float]:
-    if j_prime > 0.0:
-        purity = 1.0 / (2.0 * math.sqrt(j_prime))
-        return purity, purity / math.pi
-    return float("nan"), float("nan")
+def _derived_purity(j_prime):
+    positive = j_prime > 0.0
+    purity = np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
+    return as_field(purity), as_field(purity / math.pi)
 
 
-def _observe_homodyne(
-    v1p: np.ndarray, setting: BenchSetting, det: DetectorModel, seed
-) -> Mode1Observation:
-    lossy_quad = mode_block_to_quad(apply_loss(v1p, det.eta))
-    if det.shots is None:
-        variances = [quadrature_variance(lossy_quad, a) for a in HOMODYNE_ANGLES]
-        stderrs = None
-    else:
+def _observe_homodyne(n, m, det: DetectorModel, seed):
+    variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
+    stderrs = None
+    if det.shots is not None:
         if det.shots < 2:
             raise ValueError("finite-shot homodyne needs at least two shots")
-        rng = np.random.default_rng(seed)
-        drawn = [
-            _sampled_variance(rng, quadrature_variance(lossy_quad, a), det.shots)
-            for a in HOMODYNE_ANGLES
-        ]
-        variances = [d[0] for d in drawn]
-        stderrs = [d[1] for d in drawn]
+        variances = np.broadcast_arrays(*variances)
+        drawn = np.empty((3, 2) + variances[0].shape)
+        for index, rng in _point_generators(seed, variances[0].shape):
+            for k, variance in enumerate(variances):
+                drawn[(k, slice(None)) + index] = _sampled_variance(rng, variance[index], det.shots)
+        variances, stderrs = drawn[:, 0], drawn[:, 1]
 
     # Assemble the measured 2x2 quadrature covariance from the three angles
     # (the pi/4 variance fixes the off-diagonal) and undo the admixture on
-    # its principal variances.  The admixture is isotropic, so correcting
-    # principal variances equals correcting per angle.
+    # its principal variances, the eigenvalues mean -+ sqrt(half_diff^2 +
+    # off^2).  The admixture is isotropic, so correcting principal
+    # variances equals correcting per angle.
     v0, v90, v45 = variances
     off = v45 - (v0 + v90) / 2.0
-    measured = np.array([[v0, off], [off, v90]])
-    w = np.linalg.eigvalsh(measured)
-    corrected = invert_loss_homodyne(float(w[0]), float(w[1]), det.eta)
-    n_prime, j_prime = corrected.n_prime, corrected.j_prime
+    mean = (v0 + v90) / 2.0
+    radius = np.hypot((v0 - v90) / 2.0, off)
+    corrected = invert_loss_homodyne(mean - radius, mean + radius, det.eta)
 
     n_err = j_err = None
     if stderrs is not None:
@@ -321,54 +300,29 @@ def _observe_homodyne(
         u90 = (v90 - 1.0 + det.eta) / det.eta
         u45 = (v45 - 1.0 + det.eta) / det.eta
         c_off = u45 - (u0 + u90) / 2.0
-        n_err = math.sqrt(e0**2 + e90**2) / 4.0
-        j_err = math.sqrt(
+        n_err = np.sqrt(e0**2 + e90**2) / 4.0
+        j_err = np.sqrt(
             ((u90 + c_off) / 4.0 * e0) ** 2
             + ((u0 + c_off) / 4.0 * e90) ** 2
             + (c_off / 2.0 * e45) ** 2
         )
-
-    purity, wigner0 = _derived_purity(j_prime)
-    return Mode1Observation(
-        setting=setting,
-        n_prime=n_prime,
-        j_prime=j_prime,
-        purity=purity,
-        wigner0=wigner0,
-        n_stderr=n_err,
-        j_stderr=j_err,
-    )
+    return corrected.n_prime, corrected.j_prime, n_err, j_err
 
 
-def _observe_photocount(
-    v1p: np.ndarray, setting: BenchSetting, det: DetectorModel, seed
-) -> Mode1Observation:
-    lossy = apply_loss(v1p, det.eta)
-    n_true = lossy[0, 0].real
-    j_true = np.linalg.det(lossy).real
+def _observe_photocount(n, m, det: DetectorModel, seed):
     if det.shots is None:
-        n_prime, j_prime = n_true, j_true
-        n_err = j_err = None
-    else:
-        # Photon-number variance of a Gaussian mode with moments (n, m):
-        # <dN^2> = n^2 - 1/4 + |m|^2; the purity-route j estimate is modeled
-        # with a 2 j / sqrt(shots) error.
-        m_sq = abs(lossy[0, 1]) ** 2
-        n_err = math.sqrt(max(n_true**2 - 0.25 + m_sq, 0.0) / det.shots)
-        j_err = 2.0 * j_true / math.sqrt(det.shots)
-        rng = np.random.default_rng(seed)
-        n_prime = n_true + n_err * rng.standard_normal()
-        j_prime = j_true + j_err * rng.standard_normal()
-    purity, wigner0 = _derived_purity(j_prime)
-    return Mode1Observation(
-        setting=setting,
-        n_prime=n_prime,
-        j_prime=j_prime,
-        purity=purity,
-        wigner0=wigner0,
-        n_stderr=n_err,
-        j_stderr=j_err,
-    )
+        return n, _determinant(n, m), None, None
+    # Photon-number variance of a Gaussian mode with moments (n, m):
+    # <dN^2> = n^2 - 1/4 + |m|^2; the purity-route j estimate is modeled
+    # with a 2 j / sqrt(shots) error.
+    j_true = _determinant(n, m)
+    m_sq = m.real * m.real + m.imag * m.imag
+    n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
+    j_err = 2.0 * j_true / math.sqrt(det.shots)
+    z = np.empty((2,) + np.broadcast(n_err, j_err).shape)
+    for index, rng in _point_generators(seed, z.shape[1:]):
+        z[(0,) + index], z[(1,) + index] = rng.standard_normal(), rng.standard_normal()
+    return n + n_err * z[0], j_true + j_err * z[1], n_err, j_err
 
 
 def observe_mode1(
@@ -379,24 +333,19 @@ def observe_mode1(
 ) -> Mode1Observation:
     """Measure N and J of output mode 1 at one bench setting.
 
-    Ideal detectors return exact moments.  Lossy kinds first mix in vacuum
-    noise via :func:`apply_loss`; homodyne readout then samples (for finite
-    shots) three quadrature variances and inverts the admixture, while
-    photocount readout perturbs the lossy moments with Gaussian noise at
-    the physical shot-noise scale.  Deterministic in ``seed``.
+    Ideal detectors return the exact closed-form moments.  Lossy kinds
+    first mix in vacuum noise via :func:`lossy_moments`; homodyne readout
+    then samples (for finite shots) three quadrature variances and inverts
+    the admixture, while photocount readout perturbs the lossy moments with
+    Gaussian noise at the physical shot-noise scale.  Deterministic in
+    ``seed``; every point of a batch draws from its own generator seeded
+    with ``seed``.
     """
-    v1p = output_mode1_covariance(v, setting)
+    n, m = output_mode1_moments(v, setting)
     if det.kind == "ideal":
-        n_prime = v1p[0, 0].real
-        j_prime = np.linalg.det(v1p).real
-        purity, wigner0 = _derived_purity(j_prime)
-        return Mode1Observation(
-            setting=setting,
-            n_prime=float(n_prime),
-            j_prime=float(j_prime),
-            purity=purity,
-            wigner0=wigner0,
-        )
-    if det.kind == "lossy-homodyne":
-        return _observe_homodyne(v1p, setting, det, seed)
-    return _observe_photocount(v1p, setting, det, seed)
+        n_prime, j_prime, n_err, j_err = n, _determinant(n, m), None, None
+    else:
+        n, m = lossy_moments(n, m, det.eta)
+        observe = _observe_homodyne if det.kind == "lossy-homodyne" else _observe_photocount
+        n_prime, j_prime, n_err, j_err = observe(n, m, det, seed)
+    return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)

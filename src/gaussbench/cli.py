@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .states import (
     InvariantSet,
     ModeCovariance,
     QuadCovariance,
+    any_point,
+    as_field,
+    first_where,
     invariants_quad,
     mode_to_quad,
     quad_to_mode,
@@ -61,9 +65,23 @@ from .stateio import load_state
 
 __all__ = ["main", "build_parser"]
 
-_GENERATORS = ("vacuum", "tmsv", "thermal", "tmst", "random")
+#: Each generator's parameters (the flags of the same name) and their defaults.
+_GENERATOR_PARAMS = {
+    "vacuum": {},
+    "tmsv": {"r": 0.5},
+    "thermal": {"nu1": 1.0, "nu2": 1.0},
+    "tmst": {"r": 0.5, "nu1": 1.0, "nu2": 1.0},
+    "random": {},
+}
+_GENERATORS = tuple(_GENERATOR_PARAMS)
 _SCHEMES = ("oracle", "scheme1", "scheme2", "both")
 _DETECTORS = ("ideal", "lossy-homodyne", "lossy-photocount")
+
+_J_KEYS = ("j1", "j2", "j3", "j4")
+
+#: Largest ``sweep --steps``: the grid is evaluated as one batch, so its
+#: memory grows with the number of points.
+MAX_SWEEP_STEPS = 10_000
 
 _CSV_COLUMNS = [
     "param",
@@ -193,31 +211,23 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
             g = state
         return g, {"source": "file", "path": str(state_path)}
 
-    r = cfg.get("r")
-    nu1 = cfg.get("nu1")
-    nu2 = cfg.get("nu2")
-    params: dict = {}
-    if generator == "vacuum":
-        g = vacuum_state()
-    elif generator == "tmsv":
-        r = 0.5 if r is None else float(r)
-        g = tmsv_state(r)
-        params["r"] = r
-    elif generator == "thermal":
-        nu1 = 1.0 if nu1 is None else float(nu1)
-        nu2 = 1.0 if nu2 is None else float(nu2)
-        g = thermal_state(nu1, nu2)
-        params.update(nu1=nu1, nu2=nu2)
-    elif generator == "tmst":
-        r = 0.5 if r is None else float(r)
-        nu1 = 1.0 if nu1 is None else float(nu1)
-        nu2 = 1.0 if nu2 is None else float(nu2)
-        g = two_mode_squeezed_thermal(r, nu1, nu2)
-        params.update(r=r, nu1=nu1, nu2=nu2)
-    elif generator == "random":
-        g = random_state(rng_seed)
-    else:
+    if generator not in _GENERATOR_PARAMS:
         raise ConfigError(f"unknown generator {generator!r}")
+    try:
+        params = {
+            name: as_field(default if cfg.get(name) is None else cfg[name])
+            for name, default in _GENERATOR_PARAMS[generator].items()
+        }
+        makers = {
+            "vacuum": vacuum_state,
+            "tmsv": tmsv_state,
+            "thermal": thermal_state,
+            "tmst": two_mode_squeezed_thermal,
+        }
+        g = random_state(rng_seed) if generator == "random" else makers[generator](**params)
+    except ValueError as exc:
+        # Non-finite or overflowing parameters leave no valid covariance.
+        raise ConfigError(f"cannot build the {generator} state: {exc}") from exc
     return g, {"source": "generator", "name": generator, "params": params}
 
 
@@ -225,16 +235,13 @@ def _resolve_detector(cfg) -> DetectorModel:
     kind = cfg.get("detector") or "ideal"
     eta = cfg.get("eta")
     shots = cfg.get("shots")
-    if kind == "ideal" and eta is not None and float(eta) != 1.0:
-        raise ConfigError("--eta requires a lossy detector kind")
-    if kind == "ideal" and shots is not None:
-        raise ConfigError("--shots requires a lossy detector kind")
     try:
-        return DetectorModel(
-            kind=kind,
-            eta=1.0 if eta is None else float(eta),
-            shots=None if shots is None else int(shots),
-        )
+        eta = 1.0 if eta is None else as_field(eta)
+        if kind == "ideal" and np.any(eta != 1.0):
+            raise ConfigError("--eta requires a lossy detector kind")
+        if kind == "ideal" and shots is not None:
+            raise ConfigError("--shots requires a lossy detector kind")
+        return DetectorModel(kind=kind, eta=eta, shots=None if shots is None else int(shots))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -289,7 +296,7 @@ def _rel(delta: float, reference: float):
 
 def _deltas_dict(scheme_inv: InvariantSet, oracle_inv: InvariantSet) -> dict:
     out = {}
-    for name in ("j1", "j2", "j3", "j4"):
+    for name in _J_KEYS:
         got = getattr(scheme_inv, name)
         want = getattr(oracle_inv, name)
         if got is None or want is None:
@@ -326,7 +333,8 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
     return section
 
 
-def _build_report(cfg, scheme_choice: str) -> dict:
+def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
+    """Input, oracle and the chosen schemes for one state, or elementwise for a grid."""
     seed = 0 if cfg.get("seed") is None else int(cfg["seed"])
     root = np.random.SeedSequence(seed)
     gen_seq, s1_seq, s2_seq = root.spawn(3)
@@ -334,44 +342,54 @@ def _build_report(cfg, scheme_choice: str) -> dict:
     g, source = _resolve_state(cfg, gen_seq)
     det = _resolve_detector(cfg)
     phys = validate_physical(g)
-    if not phys.physical:
+    unphysical = np.logical_not(phys.physical)
+    if any_point(unphysical):
         raise GaussBenchError(
             "state is unphysical: symplectic eigenvalues "
-            f"nu_minus={phys.nu_minus:.12g}, nu_plus={phys.nu_plus:.12g}"
+            f"nu_minus={first_where(unphysical, phys.nu_minus):.12g}, "
+            f"nu_plus={first_where(unphysical, phys.nu_plus):.12g}"
         )
     v = quad_to_mode(g)
     oracle_inv = invariants_quad(g)
+    oracle_ent = entanglement_report(oracle_inv)
+    res1 = res2 = None
+    if scheme_choice in ("scheme1", "both"):
+        res1 = scheme1(v, det, seed=s1_seq)
+    if scheme_choice in ("scheme2", "both"):
+        res2 = scheme2(v, det, seed=s2_seq)
+    return SimpleNamespace(
+        seed=seed, state=g, source=source, detector=det, physicality=phys,
+        oracle=oracle_inv, oracle_entanglement=oracle_ent, scheme1=res1, scheme2=res2,
+    )
 
+
+def _build_report(ev: SimpleNamespace) -> dict:
     report = {
-        "seed": seed,
+        "seed": ev.seed,
         "state": {
-            **source,
-            "quad_entries": [float(x) for x in g.entries.reshape(-1)],
+            **ev.source,
+            "quad_entries": [float(x) for x in ev.state.entries.reshape(-1)],
         },
-        "detector": {"kind": det.kind, "eta": det.eta, "shots": det.shots},
+        "detector": {"kind": ev.detector.kind, "eta": ev.detector.eta, "shots": ev.detector.shots},
         "physicality": {
-            "physical": bool(phys.physical),
-            "nu_minus": float(phys.nu_minus),
-            "nu_plus": float(phys.nu_plus),
+            "physical": bool(ev.physicality.physical),
+            "nu_minus": float(ev.physicality.nu_minus),
+            "nu_plus": float(ev.physicality.nu_plus),
         },
         "oracle": {
-            "invariants": _invariants_dict(oracle_inv),
-            "entanglement": _entanglement_dict(entanglement_report(oracle_inv)),
+            "invariants": _invariants_dict(ev.oracle),
+            "entanglement": _entanglement_dict(ev.oracle_entanglement),
         },
         "scheme1": None,
         "scheme2": None,
         "consistency": None,
     }
-
-    res1 = res2 = None
-    if scheme_choice in ("scheme1", "both"):
-        res1 = scheme1(v, det, seed=s1_seq)
-        report["scheme1"] = _scheme_section(res1, oracle_inv)
-    if scheme_choice in ("scheme2", "both"):
-        res2 = scheme2(v, det, seed=s2_seq)
-        report["scheme2"] = _scheme_section(res2, oracle_inv)
-    if res1 is not None and res2 is not None:
-        chk = consistency_check(res1, res2)
+    if ev.scheme1 is not None:
+        report["scheme1"] = _scheme_section(ev.scheme1, ev.oracle)
+    if ev.scheme2 is not None:
+        report["scheme2"] = _scheme_section(ev.scheme2, ev.oracle)
+    if ev.scheme1 is not None and ev.scheme2 is not None:
+        chk = consistency_check(ev.scheme1, ev.scheme2)
         report["consistency"] = {
             "delta_j1": chk.delta_j1,
             "delta_j2": chk.delta_j2,
@@ -383,43 +401,33 @@ def _build_report(cfg, scheme_choice: str) -> dict:
     return report
 
 
-def _csv_cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _csv_row(param_value, report: dict) -> list:
-    oracle = report["oracle"]["invariants"]
-    scheme = report.get("scheme2") or report.get("scheme1")
-    if scheme is not None:
-        inv = scheme["invariants"]
-        ent = scheme["entanglement"]
-    else:
-        inv = {"j1": None, "j2": None, "j3": None, "j4": None}
-        ent = report["oracle"]["entanglement"]
-    return [
-        _csv_cell(param_value),
-        _csv_cell(oracle["j1"]),
-        _csv_cell(oracle["j2"]),
-        _csv_cell(oracle["j3"]),
-        _csv_cell(oracle["j4"]),
-        _csv_cell(inv["j1"]),
-        _csv_cell(inv["j2"]),
-        _csv_cell(inv["j3"]),
-        _csv_cell(inv["j4"]),
-        _csv_cell(ent["eof"]),
-        _csv_cell(ent["eof_lower_bound"]),
-        _csv_cell(ent["log_negativity"]),
-        _csv_cell(ent["simon_lhs_minus_rhs"]),
-        _csv_cell(ent["nu_tilde_minus"]),
-    ]
+def _csv_rows(param, ev: SimpleNamespace) -> list:
+    """One row of ``_CSV_COLUMNS`` cells per point; undefined values stay empty."""
+    scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
+    inv = None if scheme is None else scheme.invariants
+    ent = ev.oracle_entanglement if scheme is None else scheme.entanglement
+    measures = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus")
+    columns = [param, *(getattr(ev.oracle, key) for key in _J_KEYS)]
+    columns += [None if inv is None else getattr(inv, key) for key in _J_KEYS]
+    columns += [getattr(ent, key) for key in measures]
+    # None becomes NaN here, and NaN renders as an empty (null) cell.
+    table = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in table))
+    cells = []
+    for column in table:
+        column = np.broadcast_to(column, shape).ravel()
+        text = list(map(repr, column.tolist()))
+        if np.isnan(column).any():
+            text = ["" if t == "nan" else t for t in text]
+        cells.append(text)
+    return [list(row) for row in zip(*cells)]
 
 
 def _render_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -436,13 +444,12 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_run(cfg, scheme_choice: str) -> int:
-    report = _build_report(cfg, scheme_choice)
+    ev = _evaluate(cfg, scheme_choice)
     fmt = cfg.get("format") or "json"
     if fmt == "csv":
-        param = cfg.get("r")
-        text = _render_csv([_csv_row(param, report)])
+        text = _render_csv(_csv_rows(cfg.get("r"), ev))
     else:
-        text = _render_json(report)
+        text = _render_json(_build_report(ev))
     _emit(text, cfg.get("out"))
     return 0
 
@@ -456,6 +463,8 @@ def _cmd_sweep(cfg) -> int:
     steps = int(cfg["steps"])
     if steps <= 0:
         raise ConfigError(f"sweep grid must be non-empty, got steps={steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ConfigError(f"sweep grid is limited to {MAX_SWEEP_STEPS} points, got steps={steps}")
     start, stop = float(cfg["start"]), float(cfg["stop"])
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ConfigError("sweep grid bounds must be finite")
@@ -470,12 +479,8 @@ def _cmd_sweep(cfg) -> int:
         if (cfg.get("detector") or "ideal") == "ideal":
             raise ConfigError("an eta sweep needs a lossy detector kind")
 
-    rows = []
-    for value in grid:
-        point = dict(cfg)
-        point[param] = float(value)
-        report = _build_report(point, scheme_choice)
-        rows.append(_csv_row(float(value), report))
+    # The whole grid is one batch through the same code as ``run``.
+    rows = _csv_rows(grid, _evaluate({**cfg, param: grid}, scheme_choice))
 
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
@@ -525,7 +530,7 @@ def _cmd_replay(cfg) -> int:
         records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
         inv, _ = reconstruct_from_transcript(records, name, section.get("special_form"))
         reported = section["invariants"]
-        for key in ("j1", "j2", "j3", "j4"):
+        for key in _J_KEYS:
             got = getattr(inv, key)
             want = reported.get(key)
             if (got is None) != (want is None):

@@ -13,6 +13,10 @@ no covariance matrix is touched.  Logarithms are base 2 (bits).
 * The logarithmic negativity follows from the smallest symplectic
   eigenvalue of the partially transposed state, which depends on gamma only
   through Delta~ = I1 + I2 - 2 I3 and det gamma = I1 I2 + I3^2 - I4.
+
+The measures are elementwise.  Each closed form yields NaN where it is
+undefined plus its ordered domain checks: :func:`entanglement_report` reports
+NaN as ``None`` (one state) and the public measures raise on a failed check.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotSymmetricError, NumericalDomainError
-from .states import InvariantSet
+from .states import InvariantSet, any_point, as_field, first_where, optional_field
 
 __all__ = [
     "EntanglementReport",
@@ -49,7 +55,8 @@ class EntanglementReport:
     ``eof``/``eof_lower_bound`` are absent for non-symmetric states, and
     everything that needs the fourth invariant (``separable``,
     ``simon_lhs_minus_rhs``, ``log_negativity``, ``nu_tilde_minus``) is
-    absent when the invariant set lacks it.
+    absent when the invariant set lacks it.  In a batch, NaN (``None`` in
+    ``separable``) marks an absent value.
     """
 
     separable: bool | None
@@ -70,53 +77,66 @@ def simon_separable(inv: InvariantSet) -> tuple[bool, float]:
     i1, i2, i3 = inv.i1, inv.i2, inv.i3
     i4 = inv.require_i4()
     margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - i4 - i1 - i2
-    return bool(i3 >= 0.0 or margin >= 0.0), margin
+    return as_field((i3 >= 0.0) | (margin >= 0.0), bool), as_field(margin)
+
+
+def _symmetric(inv: InvariantSet, sym_tol: float):
+    return abs(inv.i1 - inv.i2) <= sym_tol * np.maximum(inv.i1, inv.i2)
 
 
 def _require_symmetric(inv: InvariantSet, sym_tol: float) -> None:
-    if abs(inv.i1 - inv.i2) > sym_tol * max(inv.i1, inv.i2):
+    asymmetric = np.logical_not(_symmetric(inv, sym_tol))
+    if any_point(asymmetric):
         raise NotSymmetricError(
-            f"I1 = {inv.i1} and I2 = {inv.i2} differ beyond sym_tol = {sym_tol}"
+            f"I1 = {first_where(asymmetric, inv.i1)} and "
+            f"I2 = {first_where(asymmetric, inv.i2)} differ beyond sym_tol = {sym_tol}"
         )
 
 
-def _clamped_sqrt(value: float, what: str) -> float:
-    if value < -EOF_RADICAND_ATOL:
-        raise NumericalDomainError(f"{what} is negative beyond tolerance: {value}")
-    return math.sqrt(max(value, 0.0))
+def _checked(value, checks):
+    """``value``, after raising NumericalDomainError for the first failed domain check."""
+    for failed, message, bad in checks:
+        if any_point(failed):
+            raise NumericalDomainError(f"{message}: {first_where(failed, bad)}")
+    return as_field(value)
 
 
-def _x_parameter(i1: float, i3: float, i4: float) -> float:
+def _x_parameter(i1, i3, i4):
     """Inner argument x = sqrt(I1 + |I3| - sqrt(I4 + 2 I1 |I3|)).
 
     For a two-mode squeezed vacuum this reduces to exp(-2r); generally it
     plays the role of an effective squeeze factor, with x >= 1 meaning no
-    entanglement is seen by the symmetric closed form.
+    entanglement is seen by the symmetric closed form.  Small negative
+    radicands (down to -EOF_RADICAND_ATOL) are clamped.
     """
-    inner = _clamped_sqrt(i4 + 2.0 * i1 * abs(i3), "EoF inner radicand")
-    x_sq = i1 + abs(i3) - inner
-    if x_sq <= 0.0:
-        if x_sq < -EOF_RADICAND_ATOL:
-            raise NumericalDomainError(f"EoF x^2 is negative: {x_sq}")
-        raise NumericalDomainError("EoF diverges (x = 0) at this invariant set")
-    return math.sqrt(x_sq)
+    inner_sq = i4 + 2.0 * i1 * abs(i3)
+    x_sq = i1 + abs(i3) - np.sqrt(np.maximum(inner_sq, 0.0))
+    inner_bad = inner_sq < -EOF_RADICAND_ATOL
+    checks = (
+        (inner_bad, "EoF inner radicand is negative beyond tolerance", inner_sq),
+        (x_sq < -EOF_RADICAND_ATOL, "EoF x^2 is negative", x_sq),
+        (x_sq <= 0.0, "EoF diverges (x = 0) at this invariant set; x^2", x_sq),
+    )
+    return np.sqrt(np.where(inner_bad | (x_sq <= 0.0), np.nan, x_sq)), checks
 
 
-def _entropy_of_squeeze_factor(x: float) -> float:
+def _entropy_of_squeeze_factor(x):
     """E(x) = c+ log2 c+ - c- log2 c-, c± = (x^-1/2 ± x^1/2)^2 / 4.
 
-    Strictly decreasing on (0, 1) and zero at x = 1; callers clamp x >= 1
-    to zero output.
+    Strictly decreasing on (0, 1) and zero at x = 1; x >= 1 gives zero.
     """
-    if x >= 1.0:
-        return 0.0
-    root = math.sqrt(x)
+    root = np.sqrt(np.minimum(x, 1.0))
     c_plus = (1.0 / root + root) ** 2 / 4.0
     c_minus = (1.0 / root - root) ** 2 / 4.0
-    value = c_plus * math.log2(c_plus)
-    if c_minus > 0.0:
-        value -= c_minus * math.log2(c_minus)
-    return value
+    # c- log2 c- -> 0 as c- -> 0; at x >= 1 (root = 1) both terms vanish.
+    return c_plus * np.log2(c_plus) - c_minus * np.log2(c_minus + (c_minus == 0.0))
+
+
+def _eof(inv: InvariantSet, i4, sym_tol: float):
+    """Symmetric-state EoF with the given I4, NaN where undefined, plus its checks."""
+    x, checks = _x_parameter(inv.i1, inv.i3, i4)
+    value = _entropy_of_squeeze_factor(x)
+    return np.where(_symmetric(inv, sym_tol), value, np.nan), checks
 
 
 def eof_symmetric(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> float:
@@ -127,7 +147,7 @@ def eof_symmetric(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> float:
     negativity in that case.
     """
     _require_symmetric(inv, sym_tol)
-    return _entropy_of_squeeze_factor(_x_parameter(inv.i1, inv.i3, inv.require_i4()))
+    return _checked(*_eof(inv, inv.require_i4(), sym_tol))
 
 
 def eof_lower_bound(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> float:
@@ -138,29 +158,33 @@ def eof_lower_bound(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> floa
     works for invariant sets whose fourth entry is unknown.
     """
     _require_symmetric(inv, sym_tol)
-    return _entropy_of_squeeze_factor(_x_parameter(inv.i1, inv.i3, 0.0))
+    return _checked(*_eof(inv, 0.0, sym_tol))
+
+
+def _negativity(inv: InvariantSet):
+    """E_N and nu~_-, NaN where undefined, plus the domain checks in order."""
+    det_gamma = inv.quad_determinant()
+    delta_tilde = inv.i1 + inv.i2 - 2.0 * inv.i3
+    radicand = delta_tilde * delta_tilde - 4.0 * det_gamma
+    radicand_bad = radicand < -NEGATIVITY_RADICAND_ATOL * np.maximum(1.0, delta_tilde**2)
+    nu_sq = (delta_tilde - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
+    checks = (
+        (radicand_bad, "negativity radicand is negative beyond tolerance", radicand),
+        (nu_sq <= 0.0, "PPT symplectic eigenvalue squared <= 0", nu_sq),
+    )
+    nu_minus = np.sqrt(np.where(radicand_bad | (nu_sq <= 0.0), np.nan, nu_sq))
+    return np.maximum(0.0, -np.log2(nu_minus)), nu_minus, checks
 
 
 def log_negativity(inv: InvariantSet) -> tuple[float, float]:
     """Logarithmic negativity (bits) and the PPT symplectic eigenvalue.
 
     nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 det gamma))/2 with
-    Delta~ = I1 + I2 - 2 I3; E_N = max(0, -log2 nu~_-).
+    Delta~ = I1 + I2 - 2 I3; E_N = max(0, -log2 nu~_-).  Small negative
+    radicands are clamped to zero.
     """
-    det_gamma = inv.quad_determinant()
-    delta_tilde = inv.i1 + inv.i2 - 2.0 * inv.i3
-    radicand = delta_tilde * delta_tilde - 4.0 * det_gamma
-    if radicand < 0.0:
-        if radicand < -NEGATIVITY_RADICAND_ATOL * max(1.0, delta_tilde * delta_tilde):
-            raise NumericalDomainError(
-                f"negativity radicand is negative beyond tolerance: {radicand}"
-            )
-        radicand = 0.0
-    nu_sq = (delta_tilde - math.sqrt(radicand)) / 2.0
-    if nu_sq <= 0.0:
-        raise NumericalDomainError(f"PPT symplectic eigenvalue squared <= 0: {nu_sq}")
-    nu_minus = math.sqrt(nu_sq)
-    return max(0.0, -math.log2(nu_minus)), nu_minus
+    value, nu_minus, checks = _negativity(inv)
+    return _checked(value, checks), as_field(nu_minus)
 
 
 def entanglement_report(
@@ -173,27 +197,12 @@ def entanglement_report(
     derived measures may be undefined when finite-shot noise pushed the
     reconstructed set outside the physical region.
     """
-    eof = bound = negativity = nu_minus = margin = None
-    separable = None
-    try:
-        bound = eof_lower_bound(inv, sym_tol)
-    except (NotSymmetricError, NumericalDomainError):
-        bound = None
+    bound, _ = _eof(inv, 0.0, sym_tol)
+    eof = negativity = nu_minus = margin = separable = None
     if inv.j4 is not None:
         separable, margin = simon_separable(inv)
-        try:
-            negativity, nu_minus = log_negativity(inv)
-        except NumericalDomainError:
-            negativity = nu_minus = None
-        try:
-            eof = eof_symmetric(inv, sym_tol)
-        except (NotSymmetricError, NumericalDomainError):
-            eof = None
-    return EntanglementReport(
-        separable=separable,
-        simon_lhs_minus_rhs=margin,
-        eof=eof,
-        eof_lower_bound=bound,
-        log_negativity=negativity,
-        nu_tilde_minus=nu_minus,
-    )
+        negativity, nu_minus, _ = _negativity(inv)
+        eof, _ = _eof(inv, inv.i4, sym_tol)
+        separable = as_field(np.where(np.isnan(margin), None, separable), object)
+    measures = (margin, eof, bound, negativity, nu_minus)
+    return EntanglementReport(separable, *(optional_field(x) for x in measures))

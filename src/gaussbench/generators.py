@@ -34,25 +34,28 @@ def vacuum_state() -> QuadCovariance:
     return QuadCovariance(np.eye(4))
 
 
-def _tmsv_entries(r: float) -> np.ndarray:
-    c, s = math.cosh(2 * r), math.sinh(2 * r)
-    return np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )
+def _standard_form_entries(a, b, c) -> np.ndarray:
+    """gamma with A = a I, B = b I and cross block diag(c, -c), elementwise in a, b, c."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    z = np.zeros_like(a)
+    rows = [[a, z, c, z], [z, a, z, -c], [c, z, b, z], [z, -c, z, b]]
+    return np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1))
 
 
-def tmsv_state(r: float) -> QuadCovariance:
+def _tmsv_entries(r) -> np.ndarray:
+    two_r = 2 * np.asarray(r, dtype=float)
+    c = np.cosh(two_r)
+    return _standard_form_entries(c, c, np.sinh(two_r))
+
+
+def tmsv_state(r) -> QuadCovariance:
     """Two-mode squeezed vacuum with squeezing parameter ``r``.
 
     Standard form with A = B = cosh(2r) I and cross block
-    diag(sinh 2r, -sinh 2r); pure (det gamma = 1) for every ``r``.
+    diag(sinh 2r, -sinh 2r); pure (det gamma = 1) for every ``r``.  An
+    array of ``r`` gives a stack of states.
     """
-    if not math.isfinite(r):
+    if not np.all(np.isfinite(r)):
         raise ValueError("squeezing parameter must be finite")
     return QuadCovariance(_tmsv_entries(r))
 
@@ -62,24 +65,19 @@ def thermal_state(nu1: float, nu2: float) -> QuadCovariance:
     return QuadCovariance(np.diag([nu1, nu1, nu2, nu2]).astype(float))
 
 
-def two_mode_squeezed_thermal(r: float, nu1: float, nu2: float) -> QuadCovariance:
+def two_mode_squeezed_thermal(r, nu1, nu2) -> QuadCovariance:
     """Two-mode squeezing applied to a thermal product state.
 
     gamma = S_tm(r) diag(nu1, nu1, nu2, nu2) S_tm(r)^T where S_tm mixes the
     modes with cosh r / sinh r weights; the cross block stays antidiagonal
-    in the mode picture (pure mc-type correlations).
+    in the mode picture (pure mc-type correlations): A = (ch^2 nu1 + sh^2 nu2) I,
+    B = (sh^2 nu1 + ch^2 nu2) I, C = ch sh (nu1 + nu2) diag(1, -1).  Arrays
+    give a stack of states.
     """
-    ch, sh = math.cosh(r), math.sinh(r)
-    s_tm = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    d = np.diag([nu1, nu1, nu2, nu2]).astype(float)
-    return QuadCovariance(s_tm @ d @ s_tm.T)
+    r = np.asarray(r, dtype=float)
+    ch, sh = np.cosh(r), np.sinh(r)
+    a, b = ch * ch * nu1 + sh * sh * nu2, sh * sh * nu1 + ch * ch * nu2
+    return QuadCovariance(_standard_form_entries(a, b, ch * sh * (nu1 + nu2)))
 
 
 def rotation_symplectic(angle: float) -> np.ndarray:

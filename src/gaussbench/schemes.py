@@ -16,6 +16,9 @@ fixed (theta, phi) settings:
 Reconstruction is a pure function of the recorded transcript (plus, for
 protocol 1, the recorded special-form flag), so replaying a stored
 transcript reproduces the reported invariants bit for bit.
+
+Both protocols are elementwise: a batch of states runs each setting once,
+and its records hold arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ from .errors import ReconstructionError
 from .states import (
     InvariantSet,
     ModeCovariance,
-    detect_special_form,
+    any_point,
+    as_field,
+    cross_block_form,
+    first_where,
     standard_form_prep,
 )
 
@@ -218,6 +224,11 @@ def _err(record) -> float:
     return 0.0 if record.stderr is None else record.stderr
 
 
+def _known(special_form):
+    """Where a special form is recorded; ``None`` marks an unknown cross block."""
+    return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
+
+
 def reconstruct_scheme1(
     records, special_form: str | None = None
 ) -> tuple[InvariantSet, dict | None]:
@@ -226,7 +237,8 @@ def reconstruct_scheme1(
     J1 and J2 are the determinant readings at (0, 0) and (pi/2, 0); J3
     combines the four theta = pi/4 determinant readings with the
     photon-number readings.  When ``special_form`` says the cross block is
-    diagonal or antidiagonal, J4 = 2 |J3| sqrt(J1 J2) is attached.
+    diagonal or antidiagonal, J4 = 2 |J3| sqrt(J1 J2) is attached (in a
+    batch, NaN where the form is ``None``).
     """
     j00 = _pick(records, 0.0, 0.0, "J")
     j90 = _pick(records, math.pi / 2, 0.0, "J")
@@ -240,8 +252,10 @@ def reconstruct_scheme1(
     n45_p = _pick(records, math.pi / 4, math.pi / 2, "N")
 
     j1, j2 = j00.value, j90.value
-    if j1 <= 0.0 or j2 <= 0.0:
-        raise ReconstructionError(f"non-positive J1/J2 reconstructed: {j1}, {j2}")
+    bad = (j1 <= 0.0) | (j2 <= 0.0)
+    if any_point(bad):
+        values = f"{first_where(bad, j1)}, {first_where(bad, j2)}"
+        raise ReconstructionError(f"non-positive J1/J2 reconstructed: {values}")
 
     det_comb = (
         j45.value + j45_pi.value + j45_p.value + j45_m.value - j00.value - j90.value
@@ -254,7 +268,10 @@ def reconstruct_scheme1(
         - 2.0 * (n00.value + n90.value) * (n45.value + n45_p.value)
     )
     j3 = (det_comb + num_comb) / 4.0
-    j4 = 2.0 * abs(j3) * math.sqrt(j1 * j2) if special_form is not None else None
+    known = _known(special_form)
+    j4 = None
+    if any_point(known):
+        j4 = np.where(known, 2.0 * abs(j3) * np.sqrt(j1 * j2), np.nan)
     inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
 
     if all(rec.stderr is None for rec in records):
@@ -275,16 +292,17 @@ def reconstruct_scheme1(
         + (grad_n45 * _err(n45)) ** 2
         + (grad_n45p * _err(n45_p)) ** 2
     ) / 16.0
-    stderr = {"j1": _err(j00), "j2": _err(j90), "j3": math.sqrt(var_j3)}
+    stderr = {"j1": _err(j00), "j2": _err(j90), "j3": np.sqrt(var_j3)}
     if j4 is not None:
         # j4 = 2 |j3| sqrt(j1 j2): dj4/dj3 = 2 sqrt(j1 j2) (up to sign),
         # dj4/dj1 = |j3| sqrt(j2/j1), dj4/dj2 symmetric.
-        stderr["j4"] = math.sqrt(
-            (2.0 * math.sqrt(j1 * j2) * stderr["j3"]) ** 2
-            + (abs(j3) * math.sqrt(j2 / j1) * stderr["j1"]) ** 2
-            + (abs(j3) * math.sqrt(j1 / j2) * stderr["j2"]) ** 2
+        j4_err = np.sqrt(
+            (2.0 * np.sqrt(j1 * j2) * stderr["j3"]) ** 2
+            + (abs(j3) * np.sqrt(j2 / j1) * stderr["j1"]) ** 2
+            + (abs(j3) * np.sqrt(j1 / j2) * stderr["j2"]) ** 2
         )
-    return inv, stderr
+        stderr["j4"] = np.where(known, j4_err, np.nan)
+    return inv, {key: as_field(value) for key, value in stderr.items()}
 
 
 def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
@@ -301,21 +319,22 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     j45 = _pick(records, math.pi / 4, 0.0, "J")
 
     n1t, n2t = n1r.value, n2r.value
-    if n1t <= 0.0 or n2t <= 0.0:
-        raise ReconstructionError(f"non-positive occupations: {n1t}, {n2t}")
+    bad = (n1t <= 0.0) | (n2t <= 0.0)
+    if any_point(bad):
+        raise ReconstructionError(
+            f"non-positive occupations: {first_where(bad, n1t)}, {first_where(bad, n2t)}"
+        )
     j1, j2 = n1t**2, n2t**2
 
     mc_sq = n45.value**2 - j45.value
-    if mc_sq < 0.0:
-        if mc_sq < -MC2_CLAMP_FAIL:
-            raise ReconstructionError(
-                f"|m~c|^2 reconstructed as {mc_sq}, beyond the clamp threshold"
-            )
-        if mc_sq < -MC2_CLAMP_WARN:
-            warnings.warn(
-                f"clamping negative |m~c|^2 = {mc_sq} to zero", stacklevel=2
-            )
-        mc_sq = 0.0
+    fail, loud = mc_sq < -MC2_CLAMP_FAIL, mc_sq < -MC2_CLAMP_WARN
+    if any_point(fail):
+        value = first_where(fail, mc_sq)
+        raise ReconstructionError(f"|m~c|^2 reconstructed as {value}, beyond the clamp threshold")
+    if any_point(loud):
+        value = first_where(loud, mc_sq)
+        warnings.warn(f"clamping negative |m~c|^2 = {value} to zero", stacklevel=2)
+    mc_sq = np.where(mc_sq < 0.0, 0.0, mc_sq)
 
     ms_re = (n1t + n2t) / 2.0 - n45.value
     ms_im = (n1t + n2t) / 2.0 - n45_p.value
@@ -323,7 +342,7 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     j3 = ms_sq - mc_sq
     j4 = 2.0 * n1t * n2t * (ms_sq + mc_sq)
     inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
-    aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": math.sqrt(mc_sq)}
+    aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": as_field(np.sqrt(mc_sq))}
 
     if all(rec.stderr is None for rec in records):
         return inv, None, aux
@@ -341,14 +360,14 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     stderr = {
         "j1": 2.0 * n1t * e_n1,
         "j2": 2.0 * n2t * e_n2,
-        "j3": math.sqrt(var_ms2 + var_mc2),
-        "j4": math.sqrt(
+        "j3": np.sqrt(var_ms2 + var_mc2),
+        "j4": np.sqrt(
             (2.0 * n2t * (ms_sq + mc_sq) * e_n1) ** 2
             + (2.0 * n1t * (ms_sq + mc_sq) * e_n2) ** 2
             + (2.0 * n1t * n2t) ** 2 * (var_ms2 + var_mc2)
         ),
     }
-    return inv, stderr, aux
+    return inv, {key: as_field(value) for key, value in stderr.items()}, aux
 
 
 def reconstruct_from_transcript(
@@ -377,9 +396,7 @@ def scheme1(
     the symmetric lower bound only.
     """
     observations, records = _run_plan(v, scheme1_plan(), det, seed)
-    special = None
-    if abs(v.m1) <= 1e-9 * max(1.0, v.n1) and abs(v.m2) <= 1e-9 * max(1.0, v.n2):
-        special = detect_special_form(v)
+    special = cross_block_form(v)
     inv, stderr = reconstruct_scheme1(records, special)
     return SchemeResult(
         scheme="scheme1",
@@ -388,7 +405,7 @@ def scheme1(
         observations=observations,
         transcript=records,
         invariant_stderr=stderr,
-        status="full" if inv.j4 is not None else "lower-bound-only",
+        status=as_field(np.where(_known(special), "full", "lower-bound-only"), object),
         special_form=special,
     )
 
@@ -431,12 +448,5 @@ def consistency_check(
     d1 = abs(s1.invariants.j1 - s2.invariants.j1)
     d2 = abs(s1.invariants.j2 - s2.invariants.j2)
     d3 = abs(s1.invariants.j3 - s2.invariants.j3)
-    max_delta = max(d1, d2, d3)
-    return ConsistencyReport(
-        delta_j1=d1,
-        delta_j2=d2,
-        delta_j3=d3,
-        max_delta=max_delta,
-        tol=tol,
-        within_tolerance=max_delta <= tol,
-    )
+    max_delta = np.maximum(np.maximum(d1, d2), d3)
+    return ConsistencyReport(d1, d2, d3, max_delta, tol, max_delta <= tol)

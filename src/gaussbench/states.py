@@ -31,11 +31,15 @@ and in the mode picture, with Z = diag(1, -1) and V blocks V1, V2, C_V:
     J4 = tr(V1 Z C_V Z V2 Z C_V+ Z),
 
 related exactly by I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4.
+
+The package is elementwise: a QuadCovariance may hold a (..., 4, 4) stack
+and a ModeCovariance equal-shape arrays, one entry per point of a grid.
+Results keep that shape (plain numbers for one state), every check runs on
+every point, and a check failing anywhere raises for the whole call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,6 +51,10 @@ __all__ = [
     "SYMMETRY_ATOL",
     "PHYSICALITY_SLACK",
     "OMEGA",
+    "as_field",
+    "optional_field",
+    "first_where",
+    "any_point",
     "QuadCovariance",
     "ModeCovariance",
     "InvariantSet",
@@ -60,6 +68,7 @@ __all__ = [
     "invariants_quad",
     "invariants_mode",
     "standard_form_prep",
+    "cross_block_form",
     "detect_special_form",
 ]
 
@@ -87,45 +96,73 @@ _K = np.block(
 )
 
 
+def as_field(x, kind=float):
+    """``x`` as a plain scalar if it has no shape, else as an array (``object`` for labels)."""
+    x = np.asarray(x, dtype=kind)
+    return x.item() if x.ndim == 0 else x
+
+
+def optional_field(x):
+    """:func:`as_field` with NaN, the mark of an undefined value, as ``None`` for a scalar."""
+    x = None if x is None else as_field(x)
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
+def any_point(mask) -> bool:
+    """Whether ``mask`` holds anywhere; cheap for the scalars of a single state."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def first_where(mask, values):
+    """The first entry of ``values`` at which ``mask`` holds, for error messages."""
+    mask, values = np.broadcast_arrays(mask, values)
+    return values[mask][0]
+
+
+def _assemble(rows) -> np.ndarray:
+    """Nested rows of equal-shape entries as a (..., rows, columns) matrix stack."""
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class QuadCovariance:
     """4x4 real symmetric covariance matrix in (x1, p1, x2, p2) ordering.
 
-    Entries are vacuum-normalized (vacuum -> identity).  The matrix is
-    symmetrized on construction and stored read-only.
+    Entries are vacuum-normalized (vacuum -> identity).  The matrix (or
+    stack) is symmetrized on construction and stored read-only.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=float)
-        if g.shape != (4, 4):
+        if g.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("covariance entries must be finite")
-        asym = float(np.max(np.abs(g - g.T)))
+        asym = float(np.max(np.abs(g - g.swapaxes(-1, -2)), initial=0.0))
         if asym > SYMMETRY_ATOL:
             raise ValueError(
                 f"covariance matrix is not symmetric (max asymmetry {asym:.3e})"
             )
-        g = (g + g.T) / 2.0
+        g = (g + g.swapaxes(-1, -2)) / 2.0
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
     @property
     def block_a(self) -> np.ndarray:
         """Mode-1 2x2 diagonal block."""
-        return self.entries[:2, :2]
+        return self.entries[..., :2, :2]
 
     @property
     def block_b(self) -> np.ndarray:
         """Mode-2 2x2 diagonal block."""
-        return self.entries[2:, 2:]
+        return self.entries[..., 2:, 2:]
 
     @property
     def block_c(self) -> np.ndarray:
         """Cross-correlation 2x2 block (mode 1 rows, mode 2 columns)."""
-        return self.entries[:2, 2:]
+        return self.entries[..., :2, 2:]
 
 
 @dataclass(frozen=True)
@@ -134,7 +171,8 @@ class ModeCovariance:
 
     ``n1``/``n2`` are the symmetrized occupations <a+a> + 1/2, ``m1``/``m2``
     the single-mode squeeze correlations -<a^2>, and ``ms``/``mc`` the
-    beam-splitter-like and two-mode-squeeze-like cross correlations.
+    beam-splitter-like and two-mode-squeeze-like cross correlations.  Fields
+    are scalars or arrays; arrays and scalars given together are broadcast.
     """
 
     n1: float
@@ -145,22 +183,24 @@ class ModeCovariance:
     mc: complex = 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n1", float(self.n1))
-        object.__setattr__(self, "n2", float(self.n2))
-        for name in ("m1", "m2", "ms", "mc"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        values = (self.n1, self.n2, self.m1, self.m2, self.ms, self.mc)
-        if not all(cmath.isfinite(z) for z in values):
+        names = ("n1", "n2", "m1", "m2", "ms", "mc")
+        values = [getattr(self, name) for name in names]
+        if any(isinstance(x, np.ndarray) for x in values):
+            values = np.broadcast_arrays(*values)
+        for name, x in zip(names, values):
+            object.__setattr__(self, name, as_field(x, float if name[0] == "n" else complex))
+        if not np.isfinite([getattr(self, name) for name in names]).all():
             raise ValueError("mode covariance entries must be finite")
         for n, m, label in (
             (self.n1, self.m1, "1"),
             (self.n2, self.m2, "2"),
         ):
-            if n < 0.5 - PHYSICALITY_SLACK:
+            below = n < 0.5 - PHYSICALITY_SLACK
+            if any_point(below):
                 raise UnphysicalStateError(
-                    f"n{label} = {n} violates the vacuum floor 1/2"
+                    f"n{label} = {first_where(below, n)} violates the vacuum floor 1/2"
                 )
-            if n * n - abs(m) ** 2 < 0.25 - PHYSICALITY_SLACK:
+            if any_point(n * n - abs(m) ** 2 < 0.25 - PHYSICALITY_SLACK):
                 raise UnphysicalStateError(
                     f"reduced mode {label} violates det V{label} >= 1/4"
                 )
@@ -168,24 +208,23 @@ class ModeCovariance:
     def matrix(self) -> np.ndarray:
         """Assemble the full 4x4 Hermitian matrix from the six scalars."""
         n1, n2, m1, m2, ms, mc = self.n1, self.n2, self.m1, self.m2, self.ms, self.mc
-        return np.array(
+        return _assemble(
             [
                 [n1, m1, ms, mc],
                 [np.conj(m1), n1, np.conj(mc), np.conj(ms)],
                 [np.conj(ms), mc, n2, m2],
                 [np.conj(mc), ms, np.conj(m2), n2],
-            ],
-            dtype=complex,
+            ]
         )
 
     def block1(self) -> np.ndarray:
-        return np.array([[self.n1, self.m1], [np.conj(self.m1), self.n1]])
+        return _assemble([[self.n1, self.m1], [np.conj(self.m1), self.n1]])
 
     def block2(self) -> np.ndarray:
-        return np.array([[self.n2, self.m2], [np.conj(self.m2), self.n2]])
+        return _assemble([[self.n2, self.m2], [np.conj(self.m2), self.n2]])
 
     def cross(self) -> np.ndarray:
-        return np.array([[self.ms, self.mc], [np.conj(self.mc), np.conj(self.ms)]])
+        return _assemble([[self.ms, self.mc], [np.conj(self.mc), np.conj(self.ms)]])
 
     @classmethod
     def from_matrix(cls, v: np.ndarray, atol: float = 1e-10) -> "ModeCovariance":
@@ -194,32 +233,28 @@ class ModeCovariance:
         Parameters
         ----------
         v : np.ndarray
-            4x4 complex matrix expected to carry the block structure
-            documented in the module docstring.
-        atol : float
+            4x4 complex matrix, or a (..., 4, 4) stack, expected to carry the
+            block structure documented in the module docstring.
+        atol : float or array
             Absolute tolerance on Hermiticity and on the internal
-            repetitions of the layout.
+            repetitions of the layout; an array gives one per matrix.
         """
         v = np.asarray(v, dtype=complex)
-        if v.shape != (4, 4):
+        if v.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
-        if np.max(np.abs(v - v.conj().T)) > atol:
+        if any_point(np.max(np.abs(v - v.swapaxes(-1, -2).conj()), axis=(-2, -1)) > atol):
             raise ValueError("matrix is not Hermitian within tolerance")
-        checks = (
-            abs(v[0, 0] - v[1, 1]),
-            abs(v[2, 2] - v[3, 3]),
-            abs(v[0, 2] - np.conj(v[1, 3])),
-            abs(v[0, 3] - v[1, 2].conj()),
-        )
-        if max(checks) > atol:
+        repeats = [v[..., 0, 0] - v[..., 1, 1], v[..., 2, 2] - v[..., 3, 3]]
+        repeats += [v[..., 0, 2] - np.conj(v[..., 1, 3]), v[..., 0, 3] - np.conj(v[..., 1, 2])]
+        if any_point(np.abs(repeats).max(axis=0) > atol):
             raise ValueError("matrix does not have the two-mode block layout")
         return cls(
-            n1=(v[0, 0] + v[1, 1]).real / 2,
-            n2=(v[2, 2] + v[3, 3]).real / 2,
-            m1=v[0, 1],
-            m2=v[2, 3],
-            ms=(v[0, 2] + np.conj(v[1, 3])) / 2,
-            mc=(v[0, 3] + np.conj(v[1, 2])) / 2,
+            n1=(v[..., 0, 0] + v[..., 1, 1]).real / 2,
+            n2=(v[..., 2, 2] + v[..., 3, 3]).real / 2,
+            m1=v[..., 0, 1],
+            m2=v[..., 2, 3],
+            ms=(v[..., 0, 2] + np.conj(v[..., 1, 3])) / 2,
+            mc=(v[..., 0, 3] + np.conj(v[..., 1, 2])) / 2,
         )
 
 
@@ -230,7 +265,8 @@ class InvariantSet:
     The quadrature-convention values I1..I4 are derived properties with the
     exact scaling I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4, so the two
     conventions can never drift apart.  ``j4`` may be ``None`` when a
-    measurement scheme could not determine it.
+    measurement scheme could not determine it; in a batch, NaN marks the
+    points where it is unavailable.
     """
 
     j1: float
@@ -239,13 +275,14 @@ class InvariantSet:
     j4: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j1", float(self.j1))
-        object.__setattr__(self, "j2", float(self.j2))
-        object.__setattr__(self, "j3", float(self.j3))
+        for name in ("j1", "j2", "j3"):
+            object.__setattr__(self, name, as_field(getattr(self, name)))
+        values = [self.j1, self.j2, self.j3]
         if self.j4 is not None:
-            object.__setattr__(self, "j4", float(self.j4))
-        values = (self.j1, self.j2, self.j3) + (() if self.j4 is None else (self.j4,))
-        if not all(math.isfinite(x) for x in values):
+            object.__setattr__(self, "j4", as_field(self.j4))
+            j4 = self.j4
+            values.append(j4[~np.isnan(j4)] if isinstance(j4, np.ndarray) else j4)
+        if not all(np.isfinite(x).all() for x in values):
             raise ValueError("invariants must be finite")
 
     @property
@@ -293,8 +330,8 @@ def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
     averaged to suppress eigensolver noise.  Returns (nu_minus, nu_plus).
     """
     ev = np.linalg.eigvals(1j * OMEGA @ g.entries)
-    mods = np.sort(np.abs(ev))
-    return float((mods[0] + mods[1]) / 2), float((mods[2] + mods[3]) / 2)
+    mods = np.sort(np.abs(ev), axis=-1)
+    return as_field((mods[..., 0] + mods[..., 1]) / 2), as_field((mods[..., 2] + mods[..., 3]) / 2)
 
 
 def validate_physical(
@@ -306,12 +343,12 @@ def validate_physical(
     eigenvalues are at least ``1 - slack``.
     """
     nu_minus, nu_plus = symplectic_eigenvalues(g)
-    positive = bool(np.all(np.linalg.eigvalsh(g.entries) > 0.0))
+    positive = np.all(np.linalg.eigvalsh(g.entries) > 0.0, axis=-1)
     return PhysicalityReport(
-        physical=positive and nu_minus >= 1.0 - slack,
+        physical=as_field(positive & (np.asarray(nu_minus) >= 1.0 - slack), bool),
         nu_minus=nu_minus,
         nu_plus=nu_plus,
-        positive_definite=positive,
+        positive_definite=as_field(positive, bool),
         symmetric=True,
         slack=slack,
     )
@@ -320,14 +357,14 @@ def validate_physical(
 def quad_to_mode(g: QuadCovariance) -> ModeCovariance:
     """Convert a quadrature covariance matrix to mode-operator form."""
     v = _K @ (g.entries / 2.0) @ _K.conj().T
-    return ModeCovariance.from_matrix(v, atol=1e-9 * max(1.0, float(np.max(np.abs(v)))))
+    return ModeCovariance.from_matrix(v, atol=1e-9 * np.maximum(1.0, np.abs(v).max((-2, -1))))
 
 
 def mode_to_quad(v: ModeCovariance) -> QuadCovariance:
     """Convert mode-operator form back to the quadrature picture."""
     g = 2.0 * _K.conj().T @ v.matrix() @ _K
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if float(np.max(np.abs(g.imag))) > 1e-10 * scale:
+    scale = np.maximum(1.0, np.abs(g).max((-2, -1)))
+    if any_point(np.abs(g.imag).max((-2, -1)) > 1e-10 * scale):
         raise ValueError("mode covariance does not map to a real quadrature matrix")
     return QuadCovariance(g.real)
 
@@ -335,21 +372,22 @@ def mode_to_quad(v: ModeCovariance) -> QuadCovariance:
 def invariants_quad(g: QuadCovariance) -> InvariantSet:
     """Evaluate the four invariants from the quadrature blocks of gamma."""
     a, b, c = g.block_a, g.block_b, g.block_c
-    i1 = float(np.linalg.det(a))
-    i2 = float(np.linalg.det(b))
-    i3 = float(np.linalg.det(c))
-    i4 = float(np.trace(a @ _J2 @ c @ _J2 @ b @ _J2 @ c.T @ _J2))
+    i1 = np.linalg.det(a)
+    i2 = np.linalg.det(b)
+    i3 = np.linalg.det(c)
+    i4 = np.trace(a @ _J2 @ c @ _J2 @ b @ _J2 @ c.swapaxes(-1, -2) @ _J2, axis1=-2, axis2=-1)
     return InvariantSet(j1=i1 / 4, j2=i2 / 4, j3=i3 / 4, j4=i4 / 16)
 
 
 def invariants_mode(v: ModeCovariance) -> InvariantSet:
     """Evaluate the four invariants from the mode-operator blocks of V."""
     v1, v2, c = v.block1(), v.block2(), v.cross()
+    c_dagger = c.swapaxes(-1, -2).conj()
     j1 = np.linalg.det(v1).real
     j2 = np.linalg.det(v2).real
     j3 = np.linalg.det(c).real
-    j4 = np.trace(v1 @ _Z2 @ c @ _Z2 @ v2 @ _Z2 @ c.conj().T @ _Z2).real
-    return InvariantSet(j1=float(j1), j2=float(j2), j3=float(j3), j4=float(j4))
+    j4 = np.trace(v1 @ _Z2 @ c @ _Z2 @ v2 @ _Z2 @ c_dagger @ _Z2, axis1=-2, axis2=-1).real
+    return InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
 
 
 @dataclass(frozen=True)
@@ -369,17 +407,6 @@ class SingleModeSymplectic:
     beta: float
     theta: float
 
-    def matrix(self) -> np.ndarray:
-        ch, sh = math.cosh(self.theta), math.sinh(self.theta)
-        ea, eb = cmath.exp(-1j * self.alpha), cmath.exp(1j * self.beta)
-        return np.array(
-            [[ea * ch, eb * sh], [np.conj(eb) * sh, np.conj(ea) * ch]], dtype=complex
-        )
-
-    @classmethod
-    def identity(cls) -> "SingleModeSymplectic":
-        return cls(alpha=0.0, beta=0.0, theta=0.0)
-
 
 @dataclass(frozen=True)
 class StandardFormResult:
@@ -392,7 +419,7 @@ class StandardFormResult:
     residual_m2: float
 
 
-def _standardizing_local(n: float, m: complex, label: str) -> SingleModeSymplectic:
+def _standardizing_local(n, m, label: str) -> SingleModeSymplectic:
     """Rotation+squeeze that cancels a single mode's m = -<a^2> correlation.
 
     With m = |m| e^(i mu) the choice alpha = beta = (mu + pi)/2,
@@ -402,14 +429,13 @@ def _standardizing_local(n: float, m: complex, label: str) -> SingleModeSymplect
     already block-diagonal state passes through untouched.
     """
     magnitude = abs(m)
-    if magnitude == 0.0:
-        return SingleModeSymplectic.identity()
-    if magnitude >= n:
+    if any_point(magnitude >= n):
         raise UnphysicalStateError(
             f"|m{label}| >= n{label}: reduced mode {label} is unphysical"
         )
-    phase = (cmath.phase(m) + math.pi) / 2
-    theta = 0.5 * math.atanh(magnitude / n)
+    zero = magnitude == 0.0
+    phase = as_field(np.where(zero, 0.0, (np.angle(m) + math.pi) / 2))
+    theta = as_field(np.where(zero, 0.0, 0.5 * np.arctanh(magnitude / n)))
     return SingleModeSymplectic(alpha=phase, beta=phase, theta=theta)
 
 
@@ -419,26 +445,39 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     Returns the per-mode transformations S1, S2 and vt = S V S+ with
     m1, m2 driven to zero (up to double-precision residuals, reported in
     ``residual_m1``/``residual_m2``).  All four invariants of ``vt`` equal
-    those of ``v`` since det S_j = 1.
+    those of ``v`` since det S_j = 1.  With S_j = [[e c, f s], [f* s, e* c]]
+    the conjugation is written out entry by entry.
     """
     s1 = _standardizing_local(v.n1, v.m1, "1")
     s2 = _standardizing_local(v.n2, v.m2, "2")
-    s = np.block(
-        [
-            [s1.matrix(), np.zeros((2, 2), dtype=complex)],
-            [np.zeros((2, 2), dtype=complex), s2.matrix()],
-        ]
+    (e1, f1, c1, h1), (e2, f2, c2, h2) = (
+        (np.exp(-1j * s.alpha), np.exp(1j * s.beta), np.cosh(s.theta), np.sinh(s.theta))
+        for s in (s1, s2)
     )
-    vt_matrix = s @ v.matrix() @ s.conj().T
-    scale = max(1.0, float(np.max(np.abs(vt_matrix))))
-    vt = ModeCovariance.from_matrix(vt_matrix, atol=1e-9 * scale)
-    return StandardFormResult(
-        s1=s1,
-        s2=s2,
-        vt=vt,
-        residual_m1=abs(vt.m1),
-        residual_m2=abs(vt.m2),
-    )
+
+    def block(n, m, e, f, c, s):  # S_j V_j S_j+ -> (n~, m~)
+        n_t = n * (c * c + s * s) + 2.0 * c * s * (e * np.conj(f) * m).real
+        return n_t, 2.0 * e * f * c * s * n + f * f * s * s * np.conj(m) + e * e * c * c * m
+
+    (n1, m1), (n2, m2) = block(v.n1, v.m1, e1, f1, c1, h1), block(v.n2, v.m2, e2, f2, c2, h2)
+    row_s = e1 * c1 * v.ms + f1 * h1 * np.conj(v.mc)  # first row of S1 C_V
+    row_c = e1 * c1 * v.mc + f1 * h1 * np.conj(v.ms)
+    ms = row_s * np.conj(e2) * c2 + row_c * np.conj(f2) * h2
+    vt = ModeCovariance(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=row_s * f2 * h2 + row_c * e2 * c2)
+    return StandardFormResult(s1, s2, vt, as_field(abs(vt.m1)), as_field(abs(vt.m2)))
+
+
+def _block_diagonal(v: ModeCovariance, tol: float):
+    return (abs(v.m1) <= tol * np.maximum(1.0, v.n1)) & (abs(v.m2) <= tol * np.maximum(1.0, v.n2))
+
+
+def cross_block_form(v: ModeCovariance, tol: float = 1e-9):
+    """:func:`detect_special_form`, with ``None`` where ``v`` is not block-diagonal."""
+    ms_mag, mc_mag = abs(v.ms), abs(v.mc)
+    total = ms_mag + mc_mag
+    antidiagonal = np.where(ms_mag <= tol * total, "antidiagonal", None)
+    form = np.where((mc_mag <= tol * total) | (total == 0.0), "diagonal", antidiagonal)
+    return as_field(np.where(_block_diagonal(v, tol), form, None), object)
 
 
 def detect_special_form(v: ModeCovariance, tol: float = 1e-9) -> str | None:
@@ -452,12 +491,6 @@ def detect_special_form(v: ModeCovariance, tol: float = 1e-9) -> str | None:
     The state must already be block-diagonal (m1 = m2 = 0 within ``tol``);
     otherwise a ``ValueError`` is raised.
     """
-    if abs(v.m1) > tol * max(1.0, v.n1) or abs(v.m2) > tol * max(1.0, v.n2):
+    if not np.all(_block_diagonal(v, tol)):
         raise ValueError("state is not in standard form (m1, m2 must vanish)")
-    ms_mag, mc_mag = abs(v.ms), abs(v.mc)
-    total = ms_mag + mc_mag
-    if mc_mag <= tol * total or total == 0.0:
-        return "diagonal"
-    if ms_mag <= tol * total:
-        return "antidiagonal"
-    return None
+    return cross_block_form(v, tol)

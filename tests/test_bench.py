@@ -9,23 +9,23 @@ from gaussbench import (
     BenchSetting,
     DetectorModel,
     UnphysicalMeasurementError,
-    apply_loss,
-    bogoliubov,
     invert_loss_homodyne,
     observe_mode1,
-    output_mode1_covariance,
     quad_to_mode,
     random_state,
     rescale_transmittance,
     sample_quadratures,
     tmsv_state,
-    transform_covariance,
     vacuum_state,
 )
-from gaussbench.bench import (
+from matrix_oracle import (
+    apply_loss,
+    bogoliubov,
     mode_block_to_quad,
+    output_mode1_covariance,
     output_mode2_covariance,
     quadrature_variance,
+    transform_covariance,
 )
 
 NUM_STDS = 4  # statistical assertions allow this many standard errors

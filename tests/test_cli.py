@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gaussbench import ModeCovariance, load_state, save_state, tmsv_state
-from gaussbench.cli import _CSV_COLUMNS, main
+from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, main
 
 GOLDEN_CSV_HEADER = (
     "param,J1_oracle,J2_oracle,J3_oracle,J4_oracle,"
@@ -255,3 +255,103 @@ def test_run_csv_format_single_row(capsys):
     assert lines[0] == GOLDEN_CSV_HEADER
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--generator", "tmsv", "--r", "nan"),
+        ("--generator", "tmst", "--nu1", "inf"),
+        ("--generator", "thermal", "--nu1", "nan"),
+    ],
+)
+def test_nonfinite_generator_parameters_are_config_errors(argv, capsys):
+    assert run_cli("run", *argv) == 1
+    assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--param", "r", "--generator", "tmst", "--nu1", "inf"),
+        ("--param", "eta", "--generator", "tmsv", "--r", "nan", "--detector", "lossy-homodyne"),
+    ],
+)
+def test_sweep_with_nonfinite_generator_parameters_is_config_error(argv, capsys):
+    code = run_cli("sweep", *argv, "--start", "0.5", "--stop", "1", "--steps", "3")
+    assert code == 1
+    assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+def test_sweep_steps_above_the_bound_is_config_error(capsys):
+    steps = str(MAX_SWEEP_STEPS + 1)
+    code = run_cli("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", steps)
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _csv_body(text):
+    lines = text.strip().split("\n")
+    assert lines[0] == GOLDEN_CSV_HEADER
+    return [line.split(",") for line in lines[1:]]
+
+
+def _assert_rows_match(sweep_row, run_row):
+    # The param cell differs for eta sweeps (run reports r there).
+    header = GOLDEN_CSV_HEADER.split(",")
+    for name, got, want in zip(header[1:], sweep_row[1:], run_row[1:]):
+        assert (got == "") == (want == ""), name
+        if name.startswith("J") and got != "":
+            assert abs(float(got) - float(want)) <= 1e-12 * abs(float(want)), name
+
+
+@pytest.mark.parametrize(
+    "sweep, state_flags",
+    [
+        (("--param", "r", "--start", "0", "--stop", "1.5", "--steps", "7"),
+         ("--generator", "tmsv")),
+        (("--param", "r", "--start", "0.1", "--stop", "1.2", "--steps", "5"),
+         ("--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1")),
+        (("--param", "eta", "--start", "0.4", "--stop", "1", "--steps", "4"),
+         ("--generator", "tmsv", "--r", "0.6", "--detector", "lossy-homodyne")),
+        (("--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3"),
+         ("--generator", "random", "--seed", "4", "--detector", "lossy-photocount",
+          "--scheme", "scheme1")),
+        (("--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "3"),
+         ("--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne",
+          "--shots", "2000", "--seed", "7")),
+    ],
+    ids=["tmsv-r", "tmst-r", "homodyne-eta", "photocount-eta-scheme1", "homodyne-eta-shots"],
+)
+def test_every_sweep_row_matches_run(sweep, state_flags, capsys):
+    # The grid is evaluated as one batch; each row must equal a single-state
+    # run at that parameter value, finite-shot points included.
+    assert run_cli("sweep", *sweep, *state_flags) == 0
+    rows = _csv_body(capsys.readouterr().out)
+    param = sweep[1]
+    scheme = () if "--scheme" in state_flags else ("--scheme", "scheme2")
+    for row in rows:
+        flags = list(state_flags)
+        if param == "r" and "--r" not in flags:
+            flags += ["--r", row[0]]
+        if param == "eta":
+            flags += ["--eta", row[0]]
+        assert run_cli("run", *flags, *scheme, "--format", "csv") == 0
+        (run_row,) = _csv_body(capsys.readouterr().out)
+        _assert_rows_match(row, run_row)
+
+
+def test_sweep_with_one_failing_point_exits_two(tmp_path, capsys):
+    # At eta = 1e-20 every loss-corrected variance is 0, which the
+    # reconstruction guards reject; the other points are fine.
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--param", "eta", "--start", "1e-20", "--stop", "1", "--steps", "3",
+        "--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "gaussbench: error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "2",
+                   "--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne") == 0

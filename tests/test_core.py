@@ -1,0 +1,166 @@
+"""The closed-form, elementwise moment core against the 4x4 matrix oracle.
+
+The bench computes output-port moments in closed form and evaluates a whole
+batch of states per call.  These tests hold it to the matrix route kept in
+``matrix_oracle`` and check that a batch gives, point by point, what single
+states give.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import gaussbench as gb
+from gaussbench.bench import HOMODYNE_ANGLES, homodyne_variance, lossy_moments
+from matrix_oracle import homodyne_variances, observe_exact, standard_form_by_matrix
+
+REL_TOL = 1e-12
+
+COMBOS = (
+    ("pure", "symmetric"),
+    ("pure", "general"),
+    ("mixed", "symmetric"),
+    ("mixed", "general"),
+)
+
+
+def states(count, seed_offset):
+    for i in range(count):
+        purity, symmetry = COMBOS[i % 4]
+        yield gb.quad_to_mode(gb.random_state(seed_offset + i, purity, symmetry))
+
+
+def stack(modes):
+    """One batched ModeCovariance holding the given single states."""
+    names = ("n1", "n2", "m1", "m2", "ms", "mc")
+    return gb.ModeCovariance(
+        **{name: np.array([getattr(v, name) for v in modes]) for name in names}
+    )
+
+
+def random_settings(rng, count):
+    for _ in range(count):
+        theta = rng.uniform(0.0, math.pi / 2)
+        phi = rng.uniform(-math.pi, math.pi)
+        yield gb.BenchSetting(theta, phi)
+
+
+def assert_rel(got, want, tol=REL_TOL):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_less(np.abs(got - want), tol * np.abs(want) + 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "lossy-homodyne", "lossy-photocount"])
+def test_closed_form_observation_matches_matrix_oracle(kind):
+    rng = np.random.default_rng(20260417)
+    for v in states(200, seed_offset=61000):
+        eta = 1.0 if kind == "ideal" else float(rng.uniform(0.3, 1.0))
+        det = gb.DetectorModel(kind=kind, eta=eta)
+        for setting in random_settings(rng, 7):
+            obs = gb.observe_mode1(v, setting, det)
+            n_want, j_want = observe_exact(v, setting, det)
+            assert_rel(obs.n_prime, n_want)
+            assert_rel(obs.j_prime, j_want)
+
+
+def test_closed_form_homodyne_variances_match_matrix_oracle():
+    rng = np.random.default_rng(7)
+    for v in states(200, seed_offset=62000):
+        eta = float(rng.uniform(0.3, 1.0))
+        for setting in random_settings(rng, 7):
+            n, m = lossy_moments(*gb.output_mode1_moments(v, setting), eta)
+            got = [homodyne_variance(n, m, angle) for angle in HOMODYNE_ANGLES]
+            assert_rel(got, homodyne_variances(v, setting, eta))
+
+
+def test_closed_form_standard_form_matches_matrix_conjugation():
+    for v in states(100, seed_offset=63000):
+        prep = gb.standard_form_prep(v)
+        want = standard_form_by_matrix(v, prep.s1, prep.s2)
+        scale = max(v.n1, v.n2)
+        for name in ("n1", "n2", "m1", "m2", "ms", "mc"):
+            assert abs(getattr(prep.vt, name) - getattr(want, name)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "det",
+    [
+        gb.DetectorModel(),
+        gb.DetectorModel(kind="lossy-homodyne", eta=0.7),
+        gb.DetectorModel(kind="lossy-photocount", eta=0.9),
+        gb.DetectorModel(kind="lossy-homodyne", eta=0.8, shots=3000),
+        gb.DetectorModel(kind="lossy-photocount", eta=1.0, shots=3000),
+    ],
+    ids=["ideal", "homodyne", "photocount", "homodyne-shots", "photocount-shots"],
+)
+def test_batch_observation_equals_single_states(det):
+    # Every point of a batch draws from its own generator seeded with the
+    # call's seed, so finite-shot points reproduce the single-state call.
+    modes = list(states(12, seed_offset=64000))
+    batch = stack(modes)
+    setting = gb.BenchSetting(0.6, -1.1)
+    seed = np.random.SeedSequence(99)
+    got = gb.observe_mode1(batch, setting, det, seed=seed)
+    for i, v in enumerate(modes):
+        want = gb.observe_mode1(v, setting, det, seed=seed)
+        for name in ("n_prime", "j_prime", "purity", "n_stderr", "j_stderr"):
+            if getattr(want, name) is None:
+                assert getattr(got, name) is None
+            else:
+                assert_rel(getattr(got, name)[i], getattr(want, name))
+
+
+def test_batch_schemes_equal_single_states():
+    modes = list(states(16, seed_offset=65000))
+    batch = stack(modes)
+    r1, r2 = gb.scheme1(batch), gb.scheme2(batch)
+    for i, v in enumerate(modes):
+        s1, s2 = gb.scheme1(v), gb.scheme2(v)
+        for key in ("j1", "j2", "j3"):
+            assert_rel(getattr(r1.invariants, key)[i], getattr(s1.invariants, key))
+        for key in ("j1", "j2", "j3", "j4"):
+            assert_rel(getattr(r2.invariants, key)[i], getattr(s2.invariants, key))
+        assert r2.residual_m1[i] < 1e-10 and r2.residual_m2[i] < 1e-10
+
+
+def test_batch_marks_unavailable_measures_with_nan():
+    # A generic state has no special form, so scheme 1 cannot give J4 for
+    # it; the special-form state beside it in the batch keeps its J4.
+    generic = gb.quad_to_mode(gb.random_state(101, purity="mixed", symmetry="general"))
+    special = gb.quad_to_mode(gb.tmsv_state(0.4))
+    batch = gb.scheme1(stack([generic, special]))
+    alone = [gb.scheme1(generic), gb.scheme1(special)]
+    assert alone[0].invariants.j4 is None and alone[1].invariants.j4 is not None
+    assert math.isnan(batch.invariants.j4[0])
+    assert_rel(batch.invariants.j4[1], alone[1].invariants.j4)
+    assert list(batch.status) == [alone[0].status, alone[1].status]
+    assert list(batch.special_form) == [alone[0].special_form, alone[1].special_form]
+    for name in ("eof", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus"):
+        values = getattr(batch.entanglement, name)
+        assert math.isnan(values[0]) and getattr(alone[0].entanglement, name) is None
+        assert_rel(values[1], getattr(alone[1].entanglement, name))
+    assert list(batch.entanglement.separable) == [None, alone[1].entanglement.separable]
+
+
+def test_one_failing_point_fails_the_batch():
+    good = [
+        gb.TranscriptRecord(0.0, 0.0, "N", 0.5),
+        gb.TranscriptRecord(math.pi / 2, 0.0, "N", 0.5),
+        gb.TranscriptRecord(math.pi / 4, 0.0, "N", 0.5),
+        gb.TranscriptRecord(math.pi / 4, 0.0, "J", 0.25),
+        gb.TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.5),
+    ]
+    gb.reconstruct_scheme2(good)
+    # The same transcript with a second point whose |m~c|^2 is -0.25.
+    batch = [
+        gb.TranscriptRecord(r.theta, r.phi, r.observable, np.array([r.value, r.value]))
+        for r in good
+    ]
+    batch[3] = gb.TranscriptRecord(math.pi / 4, 0.0, "J", np.array([0.25, 0.5]))
+    with pytest.raises(gb.ReconstructionError):
+        gb.reconstruct_scheme2(batch)
+    with pytest.raises(gb.UnphysicalStateError):
+        gb.ModeCovariance(n1=np.array([0.6, 0.4]), n2=0.5)
+    with pytest.raises(ValueError):
+        gb.InvariantSet(j1=np.array([0.3, np.inf]), j2=0.3, j3=0.0)
