@@ -14,12 +14,9 @@ from .bench import (
     DetectorModel,
     LossInversion,
     Mode1Observation,
-    TransmittanceRescale,
     invert_loss_homodyne,
     observe_mode1,
     output_mode1_moments,
-    rescale_transmittance,
-    sample_quadratures,
 )
 from .entanglement import (
     EntanglementReport,
@@ -47,8 +44,10 @@ from .generators import (
     vacuum_state,
 )
 from .schemes import (
+    SCHEME1_PLAN,
+    SCHEME2_PLAN,
     ConsistencyReport,
-    MeasurementPlan,
+    PlanEntry,
     SchemeResult,
     TranscriptRecord,
     consistency_check,
@@ -56,9 +55,7 @@ from .schemes import (
     reconstruct_scheme1,
     reconstruct_scheme2,
     scheme1,
-    scheme1_plan,
     scheme2,
-    scheme2_plan,
 )
 from .stateio import load_state, save_state, state_from_dict, state_to_dict
 from .states import (
@@ -81,6 +78,8 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "SCHEME1_PLAN",
+    "SCHEME2_PLAN",
     "BenchSetting",
     "ConfigError",
     "ConsistencyReport",
@@ -89,18 +88,17 @@ __all__ = [
     "GaussBenchError",
     "InvariantSet",
     "LossInversion",
-    "MeasurementPlan",
     "Mode1Observation",
     "ModeCovariance",
     "NotSymmetricError",
     "NumericalDomainError",
     "PhysicalityReport",
+    "PlanEntry",
     "QuadCovariance",
     "ReconstructionError",
     "SchemeResult",
     "SingleModeSymplectic",
     "StandardFormResult",
-    "TransmittanceRescale",
     "TranscriptRecord",
     "UnphysicalMeasurementError",
     "UnphysicalStateError",
@@ -122,13 +120,9 @@ __all__ = [
     "reconstruct_from_transcript",
     "reconstruct_scheme1",
     "reconstruct_scheme2",
-    "rescale_transmittance",
-    "sample_quadratures",
     "save_state",
     "scheme1",
-    "scheme1_plan",
     "scheme2",
-    "scheme2_plan",
     "simon_separable",
     "special_form_state",
     "standard_form_prep",

@@ -22,10 +22,8 @@ Detector imperfections are modeled as a vacuum admixture
 V -> eta V + (1 - eta)/2 I (a fictitious beam splitter of transmittance
 eta in front of an ideal detector), that is n -> eta n + (1 - eta)/2 and
 m -> eta m.  For homodyne readout the admixture is exactly invertible per
-quadrature variance, which is what :func:`invert_loss_homodyne` does; for
-photon counting the transmittance rescaling T -> eta T is exposed via
-:func:`rescale_transmittance` with an ``unreachable`` flag for
-cos(theta)/eta > 1.
+quadrature variance, which is what :func:`invert_loss_homodyne` does;
+photon counting reports the moments of the attenuated mode.
 """
 
 from __future__ import annotations
@@ -45,13 +43,10 @@ __all__ = [
     "DetectorModel",
     "Mode1Observation",
     "LossInversion",
-    "TransmittanceRescale",
     "output_mode1_moments",
     "lossy_moments",
     "homodyne_variance",
     "invert_loss_homodyne",
-    "rescale_transmittance",
-    "sample_quadratures",
     "observe_mode1",
 ]
 
@@ -104,6 +99,8 @@ class DetectorModel:
             object.__setattr__(self, "shots", int(self.shots))
             if self.shots <= 0:
                 raise ValueError("shots must be positive when finite")
+            if self.kind == "lossy-homodyne" and self.shots < 2:
+                raise ValueError("finite-shot homodyne needs at least two shots")
 
 
 @dataclass(frozen=True)
@@ -134,14 +131,6 @@ class LossInversion:
     v_max: float
     j_prime: float
     n_prime: float
-
-
-@dataclass(frozen=True)
-class TransmittanceRescale:
-    """Result of folding detector efficiency into the beam-splitter angle."""
-
-    theta_physical: float
-    unreachable: bool
 
 
 def output_mode1_moments(v: ModeCovariance, setting: BenchSetting):
@@ -201,22 +190,6 @@ def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
     return LossInversion(v_min, v_max, j_prime=v_min * v_max / 4.0, n_prime=(v_min + v_max) / 4.0)
 
 
-def rescale_transmittance(theta_target: float, eta: float) -> TransmittanceRescale:
-    """Fold detector efficiency into the beam-splitter transmittance.
-
-    Asking for transmittance cos(theta_target) through an efficiency-eta
-    detector needs a physical beam splitter with cos(theta_phys) =
-    cos(theta_target)/eta; when that exceeds 1 the setting is unreachable
-    and the flag is raised instead of an error.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
-    scaled = math.cos(theta_target) / eta
-    if scaled > 1.0:
-        return TransmittanceRescale(theta_physical=0.0, unreachable=True)
-    return TransmittanceRescale(theta_physical=math.acos(scaled), unreachable=False)
-
-
 def _sampled_variance(
     rng: np.random.Generator, true_variance: float, shots: int
 ) -> tuple[float, float]:
@@ -233,30 +206,6 @@ def _point_generators(seed, shape):
         yield index, np.random.default_rng(seed)
 
 
-def sample_quadratures(
-    v: ModeCovariance,
-    setting: BenchSetting,
-    angle: float,
-    shots: int,
-    eta: float = 1.0,
-    seed=None,
-) -> tuple[float, float]:
-    """Finite-shot homodyne estimate of one rotated quadrature variance.
-
-    Draws ``shots`` zero-mean Gaussian samples with the true variance of
-    the (lossy) output mode at the given angle and returns the unbiased
-    (ddof=1) sample variance together with its standard error
-    sqrt(2/(shots-1)) * variance.  Deterministic in ``seed``.  One state
-    only.
-    """
-    shots = int(shots)
-    if shots < 2:
-        raise ValueError("at least two shots are required for a sample variance")
-    n, m = lossy_moments(*output_mode1_moments(v, setting), eta)
-    true_variance = homodyne_variance(n, m, angle)
-    return _sampled_variance(np.random.default_rng(seed), true_variance, shots)
-
-
 def _derived_purity(j_prime):
     positive = j_prime > 0.0
     purity = np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
@@ -267,8 +216,6 @@ def _observe_homodyne(n, m, det: DetectorModel, seed):
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
     stderrs = None
     if det.shots is not None:
-        if det.shots < 2:
-            raise ValueError("finite-shot homodyne needs at least two shots")
         variances = np.broadcast_arrays(*variances)
         drawn = np.empty((3, 2) + variances[0].shape)
         for index, rng in _point_generators(seed, variances[0].shape):

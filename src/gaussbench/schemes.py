@@ -13,6 +13,9 @@ fixed (theta, phi) settings:
   invariants, including the decomposition of the cross block into
   Re m~s, Im m~s and |m~c|.
 
+Each protocol's settings and readings are declared once, in ``SCHEME1_PLAN``
+and ``SCHEME2_PLAN``: the bench run records them, the reconstruction reads them.
+
 Reconstruction is a pure function of the recorded transcript (plus, for
 protocol 1, the recorded special-form flag), so replaying a stored
 transcript reproduces the reported invariants bit for bit.
@@ -48,12 +51,11 @@ from .states import (
 
 __all__ = [
     "PlanEntry",
-    "MeasurementPlan",
+    "SCHEME1_PLAN",
+    "SCHEME2_PLAN",
     "TranscriptRecord",
     "SchemeResult",
     "ConsistencyReport",
-    "scheme1_plan",
-    "scheme2_plan",
     "scheme1",
     "scheme2",
     "reconstruct_scheme1",
@@ -68,59 +70,31 @@ __all__ = [
 MC2_CLAMP_WARN = 1e-9
 MC2_CLAMP_FAIL = 1e-6
 
-_S00 = BenchSetting(0.0, 0.0)
-_S90 = BenchSetting(math.pi / 2, 0.0)
-_S45 = BenchSetting(math.pi / 4, 0.0)
-_S45_PI = BenchSetting(math.pi / 4, math.pi)
-_S45_P = BenchSetting(math.pi / 4, math.pi / 2)
-_S45_M = BenchSetting(math.pi / 4, -math.pi / 2)
-
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One bench setting and the observables to record there."""
+    """One bench setting and the named readings recorded there.
+
+    A reading's name starts with its observable letter, ``N`` or ``J``; the
+    rest tags the setting (``"J45pi"`` is J at theta = pi/4, phi = pi).
+    """
 
     setting: BenchSetting
-    observables: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for obs in self.observables:
-            if obs not in ("N", "J"):
-                raise ValueError(f"unknown observable {obs!r}")
+    readings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
-    name: str
-    entries: tuple[PlanEntry, ...]
+#: Protocol 1: both observables at four settings, J alone at two more.
+SCHEME1_PLAN = (
+    PlanEntry(BenchSetting(0.0, 0.0), ("N00", "J00")),
+    PlanEntry(BenchSetting(math.pi / 2, 0.0), ("N90", "J90")),
+    PlanEntry(BenchSetting(math.pi / 4, 0.0), ("N45", "J45")),
+    PlanEntry(BenchSetting(math.pi / 4, math.pi / 2), ("N45p", "J45p")),
+    PlanEntry(BenchSetting(math.pi / 4, math.pi), ("J45pi",)),
+    PlanEntry(BenchSetting(math.pi / 4, -math.pi / 2), ("J45m",)),
+)
 
-
-def scheme1_plan() -> MeasurementPlan:
-    """Six determinant settings and four photon-number settings."""
-    return MeasurementPlan(
-        name="scheme1",
-        entries=(
-            PlanEntry(_S00, ("N", "J")),
-            PlanEntry(_S90, ("N", "J")),
-            PlanEntry(_S45, ("N", "J")),
-            PlanEntry(_S45_P, ("N", "J")),
-            PlanEntry(_S45_PI, ("J",)),
-            PlanEntry(_S45_M, ("J",)),
-        ),
-    )
-
-
-def scheme2_plan() -> MeasurementPlan:
-    """Both observables at the four standard-form settings."""
-    return MeasurementPlan(
-        name="scheme2",
-        entries=(
-            PlanEntry(_S00, ("N", "J")),
-            PlanEntry(_S90, ("N", "J")),
-            PlanEntry(_S45, ("N", "J")),
-            PlanEntry(_S45_P, ("N", "J")),
-        ),
-    )
+#: Protocol 2: both observables at the four standard-form settings.
+SCHEME2_PLAN = SCHEME1_PLAN[:4]
 
 
 @dataclass(frozen=True)
@@ -187,41 +161,51 @@ class ConsistencyReport:
 
 
 def _run_plan(v, plan, det, seed):
+    """Observe every entry of ``plan``, one seed child per entry, and record
+    its readings in plan order."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(len(plan.entries))
     observations = []
     records = []
-    for entry, child in zip(plan.entries, children):
+    for entry, child in zip(plan, seq.spawn(len(plan))):
         obs = observe_mode1(v, entry.setting, det, seed=child)
         observations.append(obs)
-        for letter in entry.observables:
-            records.append(
-                TranscriptRecord(
-                    theta=entry.setting.theta,
-                    phi=entry.setting.phi,
-                    observable=letter,
-                    value=obs.n_prime if letter == "N" else obs.j_prime,
-                    stderr=obs.n_stderr if letter == "N" else obs.j_stderr,
-                )
-            )
+        readout = {"N": (obs.n_prime, obs.n_stderr), "J": (obs.j_prime, obs.j_stderr)}
+        records += [
+            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], *readout[name[0]])
+            for name in entry.readings
+        ]
     return tuple(observations), tuple(records)
 
 
-def _pick(records, theta, phi, observable):
-    for rec in records:
-        if (
-            rec.observable == observable
-            and math.isclose(rec.theta, theta, rel_tol=0.0, abs_tol=1e-9)
-            and math.isclose(rec.phi, phi, rel_tol=0.0, abs_tol=1e-9)
-        ):
-            return rec
-    raise ReconstructionError(
-        f"transcript is missing {observable} at theta={theta:.6f}, phi={phi:.6f}"
-    )
+def _readings(records, plan, names):
+    """Values and standard errors of the named readings of ``plan``.
 
-
-def _err(record) -> float:
-    return 0.0 if record.stderr is None else record.stderr
+    Each reading is the first record with its observable within 1e-9 of its
+    entry's (theta, phi); records the names do not ask for are ignored.  The
+    errors are ``None`` when every named reading is exact, otherwise a
+    missing stderr counts as 0.
+    """
+    settings = {name: entry.setting for entry in plan for name in entry.readings}
+    found = []
+    for name in names:
+        setting = settings[name]
+        for rec in records:
+            if (
+                rec.observable == name[0]
+                and math.isclose(rec.theta, setting.theta, rel_tol=0.0, abs_tol=1e-9)
+                and math.isclose(rec.phi, setting.phi, rel_tol=0.0, abs_tol=1e-9)
+            ):
+                found.append(rec)
+                break
+        else:
+            raise ReconstructionError(
+                f"transcript is missing {name[0]} at "
+                f"theta={setting.theta:.6f}, phi={setting.phi:.6f}"
+            )
+    values = [rec.value for rec in found]
+    if all(rec.stderr is None for rec in found):
+        return values, None
+    return values, [0.0 if rec.stderr is None else rec.stderr for rec in found]
 
 
 def _known(special_form):
@@ -240,32 +224,24 @@ def reconstruct_scheme1(
     diagonal or antidiagonal, J4 = 2 |J3| sqrt(J1 J2) is attached (in a
     batch, NaN where the form is ``None``).
     """
-    j00 = _pick(records, 0.0, 0.0, "J")
-    j90 = _pick(records, math.pi / 2, 0.0, "J")
-    j45 = _pick(records, math.pi / 4, 0.0, "J")
-    j45_pi = _pick(records, math.pi / 4, math.pi, "J")
-    j45_p = _pick(records, math.pi / 4, math.pi / 2, "J")
-    j45_m = _pick(records, math.pi / 4, -math.pi / 2, "J")
-    n00 = _pick(records, 0.0, 0.0, "N")
-    n90 = _pick(records, math.pi / 2, 0.0, "N")
-    n45 = _pick(records, math.pi / 4, 0.0, "N")
-    n45_p = _pick(records, math.pi / 4, math.pi / 2, "N")
+    (j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p), errors = _readings(
+        records,
+        SCHEME1_PLAN,
+        ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p"),
+    )
 
-    j1, j2 = j00.value, j90.value
     bad = (j1 <= 0.0) | (j2 <= 0.0)
     if any_point(bad):
         values = f"{first_where(bad, j1)}, {first_where(bad, j2)}"
         raise ReconstructionError(f"non-positive J1/J2 reconstructed: {values}")
 
-    det_comb = (
-        j45.value + j45_pi.value + j45_p.value + j45_m.value - j00.value - j90.value
-    )
+    det_comb = j45 + j45_pi + j45_p + j45_m - j1 - j2
     num_comb = (
-        n00.value**2
-        + n90.value**2
-        + 2.0 * n45.value**2
-        + 2.0 * n45_p.value**2
-        - 2.0 * (n00.value + n90.value) * (n45.value + n45_p.value)
+        n00**2
+        + n90**2
+        + 2.0 * n45**2
+        + 2.0 * n45_p**2
+        - 2.0 * (n00 + n90) * (n45 + n45_p)
     )
     j3 = (det_comb + num_comb) / 4.0
     known = _known(special_form)
@@ -274,25 +250,26 @@ def reconstruct_scheme1(
         j4 = np.where(known, 2.0 * abs(j3) * np.sqrt(j1 * j2), np.nan)
     inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
 
-    if all(rec.stderr is None for rec in records):
+    if errors is None:
         return inv, None
+    e_j1, e_j2, e_j45, e_j45_pi, e_j45_p, e_j45_m, e_n00, e_n90, e_n45, e_n45_p = errors
     # First-order error propagation treating records as independent.  Each
     # determinant reading enters J3 with weight 1/4; the photon-number
     # combination has gradients
     #   d/dn00 = 2 n00 - 2 (n45 + n45p)   (and the same for n90),
     #   d/dn45 = 4 n45 - 2 (n00 + n90)    (and the same for n45p).
-    grad_n00 = 2.0 * n00.value - 2.0 * (n45.value + n45_p.value)
-    grad_n90 = 2.0 * n90.value - 2.0 * (n45.value + n45_p.value)
-    grad_n45 = 4.0 * n45.value - 2.0 * (n00.value + n90.value)
-    grad_n45p = 4.0 * n45_p.value - 2.0 * (n00.value + n90.value)
+    grad_n00 = 2.0 * n00 - 2.0 * (n45 + n45_p)
+    grad_n90 = 2.0 * n90 - 2.0 * (n45 + n45_p)
+    grad_n45 = 4.0 * n45 - 2.0 * (n00 + n90)
+    grad_n45p = 4.0 * n45_p - 2.0 * (n00 + n90)
     var_j3 = (
-        sum(_err(r) ** 2 for r in (j00, j90, j45, j45_pi, j45_p, j45_m))
-        + (grad_n00 * _err(n00)) ** 2
-        + (grad_n90 * _err(n90)) ** 2
-        + (grad_n45 * _err(n45)) ** 2
-        + (grad_n45p * _err(n45_p)) ** 2
+        sum(e**2 for e in (e_j1, e_j2, e_j45, e_j45_pi, e_j45_p, e_j45_m))
+        + (grad_n00 * e_n00) ** 2
+        + (grad_n90 * e_n90) ** 2
+        + (grad_n45 * e_n45) ** 2
+        + (grad_n45p * e_n45_p) ** 2
     ) / 16.0
-    stderr = {"j1": _err(j00), "j2": _err(j90), "j3": np.sqrt(var_j3)}
+    stderr = {"j1": e_j1, "j2": e_j2, "j3": np.sqrt(var_j3)}
     if j4 is not None:
         # j4 = 2 |j3| sqrt(j1 j2): dj4/dj3 = 2 sqrt(j1 j2) (up to sign),
         # dj4/dj1 = |j3| sqrt(j2/j1), dj4/dj2 symmetric.
@@ -312,13 +289,10 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     exact records) and the auxiliary cross-block pieces
     {ms_real, ms_imag, mc_magnitude}.
     """
-    n1r = _pick(records, 0.0, 0.0, "N")
-    n2r = _pick(records, math.pi / 2, 0.0, "N")
-    n45 = _pick(records, math.pi / 4, 0.0, "N")
-    n45_p = _pick(records, math.pi / 4, math.pi / 2, "N")
-    j45 = _pick(records, math.pi / 4, 0.0, "J")
+    (n1t, n2t, n45, n45_p, j45), errors = _readings(
+        records, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45")
+    )
 
-    n1t, n2t = n1r.value, n2r.value
     bad = (n1t <= 0.0) | (n2t <= 0.0)
     if any_point(bad):
         raise ReconstructionError(
@@ -326,7 +300,7 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
         )
     j1, j2 = n1t**2, n2t**2
 
-    mc_sq = n45.value**2 - j45.value
+    mc_sq = n45**2 - j45
     fail, loud = mc_sq < -MC2_CLAMP_FAIL, mc_sq < -MC2_CLAMP_WARN
     if any_point(fail):
         value = first_where(fail, mc_sq)
@@ -336,24 +310,23 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
         warnings.warn(f"clamping negative |m~c|^2 = {value} to zero", stacklevel=2)
     mc_sq = np.where(mc_sq < 0.0, 0.0, mc_sq)
 
-    ms_re = (n1t + n2t) / 2.0 - n45.value
-    ms_im = (n1t + n2t) / 2.0 - n45_p.value
+    ms_re = (n1t + n2t) / 2.0 - n45
+    ms_im = (n1t + n2t) / 2.0 - n45_p
     ms_sq = ms_re**2 + ms_im**2
     j3 = ms_sq - mc_sq
     j4 = 2.0 * n1t * n2t * (ms_sq + mc_sq)
     inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
     aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": as_field(np.sqrt(mc_sq))}
 
-    if all(rec.stderr is None for rec in records):
+    if errors is None:
         return inv, None, aux
+    e_n1, e_n2, e_n45, e_n45p, e_j45 = errors
     # First-order propagation, records treated as independent:
     #   j1 = n1^2, j2 = n2^2
     #   mc^2 = n45^2 - j45
     #   ms_re = (n1 + n2)/2 - n45,  ms_im = (n1 + n2)/2 - n45p
     #   j3 = ms^2 - mc^2,  j4 = 2 n1 n2 (ms^2 + mc^2)
-    e_n1, e_n2 = _err(n1r), _err(n2r)
-    e_n45, e_n45p, e_j45 = _err(n45), _err(n45_p), _err(j45)
-    var_mc2 = (2.0 * n45.value * e_n45) ** 2 + e_j45**2
+    var_mc2 = (2.0 * n45 * e_n45) ** 2 + e_j45**2
     var_msre = e_n1**2 / 4.0 + e_n2**2 / 4.0 + e_n45**2
     var_msim = e_n1**2 / 4.0 + e_n2**2 / 4.0 + e_n45p**2
     var_ms2 = (2.0 * ms_re) ** 2 * var_msre + (2.0 * ms_im) ** 2 * var_msim
@@ -395,7 +368,7 @@ def scheme1(
     result with the exact J4; otherwise the entanglement report contains
     the symmetric lower bound only.
     """
-    observations, records = _run_plan(v, scheme1_plan(), det, seed)
+    observations, records = _run_plan(v, SCHEME1_PLAN, det, seed)
     special = cross_block_form(v)
     inv, stderr = reconstruct_scheme1(records, special)
     return SchemeResult(
@@ -423,7 +396,7 @@ def scheme2(
     at four settings and reconstructs J1..J4 plus the cross-block pieces.
     """
     prep = standard_form_prep(v)
-    observations, records = _run_plan(prep.vt, scheme2_plan(), det, seed)
+    observations, records = _run_plan(prep.vt, SCHEME2_PLAN, det, seed)
     inv, stderr, aux = reconstruct_scheme2(records)
     return SchemeResult(
         scheme="scheme2",

@@ -101,15 +101,22 @@ def state_to_dict(state) -> dict:
     raise TypeError(f"cannot serialize {type(state).__name__} as a state")
 
 
-def load_state(path) -> QuadCovariance | ModeCovariance:
+def read_json_object(path, what: str) -> dict:
+    """Load a JSON file holding an object; ``what`` names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"state file {path} is not valid JSON: {exc}") from exc
-    return state_from_dict(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, too deep nesting
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must contain a JSON object")
+    return data
+
+
+def load_state(path) -> QuadCovariance | ModeCovariance:
+    return state_from_dict(read_json_object(path, "state file"))
 
 
 def save_state(state, path) -> None:

@@ -319,7 +319,6 @@ class PhysicalityReport:
     nu_minus: float
     nu_plus: float
     positive_definite: bool
-    symmetric: bool
     slack: float
 
 
@@ -349,7 +348,6 @@ def validate_physical(
         nu_minus=nu_minus,
         nu_plus=nu_plus,
         positive_definite=as_field(positive, bool),
-        symmetric=True,
         slack=slack,
     )
 

@@ -13,8 +13,6 @@ from gaussbench import (
     observe_mode1,
     quad_to_mode,
     random_state,
-    rescale_transmittance,
-    sample_quadratures,
     tmsv_state,
     vacuum_state,
 )
@@ -179,63 +177,50 @@ class TestLossModel:
             apply_loss(np.eye(2), 1.5)
 
 
-class TestTransmittanceRescale:
-    def test_unit_efficiency_is_identity(self):
-        res = rescale_transmittance(0.6, 1.0)
-        assert not res.unreachable
-        assert res.theta_physical == pytest.approx(0.6, rel=1e-12)
-
-    def test_compensation_opens_the_splitter(self):
-        # cos(theta_phys) = cos(theta)/eta: the physical splitter must pass
-        # more light to compensate the loss that follows it.
-        res = rescale_transmittance(1.2, 0.8)
-        assert not res.unreachable
-        assert math.cos(res.theta_physical) == pytest.approx(
-            math.cos(1.2) / 0.8, rel=1e-12
-        )
-
-    def test_full_transmission_with_loss_is_unreachable(self):
-        res = rescale_transmittance(0.0, 0.9)
-        assert res.unreachable
+def homodyne(shots, eta=1.0):
+    return DetectorModel(kind="lossy-homodyne", eta=eta, shots=shots)
 
 
 class TestSampling:
     def test_estimates_converge_to_truth(self):
-        v = quad_to_mode(tmsv_state(0.5))
-        setting = BenchSetting(0.0, 0.0)
-        truth = math.cosh(1.0)  # x-quadrature variance of one TMSV arm
-        est, se = sample_quadratures(v, setting, 0.0, shots=200000, seed=99)
-        assert abs(est - truth) < NUM_STDS * se
+        r = 0.5
+        v = quad_to_mode(tmsv_state(r))
+        obs = observe_mode1(v, BenchSetting(0.0, 0.0), homodyne(200000), seed=99)
+        # one arm of a TMSV is thermal with nu = cosh 2r
+        assert abs(obs.n_prime - math.cosh(2 * r) / 2) < NUM_STDS * obs.n_stderr
+        assert abs(obs.j_prime - math.cosh(2 * r) ** 2 / 4) < NUM_STDS * obs.j_stderr
 
     def test_reported_error_shrinks_with_shots(self):
-        v = vacuum_mode()
         setting = BenchSetting(0.0, 0.0)
-        _, se_small = sample_quadratures(v, setting, 0.0, shots=1000, seed=1)
-        _, se_large = sample_quadratures(v, setting, 0.0, shots=100000, seed=1)
-        assert se_large < se_small / 5
+        small = observe_mode1(vacuum_mode(), setting, homodyne(1000), seed=1)
+        large = observe_mode1(vacuum_mode(), setting, homodyne(100000), seed=1)
+        assert large.n_stderr < small.n_stderr / 5
+        assert large.j_stderr < small.j_stderr / 5
 
     def test_estimator_is_unbiased(self):
         # Average of many independent runs should sit on the truth much
         # more tightly than any single run's error bar.
-        v = vacuum_mode()
         setting = BenchSetting(0.0, 0.0)
         estimates, errors = [], []
         for rep in range(100):
-            est, se = sample_quadratures(v, setting, 0.0, shots=2000, seed=500 + rep)
-            estimates.append(est)
-            errors.append(se)
+            obs = observe_mode1(vacuum_mode(), setting, homodyne(2000), seed=500 + rep)
+            estimates.append(obs.n_prime)
+            errors.append(obs.n_stderr)
         pooled_se = np.mean(errors) / math.sqrt(len(estimates))
-        assert abs(np.mean(estimates) - 1.0) < 3 * pooled_se
+        assert abs(np.mean(estimates) - 0.5) < 3 * pooled_se
 
     def test_same_seed_reproduces(self):
-        v = quad_to_mode(random_state(40))
-        a = sample_quadratures(v, BenchSetting(0.3, 0.2), 0.5, shots=500, seed=7)
-        b = sample_quadratures(v, BenchSetting(0.3, 0.2), 0.5, shots=500, seed=7)
+        # A weakly squeezed mixed output mode: none of 1000 seeds puts the
+        # 500-shot estimate below the vacuum floor.
+        v = quad_to_mode(tmsv_state(0.3))
+        det = homodyne(500, eta=0.8)
+        a = observe_mode1(v, BenchSetting(0.3, 0.2), det, seed=7)
+        b = observe_mode1(v, BenchSetting(0.3, 0.2), det, seed=7)
         assert a == b
 
     def test_too_few_shots_rejected(self):
         with pytest.raises(ValueError):
-            sample_quadratures(vacuum_mode(), BenchSetting(0.0, 0.0), 0.0, shots=1)
+            homodyne(1)
 
 
 class TestObserveMode1:

@@ -355,3 +355,117 @@ def test_sweep_with_one_failing_point_exits_two(tmp_path, capsys):
     assert not out.exists()
     assert run_cli("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "2",
                    "--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne") == 0
+
+
+def _drop(key):
+    def mutate(section):
+        del section[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(section):
+        section[key] = value
+    return mutate
+
+
+def _set_record(key, value):
+    def mutate(section):
+        section["transcript"][0][key] = value
+    return mutate
+
+
+def _drop_record(key):
+    def mutate(section):
+        del section["transcript"][0][key]
+    return mutate
+
+
+def _set_invariant(key, value):
+    def mutate(section):
+        section["invariants"][key] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        pytest.param("scheme2", _drop("transcript"), id="no-transcript"),
+        pytest.param("scheme2", _drop("invariants"), id="no-invariants"),
+        pytest.param("scheme2", _set("transcript", 5), id="transcript-not-a-list"),
+        pytest.param("scheme1", _set("invariants", []), id="invariants-not-an-object"),
+        pytest.param("scheme1", _set_record("theta", "x"), id="theta-not-a-number"),
+        pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
+        pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
+        pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
+    ],
+)
+def test_replay_of_a_malformed_section_is_config_error(name, mutate, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    mutate(report[name])
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 1
+    assert f"config error: report section {name}" in capsys.readouterr().err
+
+
+def test_replay_of_a_non_object_report_is_config_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("[]")
+    assert run_cli("replay", "--report", str(out)) == 1
+    assert "report must contain a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 100_000], ids=["binary", "deep"])
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_unparsable_file_is_config_error(command, content, tmp_path, capsys):
+    path = tmp_path / "junk.json"
+    path.write_bytes(content)
+    flag = "--report" if command == "replay" else "--state"
+    assert run_cli(command, flag, str(path)) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", {"generator": "tmsv", "scheme": "bogus"}),
+        ("run", {"generator": "tmsv", "format": "xml"}),
+        ("run", {"generator": "tmsv", "seed": "x"}),
+        ("run", {"generator": "tmsv", "seed": 1.5}),
+        ("run", {"generator": "tmsv", "detector": "lossy-homodyne", "shots": True}),
+        ("sweep", {"param": "r", "start": 0.1, "stop": 1.0, "steps": True}),
+        ("sweep", {"param": "r", "start": "abc", "stop": 1.0, "steps": 3}),
+        ("sweep", {"param": "theta", "start": 0.1, "stop": 1.0, "steps": 3}),
+    ],
+)
+def test_config_values_get_the_flag_checks(command, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg)) == 1
+    assert "gaussbench: config error: config key" in capsys.readouterr().err
+
+
+def test_config_values_in_flag_syntax_are_accepted(tmp_path, capsys):
+    # A JSON string goes through the flag's own conversion, as on the command line.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": "tmsv", "r": "0.25", "seed": "3"}))
+    assert run_cli("run", "--config", str(cfg), "--format", "csv") == 0
+    from_file = capsys.readouterr().out
+    argv = ["run", "--generator", "tmsv", "--r", "0.25", "--seed", "3", "--format", "csv"]
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == from_file
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--generator", "tmsv", "--seed", "-1"],
+        ["validate", "--generator", "random", "--seed", "-1"],
+        ["run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--shots", "1"],
+    ],
+)
+def test_seed_and_shot_rules_are_config_errors(argv, capsys):
+    assert run_cli(*argv) == 1
+    assert "gaussbench: config error:" in capsys.readouterr().err

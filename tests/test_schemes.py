@@ -1,11 +1,14 @@
 """End-to-end tests of the two reconstruction protocols."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from gaussbench import (
+    SCHEME1_PLAN,
+    SCHEME2_PLAN,
     DetectorModel,
     ReconstructionError,
     TranscriptRecord,
@@ -225,6 +228,62 @@ def test_missing_record_raises():
     records = [rec for rec in scheme2(v).transcript if rec.phi != math.pi / 2]
     with pytest.raises(ReconstructionError):
         reconstruct_from_transcript(records, "scheme2")
+
+
+#: The readings each reconstruction looks up, by their plan names.
+USED_READINGS = {
+    "scheme1": ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p"),
+    "scheme2": ("N00", "N90", "N45", "N45p", "J45"),
+}
+PLANS = {"scheme1": SCHEME1_PLAN, "scheme2": SCHEME2_PLAN}
+RUNS = {"scheme1": scheme1, "scheme2": scheme2}
+
+
+def _is_reading(rec, plan, name):
+    (setting,) = [entry.setting for entry in plan if name in entry.readings]
+    return rec.observable == name[0] and (rec.theta, rec.phi) == (setting.theta, setting.phi)
+
+
+@pytest.mark.parametrize("scheme", ["scheme1", "scheme2"])
+@pytest.mark.parametrize(
+    "det",
+    [IDEAL, DetectorModel(kind="lossy-homodyne", eta=0.9, shots=5000)],
+    ids=["exact", "finite-shot"],
+)
+def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
+    result = RUNS[scheme](quad_to_mode(tmsv_state(0.4)), det, seed=11)
+    records = list(result.transcript)
+    random.Random(3).shuffle(records)
+    ignored_before = [
+        TranscriptRecord(0.3, 0.0, "N", 99.0, 1.0),  # a setting no plan has
+        TranscriptRecord(math.pi / 4 + 1e-6, 0.0, "N", 99.0, 1.0),  # beyond the 1e-9 match
+        TranscriptRecord(math.pi / 4, math.pi / 2 + 1e-6, "N", 99.0, 1.0),
+        TranscriptRecord(math.pi / 4, 0.0, "X", 99.0, 1.0),  # not an observable
+    ]
+    ignored_after = [TranscriptRecord(0.0, 0.0, "N", 99.0, 1.0)]  # only the first match counts
+    records = ignored_before + records + ignored_after
+    inv, stderr = reconstruct_from_transcript(records, scheme, result.special_form)
+    assert inv == result.invariants
+    assert stderr == result.invariant_stderr
+
+
+@pytest.mark.parametrize(
+    "scheme, name", [(scheme, name) for scheme, names in USED_READINGS.items() for name in names]
+)
+def test_every_reading_a_reconstruction_uses_is_required(scheme, name):
+    result = RUNS[scheme](quad_to_mode(random_state(31)))
+    records = [rec for rec in result.transcript if not _is_reading(rec, PLANS[scheme], name)]
+    assert len(records) == len(result.transcript) - 1
+    with pytest.raises(ReconstructionError, match=f"missing {name[0]} at"):
+        reconstruct_from_transcript(records, scheme, result.special_form)
+
+
+@pytest.mark.parametrize("name", ["J00", "J90", "J45p"])
+def test_scheme2_does_not_need_its_other_readings(name):
+    result = scheme2(quad_to_mode(random_state(31)))
+    records = [rec for rec in result.transcript if not _is_reading(rec, SCHEME2_PLAN, name)]
+    inv, _ = reconstruct_from_transcript(records, "scheme2")
+    assert inv == result.invariants
 
 
 def test_unknown_scheme_name_rejected():

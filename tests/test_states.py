@@ -215,7 +215,7 @@ class TestInvariants:
 class TestPhysicality:
     def test_vacuum_is_physical(self):
         rep = validate_physical(vacuum_state())
-        assert rep.physical and rep.positive_definite and rep.symmetric
+        assert rep.physical and rep.positive_definite
         assert rep.nu_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_williamson_eigenvalues_recovered(self):
