@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalMeasurementError
-from .states import ModeCovariance, any_point, as_field, first_where
+from .states import ModeCovariance, any_point, as_field, first_where, propagate
 
 __all__ = [
     "HOMODYNE_ANGLES",
+    "DETECTOR_KINDS",
     "BenchSetting",
     "DetectorModel",
     "Mode1Observation",
@@ -54,7 +55,7 @@ __all__ = [
 #: the full 2x2 real covariance of the output mode.
 HOMODYNE_ANGLES = (0.0, math.pi / 2, math.pi / 4)
 
-_DETECTOR_KINDS = ("ideal", "lossy-homodyne", "lossy-photocount")
+DETECTOR_KINDS = ("ideal", "lossy-homodyne", "lossy-photocount")
 
 
 def _check_efficiency(eta, name: str = "eta") -> None:
@@ -91,7 +92,7 @@ class DetectorModel:
     shots: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _DETECTOR_KINDS:
+        if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         object.__setattr__(self, "eta", as_field(self.eta))
         _check_efficiency(self.eta)
@@ -168,6 +169,14 @@ def homodyne_variance(n, m, angle: float):
     return 2.0 * n - 2.0 * (m * cmath.exp(-2j * angle)).real
 
 
+def _inversion(v_min_meas, v_max_meas, eta):
+    """The fields of :class:`LossInversion`, unchecked."""
+    floor = 1.0 - eta
+    v_min = (v_min_meas - floor) / eta
+    v_max = (v_max_meas - floor) / eta
+    return v_min, v_max, v_min * v_max / 4.0, (v_min + v_max) / 4.0
+
+
 def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
     """Undo the vacuum admixture on measured principal quadrature variances.
 
@@ -178,16 +187,22 @@ def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
     j' = v_min v_max / 4.
     """
     _check_efficiency(eta_hom, "eta_hom")
-    floor = 1.0 - eta_hom
-    below = (v_min_meas < floor - 1e-12) | (v_max_meas < floor - 1e-12)
+    below = (v_min_meas < 1.0 - eta_hom - 1e-12) | (v_max_meas < 1.0 - eta_hom - 1e-12)
     if any_point(below):
         eta = first_where(below, eta_hom)
         raise UnphysicalMeasurementError(
             f"measured variance below the vacuum floor {1.0 - eta} for eta = {eta}"
         )
-    v_min = (v_min_meas - floor) / eta_hom
-    v_max = (v_max_meas - floor) / eta_hom
-    return LossInversion(v_min, v_max, j_prime=v_min * v_max / 4.0, n_prime=(v_min + v_max) / 4.0)
+    return LossInversion(*_inversion(v_min_meas, v_max_meas, eta_hom))
+
+
+def _principal_variances(v0, v90, v45):
+    """Eigenvalues mean -+ sqrt(half_diff^2 + off^2) of the 2x2 quadrature
+    covariance read at HOMODYNE_ANGLES; the pi/4 variance fixes the off-diagonal."""
+    off = v45 - (v0 + v90) / 2.0
+    mean = (v0 + v90) / 2.0
+    radius = np.hypot((v0 - v90) / 2.0, off)
+    return mean - radius, mean + radius
 
 
 def _sampled_variance(
@@ -223,35 +238,14 @@ def _observe_homodyne(n, m, det: DetectorModel, seed):
                 drawn[(k, slice(None)) + index] = _sampled_variance(rng, variance[index], det.shots)
         variances, stderrs = drawn[:, 0], drawn[:, 1]
 
-    # Assemble the measured 2x2 quadrature covariance from the three angles
-    # (the pi/4 variance fixes the off-diagonal) and undo the admixture on
-    # its principal variances, the eigenvalues mean -+ sqrt(half_diff^2 +
-    # off^2).  The admixture is isotropic, so correcting principal
-    # variances equals correcting per angle.
-    v0, v90, v45 = variances
-    off = v45 - (v0 + v90) / 2.0
-    mean = (v0 + v90) / 2.0
-    radius = np.hypot((v0 - v90) / 2.0, off)
-    corrected = invert_loss_homodyne(mean - radius, mean + radius, det.eta)
-
+    # The admixture is isotropic, so undoing it on the principal variances
+    # equals undoing it per angle.  The errors carry the three sampled
+    # variances through that same inversion.
+    corrected = invert_loss_homodyne(*_principal_variances(*variances), det.eta)
     n_err = j_err = None
     if stderrs is not None:
-        # First-order propagation on the corrected per-angle variances
-        # u_a = (meas_a - 1 + eta)/eta (errors scale by 1/eta), treating the
-        # three angle estimates as independent:
-        #   n' = (u0 + u90)/4
-        #   j' = (u0 u90 - c^2)/4 with c = u45 - (u0 + u90)/2,
-        # so dj/du0 = (u90 + c)/4, dj/du90 = (u0 + c)/4, dj/du45 = -c/2.
-        e0, e90, e45 = (s / det.eta for s in stderrs)
-        u0 = (v0 - 1.0 + det.eta) / det.eta
-        u90 = (v90 - 1.0 + det.eta) / det.eta
-        u45 = (v45 - 1.0 + det.eta) / det.eta
-        c_off = u45 - (u0 + u90) / 2.0
-        n_err = np.sqrt(e0**2 + e90**2) / 4.0
-        j_err = np.sqrt(
-            ((u90 + c_off) / 4.0 * e0) ** 2
-            + ((u0 + c_off) / 4.0 * e90) ** 2
-            + (c_off / 2.0 * e45) ** 2
+        _, _, j_err, n_err = propagate(
+            lambda *v: _inversion(*_principal_variances(*v), det.eta), variances, stderrs
         )
     return corrected.n_prime, corrected.j_prime, n_err, j_err
 

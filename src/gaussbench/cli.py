@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bench import DetectorModel
+from .bench import DETECTOR_KINDS, DetectorModel
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ConfigError, GaussBenchError
 from .generators import (
@@ -50,6 +50,7 @@ from .schemes import (
     scheme2,
 )
 from .states import (
+    PHYSICALITY_SLACK,
     InvariantSet,
     ModeCovariance,
     QuadCovariance,
@@ -75,7 +76,6 @@ _GENERATOR_PARAMS = {
 }
 _GENERATORS = tuple(_GENERATOR_PARAMS)
 _SCHEMES = ("oracle", "scheme1", "scheme2", "both")
-_DETECTORS = ("ideal", "lossy-homodyne", "lossy-photocount")
 
 _J_KEYS = ("j1", "j2", "j3", "j4")
 
@@ -120,7 +120,7 @@ def _add_state_options(parser) -> None:
 
 
 def _add_detector_options(parser) -> None:
-    parser.add_argument("--detector", choices=_DETECTORS, help="detector kind (default ideal)")
+    parser.add_argument("--detector", choices=DETECTOR_KINDS, help="detector kind (default ideal)")
     parser.add_argument("--eta", type=float, help="detector efficiency in (0, 1]")
     parser.add_argument("--shots", type=int, help="shots per setting (omit for exact moments)")
 
@@ -214,6 +214,11 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
     generator = cfg.get("generator")
     if (state_path is None) == (generator is None):
         raise ConfigError("exactly one of --state and --generator is required")
+    takes = () if generator is None else _GENERATOR_PARAMS[generator]
+    for name in ("r", "nu1", "nu2"):
+        if cfg.get(name) is not None and name not in takes:
+            source = f"the {generator} generator" if generator else "a state file"
+            raise ConfigError(f"--{name} does not apply to {source}")
 
     if state_path is not None:
         state = load_state(state_path)
@@ -480,10 +485,14 @@ def _cmd_sweep(cfg) -> int:
     grid = np.linspace(start, stop, steps)
     scheme_choice = cfg.get("scheme") or "scheme2"
 
+    if cfg.get(param) is not None:
+        raise ConfigError(f"the {param} grid replaces --{param}")
     if param == "r":
+        if cfg.get("state") is not None:
+            raise ConfigError("an r sweep generates its states; --state does not apply")
         if cfg.get("generator") not in (None, "tmsv", "tmst"):
             raise ConfigError("an r sweep needs the tmsv or tmst generator")
-        cfg = {**cfg, "generator": cfg.get("generator") or "tmsv", "state": None}
+        cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
     else:
         if (cfg.get("detector") or "ideal") == "ideal":
             raise ConfigError("an eta sweep needs a lossy detector kind")
@@ -512,7 +521,7 @@ def _cmd_validate(cfg) -> int:
         "nu_plus": float(phys.nu_plus),
         "positive_definite": bool(phys.positive_definite),
         "symmetric": True,
-        "slack": float(phys.slack),
+        "slack": PHYSICALITY_SLACK,
     }
     _emit(_render_json(payload), cfg.get("out"))
     return 0 if phys.physical else 2

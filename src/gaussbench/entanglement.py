@@ -44,8 +44,8 @@ EOF_RADICAND_ATOL = 1e-12
 #: Tolerance on the negativity radicand Delta~^2 - 4 det(gamma).
 NEGATIVITY_RADICAND_ATOL = 1e-9
 
-#: Default relative tolerance for treating I1 and I2 as equal.
-DEFAULT_SYM_TOL = 1e-6
+#: Relative tolerance for treating I1 and I2 as equal.
+SYM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,16 @@ def simon_separable(inv: InvariantSet) -> tuple[bool, float]:
     return as_field((i3 >= 0.0) | (margin >= 0.0), bool), as_field(margin)
 
 
-def _symmetric(inv: InvariantSet, sym_tol: float):
-    return abs(inv.i1 - inv.i2) <= sym_tol * np.maximum(inv.i1, inv.i2)
+def _symmetric(inv: InvariantSet):
+    return abs(inv.i1 - inv.i2) <= SYM_TOL * np.maximum(inv.i1, inv.i2)
 
 
-def _require_symmetric(inv: InvariantSet, sym_tol: float) -> None:
-    asymmetric = np.logical_not(_symmetric(inv, sym_tol))
+def _require_symmetric(inv: InvariantSet) -> None:
+    asymmetric = np.logical_not(_symmetric(inv))
     if any_point(asymmetric):
         raise NotSymmetricError(
             f"I1 = {first_where(asymmetric, inv.i1)} and "
-            f"I2 = {first_where(asymmetric, inv.i2)} differ beyond sym_tol = {sym_tol}"
+            f"I2 = {first_where(asymmetric, inv.i2)} differ beyond SYM_TOL = {SYM_TOL}"
         )
 
 
@@ -132,33 +132,33 @@ def _entropy_of_squeeze_factor(x):
     return c_plus * np.log2(c_plus) - c_minus * np.log2(c_minus + (c_minus == 0.0))
 
 
-def _eof(inv: InvariantSet, i4, sym_tol: float):
+def _eof(inv: InvariantSet, i4):
     """Symmetric-state EoF with the given I4, NaN where undefined, plus its checks."""
     x, checks = _x_parameter(inv.i1, inv.i3, i4)
     value = _entropy_of_squeeze_factor(x)
-    return np.where(_symmetric(inv, sym_tol), value, np.nan), checks
+    return np.where(_symmetric(inv), value, np.nan), checks
 
 
-def eof_symmetric(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> float:
+def eof_symmetric(inv: InvariantSet) -> float:
     """Entanglement of formation (bits) for a symmetric state (I1 = I2).
 
     Raises :class:`NotSymmetricError` when |I1 - I2| exceeds
-    ``sym_tol * max(I1, I2)``; callers should fall back to the logarithmic
+    ``SYM_TOL * max(I1, I2)``; callers should fall back to the logarithmic
     negativity in that case.
     """
-    _require_symmetric(inv, sym_tol)
-    return _checked(*_eof(inv, inv.require_i4(), sym_tol))
+    _require_symmetric(inv)
+    return _checked(*_eof(inv, inv.require_i4()))
 
 
-def eof_lower_bound(inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL) -> float:
+def eof_lower_bound(inv: InvariantSet) -> float:
     """Lower bound on the symmetric EoF obtained by zeroing I4.
 
     Since the inner radical grows with I4 and E(x) decreases with x, using
     I4 = 0 can only underestimate; the bound needs just I1 and I3 and so
     works for invariant sets whose fourth entry is unknown.
     """
-    _require_symmetric(inv, sym_tol)
-    return _checked(*_eof(inv, 0.0, sym_tol))
+    _require_symmetric(inv)
+    return _checked(*_eof(inv, 0.0))
 
 
 def _negativity(inv: InvariantSet):
@@ -187,9 +187,7 @@ def log_negativity(inv: InvariantSet) -> tuple[float, float]:
     return _checked(value, checks), as_field(nu_minus)
 
 
-def entanglement_report(
-    inv: InvariantSet, sym_tol: float = DEFAULT_SYM_TOL
-) -> EntanglementReport:
+def entanglement_report(inv: InvariantSet) -> EntanglementReport:
     """Assemble all verdicts/measures computable from the given invariants.
 
     Fields the invariant set cannot support stay None: everything beyond
@@ -197,12 +195,12 @@ def entanglement_report(
     derived measures may be undefined when finite-shot noise pushed the
     reconstructed set outside the physical region.
     """
-    bound, _ = _eof(inv, 0.0, sym_tol)
+    bound, _ = _eof(inv, 0.0)
     eof = negativity = nu_minus = margin = separable = None
     if inv.j4 is not None:
         separable, margin = simon_separable(inv)
         negativity, nu_minus, _ = _negativity(inv)
-        eof, _ = _eof(inv, inv.i4, sym_tol)
+        eof, _ = _eof(inv, inv.i4)
         separable = as_field(np.where(np.isnan(margin), None, separable), object)
     measures = (margin, eof, bound, negativity, nu_minus)
     return EntanglementReport(separable, *(optional_field(x) for x in measures))

@@ -28,6 +28,9 @@ __all__ = [
     "special_form_state",
 ]
 
+#: Bounds of the random draws: symplectic eigenvalue of a mixed state, squeeze magnitude.
+MAX_THERMAL, MAX_SQUEEZE = 2.5, 0.8
+
 
 def vacuum_state() -> QuadCovariance:
     """Two-mode vacuum: the identity covariance matrix."""
@@ -98,12 +101,10 @@ def beam_splitter_symplectic(theta: float) -> np.ndarray:
     return np.block([[c * eye, s * eye], [-s * eye, c * eye]])
 
 
-def random_local_symplectic(
-    rng: np.random.Generator, max_squeeze: float = 0.8
-) -> np.ndarray:
+def random_local_symplectic(rng: np.random.Generator) -> np.ndarray:
     """Random element of Sp(2, R) as rotation * squeezer * rotation."""
     a, b = rng.uniform(-math.pi, math.pi, size=2)
-    s = rng.uniform(-max_squeeze, max_squeeze)
+    s = rng.uniform(-MAX_SQUEEZE, MAX_SQUEEZE)
     return rotation_symplectic(a) @ squeeze_symplectic(s) @ rotation_symplectic(b)
 
 
@@ -127,8 +128,6 @@ def random_state(
     symmetry: str = "general",
     *,
     nu: tuple[float, float] | None = None,
-    max_thermal: float = 2.5,
-    max_squeeze: float = 0.8,
 ) -> QuadCovariance:
     """Deterministic random physical state for a given seed.
 
@@ -158,11 +157,11 @@ def random_state(
         elif nu is not None:
             scale = float(nu[0])
         else:
-            scale = float(rng.uniform(1.0, max_thermal))
-        r = float(rng.uniform(0.0, max_squeeze))
+            scale = float(rng.uniform(1.0, MAX_THERMAL))
+        r = float(rng.uniform(0.0, MAX_SQUEEZE))
         base = QuadCovariance(scale * _tmsv_entries(r))
-        s1 = random_local_symplectic(rng, max_squeeze)
-        s2 = random_local_symplectic(rng, max_squeeze)
+        s1 = random_local_symplectic(rng)
+        s2 = random_local_symplectic(rng)
         return conjugate_local(base, s1, s2)
 
     if purity == "pure":
@@ -170,14 +169,14 @@ def random_state(
     elif nu is not None:
         nu1, nu2 = float(nu[0]), float(nu[1])
     else:
-        nu1 = float(rng.uniform(1.0, max_thermal))
-        nu2 = float(rng.uniform(1.0, max_thermal))
+        nu1 = float(rng.uniform(1.0, MAX_THERMAL))
+        nu2 = float(rng.uniform(1.0, MAX_THERMAL))
     d = np.diag([nu1, nu1, nu2, nu2])
-    l1 = random_local_symplectic(rng, max_squeeze)
-    l2 = random_local_symplectic(rng, max_squeeze)
+    l1 = random_local_symplectic(rng)
+    l2 = random_local_symplectic(rng)
     b1 = beam_splitter_symplectic(rng.uniform(0.0, math.pi / 2))
-    m1 = random_local_symplectic(rng, max_squeeze)
-    m2 = random_local_symplectic(rng, max_squeeze)
+    m1 = random_local_symplectic(rng)
+    m2 = random_local_symplectic(rng)
     b2 = beam_splitter_symplectic(rng.uniform(0.0, math.pi / 2))
     locals_a = np.block([[l1, np.zeros((2, 2))], [np.zeros((2, 2)), l2]])
     locals_b = np.block([[m1, np.zeros((2, 2))], [np.zeros((2, 2)), m2]])

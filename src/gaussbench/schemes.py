@@ -18,7 +18,10 @@ and ``SCHEME2_PLAN``: the bench run records them, the reconstruction reads them.
 
 Reconstruction is a pure function of the recorded transcript (plus, for
 protocol 1, the recorded special-form flag), so replaying a stored
-transcript reproduces the reported invariants bit for bit.
+transcript reproduces the reported invariants bit for bit.  Each protocol
+writes its invariants once, as one elementwise function of the readings; the
+standard errors are that function's first-order propagation
+(:func:`~gaussbench.states.propagate`), with the readings taken as independent.
 
 Both protocols are elementwise: a batch of states runs each setting once,
 and its records hold arrays.
@@ -33,11 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1
-from .entanglement import (
-    DEFAULT_SYM_TOL,
-    EntanglementReport,
-    entanglement_report,
-)
+from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
 from .states import (
     InvariantSet,
@@ -46,6 +45,7 @@ from .states import (
     as_field,
     cross_block_form,
     first_where,
+    propagate,
     standard_form_prep,
 )
 
@@ -69,6 +69,8 @@ __all__ = [
 #: with a warning, below -CLAMP_FAIL the reconstruction is rejected.
 MC2_CLAMP_WARN = 1e-9
 MC2_CLAMP_FAIL = 1e-6
+
+_J_KEYS = ("j1", "j2", "j3", "j4")
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,14 @@ def _known(special_form):
     return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
 
 
+def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
+    det_comb = j45 + j45_pi + j45_p + j45_m - j1 - j2
+    num_comb = (
+        n00**2 + n90**2 + 2.0 * n45**2 + 2.0 * n45_p**2 - 2.0 * (n00 + n90) * (n45 + n45_p)
+    )
+    return (det_comb + num_comb) / 4.0
+
+
 def reconstruct_scheme1(
     records, special_form: str | None = None
 ) -> tuple[InvariantSet, dict | None]:
@@ -224,62 +234,27 @@ def reconstruct_scheme1(
     diagonal or antidiagonal, J4 = 2 |J3| sqrt(J1 J2) is attached (in a
     batch, NaN where the form is ``None``).
     """
-    (j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p), errors = _readings(
-        records,
-        SCHEME1_PLAN,
-        ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p"),
-    )
-
+    names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
+    values, errors = _readings(records, SCHEME1_PLAN, names)
+    j1, j2 = values[:2]
     bad = (j1 <= 0.0) | (j2 <= 0.0)
     if any_point(bad):
-        values = f"{first_where(bad, j1)}, {first_where(bad, j2)}"
-        raise ReconstructionError(f"non-positive J1/J2 reconstructed: {values}")
+        shown = f"{first_where(bad, j1)}, {first_where(bad, j2)}"
+        raise ReconstructionError(f"non-positive J1/J2 reconstructed: {shown}")
+    known, negative = _known(special_form), _scheme1_j3(*values) < 0.0
 
-    det_comb = j45 + j45_pi + j45_p + j45_m - j1 - j2
-    num_comb = (
-        n00**2
-        + n90**2
-        + 2.0 * n45**2
-        + 2.0 * n45_p**2
-        - 2.0 * (n00 + n90) * (n45 + n45_p)
-    )
-    j3 = (det_comb + num_comb) / 4.0
-    known = _known(special_form)
-    j4 = None
-    if any_point(known):
-        j4 = np.where(known, 2.0 * abs(j3) * np.sqrt(j1 * j2), np.nan)
-    inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
+    def invariants(j1, j2, *readings):
+        # |J3| keeps the branch of the measured J3, so that no copy moved by
+        # ``propagate`` straddles the kink at J3 = 0.
+        j3 = _scheme1_j3(j1, j2, *readings)
+        j4 = 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1 * j2)
+        return j1, j2, j3, np.where(known, j4, np.nan)
 
+    keys = _J_KEYS if any_point(known) else _J_KEYS[:3]
+    inv = InvariantSet(**dict(zip(keys, invariants(*values))))
     if errors is None:
         return inv, None
-    e_j1, e_j2, e_j45, e_j45_pi, e_j45_p, e_j45_m, e_n00, e_n90, e_n45, e_n45_p = errors
-    # First-order error propagation treating records as independent.  Each
-    # determinant reading enters J3 with weight 1/4; the photon-number
-    # combination has gradients
-    #   d/dn00 = 2 n00 - 2 (n45 + n45p)   (and the same for n90),
-    #   d/dn45 = 4 n45 - 2 (n00 + n90)    (and the same for n45p).
-    grad_n00 = 2.0 * n00 - 2.0 * (n45 + n45_p)
-    grad_n90 = 2.0 * n90 - 2.0 * (n45 + n45_p)
-    grad_n45 = 4.0 * n45 - 2.0 * (n00 + n90)
-    grad_n45p = 4.0 * n45_p - 2.0 * (n00 + n90)
-    var_j3 = (
-        sum(e**2 for e in (e_j1, e_j2, e_j45, e_j45_pi, e_j45_p, e_j45_m))
-        + (grad_n00 * e_n00) ** 2
-        + (grad_n90 * e_n90) ** 2
-        + (grad_n45 * e_n45) ** 2
-        + (grad_n45p * e_n45_p) ** 2
-    ) / 16.0
-    stderr = {"j1": e_j1, "j2": e_j2, "j3": np.sqrt(var_j3)}
-    if j4 is not None:
-        # j4 = 2 |j3| sqrt(j1 j2): dj4/dj3 = 2 sqrt(j1 j2) (up to sign),
-        # dj4/dj1 = |j3| sqrt(j2/j1), dj4/dj2 symmetric.
-        j4_err = np.sqrt(
-            (2.0 * np.sqrt(j1 * j2) * stderr["j3"]) ** 2
-            + (abs(j3) * np.sqrt(j2 / j1) * stderr["j1"]) ** 2
-            + (abs(j3) * np.sqrt(j1 / j2) * stderr["j2"]) ** 2
-        )
-        stderr["j4"] = np.where(known, j4_err, np.nan)
-    return inv, {key: as_field(value) for key, value in stderr.items()}
+    return inv, dict(zip(keys, propagate(invariants, values, errors)))
 
 
 def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
@@ -289,17 +264,13 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     exact records) and the auxiliary cross-block pieces
     {ms_real, ms_imag, mc_magnitude}.
     """
-    (n1t, n2t, n45, n45_p, j45), errors = _readings(
-        records, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45")
-    )
-
+    values, errors = _readings(records, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))
+    n1t, n2t, n45, _, j45 = values
     bad = (n1t <= 0.0) | (n2t <= 0.0)
     if any_point(bad):
         raise ReconstructionError(
             f"non-positive occupations: {first_where(bad, n1t)}, {first_where(bad, n2t)}"
         )
-    j1, j2 = n1t**2, n2t**2
-
     mc_sq = n45**2 - j45
     fail, loud = mc_sq < -MC2_CLAMP_FAIL, mc_sq < -MC2_CLAMP_WARN
     if any_point(fail):
@@ -308,39 +279,24 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     if any_point(loud):
         value = first_where(loud, mc_sq)
         warnings.warn(f"clamping negative |m~c|^2 = {value} to zero", stacklevel=2)
-    mc_sq = np.where(mc_sq < 0.0, 0.0, mc_sq)
+    clamped = mc_sq < 0.0
 
-    ms_re = (n1t + n2t) / 2.0 - n45
-    ms_im = (n1t + n2t) / 2.0 - n45_p
-    ms_sq = ms_re**2 + ms_im**2
-    j3 = ms_sq - mc_sq
-    j4 = 2.0 * n1t * n2t * (ms_sq + mc_sq)
-    inv = InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
+    def invariants(n1t, n2t, n45, n45_p, j45):
+        # J1..J4, Re m~s, Im m~s, |m~c|^2; |m~c|^2 is zero where the measured
+        # value fell negative, on moved copies too.
+        mc_sq = np.where(clamped, 0.0, n45**2 - j45)
+        ms_re = (n1t + n2t) / 2.0 - n45
+        ms_im = (n1t + n2t) / 2.0 - n45_p
+        ms_sq = ms_re**2 + ms_im**2
+        j4 = 2.0 * n1t * n2t * (ms_sq + mc_sq)
+        return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
+
+    *invariant_values, ms_re, ms_im, mc_sq = invariants(*values)
+    inv = InvariantSet(*invariant_values)
     aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": as_field(np.sqrt(mc_sq))}
-
     if errors is None:
         return inv, None, aux
-    e_n1, e_n2, e_n45, e_n45p, e_j45 = errors
-    # First-order propagation, records treated as independent:
-    #   j1 = n1^2, j2 = n2^2
-    #   mc^2 = n45^2 - j45
-    #   ms_re = (n1 + n2)/2 - n45,  ms_im = (n1 + n2)/2 - n45p
-    #   j3 = ms^2 - mc^2,  j4 = 2 n1 n2 (ms^2 + mc^2)
-    var_mc2 = (2.0 * n45 * e_n45) ** 2 + e_j45**2
-    var_msre = e_n1**2 / 4.0 + e_n2**2 / 4.0 + e_n45**2
-    var_msim = e_n1**2 / 4.0 + e_n2**2 / 4.0 + e_n45p**2
-    var_ms2 = (2.0 * ms_re) ** 2 * var_msre + (2.0 * ms_im) ** 2 * var_msim
-    stderr = {
-        "j1": 2.0 * n1t * e_n1,
-        "j2": 2.0 * n2t * e_n2,
-        "j3": np.sqrt(var_ms2 + var_mc2),
-        "j4": np.sqrt(
-            (2.0 * n2t * (ms_sq + mc_sq) * e_n1) ** 2
-            + (2.0 * n1t * (ms_sq + mc_sq) * e_n2) ** 2
-            + (2.0 * n1t * n2t) ** 2 * (var_ms2 + var_mc2)
-        ),
-    }
-    return inv, {key: as_field(value) for key, value in stderr.items()}, aux
+    return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors))), aux
 
 
 def reconstruct_from_transcript(
@@ -355,12 +311,7 @@ def reconstruct_from_transcript(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def scheme1(
-    v: ModeCovariance,
-    det: DetectorModel = DetectorModel(),
-    seed=0,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> SchemeResult:
+def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
     """Run protocol 1: J1, J2, J3 from ten single-mode readings.
 
     If the input is block-diagonal with a diagonal or antidiagonal cross
@@ -374,7 +325,7 @@ def scheme1(
     return SchemeResult(
         scheme="scheme1",
         invariants=inv,
-        entanglement=entanglement_report(inv, sym_tol),
+        entanglement=entanglement_report(inv),
         observations=observations,
         transcript=records,
         invariant_stderr=stderr,
@@ -383,12 +334,7 @@ def scheme1(
     )
 
 
-def scheme2(
-    v: ModeCovariance,
-    det: DetectorModel = DetectorModel(),
-    seed=0,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> SchemeResult:
+def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
     """Run protocol 2: all four invariants after standard-form preparation.
 
     The local preparation uses only the single-mode blocks of ``v`` (never
@@ -401,7 +347,7 @@ def scheme2(
     return SchemeResult(
         scheme="scheme2",
         invariants=inv,
-        entanglement=entanglement_report(inv, sym_tol),
+        entanglement=entanglement_report(inv),
         observations=observations,
         transcript=records,
         invariant_stderr=stderr,

@@ -55,6 +55,8 @@ __all__ = [
     "optional_field",
     "first_where",
     "any_point",
+    "PROPAGATION_STEP",
+    "propagate",
     "QuadCovariance",
     "ModeCovariance",
     "InvariantSet",
@@ -78,6 +80,14 @@ SYMMETRY_ATOL = 1e-12
 #: Slack allowed below the uncertainty bound nu >= 1 before a state is
 #: declared unphysical (double-precision 4x4 eigenvalue noise).
 PHYSICALITY_SLACK = 1e-9
+
+#: Relative tolerance on the entries that :func:`cross_block_form` needs to vanish.
+SPECIAL_FORM_TOL = 1e-9
+
+#: Central-difference step of :func:`propagate`, in units of each input's
+#: standard error: the stencil is exact (up to rounding, about eps / step) on
+#: formulas at most quadratic in an input.
+PROPAGATION_STEP = 1e-2
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -117,6 +127,27 @@ def first_where(mask, values):
     """The first entry of ``values`` at which ``mask`` holds, for error messages."""
     mask, values = np.broadcast_arrays(mask, values)
     return values[mask][0]
+
+
+def propagate(f, values, errors):
+    """First-order standard error of ``f(*values)`` for independent inputs.
+
+    Returns sqrt(sum_k (df/dx_k e_k)^2), each derivative a central difference
+    over x_k +- PROPAGATION_STEP e_k.  All 2K moved points go through one call
+    of ``f`` on a stacked leading axis, so ``f`` must be elementwise and must
+    not raise; a tuple of outputs gives a tuple of standard errors.
+    """
+    k = len(values)
+    x, e = np.split(np.array(np.broadcast_arrays(*values, *errors), dtype=float), 2)
+    moved, axis = np.stack([x] * (2 * k)), np.arange(k)
+    moved[axis, axis] += PROPAGATION_STEP * e
+    moved[axis + k, axis] -= PROPAGATION_STEP * e
+    out = f(*np.moveaxis(moved, 1, 0))
+
+    def spread(y):
+        return as_field(np.sqrt(np.sum(((y[:k] - y[k:]) / (2.0 * PROPAGATION_STEP)) ** 2, axis=0)))
+
+    return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
 
 
 def _assemble(rows) -> np.ndarray:
@@ -319,7 +350,6 @@ class PhysicalityReport:
     nu_minus: float
     nu_plus: float
     positive_definite: bool
-    slack: float
 
 
 def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
@@ -333,22 +363,19 @@ def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
     return as_field((mods[..., 0] + mods[..., 1]) / 2), as_field((mods[..., 2] + mods[..., 3]) / 2)
 
 
-def validate_physical(
-    g: QuadCovariance, slack: float = PHYSICALITY_SLACK
-) -> PhysicalityReport:
+def validate_physical(g: QuadCovariance) -> PhysicalityReport:
     """Check a covariance matrix against the uncertainty bound nu >= 1.
 
     A matrix is physical when it is positive definite and both symplectic
-    eigenvalues are at least ``1 - slack``.
+    eigenvalues are at least ``1 - PHYSICALITY_SLACK``.
     """
     nu_minus, nu_plus = symplectic_eigenvalues(g)
     positive = np.all(np.linalg.eigvalsh(g.entries) > 0.0, axis=-1)
     return PhysicalityReport(
-        physical=as_field(positive & (np.asarray(nu_minus) >= 1.0 - slack), bool),
+        physical=as_field(positive & (np.asarray(nu_minus) >= 1.0 - PHYSICALITY_SLACK), bool),
         nu_minus=nu_minus,
         nu_plus=nu_plus,
         positive_definite=as_field(positive, bool),
-        slack=slack,
     )
 
 
@@ -465,20 +492,22 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     return StandardFormResult(s1, s2, vt, as_field(abs(vt.m1)), as_field(abs(vt.m2)))
 
 
-def _block_diagonal(v: ModeCovariance, tol: float):
+def _block_diagonal(v: ModeCovariance):
+    tol = SPECIAL_FORM_TOL
     return (abs(v.m1) <= tol * np.maximum(1.0, v.n1)) & (abs(v.m2) <= tol * np.maximum(1.0, v.n2))
 
 
-def cross_block_form(v: ModeCovariance, tol: float = 1e-9):
+def cross_block_form(v: ModeCovariance):
     """:func:`detect_special_form`, with ``None`` where ``v`` is not block-diagonal."""
+    tol = SPECIAL_FORM_TOL
     ms_mag, mc_mag = abs(v.ms), abs(v.mc)
     total = ms_mag + mc_mag
     antidiagonal = np.where(ms_mag <= tol * total, "antidiagonal", None)
     form = np.where((mc_mag <= tol * total) | (total == 0.0), "diagonal", antidiagonal)
-    return as_field(np.where(_block_diagonal(v, tol), form, None), object)
+    return as_field(np.where(_block_diagonal(v), form, None), object)
 
 
-def detect_special_form(v: ModeCovariance, tol: float = 1e-9) -> str | None:
+def detect_special_form(v: ModeCovariance) -> str | None:
     """Classify the cross block of a block-diagonalized state.
 
     Returns ``"diagonal"`` when the cross block is diag(ms, ms*) (the mc
@@ -486,9 +515,9 @@ def detect_special_form(v: ModeCovariance, tol: float = 1e-9) -> str | None:
     antidiag(mc, mc*), and ``None`` otherwise.  A vanishing cross block
     satisfies both patterns and is reported as ``"diagonal"`` by tie-break.
 
-    The state must already be block-diagonal (m1 = m2 = 0 within ``tol``);
-    otherwise a ``ValueError`` is raised.
+    The state must already be block-diagonal (m1 = m2 = 0 within
+    ``SPECIAL_FORM_TOL``); otherwise a ``ValueError`` is raised.
     """
-    if not np.all(_block_diagonal(v, tol)):
+    if not np.all(_block_diagonal(v)):
         raise ValueError("state is not in standard form (m1, m2 must vanish)")
-    return cross_block_form(v, tol)
+    return cross_block_form(v)

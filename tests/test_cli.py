@@ -469,3 +469,49 @@ def test_config_values_in_flag_syntax_are_accepted(tmp_path, capsys):
 def test_seed_and_shot_rules_are_config_errors(argv, capsys):
     assert run_cli(*argv) == 1
     assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+_R_GRID = ["sweep", "--param", "r", "--start", "0.1", "--stop", "0.2", "--steps", "2"]
+_ETA_GRID = [
+    "sweep", "--param", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "2",
+    "--generator", "tmsv", "--detector", "lossy-homodyne",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        ([*_R_GRID, "--state", "STATE"], None),
+        (_R_GRID, {"state": "STATE"}),
+        ([*_R_GRID, "--r", "0.9"], None),
+        ([*_ETA_GRID, "--eta", "0.7"], None),
+        (_ETA_GRID, {"eta": 0.7}),
+        (["run", "--state", "STATE", "--r", "0.4", "--format", "csv"], None),
+        (["run", "--state", "STATE", "--format", "csv"], {"r": 0.4}),
+        (["run", "--generator", "random", "--nu2", "1.5"], None),
+        (["validate", "--generator", "vacuum", "--nu1", "5"], None),
+        (["validate", "--generator", "tmsv"], {"nu1": 5}),
+    ],
+    ids=[
+        "r-sweep-state", "r-sweep-state-config", "r-sweep-r", "eta-sweep-eta",
+        "eta-sweep-eta-config", "run-file-r", "run-file-r-config", "run-random-nu2",
+        "validate-vacuum-nu1", "validate-tmsv-nu1-config",
+    ],
+)
+def test_flags_the_command_would_ignore_are_config_errors(argv, config, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    save_state(tmsv_state(0.3), state)
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: str(state) if v == "STATE" else v for k, v in config.items()}))
+        argv += ["--config", str(path)]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gaussbench: config error:" in captured.err
+
+
+def test_validate_prints_the_physicality_slack(capsys):
+    assert run_cli("validate", "--generator", "tmsv", "--r", "0.3") == 0
+    assert json.loads(capsys.readouterr().out)["slack"] == 1e-9
