@@ -84,7 +84,9 @@ class BenchSetting:
 class DetectorModel:
     """Detector kind, efficiency and shot budget (None = unlimited).
 
-    ``eta`` may be an array, one efficiency per point of a batch.
+    ``eta`` may be an array, one efficiency per point of a batch.  The
+    ideal detector is exact photon counting at eta = 1, so it takes neither
+    another efficiency nor a shot budget.
     """
 
     kind: str = "ideal"
@@ -102,6 +104,10 @@ class DetectorModel:
                 raise ValueError("shots must be positive when finite")
             if self.kind == "lossy-homodyne" and self.shots < 2:
                 raise ValueError("finite-shot homodyne needs at least two shots")
+        if self.kind == "ideal" and np.any(self.eta != 1.0):
+            raise ValueError("eta != 1 requires a lossy detector kind")
+        if self.kind == "ideal" and self.shots is not None:
+            raise ValueError("shots require a lossy detector kind")
 
 
 @dataclass(frozen=True)
@@ -205,22 +211,6 @@ def _principal_variances(v0, v90, v45):
     return mean - radius, mean + radius
 
 
-def _sampled_variance(
-    rng: np.random.Generator, true_variance: float, shots: int
-) -> tuple[float, float]:
-    """Draw a finite-shot sample variance and its standard error."""
-    samples = rng.standard_normal(shots) * math.sqrt(true_variance)
-    variance = float(samples.var(ddof=1))
-    return variance, math.sqrt(2.0 / (shots - 1)) * variance
-
-
-def _point_generators(seed, shape):
-    """One generator per point, each seeded with ``seed``: point i of a batch
-    draws exactly what a single-state call with the same seed draws."""
-    for index in np.ndindex(shape):
-        yield index, np.random.default_rng(seed)
-
-
 def _derived_purity(j_prime):
     positive = j_prime > 0.0
     purity = np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
@@ -231,12 +221,12 @@ def _observe_homodyne(n, m, det: DetectorModel, seed):
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
     stderrs = None
     if det.shots is not None:
-        variances = np.broadcast_arrays(*variances)
-        drawn = np.empty((3, 2) + variances[0].shape)
-        for index, rng in _point_generators(seed, variances[0].shape):
-            for k, variance in enumerate(variances):
-                drawn[(k, slice(None)) + index] = _sampled_variance(rng, variance[index], det.shots)
-        variances, stderrs = drawn[:, 0], drawn[:, 1]
+        # One draw per call: every point of a batch scales the same
+        # unit-variance sample variances of ``shots`` normals per angle.
+        rng = np.random.default_rng(seed)
+        unit = [rng.standard_normal(det.shots).var(ddof=1) for _ in HOMODYNE_ANGLES]
+        variances = [variance * u for variance, u in zip(variances, unit)]
+        stderrs = [math.sqrt(2.0 / (det.shots - 1)) * variance for variance in variances]
 
     # The admixture is isotropic, so undoing it on the principal variances
     # equals undoing it per angle.  The errors carry the three sampled
@@ -260,10 +250,9 @@ def _observe_photocount(n, m, det: DetectorModel, seed):
     m_sq = m.real * m.real + m.imag * m.imag
     n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
     j_err = 2.0 * j_true / math.sqrt(det.shots)
-    z = np.empty((2,) + np.broadcast(n_err, j_err).shape)
-    for index, rng in _point_generators(seed, z.shape[1:]):
-        z[(0,) + index], z[(1,) + index] = rng.standard_normal(), rng.standard_normal()
-    return n + n_err * z[0], j_true + j_err * z[1], n_err, j_err
+    rng = np.random.default_rng(seed)
+    z_n, z_j = rng.standard_normal(), rng.standard_normal()
+    return n + n_err * z_n, j_true + j_err * z_j, n_err, j_err
 
 
 def observe_mode1(
@@ -274,19 +263,17 @@ def observe_mode1(
 ) -> Mode1Observation:
     """Measure N and J of output mode 1 at one bench setting.
 
-    Ideal detectors return the exact closed-form moments.  Lossy kinds
-    first mix in vacuum noise via :func:`lossy_moments`; homodyne readout
-    then samples (for finite shots) three quadrature variances and inverts
-    the admixture, while photocount readout perturbs the lossy moments with
-    Gaussian noise at the physical shot-noise scale.  Deterministic in
-    ``seed``; every point of a batch draws from its own generator seeded
-    with ``seed``.
+    Every kind first mixes in vacuum noise via :func:`lossy_moments`; the
+    ideal detector is exact photon counting at eta = 1, where that admixture
+    leaves the closed-form moments unchanged.  Homodyne readout then samples
+    (for finite shots) three quadrature variances and inverts the admixture,
+    while photocount readout perturbs the lossy moments with Gaussian noise
+    at the physical shot-noise scale.  Deterministic in ``seed``: a call
+    builds one generator from ``seed`` and draws once, and every point of a
+    batch scales those same draws, so it reads what its single-state call
+    with that seed reads.
     """
-    n, m = output_mode1_moments(v, setting)
-    if det.kind == "ideal":
-        n_prime, j_prime, n_err, j_err = n, _determinant(n, m), None, None
-    else:
-        n, m = lossy_moments(n, m, det.eta)
-        observe = _observe_homodyne if det.kind == "lossy-homodyne" else _observe_photocount
-        n_prime, j_prime, n_err, j_err = observe(n, m, det, seed)
+    n, m = lossy_moments(*output_mode1_moments(v, setting), det.eta)
+    observe = _observe_homodyne if det.kind == "lossy-homodyne" else _observe_photocount
+    n_prime, j_prime, n_err, j_err = observe(n, m, det, seed)
     return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)

@@ -163,7 +163,9 @@ def build_parser() -> _Parser:
 
     val = sub.add_parser("validate", help="physicality check; exit 0 iff physical")
     _add_state_options(val)
-    _add_output_options(val)
+    # validate prints one JSON payload, so it has no --format.
+    val.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
+    val.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
 
     rep = sub.add_parser("replay", help="re-run reconstructions from a report's transcripts")
     rep.add_argument("--report", metavar="FILE", help="report JSON produced by run")
@@ -247,16 +249,13 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
 
 
 def _resolve_detector(cfg) -> DetectorModel:
-    kind = cfg.get("detector") or "ideal"
     eta = cfg.get("eta")
-    shots = cfg.get("shots")
     try:
-        eta = 1.0 if eta is None else as_field(eta)
-        if kind == "ideal" and np.any(eta != 1.0):
-            raise ConfigError("--eta requires a lossy detector kind")
-        if kind == "ideal" and shots is not None:
-            raise ConfigError("--shots requires a lossy detector kind")
-        return DetectorModel(kind=kind, eta=eta, shots=shots)
+        return DetectorModel(
+            kind=cfg.get("detector") or "ideal",
+            eta=1.0 if eta is None else eta,
+            shots=cfg.get("shots"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -493,9 +492,6 @@ def _cmd_sweep(cfg) -> int:
         if cfg.get("generator") not in (None, "tmsv", "tmst"):
             raise ConfigError("an r sweep needs the tmsv or tmst generator")
         cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
-    else:
-        if (cfg.get("detector") or "ideal") == "ideal":
-            raise ConfigError("an eta sweep needs a lossy detector kind")
 
     # The whole grid is one batch through the same code as ``run``.
     rows = _csv_rows(grid, _evaluate({**cfg, param: grid}, scheme_choice))
@@ -511,6 +507,8 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_validate(cfg) -> int:
+    if cfg.get("seed") is not None and cfg.get("generator") != "random":
+        raise ConfigError("--seed applies only to the random generator")
     gen_seq = np.random.SeedSequence(_seed(cfg)).spawn(1)[0]
     g, source = _resolve_state(cfg, gen_seq)
     phys = validate_physical(g)

@@ -122,12 +122,16 @@ class TranscriptRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TranscriptRecord":
+        value = float(data["value"])
+        stderr = None if data.get("stderr") is None else float(data["stderr"])
+        if not math.isfinite(value) or (stderr is not None and not math.isfinite(stderr)):
+            raise ValueError("transcript value and stderr must be finite")
         return cls(
             theta=float(data["theta"]),
             phi=float(data["phi"]),
             observable=str(data["observable"]),
-            value=float(data["value"]),
-            stderr=None if data.get("stderr") is None else float(data["stderr"]),
+            value=value,
+            stderr=stderr,
         )
 
 

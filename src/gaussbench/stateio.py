@@ -76,7 +76,10 @@ def state_from_dict(data) -> QuadCovariance | ModeCovariance:
     for key in _MODE_COMPLEX_KEYS:
         if key in entries:
             kwargs[key] = _complex_pair(entries[key], key)
-    return ModeCovariance(**kwargs)
+    try:
+        return ModeCovariance(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def state_to_dict(state) -> dict:

@@ -290,3 +290,7 @@ class TestObserveMode1:
             DetectorModel(kind="lossy-homodyne", eta=0.0)
         with pytest.raises(ValueError):
             DetectorModel(kind="lossy-homodyne", eta=0.5, shots=0)
+        with pytest.raises(ValueError):
+            DetectorModel(kind="ideal", eta=0.5)
+        with pytest.raises(ValueError):
+            DetectorModel(kind="ideal", shots=100)

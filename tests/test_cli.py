@@ -192,10 +192,21 @@ def test_unreadable_state_file_is_config_error():
     assert run_cli("run", "--state", "/no/such/file.json") == 1
 
 
-def test_malformed_state_file_is_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"format": "quad", "entries": [1, 2, 3]}',
+        '{"format": "mode", "entries": {"n1": 1e400, "n2": 1.0}}',
+        '{"format": "mode", "entries": {"n1": 1.0, "n2": 1.0, "ms": [NaN, 0]}}',
+    ],
+    ids=["quad-shape", "mode-overflow", "mode-nan"],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys):
     path = tmp_path / "junk.json"
-    path.write_text('{"format": "quad", "entries": [1, 2, 3]}')
-    assert run_cli("run", "--state", str(path)) == 1
+    path.write_text(content)
+    assert run_cli(command, "--state", str(path)) == 1
+    assert "gaussbench: config error:" in capsys.readouterr().err
 
 
 def test_unphysical_state_is_a_physics_failure(tmp_path, capsys):
@@ -398,6 +409,9 @@ def _set_invariant(key, value):
         pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
         pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
         pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
+        pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),
+        pytest.param("scheme1", _set_record("value", 1e400), id="infinite-value"),
+        pytest.param("scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),
     ],
 )
 def test_replay_of_a_malformed_section_is_config_error(name, mutate, tmp_path, capsys):
@@ -491,11 +505,15 @@ _ETA_GRID = [
         (["run", "--generator", "random", "--nu2", "1.5"], None),
         (["validate", "--generator", "vacuum", "--nu1", "5"], None),
         (["validate", "--generator", "tmsv"], {"nu1": 5}),
+        (["validate", "--generator", "tmsv", "--r", "0.3"], {"format": "csv"}),
+        (["validate", "--generator", "tmsv", "--r", "0.3", "--seed", "5"], None),
+        (["validate", "--state", "STATE"], {"seed": 5}),
     ],
     ids=[
         "r-sweep-state", "r-sweep-state-config", "r-sweep-r", "eta-sweep-eta",
         "eta-sweep-eta-config", "run-file-r", "run-file-r-config", "run-random-nu2",
-        "validate-vacuum-nu1", "validate-tmsv-nu1-config",
+        "validate-vacuum-nu1", "validate-tmsv-nu1-config", "validate-format-config",
+        "validate-tmsv-seed", "validate-file-seed-config",
     ],
 )
 def test_flags_the_command_would_ignore_are_config_errors(argv, config, tmp_path, capsys):
@@ -510,6 +528,36 @@ def test_flags_the_command_would_ignore_are_config_errors(argv, config, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gaussbench: config error:" in captured.err
+
+
+def test_validate_has_no_format_flag(capsys):
+    # validate prints one JSON payload; argparse rejects --format with exit 1.
+    with pytest.raises(SystemExit) as info:
+        run_cli("validate", "--generator", "tmsv", "--r", "0.3", "--format", "csv")
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err
+
+
+def test_validate_takes_a_seed_for_the_random_generator(capsys):
+    assert run_cli("validate", "--generator", "random", "--seed", "5") == 0
+    assert json.loads(capsys.readouterr().out)["physical"] is True
+
+
+@pytest.mark.parametrize(
+    "grid, code", [(("1", "1"), 0), (("0.5", "1"), 1)], ids=["all-ones", "below-one"]
+)
+def test_ideal_eta_sweep_runs_only_at_unit_efficiency(grid, code, capsys):
+    start, stop = grid
+    argv = ["sweep", "--param", "eta", "--start", start, "--stop", stop, "--steps", "3",
+            "--generator", "tmsv", "--r", "0.5"]
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert len(_csv_body(captured.out)) == 3
+    else:
+        assert "config error: eta != 1 requires a lossy detector kind" in captured.err
 
 
 def test_validate_prints_the_physicality_slack(capsys):

@@ -95,8 +95,9 @@ def test_closed_form_standard_form_matches_matrix_conjugation():
     ids=["ideal", "homodyne", "photocount", "homodyne-shots", "photocount-shots"],
 )
 def test_batch_observation_equals_single_states(det):
-    # Every point of a batch draws from its own generator seeded with the
-    # call's seed, so finite-shot points reproduce the single-state call.
+    # A finite-shot call draws once from a generator seeded with the call's
+    # seed and every point of the batch scales those draws, so finite-shot
+    # points reproduce the single-state call.
     modes = list(states(12, seed_offset=64000))
     batch = stack(modes)
     setting = gb.BenchSetting(0.6, -1.1)
@@ -109,6 +110,38 @@ def test_batch_observation_equals_single_states(det):
                 assert getattr(got, name) is None
             else:
                 assert_rel(getattr(got, name)[i], getattr(want, name))
+
+
+@pytest.mark.parametrize("kind", ["lossy-homodyne", "lossy-photocount"])
+def test_finite_shot_batch_builds_one_generator(kind, monkeypatch):
+    batch = stack(list(states(12, seed_offset=64000)))
+    det = gb.DetectorModel(kind=kind, eta=0.8, shots=3000)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    gb.observe_mode1(batch, gb.BenchSetting(0.6, -1.1), det, seed=np.random.SeedSequence(99))
+    assert len(built) == 1
+
+
+def test_ideal_is_exact_photocount_at_unit_efficiency():
+    # Bit for bit: the ideal readout is the bare closed-form n' and
+    # n'^2 - |m'|^2, which is also what exact photocounting at eta = 1 reads.
+    batch = stack(list(states(40, seed_offset=66000)))
+    photocount = gb.DetectorModel(kind="lossy-photocount", eta=1.0)
+    for setting in random_settings(np.random.default_rng(5), 7):
+        n, m = gb.output_mode1_moments(batch, setting)
+        ideal = gb.observe_mode1(batch, setting)
+        exact = gb.observe_mode1(batch, setting, photocount)
+        assert np.array_equal(ideal.n_prime, n)
+        assert np.array_equal(ideal.j_prime, n * n - (m.real * m.real + m.imag * m.imag))
+        for name in ("n_prime", "j_prime", "purity", "wigner0"):
+            assert np.array_equal(getattr(ideal, name), getattr(exact, name))
+        assert ideal.n_stderr is None and ideal.j_stderr is None
 
 
 def test_batch_schemes_equal_single_states():
