@@ -66,7 +66,6 @@ from .states import (
     SingleModeSymplectic,
     StandardFormResult,
     detect_special_form,
-    invariants_mode,
     invariants_quad,
     mode_to_quad,
     quad_to_mode,
@@ -107,7 +106,6 @@ __all__ = [
     "entanglement_report",
     "eof_lower_bound",
     "eof_symmetric",
-    "invariants_mode",
     "invariants_quad",
     "invert_loss_homodyne",
     "load_state",

@@ -195,7 +195,7 @@ def _merge_config(parser, args) -> dict:
         (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in loaded.items():
-            if key not in ns:
+            if key in ("command", "config") or key not in ns:
                 raise ConfigError(f"unknown config key {key!r}")
             if ns[key] is None and value is not None:
                 ns[key] = _config_value(actions[key], key, value)
@@ -223,11 +223,12 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
             raise ConfigError(f"--{name} does not apply to {source}")
 
     if state_path is not None:
-        state = load_state(state_path)
-        if isinstance(state, ModeCovariance):
-            g = mode_to_quad(state)
-        else:
-            g = state
+        g = load_state(state_path)
+        if isinstance(g, ModeCovariance):
+            try:
+                g = mode_to_quad(g)
+            except ValueError as exc:  # moments near the float limit overflow in gamma
+                raise ConfigError(f"state file {state_path} has no quadrature form: {exc}") from exc
         return g, {"source": "file", "path": str(state_path)}
 
     try:
@@ -363,13 +364,18 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
             f"nu_plus={first_where(unphysical, phys.nu_plus):.12g}"
         )
     v = quad_to_mode(g)
-    oracle_inv = invariants_quad(g)
-    oracle_ent = entanglement_report(oracle_inv)
     res1 = res2 = None
-    if scheme_choice in ("scheme1", "both"):
-        res1 = scheme1(v, det, seed=s1_seq)
-    if scheme_choice in ("scheme2", "both"):
-        res2 = scheme2(v, det, seed=s2_seq)
+    try:
+        # A physical state can still be too large for its invariants.
+        with np.errstate(over="raise"):
+            oracle_inv = invariants_quad(g)
+            oracle_ent = entanglement_report(oracle_inv)
+            if scheme_choice in ("scheme1", "both"):
+                res1 = scheme1(v, det, seed=s1_seq)
+            if scheme_choice in ("scheme2", "both"):
+                res2 = scheme2(v, det, seed=s2_seq)
+    except (FloatingPointError, OverflowError) as exc:
+        raise GaussBenchError(f"the state overflows double precision ({exc})") from exc
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
         oracle=oracle_inv, oracle_entanglement=oracle_ent, scheme1=res1, scheme2=res2,
@@ -542,7 +548,7 @@ def _cmd_replay(cfg) -> int:
             special_form = section.get("special_form")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc
-        if special_form is not None and not isinstance(special_form, str):
+        if special_form not in (None, "diagonal", "antidiagonal"):
             raise ConfigError(f"report section {name} has a malformed special_form")
         inv, _ = reconstruct_from_transcript(records, name, special_form)
         for key in _J_KEYS:

@@ -70,6 +70,10 @@ __all__ = [
 MC2_CLAMP_WARN = 1e-9
 MC2_CLAMP_FAIL = 1e-6
 
+#: Largest J1..J3 difference between the protocols that :func:`consistency_check`
+#: accepts.
+CONSISTENCY_TOL = 1e-9
+
 _J_KEYS = ("j1", "j2", "j3", "j4")
 
 
@@ -364,12 +368,11 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     )
 
 
-def consistency_check(
-    s1: SchemeResult, s2: SchemeResult, tol: float = 1e-9
-) -> ConsistencyReport:
-    """Compare the invariants both protocols can reconstruct (J1, J2, J3)."""
+def consistency_check(s1: SchemeResult, s2: SchemeResult) -> ConsistencyReport:
+    """Compare the invariants both protocols can reconstruct (J1, J2, J3),
+    within ``CONSISTENCY_TOL``."""
     d1 = abs(s1.invariants.j1 - s2.invariants.j1)
     d2 = abs(s1.invariants.j2 - s2.invariants.j2)
     d3 = abs(s1.invariants.j3 - s2.invariants.j3)
     max_delta = np.maximum(np.maximum(d1, d2), d3)
-    return ConsistencyReport(d1, d2, d3, max_delta, tol, max_delta <= tol)
+    return ConsistencyReport(d1, d2, d3, max_delta, CONSISTENCY_TOL, max_delta <= CONSISTENCY_TOL)

@@ -16,8 +16,11 @@ Conventions used throughout the package:
 
   with n_j = <a_j+ a_j> + 1/2 real, m_j = -<a_j^2>,
   ms = <a1 a2+ + a2+ a1>/2 and mc = -<a1 a2>.  Vacuum is n_j = 1/2, m = 0.
-* The two pictures are connected by a fixed unitary K with
-  V = K (gamma/2) K+, so conversions are exact basis changes.
+* The two pictures are connected entry by entry.  With A_j the 2x2 block
+  of mode j in gamma (A and B below) and C the cross block,
+  n_j = tr A_j / 4, m_j = (A_j[1,1] - A_j[0,0] - 2i A_j[0,1]) / 4,
+  ms = (C00 + C11 + i (C10 - C01)) / 4 and mc = (C11 - C00 - i (C01 + C10)) / 4,
+  and mode_to_quad inverts these closed forms.
 
 Local Gaussian unitaries act on gamma as S1 (+) S2 with S_j in Sp(2, R);
 four polynomial combinations of the blocks are unchanged by them.  Writing
@@ -68,13 +71,12 @@ __all__ = [
     "quad_to_mode",
     "mode_to_quad",
     "invariants_quad",
-    "invariants_mode",
     "standard_form_prep",
     "cross_block_form",
     "detect_special_form",
 ]
 
-#: Absolute tolerance for symmetry / Hermiticity checks on input matrices.
+#: Absolute tolerance for the symmetry check on input covariance matrices.
 SYMMETRY_ATOL = 1e-12
 
 #: Slack allowed below the uncertainty bound nu >= 1 before a state is
@@ -93,17 +95,6 @@ _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 OMEGA = np.block([[_J2, np.zeros((2, 2))], [np.zeros((2, 2)), _J2]])
-
-_Z2 = np.diag([1.0, -1.0]).astype(complex)
-
-# Basis change between quadrature and mode-operator second moments,
-# V = _K (gamma/2) _K+.  Rows correspond to (a1, -a1+, a2, -a2+) built from
-# (x1, p1, x2, p2); the sign flips on the conjugate rows produce the
-# alternating-sign convention of the V layout above.
-_K1 = np.array([[1.0, 1.0j], [-1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
-_K = np.block(
-    [[_K1, np.zeros((2, 2), dtype=complex)], [np.zeros((2, 2), dtype=complex), _K1]]
-)
 
 
 def as_field(x, kind=float):
@@ -148,11 +139,6 @@ def propagate(f, values, errors):
         return as_field(np.sqrt(np.sum(((y[:k] - y[k:]) / (2.0 * PROPAGATION_STEP)) ** 2, axis=0)))
 
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
-
-
-def _assemble(rows) -> np.ndarray:
-    """Nested rows of equal-shape entries as a (..., rows, columns) matrix stack."""
-    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,58 +221,6 @@ class ModeCovariance:
                 raise UnphysicalStateError(
                     f"reduced mode {label} violates det V{label} >= 1/4"
                 )
-
-    def matrix(self) -> np.ndarray:
-        """Assemble the full 4x4 Hermitian matrix from the six scalars."""
-        n1, n2, m1, m2, ms, mc = self.n1, self.n2, self.m1, self.m2, self.ms, self.mc
-        return _assemble(
-            [
-                [n1, m1, ms, mc],
-                [np.conj(m1), n1, np.conj(mc), np.conj(ms)],
-                [np.conj(ms), mc, n2, m2],
-                [np.conj(mc), ms, np.conj(m2), n2],
-            ]
-        )
-
-    def block1(self) -> np.ndarray:
-        return _assemble([[self.n1, self.m1], [np.conj(self.m1), self.n1]])
-
-    def block2(self) -> np.ndarray:
-        return _assemble([[self.n2, self.m2], [np.conj(self.m2), self.n2]])
-
-    def cross(self) -> np.ndarray:
-        return _assemble([[self.ms, self.mc], [np.conj(self.mc), np.conj(self.ms)]])
-
-    @classmethod
-    def from_matrix(cls, v: np.ndarray, atol: float = 1e-10) -> "ModeCovariance":
-        """Extract the six scalars from a 4x4 matrix, checking the layout.
-
-        Parameters
-        ----------
-        v : np.ndarray
-            4x4 complex matrix, or a (..., 4, 4) stack, expected to carry the
-            block structure documented in the module docstring.
-        atol : float or array
-            Absolute tolerance on Hermiticity and on the internal
-            repetitions of the layout; an array gives one per matrix.
-        """
-        v = np.asarray(v, dtype=complex)
-        if v.shape[-2:] != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
-        if any_point(np.max(np.abs(v - v.swapaxes(-1, -2).conj()), axis=(-2, -1)) > atol):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        repeats = [v[..., 0, 0] - v[..., 1, 1], v[..., 2, 2] - v[..., 3, 3]]
-        repeats += [v[..., 0, 2] - np.conj(v[..., 1, 3]), v[..., 0, 3] - np.conj(v[..., 1, 2])]
-        if any_point(np.abs(repeats).max(axis=0) > atol):
-            raise ValueError("matrix does not have the two-mode block layout")
-        return cls(
-            n1=(v[..., 0, 0] + v[..., 1, 1]).real / 2,
-            n2=(v[..., 2, 2] + v[..., 3, 3]).real / 2,
-            m1=v[..., 0, 1],
-            m2=v[..., 2, 3],
-            ms=(v[..., 0, 2] + np.conj(v[..., 1, 3])) / 2,
-            mc=(v[..., 0, 3] + np.conj(v[..., 1, 2])) / 2,
-        )
 
 
 @dataclass(frozen=True)
@@ -379,19 +313,40 @@ def validate_physical(g: QuadCovariance) -> PhysicalityReport:
     )
 
 
+def _mode_of_block(a):
+    """(n, m) of one mode from its 2x2 quadrature block."""
+    a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    return (a00 + a11) / 4.0, (a11 - a00 - 2j * a01) / 4.0
+
+
 def quad_to_mode(g: QuadCovariance) -> ModeCovariance:
     """Convert a quadrature covariance matrix to mode-operator form."""
-    v = _K @ (g.entries / 2.0) @ _K.conj().T
-    return ModeCovariance.from_matrix(v, atol=1e-9 * np.maximum(1.0, np.abs(v).max((-2, -1))))
+    (n1, m1), (n2, m2) = _mode_of_block(g.block_a), _mode_of_block(g.block_b)
+    c = g.block_c
+    c00, c01, c10, c11 = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    return ModeCovariance(
+        n1=n1,
+        n2=n2,
+        m1=m1,
+        m2=m2,
+        ms=(c00 + c11 + 1j * (c10 - c01)) / 4.0,
+        mc=(c11 - c00 - 1j * (c01 + c10)) / 4.0,
+    )
 
 
 def mode_to_quad(v: ModeCovariance) -> QuadCovariance:
     """Convert mode-operator form back to the quadrature picture."""
-    g = 2.0 * _K.conj().T @ v.matrix() @ _K
-    scale = np.maximum(1.0, np.abs(g).max((-2, -1)))
-    if any_point(np.abs(g.imag).max((-2, -1)) > 1e-10 * scale):
-        raise ValueError("mode covariance does not map to a real quadrature matrix")
-    return QuadCovariance(g.real)
+    g = np.empty(np.shape(v.n1) + (4, 4))
+    for i, n, m in ((0, v.n1, v.m1), (2, v.n2, v.m2)):
+        g[..., i, i] = 2.0 * (n - m.real)
+        g[..., i + 1, i + 1] = 2.0 * (n + m.real)
+        g[..., i, i + 1] = g[..., i + 1, i] = -2.0 * m.imag
+    ms, mc = v.ms, v.mc
+    g[..., 0, 2] = g[..., 2, 0] = 2.0 * (ms.real - mc.real)
+    g[..., 0, 3] = g[..., 3, 0] = -2.0 * (ms.imag + mc.imag)
+    g[..., 1, 2] = g[..., 2, 1] = 2.0 * (ms.imag - mc.imag)
+    g[..., 1, 3] = g[..., 3, 1] = 2.0 * (ms.real + mc.real)
+    return QuadCovariance(g)
 
 
 def invariants_quad(g: QuadCovariance) -> InvariantSet:
@@ -402,17 +357,6 @@ def invariants_quad(g: QuadCovariance) -> InvariantSet:
     i3 = np.linalg.det(c)
     i4 = np.trace(a @ _J2 @ c @ _J2 @ b @ _J2 @ c.swapaxes(-1, -2) @ _J2, axis1=-2, axis2=-1)
     return InvariantSet(j1=i1 / 4, j2=i2 / 4, j3=i3 / 4, j4=i4 / 16)
-
-
-def invariants_mode(v: ModeCovariance) -> InvariantSet:
-    """Evaluate the four invariants from the mode-operator blocks of V."""
-    v1, v2, c = v.block1(), v.block2(), v.cross()
-    c_dagger = c.swapaxes(-1, -2).conj()
-    j1 = np.linalg.det(v1).real
-    j2 = np.linalg.det(v2).real
-    j3 = np.linalg.det(c).real
-    j4 = np.trace(v1 @ _Z2 @ c @ _Z2 @ v2 @ _Z2 @ c_dagger @ _Z2, axis1=-2, axis2=-1).real
-    return InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """The bench as 4x4 / 2x2 matrix algebra: an independent oracle for the tests.
 
-The package computes output-port moments, losses, quadrature variances and
-the standard form in closed form.  This module keeps the matrix route to
-the same numbers, conjugating full covariance matrices by the Bogoliubov
-transformation of the bench, so the tests can compare the two.  It works
-on single states only.
+The package computes output-port moments, losses, quadrature variances, the
+standard form and the quadrature <-> mode conversions in closed form.  This
+module keeps the matrix route to the same numbers, assembling the Hermitian
+mode matrix V, changing basis by the fixed unitary K (V = K (gamma/2) K+)
+and conjugating by the Bogoliubov transformation of the bench, so the tests
+can compare the two.  Apart from the conversions and the layout helpers,
+which take stacks, it works on single states only.
 """
 
 import cmath
@@ -13,9 +15,105 @@ import math
 import numpy as np
 
 from gaussbench.bench import HOMODYNE_ANGLES, BenchSetting, DetectorModel, invert_loss_homodyne
-from gaussbench.states import ModeCovariance, SingleModeSymplectic
+from gaussbench.states import (
+    InvariantSet,
+    ModeCovariance,
+    QuadCovariance,
+    SingleModeSymplectic,
+    any_point,
+)
 
+_Z2 = np.diag([1.0, -1.0]).astype(complex)
+
+# Basis change between quadrature and mode-operator second moments,
+# V = _K (gamma/2) _K+.  Rows correspond to (a1, -a1+, a2, -a2+) built from
+# (x1, p1, x2, p2); the sign flips on the conjugate rows produce the
+# alternating-sign convention of the V layout.
 _K1 = np.array([[1.0, 1.0j], [-1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
+_K = np.block(
+    [[_K1, np.zeros((2, 2), dtype=complex)], [np.zeros((2, 2), dtype=complex), _K1]]
+)
+
+
+def _assemble(rows) -> np.ndarray:
+    """Nested rows of equal-shape entries as a (..., rows, columns) matrix stack."""
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+
+
+def mode_matrix(v: ModeCovariance) -> np.ndarray:
+    """Assemble the full 4x4 Hermitian matrix V from the six scalars."""
+    n1, n2, m1, m2, ms, mc = v.n1, v.n2, v.m1, v.m2, v.ms, v.mc
+    return _assemble(
+        [
+            [n1, m1, ms, mc],
+            [np.conj(m1), n1, np.conj(mc), np.conj(ms)],
+            [np.conj(ms), mc, n2, m2],
+            [np.conj(mc), ms, np.conj(m2), n2],
+        ]
+    )
+
+
+def block1(v: ModeCovariance) -> np.ndarray:
+    return _assemble([[v.n1, v.m1], [np.conj(v.m1), v.n1]])
+
+
+def block2(v: ModeCovariance) -> np.ndarray:
+    return _assemble([[v.n2, v.m2], [np.conj(v.m2), v.n2]])
+
+
+def cross(v: ModeCovariance) -> np.ndarray:
+    return _assemble([[v.ms, v.mc], [np.conj(v.mc), np.conj(v.ms)]])
+
+
+def mode_from_matrix(v: np.ndarray, atol: float = 1e-10) -> ModeCovariance:
+    """Extract the six scalars from a 4x4 matrix, checking the layout.
+
+    ``v`` may be a (..., 4, 4) stack; ``atol`` bounds the Hermiticity error
+    and the internal repetitions of the layout (an array gives one per matrix).
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
+    if any_point(np.max(np.abs(v - v.swapaxes(-1, -2).conj()), axis=(-2, -1)) > atol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    repeats = [v[..., 0, 0] - v[..., 1, 1], v[..., 2, 2] - v[..., 3, 3]]
+    repeats += [v[..., 0, 2] - np.conj(v[..., 1, 3]), v[..., 0, 3] - np.conj(v[..., 1, 2])]
+    if any_point(np.abs(repeats).max(axis=0) > atol):
+        raise ValueError("matrix does not have the two-mode block layout")
+    return ModeCovariance(
+        n1=(v[..., 0, 0] + v[..., 1, 1]).real / 2,
+        n2=(v[..., 2, 2] + v[..., 3, 3]).real / 2,
+        m1=v[..., 0, 1],
+        m2=v[..., 2, 3],
+        ms=(v[..., 0, 2] + np.conj(v[..., 1, 3])) / 2,
+        mc=(v[..., 0, 3] + np.conj(v[..., 1, 2])) / 2,
+    )
+
+
+def quad_to_mode_by_matrix(g: QuadCovariance) -> ModeCovariance:
+    """V = K (gamma/2) K+, parsed back into the six scalars."""
+    v = _K @ (g.entries / 2.0) @ _K.conj().T
+    return mode_from_matrix(v, atol=1e-9 * np.maximum(1.0, np.abs(v).max((-2, -1))))
+
+
+def mode_to_quad_by_matrix(v: ModeCovariance) -> QuadCovariance:
+    """gamma = 2 K+ V K, checked to be real."""
+    g = 2.0 * _K.conj().T @ mode_matrix(v) @ _K
+    scale = np.maximum(1.0, np.abs(g).max((-2, -1)))
+    if any_point(np.abs(g.imag).max((-2, -1)) > 1e-10 * scale):
+        raise ValueError("mode covariance does not map to a real quadrature matrix")
+    return QuadCovariance(g.real)
+
+
+def invariants_mode(v: ModeCovariance) -> InvariantSet:
+    """Evaluate the four invariants from the mode-operator blocks of V."""
+    v1, v2, c = block1(v), block2(v), cross(v)
+    c_dagger = c.swapaxes(-1, -2).conj()
+    j1 = np.linalg.det(v1).real
+    j2 = np.linalg.det(v2).real
+    j3 = np.linalg.det(c).real
+    j4 = np.trace(v1 @ _Z2 @ c @ _Z2 @ v2 @ _Z2 @ c_dagger @ _Z2, axis1=-2, axis2=-1).real
+    return InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
 
 
 def bogoliubov(setting: BenchSetting) -> np.ndarray:
@@ -34,7 +132,7 @@ def bogoliubov(setting: BenchSetting) -> np.ndarray:
 def transform_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndarray:
     """Full output covariance U+ V U (both modes)."""
     u = bogoliubov(setting)
-    return u.conj().T @ v.matrix() @ u
+    return u.conj().T @ mode_matrix(v) @ u
 
 
 def output_mode1_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndarray:
@@ -49,12 +147,12 @@ def output_mode1_covariance(v: ModeCovariance, setting: BenchSetting) -> np.ndar
     phase = np.exp(1j * setting.phi)
     r_block = np.diag([phase * c, np.conj(phase) * c])
     s_block = s * np.eye(2, dtype=complex)
-    v1, v2, cross = v.block1(), v.block2(), v.cross()
+    v1, v2, c_v = block1(v), block2(v), cross(v)
     return (
         np.conj(r_block) @ v1 @ r_block
         + s_block @ v2 @ np.conj(s_block)
-        - s_block @ cross.conj().T @ r_block
-        - np.conj(r_block) @ cross @ np.conj(s_block)
+        - s_block @ c_v.conj().T @ r_block
+        - np.conj(r_block) @ c_v @ np.conj(s_block)
     )
 
 
@@ -119,5 +217,5 @@ def standard_form_by_matrix(v: ModeCovariance, s1, s2) -> ModeCovariance:
     s = np.block(
         [[local_symplectic_matrix(s1), zero], [zero, local_symplectic_matrix(s2)]]
     )
-    vt = s @ v.matrix() @ s.conj().T
-    return ModeCovariance.from_matrix(vt, atol=1e-9 * max(1.0, float(np.max(np.abs(vt)))))
+    vt = s @ mode_matrix(v) @ s.conj().T
+    return mode_from_matrix(vt, atol=1e-9 * max(1.0, float(np.max(np.abs(vt)))))

@@ -198,8 +198,9 @@ def test_unreadable_state_file_is_config_error():
         '{"format": "quad", "entries": [1, 2, 3]}',
         '{"format": "mode", "entries": {"n1": 1e400, "n2": 1.0}}',
         '{"format": "mode", "entries": {"n1": 1.0, "n2": 1.0, "ms": [NaN, 0]}}',
+        '{"format": "mode", "entries": {"n1": 1e308, "n2": 1.0}}',
     ],
-    ids=["quad-shape", "mode-overflow", "mode-nan"],
+    ids=["quad-shape", "mode-overflow", "mode-nan", "mode-quad-overflow"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys):
@@ -207,6 +208,30 @@ def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys
     path.write_text(content)
     assert run_cli(command, "--state", str(path)) == 1
     assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"format": "quad", "entries": np.diag([1e300] * 4).ravel().tolist()},
+        {"format": "quad", "entries": np.diag([1e100] * 4).ravel().tolist()},
+        {"format": "mode", "entries": {"n1": 1e300, "n2": 1e300}},
+    ],
+    ids=["quad-1e300", "quad-1e100", "mode-1e300"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_state_too_large_for_its_invariants_is_a_physics_failure(command, state, tmp_path, capsys):
+    # Physical (validate says so below), but I1..I4 overflow double precision.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(state))
+    argv = ["--state", str(path)]
+    if command == "sweep":
+        argv += ["--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "2",
+                 "--detector", "lossy-homodyne"]
+    assert run_cli(command, *argv) == 2
+    assert "error: the state overflows double precision" in capsys.readouterr().err
+    assert run_cli("validate", "--state", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["physical"] is True
 
 
 def test_unphysical_state_is_a_physics_failure(tmp_path, capsys):
@@ -253,10 +278,13 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert r2["state"]["params"]["r"] == 0.2
 
 
-def test_unknown_config_key_is_config_error(tmp_path):
+@pytest.mark.parametrize("key", ["color", "command", "config"])
+def test_unknown_config_key_is_config_error(key, tmp_path, capsys):
+    # ``command`` and ``config`` name parsed arguments, but no option a file can set.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"generator": "vacuum", "color": "red"}))
+    cfg.write_text(json.dumps({"generator": "vacuum", key: "red"}))
     assert run_cli("run", "--config", str(cfg)) == 1
+    assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_run_csv_format_single_row(capsys):
@@ -409,6 +437,7 @@ def _set_invariant(key, value):
         pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
         pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
         pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
+        pytest.param("scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
         pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),
         pytest.param("scheme1", _set_record("value", 1e400), id="infinite-value"),
         pytest.param("scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),

@@ -1,7 +1,8 @@
 """The closed-form, elementwise moment core against the 4x4 matrix oracle.
 
-The bench computes output-port moments in closed form and evaluates a whole
-batch of states per call.  These tests hold it to the matrix route kept in
+The package converts between the quadrature and mode pictures and the bench
+computes output-port moments in closed form, evaluating a whole batch of
+states per call.  These tests hold it to the matrix route kept in
 ``matrix_oracle`` and check that a batch gives, point by point, what single
 states give.
 """
@@ -13,7 +14,13 @@ import pytest
 
 import gaussbench as gb
 from gaussbench.bench import HOMODYNE_ANGLES, homodyne_variance, lossy_moments
-from matrix_oracle import homodyne_variances, observe_exact, standard_form_by_matrix
+from matrix_oracle import (
+    homodyne_variances,
+    mode_to_quad_by_matrix,
+    observe_exact,
+    quad_to_mode_by_matrix,
+    standard_form_by_matrix,
+)
 
 REL_TOL = 1e-12
 
@@ -25,17 +32,23 @@ COMBOS = (
 )
 
 
-def states(count, seed_offset):
+MODE_FIELDS = ("n1", "n2", "m1", "m2", "ms", "mc")
+
+
+def quad_states(count, seed_offset):
     for i in range(count):
         purity, symmetry = COMBOS[i % 4]
-        yield gb.quad_to_mode(gb.random_state(seed_offset + i, purity, symmetry))
+        yield gb.random_state(seed_offset + i, purity, symmetry)
+
+
+def states(count, seed_offset):
+    return map(gb.quad_to_mode, quad_states(count, seed_offset))
 
 
 def stack(modes):
     """One batched ModeCovariance holding the given single states."""
-    names = ("n1", "n2", "m1", "m2", "ms", "mc")
     return gb.ModeCovariance(
-        **{name: np.array([getattr(v, name) for v in modes]) for name in names}
+        **{name: np.array([getattr(v, name) for v in modes]) for name in MODE_FIELDS}
     )
 
 
@@ -49,6 +62,27 @@ def random_settings(rng, count):
 def assert_rel(got, want, tol=REL_TOL):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     np.testing.assert_array_less(np.abs(got - want), tol * np.abs(want) + 1e-300)
+
+
+def test_closed_form_conversions_match_matrix_oracle():
+    for g in quad_states(1000, seed_offset=60000):
+        v, want = gb.quad_to_mode(g), quad_to_mode_by_matrix(g)
+        scale = max(v.n1, v.n2)
+        for name in MODE_FIELDS:
+            assert abs(getattr(v, name) - getattr(want, name)) <= 1e-14 * scale, name
+        got, want = gb.mode_to_quad(v).entries, mode_to_quad_by_matrix(v).entries
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_batch_conversions_equal_single_states():
+    singles = list(quad_states(50, seed_offset=60500))
+    batch = gb.quad_to_mode(gb.QuadCovariance(np.stack([g.entries for g in singles])))
+    modes = [gb.quad_to_mode(g) for g in singles]
+    for name in MODE_FIELDS:
+        np.testing.assert_array_equal(getattr(batch, name), [getattr(v, name) for v in modes])
+    np.testing.assert_array_equal(
+        gb.mode_to_quad(batch).entries, np.stack([gb.mode_to_quad(v).entries for v in modes])
+    )
 
 
 @pytest.mark.parametrize("kind", ["ideal", "lossy-homodyne", "lossy-photocount"])

@@ -13,7 +13,6 @@ from gaussbench import (
     ReconstructionError,
     TranscriptRecord,
     consistency_check,
-    invariants_mode,
     quad_to_mode,
     random_state,
     reconstruct_from_transcript,
@@ -25,6 +24,7 @@ from gaussbench import (
     tmsv_state,
     vacuum_state,
 )
+from matrix_oracle import invariants_mode
 
 IDEAL = DetectorModel()
 
@@ -139,13 +139,13 @@ def test_scheme2_tmsv_closed_forms():
 def test_schemes_agree_with_each_other():
     for g in states(50, seed_offset=7000):
         v = quad_to_mode(g)
-        report = consistency_check(scheme1(v), scheme2(v), tol=1e-9)
+        report = consistency_check(scheme1(v), scheme2(v))
         assert report.within_tolerance, report
 
 
 def test_consistency_on_vacuum_is_exact():
     v = quad_to_mode(vacuum_state())
-    report = consistency_check(scheme1(v), scheme2(v), tol=1e-12)
+    report = consistency_check(scheme1(v), scheme2(v))
     assert report.delta_j1 == pytest.approx(0.0, abs=1e-15)
     assert report.delta_j2 == pytest.approx(0.0, abs=1e-15)
     assert report.delta_j3 == pytest.approx(0.0, abs=1e-15)
@@ -159,7 +159,7 @@ def test_consistency_under_finite_shots():
     det = DetectorModel(kind="lossy-homodyne", eta=1.0, shots=100000)
     s1 = scheme1(v, det, seed=11)
     s2 = scheme2(v, det, seed=12)
-    report = consistency_check(s1, s2, tol=1.0)  # tol checked by hand below
+    report = consistency_check(s1, s2)  # deltas checked against the shot noise below
     for name, delta in (
         ("j1", report.delta_j1),
         ("j2", report.delta_j2),
