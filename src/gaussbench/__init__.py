@@ -21,16 +21,11 @@ from .bench import (
 from .entanglement import (
     EntanglementReport,
     entanglement_report,
-    eof_lower_bound,
-    eof_symmetric,
-    log_negativity,
     simon_separable,
 )
 from .errors import (
     ConfigError,
     GaussBenchError,
-    NotSymmetricError,
-    NumericalDomainError,
     ReconstructionError,
     UnphysicalMeasurementError,
     UnphysicalStateError,
@@ -65,7 +60,6 @@ from .states import (
     QuadCovariance,
     SingleModeSymplectic,
     StandardFormResult,
-    detect_special_form,
     invariants_quad,
     mode_to_quad,
     quad_to_mode,
@@ -89,8 +83,6 @@ __all__ = [
     "LossInversion",
     "Mode1Observation",
     "ModeCovariance",
-    "NotSymmetricError",
-    "NumericalDomainError",
     "PhysicalityReport",
     "PlanEntry",
     "QuadCovariance",
@@ -102,14 +94,10 @@ __all__ = [
     "UnphysicalMeasurementError",
     "UnphysicalStateError",
     "consistency_check",
-    "detect_special_form",
     "entanglement_report",
-    "eof_lower_bound",
-    "eof_symmetric",
     "invariants_quad",
     "invert_loss_homodyne",
     "load_state",
-    "log_negativity",
     "mode_to_quad",
     "observe_mode1",
     "output_mode1_moments",

@@ -242,8 +242,9 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
             "thermal": thermal_state,
             "tmst": two_mode_squeezed_thermal,
         }
-        g = random_state(rng_seed) if generator == "random" else makers[generator](**params)
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            g = random_state(rng_seed) if generator == "random" else makers[generator](**params)
+    except (ValueError, FloatingPointError) as exc:
         # Non-finite or overflowing parameters leave no valid covariance.
         raise ConfigError(f"cannot build the {generator} state: {exc}") from exc
     return g, {"source": "generator", "name": generator, "params": params}
@@ -364,18 +365,13 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
             f"nu_plus={first_where(unphysical, phys.nu_plus):.12g}"
         )
     v = quad_to_mode(g)
+    oracle_inv = invariants_quad(g)
+    oracle_ent = entanglement_report(oracle_inv)
     res1 = res2 = None
-    try:
-        # A physical state can still be too large for its invariants.
-        with np.errstate(over="raise"):
-            oracle_inv = invariants_quad(g)
-            oracle_ent = entanglement_report(oracle_inv)
-            if scheme_choice in ("scheme1", "both"):
-                res1 = scheme1(v, det, seed=s1_seq)
-            if scheme_choice in ("scheme2", "both"):
-                res2 = scheme2(v, det, seed=s2_seq)
-    except (FloatingPointError, OverflowError) as exc:
-        raise GaussBenchError(f"the state overflows double precision ({exc})") from exc
+    if scheme_choice in ("scheme1", "both"):
+        res1 = scheme1(v, det, seed=s1_seq)
+    if scheme_choice in ("scheme2", "both"):
+        res2 = scheme2(v, det, seed=s2_seq)
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
         oracle=oracle_inv, oracle_entanglement=oracle_ent, scheme1=res1, scheme2=res2,
@@ -485,8 +481,8 @@ def _cmd_sweep(cfg) -> int:
     if steps > MAX_SWEEP_STEPS:
         raise ConfigError(f"sweep grid is limited to {MAX_SWEEP_STEPS} points, got steps={steps}")
     start, stop = float(cfg["start"]), float(cfg["stop"])
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ConfigError("sweep grid bounds must be finite")
+    if not np.isfinite(stop - start):  # a non-finite bound, or a span that overflows
+        raise ConfigError("sweep grid bounds and their span must be finite")
     grid = np.linspace(start, stop, steps)
     scheme_choice = cfg.get("scheme") or "scheme2"
 
@@ -548,7 +544,9 @@ def _cmd_replay(cfg) -> int:
             special_form = section.get("special_form")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc
-        if special_form not in (None, "diagonal", "antidiagonal"):
+        # Only scheme 1 records a special form; scheme 2 measures J4 instead.
+        forms = (None, "diagonal", "antidiagonal") if name == "scheme1" else (None,)
+        if special_form not in forms:
             raise ConfigError(f"report section {name} has a malformed special_form")
         inv, _ = reconstruct_from_transcript(records, name, special_form)
         for key in _J_KEYS:
@@ -573,20 +571,26 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(parser, args)
         command = args.command
-        if command == "run":
-            return _cmd_run(cfg, cfg.get("scheme") or "both")
-        if command in ("oracle", "scheme1", "scheme2"):
-            return _cmd_run(cfg, command)
-        if command == "sweep":
-            return _cmd_sweep(cfg)
-        if command == "validate":
-            return _cmd_validate(cfg)
-        if command == "replay":
-            return _cmd_replay(cfg)
+        # A finite, even physical, state can still be too large for its
+        # spectrum or invariants: any float overflow is a physics failure.
+        with np.errstate(over="raise"):
+            if command == "run":
+                return _cmd_run(cfg, cfg.get("scheme") or "both")
+            if command in ("oracle", "scheme1", "scheme2"):
+                return _cmd_run(cfg, command)
+            if command == "sweep":
+                return _cmd_sweep(cfg)
+            if command == "validate":
+                return _cmd_validate(cfg)
+            if command == "replay":
+                return _cmd_replay(cfg)
         raise ConfigError(f"unknown command {command!r}")
     except ConfigError as exc:
         print(f"gaussbench: config error: {exc}", file=sys.stderr)
         return 1
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"gaussbench: error: the state overflows double precision ({exc})", file=sys.stderr)
+        return 2
     except GaussBenchError as exc:
         print(f"gaussbench: error: {exc}", file=sys.stderr)
         return 2

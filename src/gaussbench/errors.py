@@ -13,14 +13,6 @@ class UnphysicalMeasurementError(GaussBenchError):
     """A measured variance fell below the vacuum-noise floor for the given efficiency."""
 
 
-class NumericalDomainError(GaussBenchError):
-    """An intermediate radicand or argument left its mathematically allowed domain."""
-
-
-class NotSymmetricError(GaussBenchError):
-    """An operation defined only for symmetric (I1 == I2) states received a general one."""
-
-
 class ReconstructionError(GaussBenchError):
     """A measurement transcript could not be turned into a consistent invariant set."""
 

@@ -130,13 +130,10 @@ class TranscriptRecord:
         stderr = None if data.get("stderr") is None else float(data["stderr"])
         if not math.isfinite(value) or (stderr is not None and not math.isfinite(stderr)):
             raise ValueError("transcript value and stderr must be finite")
-        return cls(
-            theta=float(data["theta"]),
-            phi=float(data["phi"]),
-            observable=str(data["observable"]),
-            value=value,
-            stderr=stderr,
-        )
+        theta, phi = float(data["theta"]), float(data["phi"])
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError("transcript theta and phi must be finite")
+        return cls(theta, phi, str(data["observable"]), value, stderr)
 
 
 @dataclass(frozen=True)

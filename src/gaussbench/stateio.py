@@ -57,29 +57,28 @@ def state_from_dict(data) -> QuadCovariance | ModeCovariance:
             raise ConfigError(
                 f"quad entries must be 16 reals or a 4x4 array, got shape {arr.shape}"
             )
-        try:
-            return QuadCovariance(arr)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    if not isinstance(entries, dict):
-        raise ConfigError("mode entries must be an object")
-    missing = [k for k in _MODE_REAL_KEYS if k not in entries]
-    if missing:
-        raise ConfigError(f"mode entries are missing {missing}")
-    kwargs = {}
-    for key in _MODE_REAL_KEYS:
-        value = entries[key]
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"field {key!r} must be a real number")
-        kwargs[key] = float(value)
-    for key in _MODE_COMPLEX_KEYS:
-        if key in entries:
-            kwargs[key] = _complex_pair(entries[key], key)
+        make, kwargs = QuadCovariance, {"entries": arr}
+    else:
+        if not isinstance(entries, dict):
+            raise ConfigError("mode entries must be an object")
+        missing = [k for k in _MODE_REAL_KEYS if k not in entries]
+        if missing:
+            raise ConfigError(f"mode entries are missing {missing}")
+        make, kwargs = ModeCovariance, {}
+        for key in _MODE_REAL_KEYS:
+            value = entries[key]
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"field {key!r} must be a real number")
+            kwargs[key] = float(value)
+        for key in _MODE_COMPLEX_KEYS:
+            if key in entries:
+                kwargs[key] = _complex_pair(entries[key], key)
     try:
-        return ModeCovariance(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:  # entries so large that the state's own checks overflow
+        raise ConfigError(f"state entries overflow double precision ({exc})") from exc
 
 
 def state_to_dict(state) -> dict:

@@ -73,7 +73,6 @@ __all__ = [
     "invariants_quad",
     "standard_form_prep",
     "cross_block_form",
-    "detect_special_form",
 ]
 
 #: Absolute tolerance for the symmetry check on input covariance matrices.
@@ -162,7 +161,8 @@ class QuadCovariance:
             raise ValueError(
                 f"covariance matrix is not symmetric (max asymmetry {asym:.3e})"
             )
-        g = (g + g.swapaxes(-1, -2)) / 2.0
+        # Halves first: the sum of two entries near the float limit overflows.
+        g = g / 2.0 + g.swapaxes(-1, -2) / 2.0
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
@@ -436,32 +436,22 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     return StandardFormResult(s1, s2, vt, as_field(abs(vt.m1)), as_field(abs(vt.m2)))
 
 
-def _block_diagonal(v: ModeCovariance):
-    tol = SPECIAL_FORM_TOL
-    return (abs(v.m1) <= tol * np.maximum(1.0, v.n1)) & (abs(v.m2) <= tol * np.maximum(1.0, v.n2))
-
-
 def cross_block_form(v: ModeCovariance):
-    """:func:`detect_special_form`, with ``None`` where ``v`` is not block-diagonal."""
-    tol = SPECIAL_FORM_TOL
-    ms_mag, mc_mag = abs(v.ms), abs(v.mc)
-    total = ms_mag + mc_mag
-    antidiagonal = np.where(ms_mag <= tol * total, "antidiagonal", None)
-    form = np.where((mc_mag <= tol * total) | (total == 0.0), "diagonal", antidiagonal)
-    return as_field(np.where(_block_diagonal(v), form, None), object)
-
-
-def detect_special_form(v: ModeCovariance) -> str | None:
     """Classify the cross block of a block-diagonalized state.
 
     Returns ``"diagonal"`` when the cross block is diag(ms, ms*) (the mc
     entry negligible relative to the block), ``"antidiagonal"`` when it is
     antidiag(mc, mc*), and ``None`` otherwise.  A vanishing cross block
     satisfies both patterns and is reported as ``"diagonal"`` by tie-break.
-
-    The state must already be block-diagonal (m1 = m2 = 0 within
-    ``SPECIAL_FORM_TOL``); otherwise a ``ValueError`` is raised.
+    A state that is not block-diagonal (m1 = m2 = 0 within
+    ``SPECIAL_FORM_TOL``) has no special form either: ``None``.
     """
-    if not np.all(_block_diagonal(v)):
-        raise ValueError("state is not in standard form (m1, m2 must vanish)")
-    return cross_block_form(v)
+    tol = SPECIAL_FORM_TOL
+    block_diagonal = (abs(v.m1) <= tol * np.maximum(1.0, v.n1)) & (
+        abs(v.m2) <= tol * np.maximum(1.0, v.n2)
+    )
+    ms_mag, mc_mag = abs(v.ms), abs(v.mc)
+    total = ms_mag + mc_mag
+    antidiagonal = np.where(ms_mag <= tol * total, "antidiagonal", None)
+    form = np.where((mc_mag <= tol * total) | (total == 0.0), "diagonal", antidiagonal)
+    return as_field(np.where(block_diagonal, form, None), object)

@@ -196,11 +196,13 @@ def test_criterion_07_bound_ordering():
         )
         seed += 1
         inv = gb.invariants_quad(g)
-        eof = gb.eof_symmetric(inv)
+        rep = gb.entanglement_report(inv)
+        assert rep.eof is not None and rep.eof_lower_bound is not None
+        eof = rep.eof
         if eof <= 1e-9:
             continue
         accepted += 1
-        bound = gb.eof_lower_bound(inv)
+        bound = rep.eof_lower_bound
         if bound > eof + 1e-12:
             ordering_ok = False
         if inv.i4 > 1e-6 and not bound < eof:

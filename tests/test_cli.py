@@ -199,8 +199,12 @@ def test_unreadable_state_file_is_config_error():
         '{"format": "mode", "entries": {"n1": 1e400, "n2": 1.0}}',
         '{"format": "mode", "entries": {"n1": 1.0, "n2": 1.0, "ms": [NaN, 0]}}',
         '{"format": "mode", "entries": {"n1": 1e308, "n2": 1.0}}',
+        json.dumps({"format": "quad", "entries": [[1e308, 1e308, 0, 0], [-1e308, 1e308, 0, 0],
+                                                  [0, 0, 1, 0], [0, 0, 0, 1]]}),
+        '{"format": "mode", "entries": {"n1": 1e200, "n2": 1.0, "m1": [5e199, 0]}}',
     ],
-    ids=["quad-shape", "mode-overflow", "mode-nan", "mode-quad-overflow"],
+    ids=["quad-shape", "mode-overflow", "mode-nan", "mode-quad-overflow",
+         "quad-asymmetry-overflow", "mode-floor-overflow"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys):
@@ -232,6 +236,47 @@ def test_state_too_large_for_its_invariants_is_a_physics_failure(command, state,
     assert "error: the state overflows double precision" in capsys.readouterr().err
     assert run_cli("validate", "--state", str(path)) == 0
     assert json.loads(capsys.readouterr().out)["physical"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--generator", "tmsv", "--r", "1000"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1000", "--steps", "3"),
+        ("run", "--generator", "tmst", "--r", "1", "--nu1", "1e308"),
+        ("sweep", "--param", "r", "--start=-1e308", "--stop", "1e308", "--steps", "3"),
+        ("sweep", "--param", "eta", "--start=-1e308", "--stop", "1e308", "--steps", "3",
+         "--generator", "tmsv", "--detector", "lossy-homodyne"),
+    ],
+    ids=["tmsv-r-1000", "sweep-r-to-1000", "tmst-nu1-1e308", "r-span", "eta-span"],
+)
+def test_input_overflow_is_config_error(argv, capsys):
+    # A numpy overflow warning is a test failure here, so this also checks
+    # that the overflow is caught rather than printed.
+    assert run_cli(*argv) == 1
+    assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ("--state", {"format": "quad", "entries": np.diag([1e308] * 4).ravel().tolist()}),
+        ("--generator", "thermal", "--nu1", "1e308", "--nu2", "1"),
+    ],
+    ids=["quad-1e308", "thermal-nu1-1e308"],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_state_too_large_for_its_spectrum_is_a_physics_failure(command, source, tmp_path, capsys):
+    # Finite entries whose symplectic spectrum overflows: no traceback, no
+    # Infinity in the output.
+    if source[0] == "--state":
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(source[1]))
+        source = ("--state", str(path))
+    assert run_cli(command, *source) == 2
+    captured = capsys.readouterr()
+    assert "error: the state overflows double precision" in captured.err
+    assert "Infinity" not in captured.out + captured.err
 
 
 def test_unphysical_state_is_a_physics_failure(tmp_path, capsys):
@@ -302,6 +347,7 @@ def test_run_csv_format_single_row(capsys):
         ("--generator", "tmsv", "--r", "nan"),
         ("--generator", "tmst", "--nu1", "inf"),
         ("--generator", "thermal", "--nu1", "nan"),
+        ("--generator", "tmst", "--r", "0", "--nu1", "inf"),  # 0 * inf in the state
     ],
 )
 def test_nonfinite_generator_parameters_are_config_errors(argv, capsys):
@@ -441,6 +487,11 @@ def _set_invariant(key, value):
         pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),
         pytest.param("scheme1", _set_record("value", 1e400), id="infinite-value"),
         pytest.param("scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),
+        pytest.param("scheme1", _set_record("theta", math.nan), id="nan-theta"),
+        pytest.param("scheme2", _set_record("phi", math.nan), id="nan-phi"),
+        pytest.param("scheme2", _set_record("theta", 1e400), id="infinite-theta"),
+        pytest.param("scheme2", _set("special_form", "diagonal"), id="scheme2-special-form"),
+        pytest.param("scheme2", _set("special_form", "antidiagonal"), id="scheme2-antidiagonal"),
     ],
 )
 def test_replay_of_a_malformed_section_is_config_error(name, mutate, tmp_path, capsys):
@@ -451,6 +502,16 @@ def test_replay_of_a_malformed_section_is_config_error(name, mutate, tmp_path, c
     out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 1
     assert f"config error: report section {name}" in capsys.readouterr().err
+
+
+def test_replay_of_an_overflowing_transcript_is_a_physics_failure(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report["scheme2"]["transcript"][0]["value"] = 1e200
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    assert "error: the state overflows double precision" in capsys.readouterr().err
 
 
 def test_replay_of_a_non_object_report_is_config_error(tmp_path, capsys):

@@ -12,12 +12,8 @@ import numpy as np
 import pytest
 
 from gaussbench import (
-    NotSymmetricError,
     entanglement_report,
-    eof_lower_bound,
-    eof_symmetric,
     invariants_quad,
-    log_negativity,
     random_state,
     simon_separable,
     thermal_state,
@@ -41,6 +37,20 @@ def tmsv_eof_closed_form(r):
     if sh2 == 0.0:
         return 0.0
     return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
+
+
+def eof_and_bound(inv):
+    """The symmetric EoF and its zeroed-I4 bound, both defined on ``inv``."""
+    rep = entanglement_report(inv)
+    assert rep.eof is not None and rep.eof_lower_bound is not None
+    return rep.eof, rep.eof_lower_bound
+
+
+def negativity(inv):
+    """E_N and nu~_-, both defined on ``inv``."""
+    rep = entanglement_report(inv)
+    assert rep.log_negativity is not None and rep.nu_tilde_minus is not None
+    return rep.log_negativity, rep.nu_tilde_minus
 
 
 def mixed_population(count, seed_offset=0):
@@ -85,11 +95,13 @@ def test_tmsv_eof_closed_form(r):
     # so the attainable absolute accuracy shrinks as the squeezing grows.
     tol = 1e-10 if r < 1.7 else 1e-9
     inv = invariants_quad(tmsv_state(r))
-    assert eof_symmetric(inv) == pytest.approx(tmsv_eof_closed_form(r), abs=tol)
+    eof, _ = eof_and_bound(inv)
+    assert eof == pytest.approx(tmsv_eof_closed_form(r), abs=tol)
 
 
 def test_tmsv_zero_squeezing_has_zero_eof():
-    assert eof_symmetric(invariants_quad(tmsv_state(0.0))) == pytest.approx(0.0, abs=1e-12)
+    eof, _ = eof_and_bound(invariants_quad(tmsv_state(0.0)))
+    assert eof == pytest.approx(0.0, abs=1e-12)
 
 
 def test_separable_symmetric_state_has_zero_eof():
@@ -98,16 +110,7 @@ def test_separable_symmetric_state_has_zero_eof():
     inv = invariants_quad(g)
     separable, _ = simon_separable(inv)
     if separable:
-        assert eof_symmetric(inv) == 0.0
-        assert eof_lower_bound(inv) == 0.0
-
-
-def test_eof_rejects_asymmetric_states():
-    inv = invariants_quad(thermal_state(1.2, 2.4))
-    with pytest.raises(NotSymmetricError):
-        eof_symmetric(inv)
-    with pytest.raises(NotSymmetricError):
-        eof_lower_bound(inv)
+        assert eof_and_bound(inv) == (0.0, 0.0)
 
 
 def test_bound_never_exceeds_exact_value():
@@ -115,7 +118,7 @@ def test_bound_never_exceeds_exact_value():
     for i in range(3000):
         g = random_state(i, purity="mixed" if i % 2 else "pure", symmetry="symmetric")
         inv = invariants_quad(g)
-        bound, exact = eof_lower_bound(inv), eof_symmetric(inv)
+        exact, bound = eof_and_bound(inv)
         assert bound <= exact + 1e-12
         kept += 1
         if kept >= 1000:
@@ -127,9 +130,10 @@ def test_bound_strictly_below_for_entangled_states_with_cross_term():
     for i in range(4000):
         g = random_state(i, purity="pure", symmetry="symmetric")
         inv = invariants_quad(g)
-        if eof_symmetric(inv) <= 1e-9 or inv.i4 <= 1e-6:
+        exact, bound = eof_and_bound(inv)
+        if exact <= 1e-9 or inv.i4 <= 1e-6:
             continue
-        assert eof_lower_bound(inv) < eof_symmetric(inv)
+        assert bound < exact
         found += 1
         if found >= 200:
             break
@@ -139,7 +143,8 @@ def test_bound_strictly_below_for_entangled_states_with_cross_term():
 def test_bound_equals_exact_when_i4_vanishes():
     # Thermal product (symmetric): I4 = 0, so dropping it changes nothing.
     inv = invariants_quad(thermal_state(1.7, 1.7))
-    assert eof_lower_bound(inv) == pytest.approx(eof_symmetric(inv), abs=1e-14)
+    exact, bound = eof_and_bound(inv)
+    assert bound == pytest.approx(exact, abs=1e-14)
 
 
 def test_eof_grows_with_the_fourth_invariant():
@@ -151,10 +156,10 @@ def test_eof_grows_with_the_fourth_invariant():
     for i in range(400):
         g = random_state(i, purity="pure", symmetry="symmetric")
         inv = invariants_quad(g)
-        if eof_symmetric(inv) <= 1e-9 or inv.i4 <= 1e-9:
+        if eof_and_bound(inv)[0] <= 1e-9 or inv.i4 <= 1e-9:
             continue
         values = [
-            eof_symmetric(type(inv)(j1=inv.j1, j2=inv.j2, j3=inv.j3, j4=s * inv.j4))
+            eof_and_bound(type(inv)(j1=inv.j1, j2=inv.j2, j3=inv.j3, j4=s * inv.j4))[0]
             for s in scales
         ]
         for lo, hi in zip(values, values[1:]):
@@ -169,7 +174,7 @@ def test_tmsv_log_negativity_closed_form(r):
     # of cosh-sized terms, so precision degrades with the squeezing.
     tol = 1e-10 if r < 1.7 else 1e-9
     inv = invariants_quad(tmsv_state(r))
-    value, nu = log_negativity(inv)
+    value, nu = negativity(inv)
     assert value == pytest.approx(2 * r * math.log2(math.e), abs=tol)
     assert nu == pytest.approx(math.exp(-2 * r), rel=tol)
 
@@ -177,7 +182,7 @@ def test_tmsv_log_negativity_closed_form(r):
 def test_log_negativity_matches_brute_force_ppt():
     for g in mixed_population(1000):
         inv = invariants_quad(g)
-        value, nu = log_negativity(inv)
+        value, nu = negativity(inv)
         nu_direct = ppt_nu_minus(g)
         assert nu == pytest.approx(nu_direct, rel=1e-8, abs=1e-10)
         want = max(0.0, -math.log2(nu_direct))
@@ -186,7 +191,7 @@ def test_log_negativity_matches_brute_force_ppt():
 
 def test_separable_states_have_zero_negativity():
     inv = invariants_quad(thermal_state(1.5, 1.1))
-    value, nu = log_negativity(inv)
+    value, nu = negativity(inv)
     assert value == 0.0
     assert nu >= 1.0 - 1e-12
 

