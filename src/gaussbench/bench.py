@@ -24,6 +24,13 @@ eta in front of an ideal detector), that is n -> eta n + (1 - eta)/2 and
 m -> eta m.  For homodyne readout the admixture is exactly invertible per
 quadrature variance, which is what :func:`invert_loss_homodyne` does;
 photon counting reports the moments of the attenuated mode.
+
+Finite-shot homodyne readout samples each quadrature's sample variance
+directly.  By Cochran's theorem the sample variance of k standard normals is
+distributed as chi^2_{k-1}/(k-1) = Gamma((k-1)/2) * 2/(k-1), so one gamma
+draw per angle replaces k simulated shots and a reading costs the same at
+any shot count.  Such a reading is an estimate: the vacuum floor that
+:func:`invert_loss_homodyne` enforces applies to exact readings only.
 """
 
 from __future__ import annotations
@@ -190,7 +197,8 @@ def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
     true = (meas - 1 + eta)/eta.  The output moments follow from the
     corrected pair: tr gamma'_1 = 2 tr V'_1 = 4 n' gives
     n' = (v_min + v_max)/4, and det gamma'_1 = 4 det V'_1 gives
-    j' = v_min v_max / 4.
+    j' = v_min v_max / 4.  A variance below the vacuum floor 1 - eta raises
+    :class:`UnphysicalMeasurementError`.
     """
     _check_efficiency(eta_hom, "eta_hom")
     below = (v_min_meas < 1.0 - eta_hom - 1e-12) | (v_max_meas < 1.0 - eta_hom - 1e-12)
@@ -219,25 +227,32 @@ def _derived_purity(j_prime):
 
 def _observe_homodyne(n, m, det: DetectorModel, seed):
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
-    stderrs = None
-    if det.shots is not None:
-        # One draw per call: every point of a batch scales the same
-        # unit-variance sample variances of ``shots`` normals per angle.
-        rng = np.random.default_rng(seed)
-        unit = [rng.standard_normal(det.shots).var(ddof=1) for _ in HOMODYNE_ANGLES]
-        variances = [variance * u for variance, u in zip(variances, unit)]
-        stderrs = [math.sqrt(2.0 / (det.shots - 1)) * variance for variance in variances]
-
     # The admixture is isotropic, so undoing it on the principal variances
-    # equals undoing it per angle.  The errors carry the three sampled
+    # equals undoing it per angle.
+    if det.shots is None:
+        corrected = invert_loss_homodyne(*_principal_variances(*variances), det.eta)
+        return corrected.n_prime, corrected.j_prime, None, None
+
+    # One draw per call: every point of a batch scales the same three unit
+    # sample variances, each Gamma((shots-1)/2) * 2/(shots-1) by Cochran's
+    # theorem, so the cost does not grow with ``shots``.
+    dof = det.shots - 1
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_gamma(dof / 2.0, size=len(HOMODYNE_ANGLES)) * (2.0 / dof)
+    variances = [variance * u for variance, u in zip(variances, unit)]
+    stderrs = [math.sqrt(2.0 / dof) * variance for variance in variances]
+
+    # A finite-shot reading is an estimate: shot noise may carry it below
+    # the vacuum floor, so it is inverted unchecked (a non-positive j' then
+    # leaves the purity undefined).  The errors carry the three sampled
     # variances through that same inversion.
-    corrected = invert_loss_homodyne(*_principal_variances(*variances), det.eta)
-    n_err = j_err = None
-    if stderrs is not None:
-        _, _, j_err, n_err = propagate(
-            lambda *v: _inversion(*_principal_variances(*v), det.eta), variances, stderrs
-        )
-    return corrected.n_prime, corrected.j_prime, n_err, j_err
+    def estimate(*v):
+        _, _, j_prime, n_prime = _inversion(*_principal_variances(*v), det.eta)
+        return j_prime, n_prime
+
+    j_prime, n_prime = estimate(*variances)
+    j_err, n_err = propagate(estimate, variances, stderrs)
+    return n_prime, j_prime, n_err, j_err
 
 
 def _observe_photocount(n, m, det: DetectorModel, seed):
@@ -265,13 +280,16 @@ def observe_mode1(
 
     Every kind first mixes in vacuum noise via :func:`lossy_moments`; the
     ideal detector is exact photon counting at eta = 1, where that admixture
-    leaves the closed-form moments unchanged.  Homodyne readout then samples
-    (for finite shots) three quadrature variances and inverts the admixture,
-    while photocount readout perturbs the lossy moments with Gaussian noise
-    at the physical shot-noise scale.  Deterministic in ``seed``: a call
-    builds one generator from ``seed`` and draws once, and every point of a
-    batch scales those same draws, so it reads what its single-state call
-    with that seed reads.
+    leaves the closed-form moments unchanged.  Homodyne readout then inverts
+    the admixture on three quadrature variances; for finite shots each is
+    scaled by one chi-square (gamma) draw, at a cost independent of
+    ``shots``, and inverted without the vacuum floor check, so a noisy
+    non-positive j' leaves purity and wigner0 NaN.  Photocount readout
+    perturbs the lossy moments with Gaussian noise at the physical
+    shot-noise scale.  Deterministic in ``seed``: a call builds one
+    generator from ``seed`` and draws once, and every point of a batch
+    scales those same draws, so it reads what its single-state call with
+    that seed reads.
     """
     n, m = lossy_moments(*output_mode1_moments(v, setting), det.eta)
     observe = _observe_homodyne if det.kind == "lossy-homodyne" else _observe_photocount

@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from types import SimpleNamespace
 
@@ -263,7 +264,11 @@ def _resolve_detector(cfg) -> DetectorModel:
 
 
 def _opt(value):
-    return None if value is None else float(value)
+    """A JSON number, or None where the value is absent or undefined (NaN)."""
+    if value is None:
+        return None
+    value = float(value)
+    return None if math.isnan(value) else value
 
 
 def _invariants_dict(inv: InvariantSet) -> dict:
@@ -296,8 +301,8 @@ def _observation_dict(obs) -> dict:
         "phi": float(obs.setting.phi),
         "n_prime": float(obs.n_prime),
         "j_prime": float(obs.j_prime),
-        "purity": float(obs.purity),
-        "wigner0": float(obs.wigner0),
+        "purity": _opt(obs.purity),
+        "wigner0": _opt(obs.wigner0),
     }
     if obs.n_stderr is not None:
         out["n_stderr"] = float(obs.n_stderr)
@@ -447,7 +452,8 @@ def _render_csv(rows) -> str:
 
 
 def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # An undefined value is null; a NaN token would make the file invalid JSON.
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path) -> None:

@@ -128,14 +128,16 @@ def propagate(f, values, errors):
     not raise; a tuple of outputs gives a tuple of standard errors.
     """
     k = len(values)
-    x, e = np.split(np.array(np.broadcast_arrays(*values, *errors), dtype=float), 2)
-    moved, axis = np.stack([x] * (2 * k)), np.arange(k)
-    moved[axis, axis] += PROPAGATION_STEP * e
-    moved[axis + k, axis] -= PROPAGATION_STEP * e
-    out = f(*np.moveaxis(moved, 1, 0))
+    x = np.array(np.broadcast_arrays(*values, *errors), dtype=float)
+    step = PROPAGATION_STEP * x[k:]
+    moved, axis = np.repeat(x[None, :k], 2 * k, axis=0), np.arange(k)
+    moved[axis, axis] += step
+    moved[axis + k, axis] -= step
+    out = f(*moved.swapaxes(0, 1))
 
     def spread(y):
-        return as_field(np.sqrt(np.sum(((y[:k] - y[k:]) / (2.0 * PROPAGATION_STEP)) ** 2, axis=0)))
+        slope = (y[:k] - y[k:]) / (2.0 * PROPAGATION_STEP)
+        return as_field(np.sqrt((slope * slope).sum(axis=0)))
 
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
 
@@ -156,13 +158,15 @@ class QuadCovariance:
             raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("covariance entries must be finite")
-        asym = float(np.max(np.abs(g - g.swapaxes(-1, -2)), initial=0.0))
-        if asym > SYMMETRY_ATOL:
+        # Halves first: the sum or difference of two entries near the float
+        # limit overflows.  The check compares |g - g^T|/2 with half the tolerance.
+        half = g / 2.0
+        skew = float(np.max(np.abs(half - half.swapaxes(-1, -2)), initial=0.0))
+        if skew > SYMMETRY_ATOL / 2.0:
             raise ValueError(
-                f"covariance matrix is not symmetric (max asymmetry {asym:.3e})"
+                f"covariance matrix is not symmetric (max |g - g^T|/2 = {skew:.3e})"
             )
-        # Halves first: the sum of two entries near the float limit overflows.
-        g = g / 2.0 + g.swapaxes(-1, -2) / 2.0
+        g = half + half.swapaxes(-1, -2)
         g.flags.writeable = False
         object.__setattr__(self, "entries", g)
 
@@ -217,7 +221,10 @@ class ModeCovariance:
                 raise UnphysicalStateError(
                     f"n{label} = {first_where(below, n)} violates the vacuum floor 1/2"
                 )
-            if any_point(n * n - abs(m) ** 2 < 0.25 - PHYSICALITY_SLACK):
+            det = n * n - (m.real * m.real + m.imag * m.imag)
+            if any_point(np.isnan(det)):  # inf - inf: both squares overflow
+                raise ValueError(f"det V{label} overflows double precision")
+            if any_point(det < 0.25 - PHYSICALITY_SLACK):
                 raise UnphysicalStateError(
                     f"reduced mode {label} violates det V{label} >= 1/4"
                 )

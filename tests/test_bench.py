@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaussbench import (
+    SCHEME2_PLAN,
     BenchSetting,
     DetectorModel,
     UnphysicalMeasurementError,
@@ -13,6 +14,7 @@ from gaussbench import (
     observe_mode1,
     quad_to_mode,
     random_state,
+    standard_form_prep,
     tmsv_state,
     vacuum_state,
 )
@@ -210,6 +212,29 @@ class TestSampling:
             errors.append(obs.n_stderr)
         pooled_se = np.mean(errors) / math.sqrt(len(estimates))
         assert abs(np.mean(estimates) - 0.5) < 3 * pooled_se
+
+    @pytest.mark.parametrize("state", ["tmsv", "random"])
+    def test_pulls_are_calibrated(self, state):
+        # Each reading's (value - exact)/stderr over 1000 seeded runs has
+        # mean 0 and std 1, at every scheme-2 setting of the state and of
+        # its standard form.
+        v = quad_to_mode(tmsv_state(0.5) if state == "tmsv" else random_state(3))
+        det = homodyne(5000, eta=0.8)
+        for target in (v, standard_form_prep(v).vt):
+            for index, entry in enumerate(SCHEME2_PLAN):
+                exact = observe_mode1(target, entry.setting)
+                runs = [
+                    observe_mode1(target, entry.setting, det, seed=[index, rep])
+                    for rep in range(1000)
+                ]
+                for field in ("n", "j"):
+                    want = getattr(exact, f"{field}_prime")
+                    pulls = [
+                        (getattr(o, f"{field}_prime") - want) / getattr(o, f"{field}_stderr")
+                        for o in runs
+                    ]
+                    assert 0.9 <= np.std(pulls) <= 1.1, (field, entry.setting)
+                    assert abs(np.mean(pulls)) <= 0.15, (field, entry.setting)
 
     def test_same_seed_reproduces(self):
         # A weakly squeezed mixed output mode: none of 1000 seeds puts the

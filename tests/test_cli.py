@@ -188,6 +188,37 @@ def test_two_state_sources_is_config_error(tmp_path):
     assert run_cli("run", "--state", str(path), "--generator", "vacuum") == 1
 
 
+def test_undefined_purity_is_written_as_null(tmp_path):
+    # At r = 1, eta = 0.8 and 1000 shots, shot noise carries some j' readings
+    # of seed 5 below zero, where purity and W(0) are undefined.
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "run", "--generator", "tmsv", "--r", "1", "--detector", "lossy-homodyne",
+        "--eta", "0.8", "--shots", "1000", "--seed", "5", "--out", str(out),
+    )
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    observations = report["scheme1"]["observations"] + report["scheme2"]["observations"]
+    undefined = [obs for obs in observations if obs["j_prime"] <= 0.0]
+    assert undefined
+    assert all(obs["purity"] is None and obs["wigner0"] is None for obs in undefined)
+    assert run_cli("replay", "--report", str(out)) == 0
+
+
+def test_noisy_reading_that_defeats_reconstruction_exits_2(capsys):
+    # Seed 42's noisy J readings at full transmission fall below zero.
+    code = run_cli(
+        "run", "--generator", "random", "--seed", "42", "--detector", "lossy-homodyne",
+        "--eta", "0.8", "--shots", "1000",
+    )
+    assert code == 2
+    assert "error: non-positive J1/J2 reconstructed" in capsys.readouterr().err
+
+
 def test_unreadable_state_file_is_config_error():
     assert run_cli("run", "--state", "/no/such/file.json") == 1
 

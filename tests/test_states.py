@@ -79,6 +79,13 @@ class TestQuadCovariance:
         with pytest.raises(ValueError):
             QuadCovariance(m)
 
+    def test_asymmetry_near_the_float_limit_is_reported_finite(self):
+        # g - g^T would overflow on opposite-sign entries of 1e308.
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match=r"max \|g - g\^T\|/2 = 1\.000e\+308"):
+            QuadCovariance(m)
+
     def test_entries_read_only(self):
         g = vacuum_state()
         with pytest.raises(ValueError):
@@ -98,6 +105,13 @@ class TestModeCovariance:
         # n^2 - |m|^2 >= 1/4 is the single-mode uncertainty floor
         with pytest.raises(UnphysicalStateError):
             ModeCovariance(n1=0.6, n2=0.5, m1=0.59)
+
+    def test_uncertainty_floor_that_overflows_is_a_value_error(self):
+        # Both n1^2 and |m1|^2 overflow, so det V1 cannot be checked.
+        with pytest.raises(ValueError, match="det V1 overflows double precision"):
+            ModeCovariance(n1=1e200, n2=1.0, m1=5e199)
+        with pytest.raises(ValueError, match="det V2 overflows double precision"):
+            ModeCovariance(n1=1.0, n2=1e200, m2=5e199j)
 
     def test_matrix_layout(self):
         v = ModeCovariance(n1=0.8, n2=0.9, m1=0.1j, ms=0.2, mc=-0.3 + 0.1j)
