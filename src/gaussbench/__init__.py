@@ -12,9 +12,8 @@ cross-checkable against direct covariance-matrix computations.
 from .bench import (
     BenchSetting,
     DetectorModel,
-    LossInversion,
     Mode1Observation,
-    invert_loss_homodyne,
+    invert_loss,
     observe_mode1,
     output_mode1_moments,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "EntanglementReport",
     "GaussBenchError",
     "InvariantSet",
-    "LossInversion",
     "Mode1Observation",
     "ModeCovariance",
     "PhysicalityReport",
@@ -96,7 +94,7 @@ __all__ = [
     "consistency_check",
     "entanglement_report",
     "invariants_quad",
-    "invert_loss_homodyne",
+    "invert_loss",
     "load_state",
     "mode_to_quad",
     "observe_mode1",

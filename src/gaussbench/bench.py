@@ -21,16 +21,18 @@ evaluated elementwise over a batch of states (see :mod:`gaussbench.states`).
 Detector imperfections are modeled as a vacuum admixture
 V -> eta V + (1 - eta)/2 I (a fictitious beam splitter of transmittance
 eta in front of an ideal detector), that is n -> eta n + (1 - eta)/2 and
-m -> eta m.  For homodyne readout the admixture is exactly invertible per
-quadrature variance, which is what :func:`invert_loss_homodyne` does;
-photon counting reports the moments of the attenuated mode.
+m -> eta m.  Every detector kind reads the attenuated mode's (n, j) and
+undoes the admixture exactly with :func:`invert_loss`: photon counting
+reads the pair directly, and homodyne readout takes it in closed form from
+three quadrature variances (a quarter of the trace and of the determinant
+of the quadrature covariance they fix).
 
 Finite-shot homodyne readout samples each quadrature's sample variance
 directly.  By Cochran's theorem the sample variance of k standard normals is
 distributed as chi^2_{k-1}/(k-1) = Gamma((k-1)/2) * 2/(k-1), so one gamma
 draw per angle replaces k simulated shots and a reading costs the same at
-any shot count.  Such a reading is an estimate: the vacuum floor that
-:func:`invert_loss_homodyne` enforces applies to exact readings only.
+any shot count.  Such a reading is an estimate: the check that the corrected
+mode's quadrature variances are not negative applies to exact readings only.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ __all__ = [
     "BenchSetting",
     "DetectorModel",
     "Mode1Observation",
-    "LossInversion",
     "output_mode1_moments",
     "lossy_moments",
     "homodyne_variance",
-    "invert_loss_homodyne",
+    "invert_loss",
     "observe_mode1",
 ]
 
@@ -137,16 +138,6 @@ class Mode1Observation:
     j_stderr: float | None = None
 
 
-@dataclass(frozen=True)
-class LossInversion:
-    """Loss-corrected principal variances and the derived moments."""
-
-    v_min: float
-    v_max: float
-    j_prime: float
-    n_prime: float
-
-
 def output_mode1_moments(v: ModeCovariance, setting: BenchSetting):
     """Closed-form moments (n', m') of output mode 1 at one bench setting.
 
@@ -182,41 +173,44 @@ def homodyne_variance(n, m, angle: float):
     return 2.0 * n - 2.0 * (m * cmath.exp(-2j * angle)).real
 
 
-def _inversion(v_min_meas, v_max_meas, eta):
-    """The fields of :class:`LossInversion`, unchecked."""
-    floor = 1.0 - eta
-    v_min = (v_min_meas - floor) / eta
-    v_max = (v_max_meas - floor) / eta
-    return v_min, v_max, v_min * v_max / 4.0, (v_min + v_max) / 4.0
+def invert_loss(n, j, eta):
+    """Undo the vacuum admixture of :func:`lossy_moments` on a mode's measured (n, j).
 
-
-def invert_loss_homodyne(v_min_meas, v_max_meas, eta_hom) -> LossInversion:
-    """Undo the vacuum admixture on measured principal quadrature variances.
-
-    Each measured variance satisfies meas = eta * true + (1 - eta), so
-    true = (meas - 1 + eta)/eta.  The output moments follow from the
-    corrected pair: tr gamma'_1 = 2 tr V'_1 = 4 n' gives
-    n' = (v_min + v_max)/4, and det gamma'_1 = 4 det V'_1 gives
-    j' = v_min v_max / 4.  A variance below the vacuum floor 1 - eta raises
-    :class:`UnphysicalMeasurementError`.
+    The attenuated mode has n_m = eta n + (1 - eta)/2 and
+    j_m = n_m^2 - eta^2 |m|^2, so
+    n = (n_m - (1 - eta)/2)/eta and
+    j = (j_m - (1 - eta) n_m + (1 - eta)^2/4)/eta^2.
+    Elementwise and unchecked: a noisy estimate may come out unphysical.
+    At eta = 1 it returns (n, j) unchanged.  The j numerator cancels down to
+    O(eta^2), so its rounding error grows like eps/eta^2 at small eta.
     """
-    _check_efficiency(eta_hom, "eta_hom")
-    below = (v_min_meas < 1.0 - eta_hom - 1e-12) | (v_max_meas < 1.0 - eta_hom - 1e-12)
-    if any_point(below):
-        eta = first_where(below, eta_hom)
-        raise UnphysicalMeasurementError(
-            f"measured variance below the vacuum floor {1.0 - eta} for eta = {eta}"
-        )
-    return LossInversion(*_inversion(v_min_meas, v_max_meas, eta_hom))
+    _check_efficiency(eta)
+    loss = 1.0 - eta
+    return (n - loss * 0.5) / eta, (j - loss * n + loss * loss * 0.25) / (eta * eta)
 
 
-def _principal_variances(v0, v90, v45):
-    """Eigenvalues mean -+ sqrt(half_diff^2 + off^2) of the 2x2 quadrature
-    covariance read at HOMODYNE_ANGLES; the pi/4 variance fixes the off-diagonal."""
+def _homodyne_moments(v0, v90, v45):
+    """(n, j) of a mode from its variances at HOMODYNE_ANGLES: a quarter of
+    the trace and of the determinant of its 2x2 quadrature covariance, whose
+    off-diagonal the pi/4 variance fixes."""
     off = v45 - (v0 + v90) / 2.0
-    mean = (v0 + v90) / 2.0
-    radius = np.hypot((v0 - v90) / 2.0, off)
-    return mean - radius, mean + radius
+    return (v0 + v90) / 4.0, (v0 * v90 - off * off) / 4.0
+
+
+def _check_exact(n_prime, j_prime, eta):
+    """Raise unless the corrected mode's quadrature variances are >= -delta.
+
+    With delta = 1e-12/eta (a slack of 1e-12 on the attenuated mode), the
+    eigenvalues 2 n' -+ 2 sqrt(n'^2 - j') of the quadrature covariance are
+    >= -delta exactly when n' >= -delta/2 and j' >= -delta (n' + delta/4).
+    """
+    delta = 1e-12 / eta
+    below = (n_prime < -delta / 2.0) | (j_prime < -delta * (n_prime + delta / 4.0))
+    if any_point(below):
+        raise UnphysicalMeasurementError(
+            "loss-corrected mode has a negative quadrature variance "
+            f"(n' = {first_where(below, n_prime)}, j' = {first_where(below, j_prime)})"
+        )
 
 
 def _derived_purity(j_prime):
@@ -225,14 +219,12 @@ def _derived_purity(j_prime):
     return as_field(purity), as_field(purity / math.pi)
 
 
-def _observe_homodyne(n, m, det: DetectorModel, seed):
+def _homodyne_readings(n, m, det: DetectorModel, seed):
+    """The three quadrature variances of the attenuated mode, and their
+    standard errors (None when exact)."""
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
-    # The admixture is isotropic, so undoing it on the principal variances
-    # equals undoing it per angle.
     if det.shots is None:
-        corrected = invert_loss_homodyne(*_principal_variances(*variances), det.eta)
-        return corrected.n_prime, corrected.j_prime, None, None
-
+        return variances, None
     # One draw per call: every point of a batch scales the same three unit
     # sample variances, each Gamma((shots-1)/2) * 2/(shots-1) by Cochran's
     # theorem, so the cost does not grow with ``shots``.
@@ -240,34 +232,23 @@ def _observe_homodyne(n, m, det: DetectorModel, seed):
     rng = np.random.default_rng(seed)
     unit = rng.standard_gamma(dof / 2.0, size=len(HOMODYNE_ANGLES)) * (2.0 / dof)
     variances = [variance * u for variance, u in zip(variances, unit)]
-    stderrs = [math.sqrt(2.0 / dof) * variance for variance in variances]
-
-    # A finite-shot reading is an estimate: shot noise may carry it below
-    # the vacuum floor, so it is inverted unchecked (a non-positive j' then
-    # leaves the purity undefined).  The errors carry the three sampled
-    # variances through that same inversion.
-    def estimate(*v):
-        _, _, j_prime, n_prime = _inversion(*_principal_variances(*v), det.eta)
-        return j_prime, n_prime
-
-    j_prime, n_prime = estimate(*variances)
-    j_err, n_err = propagate(estimate, variances, stderrs)
-    return n_prime, j_prime, n_err, j_err
+    return variances, [math.sqrt(2.0 / dof) * variance for variance in variances]
 
 
-def _observe_photocount(n, m, det: DetectorModel, seed):
+def _photocount_readings(n, m, det: DetectorModel, seed):
+    """(n, j) of the attenuated mode, and their standard errors (None when exact)."""
+    j = _determinant(n, m)
     if det.shots is None:
-        return n, _determinant(n, m), None, None
+        return [n, j], None
     # Photon-number variance of a Gaussian mode with moments (n, m):
     # <dN^2> = n^2 - 1/4 + |m|^2; the purity-route j estimate is modeled
     # with a 2 j / sqrt(shots) error.
-    j_true = _determinant(n, m)
     m_sq = m.real * m.real + m.imag * m.imag
     n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
-    j_err = 2.0 * j_true / math.sqrt(det.shots)
+    j_err = 2.0 * j / math.sqrt(det.shots)
     rng = np.random.default_rng(seed)
     z_n, z_j = rng.standard_normal(), rng.standard_normal()
-    return n + n_err * z_n, j_true + j_err * z_j, n_err, j_err
+    return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
 
 
 def observe_mode1(
@@ -278,20 +259,34 @@ def observe_mode1(
 ) -> Mode1Observation:
     """Measure N and J of output mode 1 at one bench setting.
 
-    Every kind first mixes in vacuum noise via :func:`lossy_moments`; the
-    ideal detector is exact photon counting at eta = 1, where that admixture
-    leaves the closed-form moments unchanged.  Homodyne readout then inverts
-    the admixture on three quadrature variances; for finite shots each is
-    scaled by one chi-square (gamma) draw, at a cost independent of
-    ``shots``, and inverted without the vacuum floor check, so a noisy
-    non-positive j' leaves purity and wigner0 NaN.  Photocount readout
-    perturbs the lossy moments with Gaussian noise at the physical
-    shot-noise scale.  Deterministic in ``seed``: a call builds one
-    generator from ``seed`` and draws once, and every point of a batch
-    scales those same draws, so it reads what its single-state call with
-    that seed reads.
+    Every kind reads the mode after the vacuum admixture of
+    :func:`lossy_moments` and undoes it with :func:`invert_loss`; the ideal
+    detector is exact photon counting at eta = 1, where both steps leave the
+    closed-form moments unchanged.  Homodyne readout reads three quadrature
+    variances, photon counting reads (n, j) directly.  An exact reading
+    whose corrected mode has a negative quadrature variance raises
+    :class:`UnphysicalMeasurementError`.  For finite shots each homodyne
+    variance is scaled by one chi-square (gamma) draw, at a cost independent
+    of ``shots``, and each photocount reading is perturbed with Gaussian
+    noise at the physical shot-noise scale; the estimate is inverted
+    unchecked, so a noisy non-positive j' leaves purity and wigner0 NaN, and
+    its standard errors carry the raw readings' through that same
+    inversion.  Deterministic in ``seed``: a call builds one generator from
+    ``seed`` and draws once, and every point of a batch scales those same
+    draws, so it reads what its single-state call with that seed reads.
     """
     n, m = lossy_moments(*output_mode1_moments(v, setting), det.eta)
-    observe = _observe_homodyne if det.kind == "lossy-homodyne" else _observe_photocount
-    n_prime, j_prime, n_err, j_err = observe(n, m, det, seed)
+    homodyne = det.kind == "lossy-homodyne"
+    read = _homodyne_readings if homodyne else _photocount_readings
+    readings, errors = read(n, m, det, seed)
+
+    def estimate(*raw):
+        return invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
+
+    n_prime, j_prime = estimate(*readings)
+    if errors is None:
+        _check_exact(n_prime, j_prime, det.eta)
+        n_err = j_err = None
+    else:
+        n_err, j_err = propagate(estimate, readings, errors)
     return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)

@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from types import SimpleNamespace
 
@@ -60,6 +59,7 @@ from .states import (
     first_where,
     invariants_quad,
     mode_to_quad,
+    optional_field,
     quad_to_mode,
     validate_physical,
 )
@@ -263,35 +263,27 @@ def _resolve_detector(cfg) -> DetectorModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _opt(value):
-    """A JSON number, or None where the value is absent or undefined (NaN)."""
-    if value is None:
-        return None
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
 def _invariants_dict(inv: InvariantSet) -> dict:
     return {
         "j1": float(inv.j1),
         "j2": float(inv.j2),
         "j3": float(inv.j3),
-        "j4": _opt(inv.j4),
+        "j4": optional_field(inv.j4),
         "i1": float(inv.i1),
         "i2": float(inv.i2),
         "i3": float(inv.i3),
-        "i4": _opt(inv.i4),
+        "i4": optional_field(inv.i4),
     }
 
 
 def _entanglement_dict(rep: EntanglementReport) -> dict:
     return {
         "separable": None if rep.separable is None else bool(rep.separable),
-        "simon_lhs_minus_rhs": _opt(rep.simon_lhs_minus_rhs),
-        "eof": _opt(rep.eof),
-        "eof_lower_bound": _opt(rep.eof_lower_bound),
-        "log_negativity": _opt(rep.log_negativity),
-        "nu_tilde_minus": _opt(rep.nu_tilde_minus),
+        "simon_lhs_minus_rhs": optional_field(rep.simon_lhs_minus_rhs),
+        "eof": optional_field(rep.eof),
+        "eof_lower_bound": optional_field(rep.eof_lower_bound),
+        "log_negativity": optional_field(rep.log_negativity),
+        "nu_tilde_minus": optional_field(rep.nu_tilde_minus),
     }
 
 
@@ -301,8 +293,8 @@ def _observation_dict(obs) -> dict:
         "phi": float(obs.setting.phi),
         "n_prime": float(obs.n_prime),
         "j_prime": float(obs.j_prime),
-        "purity": _opt(obs.purity),
-        "wigner0": _opt(obs.wigner0),
+        "purity": optional_field(obs.purity),
+        "wigner0": optional_field(obs.wigner0),
     }
     if obs.n_stderr is not None:
         out["n_stderr"] = float(obs.n_stderr)
@@ -343,13 +335,13 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
     }
     if result.scheme == "scheme2":
         section["cross_block"] = {
-            "ms_real": _opt(result.ms_real),
-            "ms_imag": _opt(result.ms_imag),
-            "mc_magnitude": _opt(result.mc_magnitude),
+            "ms_real": optional_field(result.ms_real),
+            "ms_imag": optional_field(result.ms_imag),
+            "mc_magnitude": optional_field(result.mc_magnitude),
         }
         section["standard_form_residuals"] = {
-            "m1": _opt(result.residual_m1),
-            "m2": _opt(result.residual_m2),
+            "m1": optional_field(result.residual_m1),
+            "m2": optional_field(result.residual_m2),
         }
     return section
 
@@ -546,7 +538,9 @@ def _cmd_replay(cfg) -> int:
             continue
         try:
             records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
-            reported = {key: _opt(section["invariants"].get(key)) for key in _J_KEYS}
+            reported = {key: optional_field(section["invariants"].get(key)) for key in _J_KEYS}
+            if any(isinstance(want, np.ndarray) for want in reported.values()):
+                raise TypeError("an invariant is not a number")
             special_form = section.get("special_form")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from gaussbench.bench import HOMODYNE_ANGLES, BenchSetting, DetectorModel, invert_loss_homodyne
+from gaussbench.bench import HOMODYNE_ANGLES, BenchSetting
 from gaussbench.states import (
     InvariantSet,
     ModeCovariance,
@@ -187,19 +187,13 @@ def homodyne_variances(v: ModeCovariance, setting: BenchSetting, eta: float) -> 
     return [quadrature_variance(quad, a) for a in HOMODYNE_ANGLES]
 
 
-def observe_exact(v: ModeCovariance, setting: BenchSetting, det: DetectorModel):
-    """(n', j') that an exact-moment detector reports, by the matrix route."""
+def observe_exact(v: ModeCovariance, setting: BenchSetting):
+    """(n', j') that every exact-moment detector reports, by the matrix route.
+
+    Each kind undoes its loss exactly, so it reads the unattenuated output mode.
+    """
     v1p = output_mode1_covariance(v, setting)
-    if det.kind == "ideal":
-        return v1p[0, 0].real, np.linalg.det(v1p).real
-    if det.kind == "lossy-photocount":
-        lossy = apply_loss(v1p, det.eta)
-        return lossy[0, 0].real, np.linalg.det(lossy).real
-    v0, v90, v45 = homodyne_variances(v, setting, det.eta)
-    off = v45 - (v0 + v90) / 2.0
-    w = np.linalg.eigvalsh(np.array([[v0, off], [off, v90]]))
-    corrected = invert_loss_homodyne(float(w[0]), float(w[1]), det.eta)
-    return corrected.n_prime, corrected.j_prime
+    return v1p[0, 0].real, np.linalg.det(v1p).real
 
 
 def local_symplectic_matrix(s: SingleModeSymplectic) -> np.ndarray:

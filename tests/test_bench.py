@@ -9,8 +9,9 @@ from gaussbench import (
     SCHEME2_PLAN,
     BenchSetting,
     DetectorModel,
+    ModeCovariance,
     UnphysicalMeasurementError,
-    invert_loss_homodyne,
+    invert_loss,
     observe_mode1,
     quad_to_mode,
     random_state,
@@ -155,28 +156,36 @@ class TestLossModel:
 
     @pytest.mark.parametrize("eta", [0.1, 0.35, 0.5, 0.77, 0.9, 1.0])
     def test_homodyne_inversion_round_trip(self, eta):
-        v_min, v_max = 0.62, 2.4  # quadrature variances of some squeezed state
+        # A squeezed mode with principal quadrature variances v_min, v_max
+        # has n = (v_min + v_max)/4 and j = v_min v_max / 4; the detector
+        # reads each variance as eta v + 1 - eta.
+        v_min, v_max = 0.62, 2.4
         meas_min = eta * v_min + (1 - eta)
         meas_max = eta * v_max + (1 - eta)
-        inv = invert_loss_homodyne(meas_min, meas_max, eta)
-        assert inv.v_min == pytest.approx(v_min, rel=1e-12)
-        assert inv.v_max == pytest.approx(v_max, rel=1e-12)
-        assert inv.n_prime == pytest.approx((v_min + v_max) / 4, rel=1e-12)
-        assert inv.j_prime == pytest.approx(v_min * v_max / 4, rel=1e-12)
+        n, j = invert_loss((meas_min + meas_max) / 4, meas_min * meas_max / 4, eta)
+        assert n == pytest.approx((v_min + v_max) / 4, rel=1e-12)
+        assert j == pytest.approx(v_min * v_max / 4, rel=1e-12)
 
     def test_vacuum_inversion_gives_half_quarter(self):
-        inv = invert_loss_homodyne(1.0, 1.0, 0.5)
-        assert inv.n_prime == pytest.approx(0.5, abs=1e-14)
-        assert inv.j_prime == pytest.approx(0.25, abs=1e-14)
+        n, j = invert_loss(0.5, 0.25, 0.5)
+        assert n == pytest.approx(0.5, abs=1e-14)
+        assert j == pytest.approx(0.25, abs=1e-14)
 
     def test_below_floor_measurement_is_rejected(self):
-        # eta = 0.4 means no measured variance can sit below 0.6.
+        # At theta = pi/4 this input gives an isotropic output mode with
+        # quadrature variance 1 - 2 ms, read at eta = 0.4 as 1 - 0.8 ms.
+        # ms = 0.5 puts the corrected variance at 0, which passes; ms =
+        # 0.5625 reads 0.55, below the floor 1 - eta = 0.6.
+        setting = BenchSetting(math.pi / 4, 0.0)
+        det = DetectorModel(kind="lossy-homodyne", eta=0.4)
+        at_floor = observe_mode1(ModeCovariance(0.5, 0.5, ms=0.5), setting, det)
+        assert at_floor.n_prime == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(UnphysicalMeasurementError):
-            invert_loss_homodyne(0.55, 1.2, 0.4)
+            observe_mode1(ModeCovariance(0.5, 0.5, ms=0.5625), setting, det)
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
-            invert_loss_homodyne(1.0, 1.0, 0.0)
+            invert_loss(0.5, 0.25, 0.0)
         with pytest.raises(ValueError):
             apply_loss(np.eye(2), 1.5)
 
@@ -299,16 +308,39 @@ class TestObserveMode1:
         assert abs(noisy.n_prime - ideal.n_prime) < NUM_STDS * noisy.n_stderr
         assert abs(noisy.j_prime - ideal.j_prime) < NUM_STDS * noisy.j_stderr
 
-    def test_exact_photocount_with_loss_reports_lossy_moments(self):
-        # The photocount detector has no variance-level correction, so at
-        # eta < 1 it reports the moments of the attenuated mode.
+    def test_sampled_lossy_photocount_reads_the_unattenuated_mode(self):
+        v = quad_to_mode(tmsv_state(0.4))
+        setting = BenchSetting(math.pi / 4, math.pi / 2)
+        ideal = observe_mode1(v, setting)
+        det = DetectorModel(kind="lossy-photocount", eta=0.8, shots=50000)
+        for seed in range(20):
+            noisy = observe_mode1(v, setting, det, seed=seed)
+            assert abs(noisy.n_prime - ideal.n_prime) < NUM_STDS * noisy.n_stderr
+            assert abs(noisy.j_prime - ideal.j_prime) < NUM_STDS * noisy.j_stderr
+
+    def test_exact_photocount_with_loss_is_loss_corrected(self):
+        # One arm of a TMSV at r = 0.5 is thermal with n = cosh(1)/2; the
+        # detector sees eta n + (1 - eta)/2 and undoes it exactly.
         v = quad_to_mode(tmsv_state(0.5))
-        setting = BenchSetting(0.0, 0.0)
-        eta = 0.6
-        det = DetectorModel(kind="lossy-photocount", eta=eta)
-        obs = observe_mode1(v, setting, det)
-        lossy_n = eta * math.cosh(1.0) / 2 + (1 - eta) * 0.5
-        assert obs.n_prime == pytest.approx(lossy_n, rel=1e-12)
+        det = DetectorModel(kind="lossy-photocount", eta=0.6)
+        obs = observe_mode1(v, BenchSetting(0.0, 0.0), det)
+        assert obs.n_prime == pytest.approx(math.cosh(1.0) / 2, rel=1e-12)
+        assert obs.j_prime == pytest.approx(math.cosh(1.0) ** 2 / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ideal", "lossy-homodyne", "lossy-photocount"])
+    def test_exact_reading_with_a_negative_variance_is_rejected(self, kind):
+        # The input passes the per-mode checks but its output mode at
+        # theta = pi/4 has n' = 0.5 - 0.6 < 0.  Every exact reading rejects
+        # it; a finite-shot reading is an estimate and stays unchecked.
+        v = ModeCovariance(n1=0.5, n2=0.5, ms=0.6)
+        setting = BenchSetting(math.pi / 4, 0.0)
+        eta = 1.0 if kind == "ideal" else 0.8
+        with pytest.raises(UnphysicalMeasurementError):
+            observe_mode1(v, setting, DetectorModel(kind=kind, eta=eta))
+        if kind != "ideal":
+            sampled = DetectorModel(kind=kind, eta=eta, shots=1000)
+            noisy = observe_mode1(v, setting, sampled, seed=1)
+            assert noisy.n_prime < 0.0
 
     def test_detector_model_validation(self):
         with pytest.raises(ValueError):

@@ -513,6 +513,7 @@ def _set_invariant(key, value):
         pytest.param("scheme1", _set_record("theta", "x"), id="theta-not-a-number"),
         pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
         pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
+        pytest.param("scheme2", _set_invariant("j3", [0.1]), id="list-invariant"),
         pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
         pytest.param("scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
         pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),

@@ -11,7 +11,8 @@ MODULES = ("bench", "cli", "entanglement", "generators", "schemes", "stateio", "
 
 #: Names the package no longer has: undefined measures are NaN in an
 #: ``entanglement_report`` (``None`` for one state) and ``cross_block_form``
-#: classifies the cross block, so nothing raises for them.
+#: classifies the cross block, so nothing raises for them; ``invert_loss``
+#: undoes the loss of every detector kind.
 REMOVED = (
     "eof_symmetric",
     "eof_lower_bound",
@@ -19,6 +20,8 @@ REMOVED = (
     "detect_special_form",
     "NotSymmetricError",
     "NumericalDomainError",
+    "invert_loss_homodyne",
+    "LossInversion",
 )
 
 

@@ -345,6 +345,28 @@ def test_loss_corrected_scheme2_equals_ideal(eta):
         assert_invariants_close(lossy.invariants, ideal.invariants, include_j4=True)
 
 
+def census_states():
+    """The state classes of the benchmark's report population."""
+    for seed, (purity, symmetry) in enumerate(
+        [("pure", "symmetric"), ("pure", "general"), ("mixed", "symmetric"), ("mixed", "general")]
+    ):
+        yield random_state(700 + seed, purity=purity, symmetry=symmetry)
+    for seed, form in enumerate(["antidiagonal", "diagonal"]):
+        yield special_form_state(710 + seed, form=form)
+
+
+@pytest.mark.parametrize("run", [scheme1, scheme2], ids=["scheme1", "scheme2"])
+@pytest.mark.parametrize("eta", [0.5, 0.8])
+def test_exact_lossy_photocount_matches_the_oracle(run, eta):
+    det = DetectorModel(kind="lossy-photocount", eta=eta)
+    for g in census_states():
+        v = quad_to_mode(g)
+        result = run(v, det)
+        include_j4 = run is scheme2 or result.special_form is not None
+        assert include_j4 == (result.invariants.j4 is not None)
+        assert_invariants_close(result.invariants, invariants_mode(v), include_j4, atol=0.0)
+
+
 def test_finite_shot_scheme2_reports_errors_and_stays_close():
     v = quad_to_mode(tmsv_state(0.5))
     oracle = invariants_mode(v)
