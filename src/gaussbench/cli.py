@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from types import SimpleNamespace
 
@@ -59,7 +60,6 @@ from .states import (
     first_where,
     invariants_quad,
     mode_to_quad,
-    optional_field,
     quad_to_mode,
     validate_physical,
 )
@@ -263,27 +263,33 @@ def _resolve_detector(cfg) -> DetectorModel:
         raise ConfigError(str(exc)) from exc
 
 
+def _optional(x):
+    """A one-state value for a report: NaN, the mark of an undefined number, is null."""
+    x = as_field(x)
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
 def _invariants_dict(inv: InvariantSet) -> dict:
     return {
         "j1": float(inv.j1),
         "j2": float(inv.j2),
         "j3": float(inv.j3),
-        "j4": optional_field(inv.j4),
+        "j4": _optional(inv.j4),
         "i1": float(inv.i1),
         "i2": float(inv.i2),
         "i3": float(inv.i3),
-        "i4": optional_field(inv.i4),
+        "i4": _optional(inv.i4),
     }
 
 
 def _entanglement_dict(rep: EntanglementReport) -> dict:
     return {
         "separable": None if rep.separable is None else bool(rep.separable),
-        "simon_lhs_minus_rhs": optional_field(rep.simon_lhs_minus_rhs),
-        "eof": optional_field(rep.eof),
-        "eof_lower_bound": optional_field(rep.eof_lower_bound),
-        "log_negativity": optional_field(rep.log_negativity),
-        "nu_tilde_minus": optional_field(rep.nu_tilde_minus),
+        "simon_lhs_minus_rhs": _optional(rep.simon_lhs_minus_rhs),
+        "eof": _optional(rep.eof),
+        "eof_lower_bound": _optional(rep.eof_lower_bound),
+        "log_negativity": _optional(rep.log_negativity),
+        "nu_tilde_minus": _optional(rep.nu_tilde_minus),
     }
 
 
@@ -293,8 +299,8 @@ def _observation_dict(obs) -> dict:
         "phi": float(obs.setting.phi),
         "n_prime": float(obs.n_prime),
         "j_prime": float(obs.j_prime),
-        "purity": optional_field(obs.purity),
-        "wigner0": optional_field(obs.wigner0),
+        "purity": _optional(obs.purity),
+        "wigner0": _optional(obs.wigner0),
     }
     if obs.n_stderr is not None:
         out["n_stderr"] = float(obs.n_stderr)
@@ -303,23 +309,21 @@ def _observation_dict(obs) -> dict:
     return out
 
 
-def _rel(delta: float, reference: float):
-    return None if reference == 0.0 else delta / abs(reference)
-
-
 def _deltas_dict(scheme_inv: InvariantSet, oracle_inv: InvariantSet) -> dict:
     out = {}
     for name in _J_KEYS:
-        got = getattr(scheme_inv, name)
-        want = getattr(oracle_inv, name)
-        if got is None or want is None:
-            out[f"{name}_abs"] = None
-            out[f"{name}_rel"] = None
-        else:
-            delta = abs(float(got) - float(want))
-            out[f"{name}_abs"] = delta
-            out[f"{name}_rel"] = _rel(delta, float(want))
+        want = float(getattr(oracle_inv, name))
+        delta = abs(float(getattr(scheme_inv, name)) - want)
+        out[f"{name}_abs"] = _optional(delta)
+        out[f"{name}_rel"] = _optional(delta / abs(want) if want != 0.0 else math.nan)
     return out
+
+
+def _stderr_dict(stderr: dict | None) -> dict | None:
+    """The standard errors of one state; an error that is NaN (no J4) is left out."""
+    if stderr is None:
+        return None
+    return {name: e for name, e in stderr.items() if not math.isnan(e)}
 
 
 def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
@@ -327,7 +331,7 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
         "status": result.status,
         "special_form": result.special_form,
         "invariants": _invariants_dict(result.invariants),
-        "stderr": result.invariant_stderr,
+        "stderr": _stderr_dict(result.invariant_stderr),
         "deltas": _deltas_dict(result.invariants, oracle_inv),
         "entanglement": _entanglement_dict(result.entanglement),
         "observations": [_observation_dict(o) for o in result.observations],
@@ -335,13 +339,13 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
     }
     if result.scheme == "scheme2":
         section["cross_block"] = {
-            "ms_real": optional_field(result.ms_real),
-            "ms_imag": optional_field(result.ms_imag),
-            "mc_magnitude": optional_field(result.mc_magnitude),
+            "ms_real": _optional(result.ms_real),
+            "ms_imag": _optional(result.ms_imag),
+            "mc_magnitude": _optional(result.mc_magnitude),
         }
         section["standard_form_residuals"] = {
-            "m1": optional_field(result.residual_m1),
-            "m2": optional_field(result.residual_m2),
+            "m1": _optional(result.residual_m1),
+            "m2": _optional(result.residual_m2),
         }
     return section
 
@@ -525,6 +529,13 @@ def _cmd_validate(cfg) -> int:
     return 0 if phys.physical else 2
 
 
+def _reported(x):
+    """A report's number, or ``None`` for null; a bool, string or list there is malformed."""
+    if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+        raise TypeError(f"{x!r} is not a number")
+    return _optional(x)
+
+
 def _cmd_replay(cfg) -> int:
     path = cfg.get("report")
     if not path:
@@ -538,9 +549,7 @@ def _cmd_replay(cfg) -> int:
             continue
         try:
             records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
-            reported = {key: optional_field(section["invariants"].get(key)) for key in _J_KEYS}
-            if any(isinstance(want, np.ndarray) for want in reported.values()):
-                raise TypeError("an invariant is not a number")
+            reported = {key: _reported(section["invariants"].get(key)) for key in _J_KEYS}
             special_form = section.get("special_form")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc
@@ -550,11 +559,8 @@ def _cmd_replay(cfg) -> int:
             raise ConfigError(f"report section {name} has a malformed special_form")
         inv, _ = reconstruct_from_transcript(records, name, special_form)
         for key in _J_KEYS:
-            got = getattr(inv, key)
-            want = reported[key]
-            if (got is None) != (want is None):
-                raise GaussBenchError(f"replay of {name} disagrees on presence of {key}")
-            if got is not None and float(got) != want:
+            got, want = _optional(getattr(inv, key)), reported[key]
+            if got != want:  # a null on one side only, or a different number
                 raise GaussBenchError(
                     f"replay of {name} reproduced {key}={got!r}, report says {want!r}"
                 )

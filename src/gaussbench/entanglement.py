@@ -15,7 +15,8 @@ no covariance matrix is touched.  Logarithms are base 2 (bits).
   through Delta~ = I1 + I2 - 2 I3 and det gamma = I1 I2 + I3^2 - I4.
 
 The measures are elementwise.  Each closed form yields NaN where it is
-undefined, and :func:`entanglement_report` reports NaN as ``None`` (one state).
+undefined, for one state as at any point of a batch; a NaN J4 leaves every
+measure that needs it NaN, and nothing here raises on an invariant set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import InvariantSet, as_field, optional_field
+from .states import InvariantSet, as_field
 
 __all__ = [
     "EntanglementReport",
@@ -44,34 +45,34 @@ SYM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Separability verdict and measures; fields are None when undecidable.
+    """Separability verdict and measures; NaN marks an undefined measure.
 
-    ``eof``/``eof_lower_bound`` are absent for non-symmetric states, and
-    everything that needs the fourth invariant (``separable``,
-    ``simon_lhs_minus_rhs``, ``log_negativity``, ``nu_tilde_minus``) is
-    absent when the invariant set lacks it.  In a batch, NaN (``None`` in
-    ``separable``) marks an absent value.
+    ``eof``/``eof_lower_bound`` are NaN for non-symmetric states, and
+    everything that needs the fourth invariant (``simon_lhs_minus_rhs``,
+    ``eof``, ``log_negativity``, ``nu_tilde_minus``) is NaN where J4 is.
+    ``separable`` is ``None`` where the Simon margin is NaN (undecided).
     """
 
     separable: bool | None
-    simon_lhs_minus_rhs: float | None
-    eof: float | None
-    eof_lower_bound: float | None
-    log_negativity: float | None
-    nu_tilde_minus: float | None
+    simon_lhs_minus_rhs: float
+    eof: float
+    eof_lower_bound: float
+    log_negativity: float
+    nu_tilde_minus: float
 
 
-def simon_separable(inv: InvariantSet) -> tuple[bool, float]:
+def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
     """Evaluate the separability inequality.
 
     Returns ``(separable, margin)`` with
     margin = I1 I2 + (1 - |I3|)^2 - I4 - I1 - I2; the state is separable
-    iff I3 >= 0 or the margin is non-negative.
+    iff I3 >= 0 or the margin is non-negative.  Where the margin is NaN
+    (no J4) the verdict is ``None``: undecided.
     """
     i1, i2, i3 = inv.i1, inv.i2, inv.i3
-    i4 = inv.require_i4()
-    margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - i4 - i1 - i2
-    return as_field((i3 >= 0.0) | (margin >= 0.0), bool), as_field(margin)
+    margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - inv.i4 - i1 - i2
+    separable = np.where(np.isnan(margin), None, (i3 >= 0.0) | (margin >= 0.0))
+    return as_field(separable, object), as_field(margin)
 
 
 def _x_parameter(i1, i3, i4):
@@ -130,19 +131,14 @@ def _negativity(inv: InvariantSet):
 
 
 def entanglement_report(inv: InvariantSet) -> EntanglementReport:
-    """Assemble all verdicts/measures computable from the given invariants.
+    """Every verdict and measure of the given invariants, NaN where undefined.
 
-    Fields the invariant set cannot support stay None: everything beyond
-    the lower bound needs J4, the EoF entries need I1 = I2, and any of the
-    derived measures may be undefined when finite-shot noise pushed the
-    reconstructed set outside the physical region.
+    Everything beyond the lower bound needs J4, the EoF entries need
+    I1 = I2, and any of the derived measures may be undefined when
+    finite-shot noise pushed the reconstructed set outside the physical
+    region.
     """
-    bound = _eof(inv, 0.0)
-    eof = negativity = nu_minus = margin = separable = None
-    if inv.j4 is not None:
-        separable, margin = simon_separable(inv)
-        negativity, nu_minus = _negativity(inv)
-        eof = _eof(inv, inv.i4)
-        separable = as_field(np.where(np.isnan(margin), None, separable), object)
-    measures = (margin, eof, bound, negativity, nu_minus)
-    return EntanglementReport(separable, *(optional_field(x) for x in measures))
+    separable, margin = simon_separable(inv)
+    negativity, nu_minus = _negativity(inv)
+    measures = (margin, _eof(inv, inv.i4), _eof(inv, 0.0), negativity, nu_minus)
+    return EntanglementReport(separable, *map(as_field, measures))

@@ -126,14 +126,19 @@ class TranscriptRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TranscriptRecord":
-        value = float(data["value"])
-        stderr = None if data.get("stderr") is None else float(data["stderr"])
-        if not math.isfinite(value) or (stderr is not None and not math.isfinite(stderr)):
-            raise ValueError("transcript value and stderr must be finite")
-        theta, phi = float(data["theta"]), float(data["phi"])
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("transcript theta and phi must be finite")
-        return cls(theta, phi, str(data["observable"]), value, stderr)
+        """A record from its JSON object; ``stderr`` may be absent or null.
+
+        ``theta``, ``phi``, ``value`` and ``stderr`` must be finite numbers;
+        a bool or a string there is a ``TypeError``, not a number.
+        """
+        keys = ("theta", "phi", "value") + (() if data.get("stderr") is None else ("stderr",))
+        numbers = {key: data[key] for key in keys}
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers.values()):
+            raise TypeError(f"transcript numbers must be JSON numbers, got {numbers!r}")
+        numbers = {key: float(x) for key, x in numbers.items()}
+        if not all(map(math.isfinite, numbers.values())):
+            raise ValueError("transcript theta, phi, value and stderr must be finite")
+        return cls(observable=str(data["observable"]), **numbers)
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,10 @@ def reconstruct_scheme1(
 
     J1 and J2 are the determinant readings at (0, 0) and (pi/2, 0); J3
     combines the four theta = pi/4 determinant readings with the
-    photon-number readings.  When ``special_form`` says the cross block is
-    diagonal or antidiagonal, J4 = 2 |J3| sqrt(J1 J2) is attached (in a
-    batch, NaN where the form is ``None``).
+    photon-number readings.  J4 = 2 |J3| sqrt(J1 J2) where ``special_form``
+    says the cross block is diagonal or antidiagonal, and NaN where it is
+    ``None``.  Always four invariants, and four standard errors (the J4
+    error NaN with J4) unless every reading is exact.
     """
     names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
     values, errors = _readings(records, SCHEME1_PLAN, names)
@@ -255,11 +261,10 @@ def reconstruct_scheme1(
         j4 = 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1 * j2)
         return j1, j2, j3, np.where(known, j4, np.nan)
 
-    keys = _J_KEYS if any_point(known) else _J_KEYS[:3]
-    inv = InvariantSet(**dict(zip(keys, invariants(*values))))
+    inv = InvariantSet(*invariants(*values))
     if errors is None:
         return inv, None
-    return inv, dict(zip(keys, propagate(invariants, values, errors)))
+    return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors)))
 
 
 def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
@@ -321,8 +326,8 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
 
     If the input is block-diagonal with a diagonal or antidiagonal cross
     block, that structural fact (recorded in ``special_form``) upgrades the
-    result with the exact J4; otherwise the entanglement report contains
-    the symmetric lower bound only.
+    result with the exact J4; otherwise J4 is NaN and the entanglement
+    report has the symmetric lower bound only (every other measure NaN).
     """
     observations, records = _run_plan(v, SCHEME1_PLAN, det, seed)
     special = cross_block_form(v)

@@ -55,7 +55,6 @@ __all__ = [
     "PHYSICALITY_SLACK",
     "OMEGA",
     "as_field",
-    "optional_field",
     "first_where",
     "any_point",
     "PROPAGATION_STEP",
@@ -100,12 +99,6 @@ def as_field(x, kind=float):
     """``x`` as a plain scalar if it has no shape, else as an array (``object`` for labels)."""
     x = np.asarray(x, dtype=kind)
     return x.item() if x.ndim == 0 else x
-
-
-def optional_field(x):
-    """:func:`as_field` with NaN, the mark of an undefined value, as ``None`` for a scalar."""
-    x = None if x is None else as_field(x)
-    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def any_point(mask) -> bool:
@@ -236,26 +229,22 @@ class InvariantSet:
 
     The quadrature-convention values I1..I4 are derived properties with the
     exact scaling I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4, so the two
-    conventions can never drift apart.  ``j4`` may be ``None`` when a
-    measurement scheme could not determine it; in a batch, NaN marks the
-    points where it is unavailable.
+    conventions can never drift apart.  J1..J3 must be finite; ``j4`` is
+    NaN, for one state and at any point of a batch, where a measurement
+    scheme could not determine it (the default), and finite elsewhere.
     """
 
     j1: float
     j2: float
     j3: float
-    j4: float | None = None
+    j4: float = math.nan
 
     def __post_init__(self) -> None:
-        for name in ("j1", "j2", "j3"):
+        for name in ("j1", "j2", "j3", "j4"):
             object.__setattr__(self, name, as_field(getattr(self, name)))
-        values = [self.j1, self.j2, self.j3]
-        if self.j4 is not None:
-            object.__setattr__(self, "j4", as_field(self.j4))
-            j4 = self.j4
-            values.append(j4[~np.isnan(j4)] if isinstance(j4, np.ndarray) else j4)
-        if not all(np.isfinite(x).all() for x in values):
-            raise ValueError("invariants must be finite")
+        finite = all(np.isfinite(x).all() for x in (self.j1, self.j2, self.j3))
+        if not finite or np.isinf(self.j4).any():
+            raise ValueError("invariants must be finite (J4 may be NaN)")
 
     @property
     def i1(self) -> float:
@@ -270,17 +259,12 @@ class InvariantSet:
         return 4.0 * self.j3
 
     @property
-    def i4(self) -> float | None:
-        return None if self.j4 is None else 16.0 * self.j4
-
-    def require_i4(self) -> float:
-        if self.j4 is None:
-            raise ValueError("the fourth invariant is not available on this set")
+    def i4(self) -> float:
         return 16.0 * self.j4
 
     def quad_determinant(self) -> float:
-        """det(gamma) expressed through the invariants: I1 I2 + I3^2 - I4."""
-        return self.i1 * self.i2 + self.i3**2 - self.require_i4()
+        """det(gamma) expressed through the invariants: I1 I2 + I3^2 - I4 (NaN without J4)."""
+        return self.i1 * self.i2 + self.i3**2 - self.i4
 
 
 @dataclass(frozen=True)
@@ -372,15 +356,14 @@ class SingleModeSymplectic:
 
     The matrix is
 
-        [[exp(-i alpha) cosh theta,  exp(i beta) sinh theta],
-         [exp(-i beta) sinh theta,   exp(i alpha) cosh theta]]
+        [[exp(-i alpha) cosh theta,  exp(i alpha) sinh theta],
+         [exp(-i alpha) sinh theta,  exp(i alpha) cosh theta]]
 
-    with unit determinant; ``alpha`` and ``beta`` are phases and ``theta``
-    the squeeze magnitude.
+    with unit determinant; ``alpha`` is the phase and ``theta`` the squeeze
+    magnitude.
     """
 
     alpha: float
-    beta: float
     theta: float
 
 
@@ -398,7 +381,7 @@ class StandardFormResult:
 def _standardizing_local(n, m, label: str) -> SingleModeSymplectic:
     """Rotation+squeeze that cancels a single mode's m = -<a^2> correlation.
 
-    With m = |m| e^(i mu) the choice alpha = beta = (mu + pi)/2,
+    With m = |m| e^(i mu) the choice alpha = (mu + pi)/2,
     tanh(2 theta) = |m|/n sends the off-diagonal of S V_j S+ to
     n sinh(2 theta) - |m| cosh(2 theta) = 0 and the diagonal to
     sqrt(n^2 - |m|^2).  For m = 0 the exact identity is returned so that an
@@ -412,7 +395,7 @@ def _standardizing_local(n, m, label: str) -> SingleModeSymplectic:
     zero = magnitude == 0.0
     phase = as_field(np.where(zero, 0.0, (np.angle(m) + math.pi) / 2))
     theta = as_field(np.where(zero, 0.0, 0.5 * np.arctanh(magnitude / n)))
-    return SingleModeSymplectic(alpha=phase, beta=phase, theta=theta)
+    return SingleModeSymplectic(alpha=phase, theta=theta)
 
 
 def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
@@ -427,7 +410,7 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     s1 = _standardizing_local(v.n1, v.m1, "1")
     s2 = _standardizing_local(v.n2, v.m2, "2")
     (e1, f1, c1, h1), (e2, f2, c2, h2) = (
-        (np.exp(-1j * s.alpha), np.exp(1j * s.beta), np.cosh(s.theta), np.sinh(s.theta))
+        (np.exp(-1j * s.alpha), np.exp(1j * s.alpha), np.cosh(s.theta), np.sinh(s.theta))
         for s in (s1, s2)
     )
 

@@ -199,10 +199,8 @@ def observe_exact(v: ModeCovariance, setting: BenchSetting):
 def local_symplectic_matrix(s: SingleModeSymplectic) -> np.ndarray:
     """The 2x2 matrix of a one-mode rotation+squeeze on (a, a+)."""
     ch, sh = math.cosh(s.theta), math.sinh(s.theta)
-    ea, eb = cmath.exp(-1j * s.alpha), cmath.exp(1j * s.beta)
-    return np.array(
-        [[ea * ch, eb * sh], [np.conj(eb) * sh, np.conj(ea) * ch]], dtype=complex
-    )
+    e = cmath.exp(-1j * s.alpha)
+    return np.array([[e * ch, np.conj(e) * sh], [e * sh, np.conj(e) * ch]], dtype=complex)
 
 
 def standard_form_by_matrix(v: ModeCovariance, s1, s2) -> ModeCovariance:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussbench import ModeCovariance, load_state, save_state, tmsv_state
+from gaussbench import ModeCovariance, load_state, random_state, save_state, tmsv_state
 from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, main
 
 GOLDEN_CSV_HEADER = (
@@ -206,6 +206,38 @@ def test_undefined_purity_is_written_as_null(tmp_path):
     undefined = [obs for obs in observations if obs["j_prime"] <= 0.0]
     assert undefined
     assert all(obs["purity"] is None and obs["wigner0"] is None for obs in undefined)
+    assert run_cli("replay", "--report", str(out)) == 0
+
+
+@pytest.mark.parametrize(
+    "source, shots",
+    [(["--generator", "random", "--seed", "7"], ["--shots", "5000"]), (None, [])],
+    ids=["asymmetric-finite-shot", "symmetric-exact"],
+)
+def test_scheme1_without_j4_writes_nulls_and_replays(source, shots, tmp_path):
+    # A generic state has no special form: scheme 1 reports J1..J3, and null
+    # for J4 and every measure that needs it.  The symmetric EoF bound is a
+    # number where the reconstructed J1 = J2, which exact readings of a
+    # symmetric state give; it is null for the asymmetric random state.
+    if source is None:
+        path = tmp_path / "state.json"
+        save_state(random_state(502, purity="mixed", symmetry="symmetric"), path)
+        source = ["--state", str(path)]
+    out = tmp_path / "report.json"
+    argv = ["--detector", "lossy-homodyne", "--eta", "0.8", *shots, "--out", str(out)]
+    assert run_cli("run", *source, *argv) == 0
+    section = json.loads(out.read_text())["scheme1"]
+    assert section["status"] == "lower-bound-only"
+    if shots:
+        assert sorted(section["stderr"]) == ["j1", "j2", "j3"]
+    else:
+        assert section["stderr"] is None
+    assert section["invariants"]["j4"] is None and section["invariants"]["i4"] is None
+    assert section["deltas"]["j4_abs"] is None and section["deltas"]["j4_rel"] is None
+    ent = section["entanglement"]
+    for key in ("eof", "log_negativity", "simon_lhs_minus_rhs", "separable"):
+        assert ent[key] is None
+    assert isinstance(ent["eof_lower_bound"], float) == (not shots)
     assert run_cli("replay", "--report", str(out)) == 0
 
 
@@ -503,6 +535,14 @@ def _set_invariant(key, value):
     return mutate
 
 
+def _stringify(part, key):
+    """Write a number of the section (or of its first record) as a JSON string."""
+    def mutate(section):
+        holder = section["transcript"][0] if part == "record" else section[part]
+        holder[key] = repr(holder[key])
+    return mutate
+
+
 @pytest.mark.parametrize(
     "name, mutate",
     [
@@ -514,6 +554,10 @@ def _set_invariant(key, value):
         pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
         pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
         pytest.param("scheme2", _set_invariant("j3", [0.1]), id="list-invariant"),
+        pytest.param("scheme1", _set_invariant("j1", True), id="bool-invariant"),
+        pytest.param("scheme1", _stringify("invariants", "j1"), id="string-number-invariant"),
+        pytest.param("scheme2", _set_record("value", True), id="bool-value"),
+        pytest.param("scheme2", _stringify("record", "value"), id="string-number-value"),
         pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
         pytest.param("scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
         pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),

@@ -193,21 +193,35 @@ def test_batch_schemes_equal_single_states():
 
 def test_batch_marks_unavailable_measures_with_nan():
     # A generic state has no special form, so scheme 1 cannot give J4 for
-    # it; the special-form state beside it in the batch keeps its J4.
+    # it; the special-form state beside it in the batch keeps its J4.  One
+    # state and a batch point mark the missing J4 alike: NaN.
     generic = gb.quad_to_mode(gb.random_state(101, purity="mixed", symmetry="general"))
     special = gb.quad_to_mode(gb.tmsv_state(0.4))
     batch = gb.scheme1(stack([generic, special]))
     alone = [gb.scheme1(generic), gb.scheme1(special)]
-    assert alone[0].invariants.j4 is None and alone[1].invariants.j4 is not None
+    assert math.isnan(alone[0].invariants.j4) and not math.isnan(alone[1].invariants.j4)
     assert math.isnan(batch.invariants.j4[0])
     assert_rel(batch.invariants.j4[1], alone[1].invariants.j4)
     assert list(batch.status) == [alone[0].status, alone[1].status]
     assert list(batch.special_form) == [alone[0].special_form, alone[1].special_form]
     for name in ("eof", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus"):
         values = getattr(batch.entanglement, name)
-        assert math.isnan(values[0]) and getattr(alone[0].entanglement, name) is None
+        assert math.isnan(values[0]) and math.isnan(getattr(alone[0].entanglement, name))
         assert_rel(values[1], getattr(alone[1].entanglement, name))
     assert list(batch.entanglement.separable) == [None, alone[1].entanglement.separable]
+
+    # No point of this batch has a special form: J4 and the measures that
+    # need it are still arrays, NaN at every point.
+    other = gb.quad_to_mode(gb.random_state(102, purity="mixed", symmetry="general"))
+    generic_only = gb.scheme1(stack([generic, other]))
+    for values in (
+        generic_only.invariants.j4,
+        generic_only.entanglement.eof,
+        generic_only.entanglement.log_negativity,
+    ):
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert np.isnan(values).all()
+    assert list(generic_only.entanglement.separable) == [None, None]
 
 
 def test_one_failing_point_fails_the_batch():

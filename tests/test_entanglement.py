@@ -20,9 +20,11 @@ from gaussbench import (
     tmsv_state,
     vacuum_state,
 )
-from gaussbench.states import OMEGA
+from gaussbench.states import OMEGA, InvariantSet
 
 PPT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+
+FIELDS = ("simon_lhs_minus_rhs", "eof", "eof_lower_bound", "log_negativity", "nu_tilde_minus")
 
 
 def ppt_nu_minus(g):
@@ -42,14 +44,14 @@ def tmsv_eof_closed_form(r):
 def eof_and_bound(inv):
     """The symmetric EoF and its zeroed-I4 bound, both defined on ``inv``."""
     rep = entanglement_report(inv)
-    assert rep.eof is not None and rep.eof_lower_bound is not None
+    assert not math.isnan(rep.eof) and not math.isnan(rep.eof_lower_bound)
     return rep.eof, rep.eof_lower_bound
 
 
 def negativity(inv):
     """E_N and nu~_-, both defined on ``inv``."""
     rep = entanglement_report(inv)
-    assert rep.log_negativity is not None and rep.nu_tilde_minus is not None
+    assert not math.isnan(rep.log_negativity) and not math.isnan(rep.nu_tilde_minus)
     return rep.log_negativity, rep.nu_tilde_minus
 
 
@@ -230,16 +232,42 @@ def test_report_without_fourth_invariant_keeps_only_the_bound():
     partial = type(inv)(j1=inv.j1, j2=inv.j2, j3=inv.j3)
     rep = entanglement_report(partial)
     assert rep.separable is None
-    assert rep.simon_lhs_minus_rhs is None
-    assert rep.eof is None
-    assert rep.log_negativity is None
-    assert rep.nu_tilde_minus is None
+    assert math.isnan(rep.simon_lhs_minus_rhs)
+    assert math.isnan(rep.eof)
+    assert math.isnan(rep.log_negativity)
+    assert math.isnan(rep.nu_tilde_minus)
     assert rep.eof_lower_bound > 0
+
+
+def test_simon_without_fourth_invariant_is_undecided():
+    inv = invariants_quad(tmsv_state(0.2))
+    separable, margin = simon_separable(type(inv)(j1=inv.j1, j2=inv.j2, j3=inv.j3))
+    assert separable is None and math.isnan(margin)
+
+
+def test_measures_never_raise_and_one_state_matches_its_batch_point():
+    # Unphysical sets and a missing J4 give NaN measures and a None verdict,
+    # never an error, and one state gets exactly what its batch point gets.
+    rng = np.random.default_rng(5)
+    j1, j2, j3, j4 = rng.uniform(-1.0, 3.0, (4, 200))
+    j4[rng.random(200) < 0.3] = math.nan
+    batch = InvariantSet(j1, j2, j3, j4)
+    report = entanglement_report(batch)
+    verdicts, margins = simon_separable(batch)
+    assert list(report.separable) == list(verdicts)
+    np.testing.assert_array_equal(report.simon_lhs_minus_rhs, margins)
+    for i in range(200):
+        one = InvariantSet(j1[i], j2[i], j3[i], j4[i])
+        single = entanglement_report(one)
+        assert single.separable == report.separable[i] == simon_separable(one)[0]
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(single, name), getattr(report, name)[i])
+    assert np.isnan(report.log_negativity[np.isnan(j4)]).all()
 
 
 def test_report_on_asymmetric_state_drops_eof_fields():
     rep = entanglement_report(invariants_quad(thermal_state(1.2, 2.4)))
-    assert rep.eof is None and rep.eof_lower_bound is None
+    assert math.isnan(rep.eof) and math.isnan(rep.eof_lower_bound)
     assert rep.separable is True
     assert rep.log_negativity == 0.0
 
@@ -259,5 +287,5 @@ def test_measures_are_invariant_under_local_symplectics():
             a.simon_lhs_minus_rhs, rel=1e-8, abs=1e-10
         )
         assert b.log_negativity == pytest.approx(a.log_negativity, rel=1e-8, abs=1e-10)
-        if a.eof is not None:
+        if not math.isnan(a.eof):
             assert b.eof == pytest.approx(a.eof, rel=1e-7, abs=1e-10)

@@ -10,9 +10,11 @@ import gaussbench
 MODULES = ("bench", "cli", "entanglement", "generators", "schemes", "stateio", "states")
 
 #: Names the package no longer has: undefined measures are NaN in an
-#: ``entanglement_report`` (``None`` for one state) and ``cross_block_form``
-#: classifies the cross block, so nothing raises for them; ``invert_loss``
-#: undoes the loss of every detector kind.
+#: ``entanglement_report``, for one state as for a batch, and
+#: ``cross_block_form`` classifies the cross block, so nothing raises for
+#: them; ``invert_loss`` undoes the loss of every detector kind; and NaN turns
+#: into ``null`` only where ``cli`` writes a report, so ``optional_field`` is
+#: private to it.
 REMOVED = (
     "eof_symmetric",
     "eof_lower_bound",
@@ -22,6 +24,7 @@ REMOVED = (
     "NumericalDomainError",
     "invert_loss_homodyne",
     "LossInversion",
+    "optional_field",
 )
 
 

@@ -221,9 +221,17 @@ class TestInvariants:
 
     def test_partial_set_has_no_i4(self):
         inv = InvariantSet(j1=0.25, j2=0.25, j3=0.0)
-        assert inv.i4 is None
-        with pytest.raises(ValueError):
-            inv.require_i4()
+        assert math.isnan(inv.j4) and math.isnan(inv.i4)
+        assert math.isnan(inv.quad_determinant())
+
+    def test_nan_j4_constructs_for_one_state(self):
+        inv = InvariantSet(0.6, 0.6, -0.3, math.nan)
+        assert math.isnan(inv.j4) and math.isnan(inv.i4)
+
+    @pytest.mark.parametrize("j4", [math.inf, -math.inf, np.array([0.1, math.inf])])
+    def test_infinite_j4_is_rejected(self, j4):
+        with pytest.raises(ValueError, match="invariants must be finite"):
+            InvariantSet(0.6, 0.6, -0.3, j4)
 
 
 class TestPhysicality:
@@ -259,13 +267,12 @@ class TestStandardFormPrep:
         assert prep.vt.mc == pytest.approx(v.mc, abs=1e-14)
 
     def test_single_mode_squeezing_removed(self):
-        # m = 0.3 n: the canceling local has phase pi/2 both sides and
+        # m = 0.3 n: the canceling local has phase pi/2 and
         # squeezing atanh(0.3)/2; the occupation drops to sqrt(n^2 - |m|^2).
         n = 1.0
         v = ModeCovariance(n1=n, n2=0.5, m1=0.3 * n)
         prep = standard_form_prep(v)
         assert prep.s1.alpha == pytest.approx(math.pi / 2)
-        assert prep.s1.beta == pytest.approx(math.pi / 2)
         assert prep.s1.theta == pytest.approx(math.atanh(0.3) / 2)
         assert prep.vt.n1 == pytest.approx(math.sqrt(n * n - 0.09), rel=1e-12)
         assert prep.residual_m1 < 1e-12
