@@ -23,8 +23,7 @@ verifies it reproduces the reported invariants exactly.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import sys
@@ -417,8 +416,12 @@ def _build_report(ev: SimpleNamespace) -> dict:
     return report
 
 
-def _csv_rows(param, ev: SimpleNamespace) -> list:
-    """One row of ``_CSV_COLUMNS`` cells per point; undefined values stay empty."""
+def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
+    """The header, then one line of ``_CSV_COLUMNS`` cells per point.
+
+    A cell is the shortest round-trip text of its float (``repr``), or empty
+    where the value is undefined; neither ever needs CSV quoting.
+    """
     scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
     inv = None if scheme is None else scheme.invariants
     ent = ev.oracle_entanglement if scheme is None else scheme.entanglement
@@ -427,24 +430,11 @@ def _csv_rows(param, ev: SimpleNamespace) -> list:
     columns += [None if inv is None else getattr(inv, key) for key in _J_KEYS]
     columns += [getattr(ent, key) for key in measures]
     # None becomes NaN here, and NaN renders as an empty (null) cell.
-    table = [np.asarray(c, dtype=float) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in table))
-    cells = []
-    for column in table:
-        column = np.broadcast_to(column, shape).ravel()
-        text = list(map(repr, column.tolist()))
-        if np.isnan(column).any():
-            text = ["" if t == "nan" else t for t in text]
-        cells.append(text)
-    return [list(row) for row in zip(*cells)]
-
-
-def _render_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(rows)
-    return buf.getvalue()
+    table = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns)), axis=-1)
+    rows = table.reshape(-1, len(columns)).tolist()
+    return [",".join(_CSV_COLUMNS)] + [
+        repr(row)[1:-1].replace(", ", ",").replace("nan", "") for row in rows
+    ]
 
 
 def _render_json(payload) -> str:
@@ -464,7 +454,7 @@ def _cmd_run(cfg, scheme_choice: str) -> int:
     ev = _evaluate(cfg, scheme_choice)
     fmt = cfg.get("format") or "json"
     if fmt == "csv":
-        text = _render_csv(_csv_rows(cfg.get("r"), ev))
+        text = "\n".join(_csv_lines(cfg.get("r"), ev)) + "\n"
     else:
         text = _render_json(_build_report(ev))
     _emit(text, cfg.get("out"))
@@ -498,14 +488,14 @@ def _cmd_sweep(cfg) -> int:
         cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
 
     # The whole grid is one batch through the same code as ``run``.
-    rows = _csv_rows(grid, _evaluate({**cfg, param: grid}, scheme_choice))
+    lines = _csv_lines(grid, _evaluate({**cfg, param: grid}, scheme_choice))
 
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
-        payload = {"param": param, "columns": _CSV_COLUMNS, "rows": rows}
-        text = _render_json(payload)
+        rows = [line.split(",") for line in lines[1:]]
+        text = _render_json({"param": param, "columns": _CSV_COLUMNS, "rows": rows})
     else:
-        text = _render_csv(rows)
+        text = "\n".join(lines) + "\n"
     _emit(text, cfg.get("out"))
     return 0
 
@@ -571,8 +561,13 @@ def _cmd_replay(cfg) -> int:
     return 0
 
 
+#: The parser ``main`` uses, built on the first call and then shared by every
+#: call in the process.  Nothing may write into it: ``_merge_config`` reads it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(parser, args)

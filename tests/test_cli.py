@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gaussbench import ModeCovariance, load_state, random_state, save_state, tmsv_state
-from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, main
+from csv_oracle import csv_rows, render_csv
+from gaussbench import ModeCovariance, cli, load_state, random_state, save_state, tmsv_state
+from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, build_parser, main
 
 GOLDEN_CSV_HEADER = (
     "param,J1_oracle,J2_oracle,J3_oracle,J4_oracle,"
@@ -265,9 +266,24 @@ def test_unreadable_state_file_is_config_error():
         json.dumps({"format": "quad", "entries": [[1e308, 1e308, 0, 0], [-1e308, 1e308, 0, 0],
                                                   [0, 0, 1, 0], [0, 0, 0, 1]]}),
         '{"format": "mode", "entries": {"n1": 1e200, "n2": 1.0, "m1": [5e199, 0]}}',
+        # A bool or a numeric string where a number belongs; Python converts
+        # both, so each of these used to load as a physical state.
+        '{"format": "mode", "entries": {"n1": true, "n2": true}}',
+        '{"format": "mode", "entries": {"n1": "1.5", "n2": 1.5}}',
+        '{"format": "mode", "entries": {"n1": 1.5, "n2": 1.5, "m1": true}}',
+        '{"format": "mode", "entries": {"n1": 1.5, "n2": 1.5, "ms": [0.2, false]}}',
+        '{"format": "mode", "entries": {"n1": 1.5, "n2": 1.5, "mc": ["0.2", 0]}}',
+        json.dumps({"format": "quad",
+                    "entries": [True] + ["1" if i % 5 == 0 else "0" for i in range(1, 16)]}),
+        json.dumps({"format": "quad",
+                    "entries": [[1, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+        json.dumps({"format": "quad",
+                    "entries": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0], [0, 0, 0, 1]]}),
     ],
     ids=["quad-shape", "mode-overflow", "mode-nan", "mode-quad-overflow",
-         "quad-asymmetry-overflow", "mode-floor-overflow"],
+         "quad-asymmetry-overflow", "mode-floor-overflow", "mode-bool", "mode-string",
+         "mode-bool-moment", "mode-bool-in-pair", "mode-string-in-pair", "quad-flat-strings",
+         "quad-nested-bool", "quad-nested-string"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys):
@@ -393,6 +409,94 @@ def test_unknown_config_key_is_config_error(key, tmp_path, capsys):
     cfg.write_text(json.dumps({"generator": "vacuum", key: "red"}))
     assert run_cli("run", "--config", str(cfg)) == 1
     assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_no_config_values(tmp_path, capsys):
+    # main() shares one parser per process; a --config merge must not leave
+    # its values behind for the next call.
+    argv = ["run", "--generator", "tmsv", "--r", "0.4", "--seed", "3"]
+    assert run_cli(*argv) == 0
+    exact = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": "lossy-homodyne", "eta": 0.8, "shots": 2000}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    assert json.loads(capsys.readouterr().out)["detector"] == {
+        "kind": "lossy-homodyne", "eta": 0.8, "shots": 2000,
+    }
+    assert run_cli(*argv) == 0
+    again = capsys.readouterr().out
+    assert again == exact
+    assert json.loads(again)["detector"] == {"kind": "ideal", "eta": 1.0, "shots": None}
+
+
+def test_cached_parser_survives_usage_and_config_errors(tmp_path, capsys):
+    assert run_cli("run", "--generator", "vacuum") == 0
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        run_cli("run", "--generator", "warp-drive")
+    assert info.value.code == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": "warp-drive"}))
+    assert run_cli("run", "--generator", "vacuum", "--config", str(cfg)) == 1
+    capsys.readouterr()
+    assert run_cli("run", "--generator", "vacuum") == 0
+    assert capsys.readouterr().out == want
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not cli._parser()
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Each evaluation the CLI makes, as (its CSV param column, its result)."""
+    evaluate = cli._evaluate
+    seen = []
+
+    def spy(cfg, scheme_choice):
+        ev = evaluate(cfg, scheme_choice)
+        seen.append((cfg.get(cfg.get("param") or "r"), ev))  # run has no --param
+        return ev
+
+    monkeypatch.setattr(cli, "_evaluate", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv, empty_column",
+    [
+        (("sweep", "--param", "r", "--start", "0", "--stop", "3", "--steps", "180",
+          "--scheme", "both"), None),
+        (("sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5",
+          "--scheme", "scheme1", "--generator", "random", "--seed", "7",
+          "--detector", "lossy-homodyne", "--shots", "5000"), "J4_scheme"),
+        (("run", "--state", "STATE", "--format", "csv"), "param"),
+    ],
+    ids=["exact-r-sweep-both", "finite-shot-eta-sweep-scheme1", "run-state-file"],
+)
+def test_csv_bytes_match_the_cell_by_cell_oracle(argv, empty_column, evaluations, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    save_state(random_state(502, "mixed", "symmetric"), state)
+    assert run_cli(*(str(state) if a == "STATE" else a for a in argv)) == 0
+    (ev,) = evaluations
+    out = capsys.readouterr().out
+    assert out == render_csv(csv_rows(*ev))
+    if empty_column is not None:
+        column = _CSV_COLUMNS.index(empty_column)
+        assert all(line.split(",")[column] == "" for line in out.splitlines()[1:])
+
+
+def test_json_sweep_rows_match_the_cell_by_cell_oracle(evaluations, capsys):
+    code = run_cli(
+        "sweep", "--param", "r", "--start", "0", "--stop", "2", "--steps", "30",
+        "--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1", "--scheme", "oracle",
+        "--format", "json",
+    )
+    assert code == 0
+    (ev,) = evaluations
+    assert json.loads(capsys.readouterr().out)["rows"] == csv_rows(*ev)
 
 
 def test_run_csv_format_single_row(capsys):
