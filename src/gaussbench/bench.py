@@ -16,7 +16,8 @@ s = sin theta,
     m' = c^2 m1 e^{-2i phi} + s^2 m2 - 2 s c mc e^{-i phi}
     j' = n'^2 - |m'|^2,
 
-evaluated elementwise over a batch of states (see :mod:`gaussbench.states`).
+evaluated elementwise over a batch of states (see :mod:`gaussbench.states`)
+and over all settings of a measurement plan at once, in one bench call.
 
 Detector imperfections are modeled as a vacuum admixture
 V -> eta V + (1 - eta)/2 I (a fictitious beam splitter of transmittance
@@ -30,14 +31,16 @@ of the quadrature covariance they fix).
 Finite-shot homodyne readout samples each quadrature's sample variance
 directly.  By Cochran's theorem the sample variance of k standard normals is
 distributed as chi^2_{k-1}/(k-1) = Gamma((k-1)/2) * 2/(k-1), so one gamma
-draw per angle replaces k simulated shots and a reading costs the same at
-any shot count.  Such a reading is an estimate: the check that the corrected
-mode's quadrature variances are not negative applies to exact readings only.
+draw per angle and plan entry replaces k simulated shots, a reading costs
+the same at any shot count, and every point of a batch scales its entry's
+draws.  Such a reading is an estimate: the check that the corrected mode's
+quadrature variances are not negative applies to exact readings only.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,18 +141,28 @@ class Mode1Observation:
     j_stderr: float | None = None
 
 
-def output_mode1_moments(v: ModeCovariance, setting: BenchSetting):
+@functools.lru_cache(maxsize=64)
+def _plan_terms(settings: tuple, ndim: int):
+    """c^2, s^2, 2 s c and e^{-i phi} of each setting (c = cos theta,
+    s = sin theta), on a leading axis ahead of ``ndim`` batch axes."""
+    cs = [(math.cos(x.theta), math.sin(x.theta), cmath.exp(-1j * x.phi)) for x in settings]
+    terms = zip(*[(c * c, s * s, 2.0 * s * c, phase) for c, s, phase in cs])
+    return [np.reshape(t, (len(settings),) + (1,) * ndim) for t in terms]
+
+
+def output_mode1_moments(v: ModeCovariance, settings):
     """Closed-form moments (n', m') of output mode 1 at one bench setting.
 
     n' = c^2 n1 + s^2 n2 - 2 s c Re(ms e^{-i phi}) and
     m' = c^2 m1 e^{-2i phi} + s^2 m2 - 2 s c mc e^{-i phi}, with
-    c = cos theta and s = sin theta.
+    c = cos theta and s = sin theta.  A sequence of settings gives them at
+    each setting, along a leading axis.
     """
-    c, s = math.cos(setting.theta), math.sin(setting.theta)
-    phase = cmath.exp(-1j * setting.phi)
-    n = c * c * v.n1 + s * s * v.n2 - 2.0 * s * c * (v.ms * phase).real
-    m = c * c * v.m1 * phase * phase + s * s * v.m2 - 2.0 * s * c * v.mc * phase
-    return n, m
+    lone = isinstance(settings, BenchSetting)
+    cc, ss, tsc, phase = _plan_terms((settings,) if lone else tuple(settings), np.ndim(v.n1))
+    n = cc * v.n1 + ss * v.n2 - tsc * (v.ms * phase).real
+    m = cc * v.m1 * phase * phase + ss * v.m2 - tsc * v.mc * phase
+    return (n[0], m[0]) if lone else (n, m)
 
 
 def lossy_moments(n, m, eta):
@@ -219,23 +232,25 @@ def _derived_purity(j_prime):
     return as_field(purity), as_field(purity / math.pi)
 
 
-def _homodyne_readings(n, m, det: DetectorModel, seed):
+def _draws(seeds, draw, like):
+    """``draw`` on one generator per plan entry, each value a column on ``like``'s settings axis."""
+    rows = [draw(np.random.default_rng(seed)) for seed in seeds]
+    return [np.reshape(col, (len(rows),) + (1,) * (np.ndim(like) - 1)) for col in zip(*rows)]
+
+
+def _homodyne_readings(n, m, det: DetectorModel, seeds):
     """The three quadrature variances of the attenuated mode, and their
     standard errors (None when exact)."""
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
     if det.shots is None:
         return variances, None
-    # One draw per call: every point of a batch scales the same three unit
-    # sample variances, each Gamma((shots-1)/2) * 2/(shots-1) by Cochran's
-    # theorem, so the cost does not grow with ``shots``.
     dof = det.shots - 1
-    rng = np.random.default_rng(seed)
-    unit = rng.standard_gamma(dof / 2.0, size=len(HOMODYNE_ANGLES)) * (2.0 / dof)
+    unit = _draws(seeds, lambda g: g.standard_gamma(dof / 2.0, size=3) * (2.0 / dof), n)
     variances = [variance * u for variance, u in zip(variances, unit)]
     return variances, [math.sqrt(2.0 / dof) * variance for variance in variances]
 
 
-def _photocount_readings(n, m, det: DetectorModel, seed):
+def _photocount_readings(n, m, det: DetectorModel, seeds):
     """(n, j) of the attenuated mode, and their standard errors (None when exact)."""
     j = _determinant(n, m)
     if det.shots is None:
@@ -246,47 +261,51 @@ def _photocount_readings(n, m, det: DetectorModel, seed):
     m_sq = m.real * m.real + m.imag * m.imag
     n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
     j_err = 2.0 * j / math.sqrt(det.shots)
-    rng = np.random.default_rng(seed)
-    z_n, z_j = rng.standard_normal(), rng.standard_normal()
+    z_n, z_j = _draws(seeds, lambda g: (g.standard_normal(), g.standard_normal()), n)
     return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
 
 
-def observe_mode1(
-    v: ModeCovariance,
-    setting: BenchSetting,
-    det: DetectorModel = DetectorModel(),
-    seed=None,
-) -> Mode1Observation:
-    """Measure N and J of output mode 1 at one bench setting.
+def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorModel(), seed=None):
+    """Measure N and J of output mode 1 at each bench setting of a plan.
 
-    Every kind reads the mode after the vacuum admixture of
-    :func:`lossy_moments` and undoes it with :func:`invert_loss`; the ideal
-    detector is exact photon counting at eta = 1, where both steps leave the
-    closed-form moments unchanged.  Homodyne readout reads three quadrature
-    variances, photon counting reads (n, j) directly.  An exact reading
-    whose corrected mode has a negative quadrature variance raises
-    :class:`UnphysicalMeasurementError`.  For finite shots each homodyne
-    variance is scaled by one chi-square (gamma) draw, at a cost independent
-    of ``shots``, and each photocount reading is perturbed with Gaussian
-    noise at the physical shot-noise scale; the estimate is inverted
-    unchecked, so a noisy non-positive j' leaves purity and wigner0 NaN, and
-    its standard errors carry the raw readings' through that same
-    inversion.  Deterministic in ``seed``: a call builds one generator from
-    ``seed`` and draws once, and every point of a batch scales those same
-    draws, so it reads what its single-state call with that seed reads.
+    One elementwise pass over a leading settings axis, broadcast against the
+    batch (points or an eta grid), gives a tuple of observations in plan
+    order; a lone :class:`BenchSetting` is a one-entry plan and gives its
+    one observation.  Every kind reads the mode after the vacuum admixture
+    of :func:`lossy_moments` and undoes it with :func:`invert_loss` (at
+    eta = 1 the ideal detector, exact photon counting, leaves the moments
+    unchanged): homodyne readout from three quadrature variances, photon
+    counting directly.  An exact reading whose corrected mode has a negative
+    quadrature variance raises :class:`UnphysicalMeasurementError`, naming
+    the first in plan order.  A finite-shot reading is one chi-square draw
+    per homodyne variance or Gaussian noise on each photocount reading,
+    inverted unchecked (a noisy j' <= 0 leaves purity and wigner0 NaN), with
+    standard errors propagated through the same inversion.  Deterministic in
+    ``seed``: a plan spawns one seed child per entry (a lone setting uses
+    ``seed``), each entry builds one generator from it and draws once, and
+    every point of a batch scales its entry's draws.
     """
-    n, m = lossy_moments(*output_mode1_moments(v, setting), det.eta)
+    lone = isinstance(settings, BenchSetting)
+    seq = seed if lone or isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    settings, seeds = ((settings,), (seed,)) if lone else (settings, seq.spawn(len(settings)))
+    n, m = output_mode1_moments(v, settings)
+    if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
+        n, m = n[:, None], m[:, None]
+    n, m = lossy_moments(n, m, det.eta)
     homodyne = det.kind == "lossy-homodyne"
     read = _homodyne_readings if homodyne else _photocount_readings
-    readings, errors = read(n, m, det, seed)
+    readings, errors = read(n, m, det, seeds)
 
     def estimate(*raw):
         return invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
 
     n_prime, j_prime = estimate(*readings)
+    columns = [n_prime, j_prime, *_derived_purity(j_prime)]
     if errors is None:
         _check_exact(n_prime, j_prime, det.eta)
-        n_err = j_err = None
     else:
-        n_err, j_err = propagate(estimate, readings, errors)
-    return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)
+        columns += propagate(estimate, readings, errors)
+    # One split per field: plain numbers for one state, arrays for a batch.
+    fields = [x.tolist() if x.ndim == 1 else list(x) for x in columns]
+    observations = tuple(map(Mode1Observation, settings, *fields))
+    return observations[0] if lone else observations

@@ -78,6 +78,8 @@ _GENERATORS = tuple(_GENERATOR_PARAMS)
 _SCHEMES = ("oracle", "scheme1", "scheme2", "both")
 
 _J_KEYS = ("j1", "j2", "j3", "j4")
+#: The entanglement measures of a report, in the order of their CSV columns.
+_MEASURES = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus")
 
 #: Largest ``sweep --steps``: the grid is evaluated as one batch, so its
 #: memory grows with the number of points.
@@ -269,27 +271,13 @@ def _optional(x):
 
 
 def _invariants_dict(inv: InvariantSet) -> dict:
-    return {
-        "j1": float(inv.j1),
-        "j2": float(inv.j2),
-        "j3": float(inv.j3),
-        "j4": _optional(inv.j4),
-        "i1": float(inv.i1),
-        "i2": float(inv.i2),
-        "i3": float(inv.i3),
-        "i4": _optional(inv.i4),
-    }
+    out = {key: float(getattr(inv, key)) for key in ("j1", "j2", "j3", "i1", "i2", "i3")}
+    return {**out, "j4": _optional(inv.j4), "i4": _optional(inv.i4)}
 
 
 def _entanglement_dict(rep: EntanglementReport) -> dict:
-    return {
-        "separable": None if rep.separable is None else bool(rep.separable),
-        "simon_lhs_minus_rhs": _optional(rep.simon_lhs_minus_rhs),
-        "eof": _optional(rep.eof),
-        "eof_lower_bound": _optional(rep.eof_lower_bound),
-        "log_negativity": _optional(rep.log_negativity),
-        "nu_tilde_minus": _optional(rep.nu_tilde_minus),
-    }
+    out = {key: _optional(getattr(rep, key)) for key in _MEASURES}
+    return {**out, "separable": None if rep.separable is None else bool(rep.separable)}
 
 
 def _observation_dict(obs) -> dict:
@@ -425,10 +413,9 @@ def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
     scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
     inv = None if scheme is None else scheme.invariants
     ent = ev.oracle_entanglement if scheme is None else scheme.entanglement
-    measures = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus")
     columns = [param, *(getattr(ev.oracle, key) for key in _J_KEYS)]
     columns += [None if inv is None else getattr(inv, key) for key in _J_KEYS]
-    columns += [getattr(ent, key) for key in measures]
+    columns += [getattr(ent, key) for key in _MEASURES]
     # None becomes NaN here, and NaN renders as an empty (null) cell.
     table = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns)), axis=-1)
     rows = table.reshape(-1, len(columns)).tolist()

@@ -23,8 +23,8 @@ writes its invariants once, as one elementwise function of the readings; the
 standard errors are that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
 
-Both protocols are elementwise: a batch of states runs each setting once,
-and its records hold arrays.
+Both protocols are elementwise: one bench call reads a whole plan for a batch
+of states, and its records hold arrays.
 """
 
 from __future__ import annotations
@@ -173,20 +173,15 @@ class ConsistencyReport:
 
 
 def _run_plan(v, plan, det, seed):
-    """Observe every entry of ``plan``, one seed child per entry, and record
-    its readings in plan order."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    observations = []
+    """Observe ``plan`` in one bench call, one seed child per entry, and
+    record each entry's readings in plan order."""
+    observations = observe_mode1(v, [entry.setting for entry in plan], det, seed)
     records = []
-    for entry, child in zip(plan, seq.spawn(len(plan))):
-        obs = observe_mode1(v, entry.setting, det, seed=child)
-        observations.append(obs)
+    for entry, obs in zip(plan, observations):
         readout = {"N": (obs.n_prime, obs.n_stderr), "J": (obs.j_prime, obs.j_stderr)}
-        records += [
-            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], *readout[name[0]])
-            for name in entry.readings
-        ]
-    return tuple(observations), tuple(records)
+        at = (entry.setting.theta, entry.setting.phi)
+        records += [TranscriptRecord(*at, name[0], *readout[name[0]]) for name in entry.readings]
+    return observations, tuple(records)
 
 
 def _readings(records, plan, names):

@@ -47,36 +47,35 @@ def state_from_dict(data) -> QuadCovariance | ModeCovariance:
         raise ConfigError("state file is missing the 'entries' field")
     entries = data["entries"]
 
-    if fmt == "quad":
-        try:
-            arr = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"quad entries are not numeric: {exc}") from exc
-        if arr.shape not in ((16,), (4, 4)):
-            raise ConfigError(
-                f"quad entries must be 16 reals or a 4x4 array, got shape {arr.shape}"
-            )
-        cells = entries if arr.ndim == 1 else [x for row in entries for x in row]
-        if not all(map(_is_number, cells)):
-            raise ConfigError("quad entries must be JSON numbers, not bools or strings")
-        arr = arr.reshape(4, 4)
-        make, kwargs = QuadCovariance, {"entries": arr}
-    else:
-        if not isinstance(entries, dict):
-            raise ConfigError("mode entries must be an object")
-        missing = [k for k in _MODE_REAL_KEYS if k not in entries]
-        if missing:
-            raise ConfigError(f"mode entries are missing {missing}")
-        make, kwargs = ModeCovariance, {}
-        for key in _MODE_REAL_KEYS:
-            value = entries[key]
-            if not _is_number(value):
-                raise ConfigError(f"field {key!r} must be a real number")
-            kwargs[key] = float(value)
-        for key in _MODE_COMPLEX_KEYS:
-            if key in entries:
-                kwargs[key] = _complex_pair(entries[key], key)
-    try:
+    try:  # float() overflows too, on a JSON integer beyond double range
+        if fmt == "quad":
+            try:
+                arr = np.asarray(entries, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"quad entries are not numeric: {exc}") from exc
+            if arr.shape not in ((16,), (4, 4)):
+                raise ConfigError(
+                    f"quad entries must be 16 reals or a 4x4 array, got shape {arr.shape}"
+                )
+            cells = entries if arr.ndim == 1 else [x for row in entries for x in row]
+            if not all(map(_is_number, cells)):
+                raise ConfigError("quad entries must be JSON numbers, not bools or strings")
+            make, kwargs = QuadCovariance, {"entries": arr.reshape(4, 4)}
+        else:
+            if not isinstance(entries, dict):
+                raise ConfigError("mode entries must be an object")
+            missing = [k for k in _MODE_REAL_KEYS if k not in entries]
+            if missing:
+                raise ConfigError(f"mode entries are missing {missing}")
+            make, kwargs = ModeCovariance, {}
+            for key in _MODE_REAL_KEYS:
+                value = entries[key]
+                if not _is_number(value):
+                    raise ConfigError(f"field {key!r} must be a real number")
+                kwargs[key] = float(value)
+            for key in _MODE_COMPLEX_KEYS:
+                if key in entries:
+                    kwargs[key] = _complex_pair(entries[key], key)
         return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,0 +1,95 @@
+"""The bench one setting at a time: an independent oracle for the tests.
+
+The package reads a whole measurement plan in one bench call, over a
+leading settings axis.  This module keeps the route it replaced: a loop
+over the plan's entries, one seed child per entry, and for each entry a
+readout of its one setting with plain-number arithmetic for a single state
+and one generator built from the entry's child.  The tests compare the two
+by exact equality.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from gaussbench.bench import (
+    HOMODYNE_ANGLES,
+    Mode1Observation,
+    _check_exact,
+    _derived_purity,
+    _determinant,
+    _homodyne_moments,
+    homodyne_variance,
+    invert_loss,
+    lossy_moments,
+)
+from gaussbench.schemes import TranscriptRecord
+from gaussbench.states import propagate
+
+
+def _moments(v, setting):
+    c, s = math.cos(setting.theta), math.sin(setting.theta)
+    phase = cmath.exp(-1j * setting.phi)
+    n = c * c * v.n1 + s * s * v.n2 - 2.0 * s * c * (v.ms * phase).real
+    m = c * c * v.m1 * phase * phase + s * s * v.m2 - 2.0 * s * c * v.mc * phase
+    return n, m
+
+
+def _homodyne_readings(n, m, det, seed):
+    variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
+    if det.shots is None:
+        return variances, None
+    dof = det.shots - 1
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_gamma(dof / 2.0, size=len(HOMODYNE_ANGLES)) * (2.0 / dof)
+    variances = [variance * u for variance, u in zip(variances, unit)]
+    return variances, [math.sqrt(2.0 / dof) * variance for variance in variances]
+
+
+def _photocount_readings(n, m, det, seed):
+    j = _determinant(n, m)
+    if det.shots is None:
+        return [n, j], None
+    m_sq = m.real * m.real + m.imag * m.imag
+    n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
+    j_err = 2.0 * j / math.sqrt(det.shots)
+    rng = np.random.default_rng(seed)
+    z_n, z_j = rng.standard_normal(), rng.standard_normal()
+    return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
+
+
+def observe_setting(v, setting, det, seed):
+    """N and J of output mode 1 at one setting, one generator built from ``seed``."""
+    n, m = lossy_moments(*_moments(v, setting), det.eta)
+    homodyne = det.kind == "lossy-homodyne"
+    read = _homodyne_readings if homodyne else _photocount_readings
+    readings, errors = read(n, m, det, seed)
+
+    def estimate(*raw):
+        return invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
+
+    n_prime, j_prime = estimate(*readings)
+    if errors is None:
+        _check_exact(n_prime, j_prime, det.eta)
+        n_err = j_err = None
+    else:
+        n_err, j_err = propagate(estimate, readings, errors)
+    return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)
+
+
+def run_plan_by_entry(v, plan, det, seed):
+    """Observe every entry of ``plan`` on its own, one seed child per entry,
+    and record its readings in plan order."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    observations = []
+    records = []
+    for entry, child in zip(plan, seq.spawn(len(plan))):
+        obs = observe_setting(v, entry.setting, det, child)
+        observations.append(obs)
+        readout = {"N": (obs.n_prime, obs.n_stderr), "J": (obs.j_prime, obs.j_stderr)}
+        records += [
+            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], *readout[name[0]])
+            for name in entry.readings
+        ]
+    return tuple(observations), tuple(records)

@@ -279,11 +279,18 @@ def test_unreadable_state_file_is_config_error():
                     "entries": [[1, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
         json.dumps({"format": "quad",
                     "entries": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0], [0, 0, 0, 1]]}),
+        # A JSON integer too large for a double, where 1e400 is already a
+        # config error: float() overflows on it while the file is read.
+        json.dumps({"format": "mode", "entries": {"n1": 10**400, "n2": 1.0}}),
+        json.dumps({"format": "quad", "entries": [10**400] + [1 if i % 5 == 0 else 0
+                                                             for i in range(1, 16)]}),
+        json.dumps({"format": "mode", "entries": {"n1": 1.5, "n2": 1.5, "ms": [0, 10**400]}}),
     ],
     ids=["quad-shape", "mode-overflow", "mode-nan", "mode-quad-overflow",
          "quad-asymmetry-overflow", "mode-floor-overflow", "mode-bool", "mode-string",
          "mode-bool-moment", "mode-bool-in-pair", "mode-string-in-pair", "quad-flat-strings",
-         "quad-nested-bool", "quad-nested-string"],
+         "quad-nested-bool", "quad-nested-string", "mode-huge-int", "quad-huge-int",
+         "mode-huge-int-in-pair"],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_malformed_state_file_is_config_error(command, content, tmp_path, capsys):
