@@ -281,13 +281,21 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     per homodyne variance or Gaussian noise on each photocount reading,
     inverted unchecked (a noisy j' <= 0 leaves purity and wigner0 NaN), with
     standard errors propagated through the same inversion.  Deterministic in
-    ``seed``: a plan spawns one seed child per entry (a lone setting uses
-    ``seed``), each entry builds one generator from it and draws once, and
-    every point of a batch scales its entry's draws.
+    ``seed``: a finite-shot plan spawns one seed child per entry (a lone
+    setting uses ``seed``), each entry builds one generator from it and draws
+    once, and every point of a batch scales its entry's draws.  An exact plan
+    draws nothing and spawns nothing, so it leaves a caller's
+    ``SeedSequence`` as it was: a later ``spawn`` from that object yields the
+    same children whether or not an exact plan ran on it first.
     """
     lone = isinstance(settings, BenchSetting)
-    seq = seed if lone or isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    settings, seeds = ((settings,), (seed,)) if lone else (settings, seq.spawn(len(settings)))
+    if lone:
+        settings, seeds = (settings,), (seed,)
+    elif det.shots is None:
+        seeds = ()
+    else:
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seeds = seq.spawn(len(settings))
     n, m = output_mode1_moments(v, settings)
     if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
         n, m = n[:, None], m[:, None]

@@ -347,6 +347,8 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
     phys = validate_physical(g)
     unphysical = np.logical_not(phys.physical)
     if any_point(unphysical):
+        if not first_where(unphysical, phys.positive_definite):
+            raise GaussBenchError("state is unphysical: covariance matrix is not positive definite")
         raise GaussBenchError(
             "state is unphysical: symplectic eigenvalues "
             f"nu_minus={first_where(unphysical, phys.nu_minus):.12g}, "
@@ -496,8 +498,8 @@ def _cmd_validate(cfg) -> int:
     payload = {
         "state": source,
         "physical": bool(phys.physical),
-        "nu_minus": float(phys.nu_minus),
-        "nu_plus": float(phys.nu_plus),
+        "nu_minus": _optional(phys.nu_minus),
+        "nu_plus": _optional(phys.nu_plus),
         "positive_definite": bool(phys.positive_definite),
         "symmetric": True,
         "slack": PHYSICALITY_SLACK,

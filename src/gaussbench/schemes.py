@@ -173,8 +173,8 @@ class ConsistencyReport:
 
 
 def _run_plan(v, plan, det, seed):
-    """Observe ``plan`` in one bench call, one seed child per entry, and
-    record each entry's readings in plan order."""
+    """Observe ``plan`` in one bench call (one seed child per entry when the
+    detector draws), and record each entry's readings in plan order."""
     observations = observe_mode1(v, [entry.setting for entry in plan], det, seed)
     records = []
     for entry, obs in zip(plan, observations):

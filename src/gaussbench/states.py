@@ -35,6 +35,12 @@ and in the mode picture, with Z = diag(1, -1) and V blocks V1, V2, C_V:
 
 related exactly by I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4.
 
+The symplectic eigenvalues nu_minus <= nu_plus of gamma (Williamson's
+theorem) come from its Cholesky factor gamma = L L^T: the Hermitian matrix
+i L^T Omega L has the eigenvalues (-nu_plus, -nu_minus, nu_minus, nu_plus).
+The factorisation is also the positive-definiteness test, and where gamma
+has no factor it has no symplectic spectrum: nu_minus and nu_plus are NaN.
+
 The package is elementwise: a QuadCovariance may hold a (..., 4, 4) stack
 and a ModeCovariance equal-shape arrays, one entry per point of a grid.
 Results keep that shape (plain numbers for one state), every check runs on
@@ -43,6 +49,7 @@ every point, and a check failing anywhere raises for the whole call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -269,7 +276,13 @@ class InvariantSet:
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    """Outcome of the uncertainty-bound check on a quadrature covariance."""
+    """Outcome of the uncertainty-bound check on a quadrature covariance.
+
+    ``nu_minus`` and ``nu_plus`` are the symplectic eigenvalues of
+    :func:`symplectic_eigenvalues`, NaN at a point where gamma is not
+    positive definite (``positive_definite`` false), where they are
+    undefined.  Fields are plain values for one state and arrays for a batch.
+    """
 
     physical: bool
     nu_minus: float
@@ -277,30 +290,67 @@ class PhysicalityReport:
     positive_definite: bool
 
 
-def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
-    """Symplectic spectrum of gamma: moduli of the eigenvalues of i*Omega*gamma.
+def _cholesky(entries):
+    """Lower Cholesky factors of a (..., 4, 4) stack and the mask of points
+    that have one, which is the positive-definiteness test.
 
-    The four eigenvalue moduli come in two degenerate pairs; each pair is
-    averaged to suppress eigensolver noise.  Returns (nu_minus, nu_plus).
+    The whole stack is factored in one call; only when that raises is it
+    factored again point by point to find the points without a factor, whose
+    factor is left as the identity (their spectrum is masked out).
     """
-    ev = np.linalg.eigvals(1j * OMEGA @ g.entries)
-    mods = np.sort(np.abs(ev), axis=-1)
-    return as_field((mods[..., 0] + mods[..., 1]) / 2), as_field((mods[..., 2] + mods[..., 3]) / 2)
+    try:
+        return np.linalg.cholesky(entries), np.ones(entries.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    stack = entries.reshape(-1, 4, 4)
+    factors = np.broadcast_to(np.eye(4), stack.shape).copy()
+    positive = np.zeros(len(stack), dtype=bool)
+    for i, g in enumerate(stack):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            factors[i], positive[i] = np.linalg.cholesky(g), True
+    return factors.reshape(entries.shape), positive.reshape(entries.shape[:-2])
+
+
+def _spectrum(g: QuadCovariance):
+    """(nu_minus, nu_plus, positive_definite) of gamma, NaN off the positive-definite cone."""
+    factor, positive = _cholesky(g.entries)
+    # i L^T Omega L is Hermitian and similar to i Omega gamma (gamma = L L^T),
+    # so its ascending eigenvalues are (-nu_plus, -nu_minus, nu_minus, nu_plus).
+    ev = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ OMEGA @ factor))
+    nu_minus = np.where(positive, (ev[..., 2] - ev[..., 1]) / 2, math.nan)
+    nu_plus = np.where(positive, (ev[..., 3] - ev[..., 0]) / 2, math.nan)
+    return as_field(nu_minus), as_field(nu_plus), as_field(positive, bool)
+
+
+def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
+    """Symplectic spectrum (nu_minus, nu_plus) of gamma, by Williamson's theorem.
+
+    With the Cholesky factor gamma = L L^T, the Hermitian matrix
+    i L^T Omega L is similar to i Omega gamma, and its ascending eigenvalues
+    are (-nu_plus, -nu_minus, nu_minus, nu_plus).  Each symplectic eigenvalue
+    is the average of its +- pair (half the distance between them), which
+    suppresses eigensolver noise.  Where gamma is not positive definite there
+    is no factor and no symplectic spectrum: both values are NaN there.
+    """
+    nu_minus, nu_plus, _ = _spectrum(g)
+    return nu_minus, nu_plus
 
 
 def validate_physical(g: QuadCovariance) -> PhysicalityReport:
     """Check a covariance matrix against the uncertainty bound nu >= 1.
 
-    A matrix is physical when it is positive definite and both symplectic
-    eigenvalues are at least ``1 - PHYSICALITY_SLACK``.
+    A matrix is physical when it is positive definite (it has a Cholesky
+    factor) and its smaller symplectic eigenvalue is at least
+    ``1 - PHYSICALITY_SLACK``.  The spectrum is that of
+    :func:`symplectic_eigenvalues`, from the same factorisation, and NaN
+    where the matrix is not positive definite.
     """
-    nu_minus, nu_plus = symplectic_eigenvalues(g)
-    positive = np.all(np.linalg.eigvalsh(g.entries) > 0.0, axis=-1)
+    nu_minus, nu_plus, positive = _spectrum(g)
     return PhysicalityReport(
         physical=as_field(positive & (np.asarray(nu_minus) >= 1.0 - PHYSICALITY_SLACK), bool),
         nu_minus=nu_minus,
         nu_plus=nu_plus,
-        positive_definite=as_field(positive, bool),
+        positive_definite=positive,
     )
 
 

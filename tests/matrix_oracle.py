@@ -5,8 +5,10 @@ standard form and the quadrature <-> mode conversions in closed form.  This
 module keeps the matrix route to the same numbers, assembling the Hermitian
 mode matrix V, changing basis by the fixed unitary K (V = K (gamma/2) K+)
 and conjugating by the Bogoliubov transformation of the bench, so the tests
-can compare the two.  Apart from the conversions and the layout helpers,
-which take stacks, it works on single states only.
+can compare the two.  It also keeps the general-eigensolver route to the
+symplectic spectrum and the physicality verdict.  Apart from those, the
+conversions and the layout helpers, which take stacks, it works on single
+states only.
 """
 
 import cmath
@@ -16,6 +18,8 @@ import numpy as np
 
 from gaussbench.bench import HOMODYNE_ANGLES, BenchSetting
 from gaussbench.states import (
+    OMEGA,
+    PHYSICALITY_SLACK,
     InvariantSet,
     ModeCovariance,
     QuadCovariance,
@@ -114,6 +118,19 @@ def invariants_mode(v: ModeCovariance) -> InvariantSet:
     j3 = np.linalg.det(c).real
     j4 = np.trace(v1 @ _Z2 @ c @ _Z2 @ v2 @ _Z2 @ c_dagger @ _Z2, axis1=-2, axis2=-1).real
     return InvariantSet(j1=j1, j2=j2, j3=j3, j4=j4)
+
+
+def symplectic_eigenvalues_general(g: QuadCovariance):
+    """(nu_minus, nu_plus) as the moduli of the eigenvalues of the non-normal
+    i Omega gamma (general eigensolver), sorted, each degenerate pair averaged."""
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ g.entries)), axis=-1)
+    return (mods[..., 0] + mods[..., 1]) / 2, (mods[..., 2] + mods[..., 3]) / 2
+
+
+def physical_by_general_eigensolver(g: QuadCovariance):
+    """The physicality verdict from the eigenvalues of gamma and of i Omega gamma."""
+    positive = np.all(np.linalg.eigvalsh(g.entries) > 0.0, axis=-1)
+    return positive & (symplectic_eigenvalues_general(g)[0] >= 1.0 - PHYSICALITY_SLACK)
 
 
 def bogoliubov(setting: BenchSetting) -> np.ndarray:

@@ -385,6 +385,35 @@ def test_validate_reports_unphysical(tmp_path, capsys):
     assert payload["nu_minus"] < 1.0
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_state_that_is_not_positive_definite_has_no_spectrum(command, tmp_path, capsys):
+    path = tmp_path / "not-positive.json"
+    entries = np.diag([1.0, 1.0, 1.0, -1.0]).ravel().tolist()
+    path.write_text(json.dumps({"format": "quad", "entries": entries}))
+    grid = ("--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3")
+    args = (*grid, "--detector", "lossy-homodyne") if command == "sweep" else ()
+    assert run_cli(command, "--state", str(path), *args) == 2
+    captured = capsys.readouterr()
+    if command == "validate":
+        payload = json.loads(captured.out)
+        assert payload["physical"] is False and payload["positive_definite"] is False
+        assert payload["nu_minus"] is None and payload["nu_plus"] is None
+    else:
+        assert "state is unphysical: covariance matrix is not positive definite" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("r", ["4.4", "4.5"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_tmsv_at_large_squeezing_is_physical(command, r, capsys):
+    # The rounded entries put nu_minus within 1e-9 of 1 (8e-10 below it at r = 4.4).
+    assert run_cli(command, "--generator", "tmsv", "--r", r) == 0
+    payload = json.loads(capsys.readouterr().out)
+    physicality = payload if command == "validate" else payload["physicality"]
+    assert physicality["physical"] is True
+    assert abs(physicality["nu_minus"] - 1.0) <= 1e-9
+
+
 def test_bad_flag_value_exits_one(capsys):
     # argparse failures are config errors (exit 1), not crashes (exit 2)
     with pytest.raises(SystemExit) as info:

@@ -142,3 +142,14 @@ def test_finite_shot_plan_builds_one_generator_per_entry(kind, where, plan, monk
     gb.observe_mode1(v, settings, det, seed=np.random.SeedSequence(99))
     assert len(built) == len(settings)
     assert [seed.spawn_key for seed in built] == [(i,) for i in range(len(settings))]
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("where", ["one", "batch", "eta"])
+@pytest.mark.parametrize("detector", ["ideal", "homodyne-exact", "photocount-exact"])
+def test_exact_plan_spawns_no_seed_children(detector, where, plan):
+    # Exact readings draw nothing, so a caller's SeedSequence is left as it was.
+    v, det = source(where, DETECTORS[detector])
+    seq = np.random.SeedSequence(99)
+    gb.observe_mode1(v, [entry.setting for entry in PLANS[plan]], det, seed=seq)
+    assert seq.n_children_spawned == 0

@@ -24,8 +24,14 @@ from gaussbench import (
     validate_physical,
 )
 from gaussbench.generators import conjugate_local, random_local_symplectic
-from gaussbench.states import cross_block_form
-from matrix_oracle import invariants_mode, mode_from_matrix, mode_matrix
+from gaussbench.states import PHYSICALITY_SLACK, cross_block_form
+from matrix_oracle import (
+    invariants_mode,
+    mode_from_matrix,
+    mode_matrix,
+    physical_by_general_eigensolver,
+    symplectic_eigenvalues_general,
+)
 
 N_RANDOM = 500
 ROUNDTRIP_ATOL = 1e-12
@@ -256,6 +262,59 @@ class TestPhysicality:
         rep = validate_physical(QuadCovariance(0.5 * np.eye(4)))
         assert not rep.physical
         assert rep.nu_minus < 1.0
+
+    @pytest.mark.parametrize(
+        "population",
+        [
+            lambda: QuadCovariance(np.stack([g.entries for g in random_population(1000, 5000)])),
+            lambda: two_mode_squeezed_thermal(
+                *np.meshgrid(np.linspace(0.0, 2.0, 11), [1.0, 1.7, 2.5], [1.0, 1.2, 3.0])
+            ),
+        ],
+        ids=["random", "tmst"],
+    )
+    def test_spectrum_matches_the_general_eigensolver(self, population):
+        g = population()
+        got, want = symplectic_eigenvalues(g), symplectic_eigenvalues_general(g)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_verdict_matches_the_general_eigensolver_at_the_boundary(self):
+        # Pure states scaled by s have nu_minus = s: the scales straddle the
+        # slack 1e-9 on both sides, with a margin of 1e-10 at the closest.
+        pure = [
+            random_state(i, purity="pure", symmetry=("symmetric", "general")[i % 2]).entries
+            for i in range(400)
+        ]
+        base = np.concatenate([pure, tmsv_state(np.linspace(0.0, 3.0, 61)).entries])
+        scales = np.array([1 - 1e-8, 1 - 2e-9, 1 - 1.1e-9, 1 - 0.9e-9, 1 - 5e-10, 1.0, 1 + 1e-9])
+        g = QuadCovariance(scales[:, None, None, None] * base)
+        verdict = validate_physical(g).physical
+        np.testing.assert_array_equal(verdict, physical_by_general_eigensolver(g))
+        expected = np.broadcast_to((scales >= 1 - PHYSICALITY_SLACK)[:, None], verdict.shape)
+        np.testing.assert_array_equal(verdict, expected)
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 4.4, 4.5])
+    def test_tmsv_at_large_squeezing_sits_on_the_bound(self, r):
+        rep = validate_physical(tmsv_state(r))
+        assert rep.physical and rep.positive_definite
+        assert abs(rep.nu_minus - 1.0) <= 1e-9 and abs(rep.nu_plus - 1.0) <= 1e-9
+
+    def test_no_spectrum_off_the_positive_definite_cone(self):
+        not_positive = np.diag([1.0, 1.0, 1.0, -1.0])
+        rep = validate_physical(QuadCovariance(not_positive))
+        assert not rep.physical and not rep.positive_definite
+        assert math.isnan(rep.nu_minus) and math.isnan(rep.nu_plus)
+        batch = [tmsv_state(0.3).entries, not_positive, 0.5 * np.eye(4)]
+        rep = validate_physical(QuadCovariance(np.stack(batch)))
+        np.testing.assert_array_equal(rep.positive_definite, [True, False, True])
+        np.testing.assert_array_equal(rep.physical, [True, False, False])
+        for i, g in ((0, batch[0]), (2, batch[2])):
+            one = validate_physical(QuadCovariance(g))
+            assert (rep.nu_minus[i], rep.nu_plus[i]) == (one.nu_minus, one.nu_plus)
+        assert np.isnan(rep.nu_minus[1]) and np.isnan(rep.nu_plus[1])
+        # A batch that factors in one call still gets one mask entry per point.
+        rep = validate_physical(QuadCovariance(np.stack([batch[0], batch[2]])))
+        assert rep.positive_definite.shape == (2,) and rep.positive_definite.all()
 
 
 class TestStandardFormPrep:
