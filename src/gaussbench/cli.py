@@ -11,7 +11,7 @@ Subcommand style, one binary::
 ``oracle``, ``scheme1`` and ``scheme2`` are shorthands for ``run`` with the
 scheme pinned.  Options may also come from a JSON config file (--config);
 explicit flags win.  Exit codes: 0 success, 1 configuration error,
-2 physics or reconstruction failure.
+2 physics failure or replay mismatch (never a noisy reading: that gives null).
 
 Reports are deterministic: no timestamps, keys sorted, all randomness
 derived from the single --seed value, so identical invocations produce
@@ -465,7 +465,8 @@ def _cmd_sweep(cfg) -> int:
     if not np.isfinite(stop - start):  # a non-finite bound, or a span that overflows
         raise ConfigError("sweep grid bounds and their span must be finite")
     grid = np.linspace(start, stop, steps)
-    scheme_choice = cfg.get("scheme") or "scheme2"
+    # The table has one scheme's columns, scheme 2's for ``both``: scheme 1 is not run.
+    scheme_choice = "scheme2" if cfg.get("scheme") in (None, "both") else cfg["scheme"]
 
     if cfg.get(param) is not None:
         raise ConfigError(f"the {param} grid replaces --{param}")

@@ -14,7 +14,7 @@ class UnphysicalMeasurementError(GaussBenchError):
 
 
 class ReconstructionError(GaussBenchError):
-    """A measurement transcript could not be turned into a consistent invariant set."""
+    """A measurement transcript lacks a reading that its reconstruction needs."""
 
 
 class ConfigError(GaussBenchError):

@@ -23,6 +23,9 @@ writes its invariants once, as one elementwise function of the readings; the
 standard errors are that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
 
+A noisy reading is reconstructed as it came out, negatives included, and a
+number it cannot support is NaN; only a transcript that lacks a reading raises.
+
 Both protocols are elementwise: one bench call reads a whole plan for a batch
 of states, and its records hold arrays.
 """
@@ -30,7 +33,6 @@ of states, and its records hold arrays.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +43,8 @@ from .errors import ReconstructionError
 from .states import (
     InvariantSet,
     ModeCovariance,
-    any_point,
     as_field,
     cross_block_form,
-    first_where,
     propagate,
     standard_form_prep,
 )
@@ -63,12 +63,6 @@ __all__ = [
     "reconstruct_from_transcript",
     "consistency_check",
 ]
-
-#: Thresholds for a reconstructed |m~c|^2 that fluctuated negative: values
-#: in (-CLAMP_WARN, 0) clamp silently, in (-CLAMP_FAIL, -CLAMP_WARN] clamp
-#: with a warning, below -CLAMP_FAIL the reconstruction is rejected.
-MC2_CLAMP_WARN = 1e-9
-MC2_CLAMP_FAIL = 1e-6
 
 #: Largest J1..J3 difference between the protocols that :func:`consistency_check`
 #: accepts.
@@ -155,7 +149,7 @@ class SchemeResult:
     special_form: str | None = None
     ms_real: float | None = None
     ms_imag: float | None = None
-    mc_magnitude: float | None = None  # sign is unrecoverable; magnitude only
+    mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
     residual_m1: float | None = None
     residual_m2: float | None = None
 
@@ -220,6 +214,11 @@ def _known(special_form):
     return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
 
 
+def _status(inv: InvariantSet):
+    """A result's ``status``: ``"full"`` where J4 is finite, else ``"lower-bound-only"``."""
+    return as_field(np.where(np.isnan(inv.j4), "lower-bound-only", "full"), object)
+
+
 def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
     det_comb = j45 + j45_pi + j45_p + j45_m - j1 - j2
     num_comb = (
@@ -235,26 +234,26 @@ def reconstruct_scheme1(
 
     J1 and J2 are the determinant readings at (0, 0) and (pi/2, 0); J3
     combines the four theta = pi/4 determinant readings with the
-    photon-number readings.  J4 = 2 |J3| sqrt(J1 J2) where ``special_form``
-    says the cross block is diagonal or antidiagonal, and NaN where it is
-    ``None``.  Always four invariants, and four standard errors (the J4
-    error NaN with J4) unless every reading is exact.
+    photon-number readings, all three as measured.  J4 = 2 |J3| sqrt(J1 J2)
+    where ``special_form`` says the cross block is diagonal or antidiagonal,
+    and NaN where it is ``None`` or J1 <= 0 or J2 <= 0.  Always four invariants,
+    and four standard errors (the J4 error NaN with J4) unless every reading
+    is exact.
     """
     names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
     values, errors = _readings(records, SCHEME1_PLAN, names)
     j1, j2 = values[:2]
-    bad = (j1 <= 0.0) | (j2 <= 0.0)
-    if any_point(bad):
-        shown = f"{first_where(bad, j1)}, {first_where(bad, j2)}"
-        raise ReconstructionError(f"non-positive J1/J2 reconstructed: {shown}")
-    known, negative = _known(special_form), _scheme1_j3(*values) < 0.0
+    # The measured point fixes where J4 is defined and the branch of |J3|, so
+    # that no copy moved by ``propagate`` straddles the kink at J3 = 0.
+    defined = _known(special_form) & (j1 > 0.0) & (j2 > 0.0)
+    negative = _scheme1_j3(*values) < 0.0
 
     def invariants(j1, j2, *readings):
-        # |J3| keeps the branch of the measured J3, so that no copy moved by
-        # ``propagate`` straddles the kink at J3 = 0.
         j3 = _scheme1_j3(j1, j2, *readings)
-        j4 = 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1 * j2)
-        return j1, j2, j3, np.where(known, j4, np.nan)
+        # A moved copy past J1 J2 = 0 has no square root: its J4, and with it
+        # the J4 error, is NaN.
+        j1j2 = np.where(defined & (j1 * j2 > 0.0), j1 * j2, np.nan)
+        return j1, j2, j3, 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1j2)
 
     inv = InvariantSet(*invariants(*values))
     if errors is None:
@@ -267,38 +266,28 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
 
     Returns the invariant set, the propagated standard errors (None for
     exact records) and the auxiliary cross-block pieces
-    {ms_real, ms_imag, mc_magnitude}.
+    {ms_real, ms_imag, mc_magnitude}.  J3 and J4 use the signed, unbiased
+    |m~c|^2 = N45^2 - J45, whose root ``mc_magnitude`` is NaN where it is
+    negative; J4 is NaN where n1 <= 0 or n2 <= 0.
     """
     values, errors = _readings(records, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))
-    n1t, n2t, n45, _, j45 = values
-    bad = (n1t <= 0.0) | (n2t <= 0.0)
-    if any_point(bad):
-        raise ReconstructionError(
-            f"non-positive occupations: {first_where(bad, n1t)}, {first_where(bad, n2t)}"
-        )
-    mc_sq = n45**2 - j45
-    fail, loud = mc_sq < -MC2_CLAMP_FAIL, mc_sq < -MC2_CLAMP_WARN
-    if any_point(fail):
-        value = first_where(fail, mc_sq)
-        raise ReconstructionError(f"|m~c|^2 reconstructed as {value}, beyond the clamp threshold")
-    if any_point(loud):
-        value = first_where(loud, mc_sq)
-        warnings.warn(f"clamping negative |m~c|^2 = {value} to zero", stacklevel=2)
-    clamped = mc_sq < 0.0
+    n1t, n2t = values[:2]
+    # Fixed at the measured point, so that the copies ``propagate`` moves keep it.
+    defined = (n1t > 0.0) & (n2t > 0.0)
 
     def invariants(n1t, n2t, n45, n45_p, j45):
-        # J1..J4, Re m~s, Im m~s, |m~c|^2; |m~c|^2 is zero where the measured
-        # value fell negative, on moved copies too.
-        mc_sq = np.where(clamped, 0.0, n45**2 - j45)
+        # J1..J4, Re m~s, Im m~s, |m~c|^2.
+        mc_sq = n45**2 - j45
         ms_re = (n1t + n2t) / 2.0 - n45
         ms_im = (n1t + n2t) / 2.0 - n45_p
         ms_sq = ms_re**2 + ms_im**2
-        j4 = 2.0 * n1t * n2t * (ms_sq + mc_sq)
+        j4 = np.where(defined, 2.0 * n1t * n2t * (ms_sq + mc_sq), np.nan)
         return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
 
     *invariant_values, ms_re, ms_im, mc_sq = invariants(*values)
     inv = InvariantSet(*invariant_values)
-    aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": as_field(np.sqrt(mc_sq))}
+    mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
+    aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
     if errors is None:
         return inv, None, aux
     return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors))), aux
@@ -321,8 +310,9 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
 
     If the input is block-diagonal with a diagonal or antidiagonal cross
     block, that structural fact (recorded in ``special_form``) upgrades the
-    result with the exact J4; otherwise J4 is NaN and the entanglement
-    report has the symmetric lower bound only (every other measure NaN).
+    result with the exact J4 wherever J1, J2 > 0; elsewhere J4 is NaN and the
+    entanglement report has the symmetric lower bound only (every other
+    measure NaN).
     """
     observations, records = _run_plan(v, SCHEME1_PLAN, det, seed)
     special = cross_block_form(v)
@@ -334,7 +324,7 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
         observations=observations,
         transcript=records,
         invariant_stderr=stderr,
-        status=as_field(np.where(_known(special), "full", "lower-bound-only"), object),
+        status=_status(inv),
         special_form=special,
     )
 
@@ -356,7 +346,7 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
         observations=observations,
         transcript=records,
         invariant_stderr=stderr,
-        status="full",
+        status=_status(inv),
         ms_real=aux["ms_real"],
         ms_imag=aux["ms_imag"],
         mc_magnitude=aux["mc_magnitude"],

@@ -242,14 +242,24 @@ def test_scheme1_without_j4_writes_nulls_and_replays(source, shots, tmp_path):
     assert run_cli("replay", "--report", str(out)) == 0
 
 
-def test_noisy_reading_that_defeats_reconstruction_exits_2(capsys):
-    # Seed 42's noisy J readings at full transmission fall below zero.
+def test_noisy_reading_outside_the_physical_region_is_reported(tmp_path, capsys):
+    # Seed 42's noisy J reading at full transmission falls below zero: scheme 1
+    # reports it as measured, an ordinary estimate (pull -0.57 against the
+    # oracle's 1.50), and every measure it cannot support is null.
+    out = tmp_path / "report.json"
     code = run_cli(
         "run", "--generator", "random", "--seed", "42", "--detector", "lossy-homodyne",
-        "--eta", "0.8", "--shots", "1000",
+        "--eta", "0.8", "--shots", "1000", "--out", str(out),
     )
-    assert code == 2
-    assert "error: non-positive J1/J2 reconstructed" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    section = json.loads(out.read_text())["scheme1"]
+    assert section["invariants"]["j1"] == pytest.approx(-3.778, abs=1e-3)
+    assert section["stderr"]["j1"] == pytest.approx(9.268, abs=1e-3)
+    assert section["invariants"]["j4"] is None and "j4" not in section["stderr"]
+    assert section["status"] == "lower-bound-only"
+    assert set(section["entanglement"].values()) == {None}
+    assert run_cli("replay", "--report", str(out)) == 0
 
 
 def test_unreadable_state_file_is_config_error():
@@ -630,19 +640,30 @@ def test_every_sweep_row_matches_run(sweep, state_flags, capsys):
 
 
 def test_sweep_with_one_failing_point_exits_two(tmp_path, capsys):
-    # At eta = 1e-20 every loss-corrected variance is 0, which the
-    # reconstruction guards reject; the other points are fine.
+    # tmsv_state(5) is unphysical at double precision (its nu_minus is
+    # 1 - 6.8e-9 on its rounded entries); the other points are fine.
     out = tmp_path / "sweep.csv"
     code = run_cli(
-        "sweep", "--param", "eta", "--start", "1e-20", "--stop", "1", "--steps", "3",
-        "--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne",
+        "sweep", "--param", "r", "--start", "4", "--stop", "6", "--steps", "5",
         "--out", str(out),
     )
     assert code == 2
-    assert "gaussbench: error:" in capsys.readouterr().err
+    assert "gaussbench: error: state is unphysical" in capsys.readouterr().err
     assert not out.exists()
-    assert run_cli("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "2",
-                   "--generator", "tmsv", "--r", "0.5", "--detector", "lossy-homodyne") == 0
+    assert run_cli("sweep", "--param", "r", "--start", "4", "--stop", "4.5", "--steps", "2") == 0
+
+
+def test_sweep_both_runs_only_the_scheme_it_writes(monkeypatch, capsys):
+    # The table has scheme 2's columns for --scheme both, so scheme 1 is not run.
+    args = (
+        "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "3",
+        "--generator", "random", "--seed", "7", "--detector", "lossy-homodyne", "--shots", "5000",
+    )
+    assert run_cli(*args, "--scheme", "scheme2") == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(cli, "scheme1", lambda *args, **kwargs: pytest.fail("scheme 1 ran"))
+    assert run_cli(*args, "--scheme", "both") == 0
+    assert capsys.readouterr().out == want
 
 
 def _drop(key):

@@ -133,10 +133,11 @@ def _scheme2_transcript(j45, stderr=1e-3):
     )
 
 
-@pytest.mark.parametrize("mc_sq", [1e-6, -1e-10], ids=["just-positive", "clamped"])
+@pytest.mark.parametrize("mc_sq", [1e-6, -1e-10], ids=["just-positive", "negative"])
 def test_scheme2_stderr_keeps_the_clamp_branch_of_the_measured_point(mc_sq):
     # The stencil moves N45 by about 1.2e-5 in |m~c|^2: both points sit
-    # inside it, so each moved copy must keep the measured point's branch.
+    # inside it, and the signed |m~c|^2 takes the same smooth formula on
+    # either side of zero, as the replay of each moved copy does.
     records = _scheme2_transcript(0.36 - mc_sq)
     _, got = reconstruct_from_transcript(records, "scheme2")
     want = brute_force_stderr(records, "scheme2", None, 1e-8)
@@ -160,3 +161,20 @@ def test_scheme1_stderr_keeps_the_sign_of_the_measured_j3():
     assert got["j4"] == pytest.approx(want["j4"], rel=1e-5)
     # On the measured branch, dJ4 = 2 sqrt(J1 J2) dJ3 up to terms in |J3|.
     assert got["j4"] == pytest.approx(2.0 * 0.25 * got["j3"], rel=1e-3)
+
+
+def test_scheme1_j4_error_is_nan_where_the_stencil_crosses_j1_j2_zero():
+    # J1 = 1e-6 with stderr 1e-3: the moved copies at J1 -+ 1e-5 straddle
+    # J1 J2 = 0, where sqrt(J1 J2) has no first-order error.  J4 stays, its
+    # error is NaN, and no copy takes the root of a negative number.
+    q, e = math.pi / 4, 1e-3
+    j = [1e-6, 0.25, 0.25, 0.25, 0.25, 0.25]
+    settings = [
+        (0.0, 0.0), (math.pi / 2, 0.0), (q, 0.0), (q, math.pi), (q, math.pi / 2), (q, -math.pi / 2)
+    ]
+    records = _records([(t, p, "J", v) for (t, p), v in zip(settings, j)], e)
+    records += _records([(t, p, "N", 0.5) for t, p in settings[:3] + settings[4:5]], e)
+    inv, got = reconstruct_from_transcript(records, "scheme1", "diagonal")
+    assert math.isfinite(inv.j4) and inv.j4 > 0.0
+    assert math.isnan(got["j4"])
+    assert all(math.isfinite(got[key]) for key in ("j1", "j2", "j3"))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -291,37 +292,30 @@ def test_unknown_scheme_name_rejected():
         reconstruct_from_transcript([], "scheme3")
 
 
-def test_negative_mc_square_beyond_threshold_fails():
-    # Fabricate a transcript where N(pi/4)^2 - J(pi/4) is clearly negative.
+@pytest.mark.parametrize("mc_sq", [-0.25, -5e-8], ids=["far-below-zero", "just-below-zero"])
+def test_negative_mc_square_is_reported_signed(mc_sq):
+    # Standard-form readings with m~s = 0, so J3 = -|m~c|^2 and
+    # J4 = 2 n1 n2 |m~c|^2 carry the signed estimate N45^2 - J45 unclamped.
     records = [
         TranscriptRecord(0.0, 0.0, "N", 0.5),
         TranscriptRecord(math.pi / 2, 0.0, "N", 0.5),
         TranscriptRecord(math.pi / 4, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 4, 0.0, "J", 0.5),  # 0.25 - 0.5 < -1e-6
+        TranscriptRecord(math.pi / 4, 0.0, "J", 0.25 - mc_sq),
         TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.5),
     ]
-    with pytest.raises(ReconstructionError):
-        reconstruct_scheme2(records)
-
-
-def test_slightly_negative_mc_square_clamps_with_warning():
-    eps = 5e-8  # between the silent clamp (1e-9) and the failure cut (1e-6)
-    records = [
-        TranscriptRecord(0.0, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 2, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 4, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 4, 0.0, "J", 0.25 + eps),
-        TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.5),
-    ]
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         inv, _, aux = reconstruct_scheme2(records)
-    assert aux["mc_magnitude"] == 0.0
-    assert inv.j4 >= 0.0
+    assert inv.j3 == pytest.approx(-mc_sq, rel=1e-6)
+    assert inv.j4 == pytest.approx(0.5 * mc_sq, rel=1e-6)
+    assert math.isnan(aux["mc_magnitude"])
 
 
-def test_nonpositive_direct_reading_raises():
+@pytest.mark.parametrize("form", [None, "diagonal", "antidiagonal"])
+@pytest.mark.parametrize("j1", [-0.1, 0.0], ids=["negative", "zero"])
+def test_nonpositive_direct_reading_is_reported_with_nan_j4(j1, form):
     records = [
-        TranscriptRecord(0.0, 0.0, "J", -0.1),
+        TranscriptRecord(0.0, 0.0, "J", j1),
         TranscriptRecord(math.pi / 2, 0.0, "J", 0.3),
         TranscriptRecord(math.pi / 4, 0.0, "J", 0.3),
         TranscriptRecord(math.pi / 4, math.pi, "J", 0.3),
@@ -332,8 +326,56 @@ def test_nonpositive_direct_reading_raises():
         TranscriptRecord(math.pi / 4, 0.0, "N", 0.6),
         TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.6),
     ]
-    with pytest.raises(ReconstructionError):
-        reconstruct_from_transcript(records, "scheme1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, _ = reconstruct_from_transcript(records, "scheme1", form)
+    assert (inv.j1, inv.j2) == (j1, 0.3)
+    # J3 = (four theta = pi/4 J's - J1 - J2 + 6 N^2 - 2 (2 N)(2 N)) / 4, N = 0.6.
+    assert inv.j3 == pytest.approx((1.2 - j1 - 0.3 + 6 * 0.36 - 8 * 0.36) / 4.0)
+    assert math.isnan(inv.j4)
+
+
+@pytest.mark.parametrize(
+    "run, eta, shots, seed",
+    [(scheme1, 0.5, 100, 0), (scheme2, 0.3, 30, 35)],
+    ids=["scheme1", "scheme2"],
+)
+def test_status_says_where_j4_is_known(run, eta, shots, seed):
+    # A weakly squeezed point whose noisy J2 (scheme 1) or n1 (scheme 2) fell
+    # below zero next to a strongly squeezed one; both have a special form.
+    v = quad_to_mode(tmsv_state(np.array([0.05, 1.0])))
+    result = run(v, DetectorModel(kind="lossy-homodyne", eta=eta, shots=shots), seed=seed)
+    assert list(result.status) == ["lower-bound-only", "full"]
+    assert list(np.isnan(result.invariants.j4)) == [True, False]
+    assert np.isnan(result.entanglement.log_negativity[0])
+    if run is scheme1:
+        assert list(result.special_form) == ["antidiagonal", "antidiagonal"]
+        assert result.invariants.j2[0] < 0.0
+    else:
+        assert result.observations[0].n_prime[0] < 0.0
+
+
+@pytest.mark.parametrize(
+    "state",
+    [thermal_state(1.5, 1.2), special_form_state(7, "diagonal")],
+    ids=["thermal", "diagonal"],
+)
+def test_scheme2_pulls_without_a_clamp(state):
+    # |m~c| of these states is 0, so its noisy estimate N45^2 - J45 falls
+    # below zero in about half the runs; used signed, it keeps the J3 and J4
+    # pulls centred and calibrated, and no run raises.
+    v = quad_to_mode(state)
+    oracle = invariants_mode(v)
+    det = DetectorModel(kind="lossy-photocount", eta=0.8, shots=20000)
+    pulls = {"j3": [], "j4": []}
+    for seed in range(400):
+        result = scheme2(v, det, seed=seed)
+        for key, values in pulls.items():
+            got, want = getattr(result.invariants, key), getattr(oracle, key)
+            values.append((got - want) / result.invariant_stderr[key])
+    for key, values in pulls.items():
+        assert abs(np.mean(values)) <= 0.15, key
+        assert 0.9 <= np.std(values) <= 1.2, key
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.7, 0.9])
