@@ -410,7 +410,8 @@ def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
     """The header, then one line of ``_CSV_COLUMNS`` cells per point.
 
     A cell is the shortest round-trip text of its float (``repr``), or empty
-    where the value is undefined; neither ever needs CSV quoting.
+    where the value is undefined; neither ever needs CSV quoting.  Each
+    distinct cell is formatted once.
     """
     scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
     inv = None if scheme is None else scheme.invariants
@@ -420,10 +421,11 @@ def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
     columns += [getattr(ent, key) for key in _MEASURES]
     # None becomes NaN here, and NaN renders as an empty (null) cell.
     table = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns)), axis=-1)
-    rows = table.reshape(-1, len(columns)).tolist()
-    return [",".join(_CSV_COLUMNS)] + [
-        repr(row)[1:-1].replace(", ", ",").replace("nan", "") for row in rows
-    ]
+    # Keyed on bits, not values: a value key would give 0.0 and -0.0 one text.
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    cells = np.array(["" if x != x else repr(x) for x in bits.view(float).tolist()], dtype=object)
+    rows = cells[index].reshape(-1, len(columns)).tolist()
+    return [",".join(_CSV_COLUMNS)] + [",".join(row) for row in rows]
 
 
 def _render_json(payload) -> str:

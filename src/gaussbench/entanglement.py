@@ -127,7 +127,8 @@ def _negativity(inv: InvariantSet):
     radicand_bad = radicand < -NEGATIVITY_RADICAND_ATOL * np.maximum(1.0, delta_tilde**2)
     nu_sq = (delta_tilde - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
     nu_minus = np.sqrt(np.where(radicand_bad | (nu_sq <= 0.0), np.nan, nu_sq))
-    return np.maximum(0.0, -np.log2(nu_minus)), nu_minus
+    # + 0.0 turns the -0.0 of nu~_- = 1 into 0.0.
+    return np.maximum(0.0, -np.log2(nu_minus)) + 0.0, nu_minus
 
 
 def entanglement_report(inv: InvariantSet) -> EntanglementReport:

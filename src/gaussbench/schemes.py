@@ -250,9 +250,11 @@ def reconstruct_scheme1(
 
     def invariants(j1, j2, *readings):
         j3 = _scheme1_j3(j1, j2, *readings)
-        # A moved copy past J1 J2 = 0 has no square root: its J4, and with it
-        # the J4 error, is NaN.
-        j1j2 = np.where(defined & (j1 * j2 > 0.0), j1 * j2, np.nan)
+        # np.multiply, so that one state's overflow obeys np.errstate as a
+        # batch's does.  A moved copy past J1 J2 = 0 has no square root: its
+        # J4, and with it the J4 error, is NaN.
+        j1j2 = np.multiply(j1, j2)
+        j1j2 = np.where(defined & (j1j2 > 0.0), j1j2, np.nan)
         return j1, j2, j3, 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1j2)
 
     inv = InvariantSet(*invariants(*values))

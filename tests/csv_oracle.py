@@ -1,9 +1,9 @@
 """The CSV table cell by cell through ``csv.writer``: an independent oracle for the tests.
 
-The CLI formats each row of its table with one ``repr`` of the row's float
-list.  This module keeps the route that formats each cell with its own
-``repr`` and lets ``csv.writer`` join and quote them, so the tests can
-byte-compare the two.
+The CLI formats each distinct bit pattern of its table once and joins each
+row from those texts.  This module keeps the route that formats each cell
+with its own ``repr`` and lets ``csv.writer`` join and quote them, so the
+tests can byte-compare the two.
 """
 
 import csv

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -543,6 +544,39 @@ def test_json_sweep_rows_match_the_cell_by_cell_oracle(evaluations, capsys):
     assert code == 0
     (ev,) = evaluations
     assert json.loads(capsys.readouterr().out)["rows"] == csv_rows(*ev)
+
+
+def _bits(pattern):
+    return float(np.uint64(pattern).view(np.float64))
+
+
+def test_csv_renderer_matches_the_cell_by_cell_oracle_on_awkward_values():
+    # Cells are told apart by their bits: 0.0 and -0.0 share a column, NaNs
+    # differ in sign and payload, and 0.25 repeats across columns and rows.
+    nans = [math.nan, -math.nan, _bits(0x7FF8_0000_0000_0ABC), _bits(0xFFF8_0000_0000_0001)]
+    oracle = SimpleNamespace(j1=0.25, j2=np.array([0.25, 0.0, -0.0, 0.25]), j3=-0.0, j4=nans)
+    measures = [5e-324, 1e16, 1e-5, [0.0, -0.0, 0.25, math.nan], 0.25]
+    scheme = SimpleNamespace(
+        invariants=SimpleNamespace(j1=0.25, j2=1e16, j3=[-0.0, 0.0, -0.0, 0.0], j4=nans[::-1]),
+        entanglement=SimpleNamespace(**dict(zip(cli._MEASURES, measures))),
+    )
+    ev = SimpleNamespace(oracle=oracle, scheme1=None, scheme2=scheme)
+    param = np.array([0.0, -0.0, 5e-324, -5e-324])
+    lines = cli._csv_lines(param, ev)
+    assert "\n".join(lines) + "\n" == render_csv(csv_rows(param, ev))
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "-0.0", "5e-324", "-5e-324"]
+    # One state, as ``run --format csv`` renders it: no param and no scheme.
+    one_row = SimpleNamespace(
+        oracle=SimpleNamespace(j1=-0.0, j2=0.0, j3=1e16, j4=nans[2]),
+        oracle_entanglement=SimpleNamespace(
+            **dict(zip(cli._MEASURES, [0.25, 0.25, -0.0, 1e-5, 0.0]))
+        ),
+        scheme1=None,
+        scheme2=None,
+    )
+    lines = cli._csv_lines(None, one_row)
+    assert len(lines) == 2
+    assert "\n".join(lines) + "\n" == render_csv(csv_rows(None, one_row))
 
 
 def test_run_csv_format_single_row(capsys):

@@ -191,6 +191,15 @@ def test_log_negativity_matches_brute_force_ppt():
         assert value == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "state", [vacuum_state(), tmsv_state(np.zeros(2))], ids=["vacuum", "tmsv-r0-batch"]
+)
+def test_unit_nu_tilde_gives_positive_zero_negativity(state):
+    # -log2(1) is -0.0, which np.maximum(0.0, -0.0) keeps; a report would say -0.0.
+    values = np.ravel(entanglement_report(invariants_quad(state)).log_negativity)
+    assert [math.copysign(1.0, x) for x in values] == [1.0] * values.size
+
+
 def test_separable_states_have_zero_negativity():
     inv = invariants_quad(thermal_state(1.5, 1.1))
     value, nu = negativity(inv)

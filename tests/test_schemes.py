@@ -11,6 +11,7 @@ from gaussbench import (
     SCHEME1_PLAN,
     SCHEME2_PLAN,
     DetectorModel,
+    QuadCovariance,
     ReconstructionError,
     TranscriptRecord,
     consistency_check,
@@ -462,3 +463,12 @@ def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
     result = scheme1(v)
     assert not math.isnan(result.entanglement.eof_lower_bound)
     assert result.entanglement.eof_lower_bound >= 0.0
+
+
+@pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
+def test_scheme1_overflow_obeys_errstate(points):
+    # J1 J2 of a physical 1e100-vacuum overflows.  One state's readings are
+    # Python floats, whose product would overflow to inf without raising.
+    v = quad_to_mode(QuadCovariance(np.broadcast_to(1e100 * np.eye(4), (*points, 4, 4))))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        scheme1(v)
