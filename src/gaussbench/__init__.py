@@ -40,11 +40,9 @@ from .generators import (
 from .schemes import (
     SCHEME1_PLAN,
     SCHEME2_PLAN,
-    ConsistencyReport,
     PlanEntry,
     SchemeResult,
     TranscriptRecord,
-    consistency_check,
     reconstruct_from_transcript,
     reconstruct_scheme1,
     reconstruct_scheme2,
@@ -74,7 +72,6 @@ __all__ = [
     "SCHEME2_PLAN",
     "BenchSetting",
     "ConfigError",
-    "ConsistencyReport",
     "DetectorModel",
     "EntanglementReport",
     "GaussBenchError",
@@ -91,7 +88,6 @@ __all__ = [
     "TranscriptRecord",
     "UnphysicalMeasurementError",
     "UnphysicalStateError",
-    "consistency_check",
     "entanglement_report",
     "invariants_quad",
     "invert_loss",

@@ -17,8 +17,8 @@ Each protocol's settings and readings are declared once, in ``SCHEME1_PLAN``
 and ``SCHEME2_PLAN``: the bench run records them, the reconstruction reads them.
 
 Reconstruction is a pure function of the recorded transcript (plus, for
-protocol 1, the recorded special-form flag), so replaying a stored
-transcript reproduces the reported invariants bit for bit.  Each protocol
+protocol 1, the recorded special-form flag): :func:`reconstruct_from_transcript`
+rebuilds a stored transcript's result bit for bit, bar the bench's readout.  Each protocol
 writes its invariants once, as one elementwise function of the readings; the
 standard errors are that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
@@ -33,13 +33,14 @@ of states, and its records hold arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
+from .stateio import is_json_number
 from .states import (
     InvariantSet,
     ModeCovariance,
@@ -55,18 +56,12 @@ __all__ = [
     "SCHEME2_PLAN",
     "TranscriptRecord",
     "SchemeResult",
-    "ConsistencyReport",
     "scheme1",
     "scheme2",
     "reconstruct_scheme1",
     "reconstruct_scheme2",
     "reconstruct_from_transcript",
-    "consistency_check",
 ]
-
-#: Largest J1..J3 difference between the protocols that :func:`consistency_check`
-#: accepts.
-CONSISTENCY_TOL = 1e-9
 
 _J_KEYS = ("j1", "j2", "j3", "j4")
 
@@ -125,24 +120,25 @@ class TranscriptRecord:
         ``theta``, ``phi``, ``value`` and ``stderr`` must be finite numbers;
         a bool or a string there is a ``TypeError``, not a number.
         """
-        keys = ("theta", "phi", "value") + (() if data.get("stderr") is None else ("stderr",))
-        numbers = {key: data[key] for key in keys}
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers.values()):
+        numbers = (data["theta"], data["phi"], data["value"])
+        if data.get("stderr") is not None:
+            numbers += (data["stderr"],)
+        if not all(map(is_json_number, numbers)):
             raise TypeError(f"transcript numbers must be JSON numbers, got {numbers!r}")
-        numbers = {key: float(x) for key, x in numbers.items()}
-        if not all(map(math.isfinite, numbers.values())):
+        numbers = tuple(map(float, numbers))
+        if not all(map(math.isfinite, numbers)):
             raise ValueError("transcript theta, phi, value and stderr must be finite")
-        return cls(observable=str(data["observable"]), **numbers)
+        return cls(*numbers[:2], str(data["observable"]), *numbers[2:])
 
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """Reconstructed invariants plus everything needed to audit them."""
+    """Reconstructed invariants plus everything needed to audit them; only a bench
+    run fills ``observations`` and the residuals, the transcript the rest."""
 
     scheme: str
     invariants: InvariantSet
     entanglement: EntanglementReport
-    observations: tuple[Mode1Observation, ...]
     transcript: tuple[TranscriptRecord, ...]
     invariant_stderr: dict | None
     status: str
@@ -150,20 +146,9 @@ class SchemeResult:
     ms_real: float | None = None
     ms_imag: float | None = None
     mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
+    observations: tuple[Mode1Observation, ...] = ()
     residual_m1: float | None = None
     residual_m2: float | None = None
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Per-invariant deltas between the two protocols on the same state."""
-
-    delta_j1: float
-    delta_j2: float
-    delta_j3: float
-    max_delta: float
-    tol: float
-    within_tolerance: bool
 
 
 def _run_plan(v, plan, det, seed):
@@ -295,16 +280,29 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors))), aux
 
 
-def reconstruct_from_transcript(
-    records, scheme: str, special_form: str | None = None
-):
-    """Replay a stored transcript through the matching reconstruction."""
+def reconstruct_from_transcript(records, scheme: str, special_form=None) -> SchemeResult:
+    """Everything a transcript determines: invariants, stderr, measures, status.
+
+    ``special_form`` is scheme 1's recorded cross-block form; scheme 2 has
+    none.  Scheme 2's result also carries the cross-block pieces.
+    """
     if scheme == "scheme1":
-        return reconstruct_scheme1(records, special_form)
-    if scheme == "scheme2":
-        inv, stderr, _ = reconstruct_scheme2(records)
-        return inv, stderr
-    raise ValueError(f"unknown scheme {scheme!r}")
+        inv, stderr = reconstruct_scheme1(records, special_form)
+        aux = {}
+    elif scheme == "scheme2":
+        inv, stderr, aux = reconstruct_scheme2(records)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SchemeResult(
+        scheme=scheme,
+        invariants=inv,
+        entanglement=entanglement_report(inv),
+        transcript=tuple(records),
+        invariant_stderr=stderr,
+        status=_status(inv),
+        special_form=special_form,
+        **aux,
+    )
 
 
 def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
@@ -317,18 +315,8 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     measure NaN).
     """
     observations, records = _run_plan(v, SCHEME1_PLAN, det, seed)
-    special = cross_block_form(v)
-    inv, stderr = reconstruct_scheme1(records, special)
-    return SchemeResult(
-        scheme="scheme1",
-        invariants=inv,
-        entanglement=entanglement_report(inv),
-        observations=observations,
-        transcript=records,
-        invariant_stderr=stderr,
-        status=_status(inv),
-        special_form=special,
-    )
+    result = reconstruct_from_transcript(records, "scheme1", cross_block_form(v))
+    return replace(result, observations=observations)
 
 
 def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
@@ -340,28 +328,9 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     """
     prep = standard_form_prep(v)
     observations, records = _run_plan(prep.vt, SCHEME2_PLAN, det, seed)
-    inv, stderr, aux = reconstruct_scheme2(records)
-    return SchemeResult(
-        scheme="scheme2",
-        invariants=inv,
-        entanglement=entanglement_report(inv),
+    return replace(
+        reconstruct_from_transcript(records, "scheme2"),
         observations=observations,
-        transcript=records,
-        invariant_stderr=stderr,
-        status=_status(inv),
-        ms_real=aux["ms_real"],
-        ms_imag=aux["ms_imag"],
-        mc_magnitude=aux["mc_magnitude"],
         residual_m1=prep.residual_m1,
         residual_m2=prep.residual_m2,
     )
-
-
-def consistency_check(s1: SchemeResult, s2: SchemeResult) -> ConsistencyReport:
-    """Compare the invariants both protocols can reconstruct (J1, J2, J3),
-    within ``CONSISTENCY_TOL``."""
-    d1 = abs(s1.invariants.j1 - s2.invariants.j1)
-    d2 = abs(s1.invariants.j2 - s2.invariants.j2)
-    d3 = abs(s1.invariants.j3 - s2.invariants.j3)
-    max_delta = np.maximum(np.maximum(d1, d2), d3)
-    return ConsistencyReport(d1, d2, d3, max_delta, CONSISTENCY_TOL, max_delta <= CONSISTENCY_TOL)

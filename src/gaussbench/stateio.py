@@ -23,15 +23,15 @@ _MODE_REAL_KEYS = ("n1", "n2")
 _MODE_COMPLEX_KEYS = ("m1", "m2", "ms", "mc")
 
 
-def _is_number(x) -> bool:
+def is_json_number(x) -> bool:
     """A JSON number: a bool or a string is not one, though Python converts both."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _complex_pair(value, key: str) -> complex:
-    if _is_number(value):
+    if is_json_number(value):
         return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_json_number, value)):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"field {key!r} must be a number or an [re, im] pair")
 
@@ -58,7 +58,7 @@ def state_from_dict(data) -> QuadCovariance | ModeCovariance:
                     f"quad entries must be 16 reals or a 4x4 array, got shape {arr.shape}"
                 )
             cells = entries if arr.ndim == 1 else [x for row in entries for x in row]
-            if not all(map(_is_number, cells)):
+            if not all(map(is_json_number, cells)):
                 raise ConfigError("quad entries must be JSON numbers, not bools or strings")
             make, kwargs = QuadCovariance, {"entries": arr.reshape(4, 4)}
         else:
@@ -70,7 +70,7 @@ def state_from_dict(data) -> QuadCovariance | ModeCovariance:
             make, kwargs = ModeCovariance, {}
             for key in _MODE_REAL_KEYS:
                 value = entries[key]
-                if not _is_number(value):
+                if not is_json_number(value):
                     raise ConfigError(f"field {key!r} must be a real number")
                 kwargs[key] = float(value)
             for key in _MODE_COMPLEX_KEYS:

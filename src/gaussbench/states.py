@@ -238,7 +238,8 @@ class InvariantSet:
     exact scaling I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4, so the two
     conventions can never drift apart.  J1..J3 must be finite; ``j4`` is
     NaN, for one state and at any point of a batch, where a measurement
-    scheme could not determine it (the default), and finite elsewhere.
+    scheme could not determine it (the default), and finite elsewhere.  One
+    state's are numpy scalars, so their arithmetic obeys ``np.errstate``.
     """
 
     j1: float
@@ -248,7 +249,7 @@ class InvariantSet:
 
     def __post_init__(self) -> None:
         for name in ("j1", "j2", "j3", "j4"):
-            object.__setattr__(self, name, as_field(getattr(self, name)))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float)[()])
         finite = all(np.isfinite(x).all() for x in (self.j1, self.j2, self.j3))
         if not finite or np.isinf(self.j4).any():
             raise ValueError("invariants must be finite (J4 may be NaN)")

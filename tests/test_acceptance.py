@@ -310,9 +310,7 @@ def test_criterion_10_determinism_and_replay(tmp_path):
     for name in ("scheme1", "scheme2"):
         section = report[name]
         records = [gb.TranscriptRecord.from_dict(r) for r in section["transcript"]]
-        inv, _ = gb.reconstruct_from_transcript(
-            records, name, section.get("special_form")
-        )
+        inv = gb.reconstruct_from_transcript(records, name, section.get("special_form")).invariants
         for key in ("j1", "j2", "j3", "j4"):
             want = section["invariants"][key]
             got = getattr(inv, key)

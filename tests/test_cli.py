@@ -40,7 +40,6 @@ def test_run_tmsv_both_schemes(tmp_path):
     eof_oracle = report["oracle"]["entanglement"]["eof"]
     eof_scheme = report["scheme2"]["entanglement"]["eof"]
     assert eof_scheme == pytest.approx(eof_oracle, abs=1e-9)
-    assert report["consistency"]["within_tolerance"] is True
     assert report["scheme1"]["special_form"] == "antidiagonal"
 
 
@@ -77,7 +76,7 @@ def test_report_is_replayable(tmp_path):
     assert run_cli("replay", "--report", str(out)) == 0
 
 
-def test_noisy_report_is_replayable(tmp_path):
+def _noisy_tmsv_report(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli(
         "run", "--generator", "tmsv", "--r", "0.4", "--seed", "3",
@@ -85,6 +84,11 @@ def test_noisy_report_is_replayable(tmp_path):
         "--out", str(out),
     )
     assert code == 0
+    return out, json.loads(out.read_text())
+
+
+def test_noisy_report_is_replayable(tmp_path):
+    out, _ = _noisy_tmsv_report(tmp_path)
     assert run_cli("replay", "--report", str(out)) == 0
 
 
@@ -96,6 +100,69 @@ def test_replay_detects_tampering(tmp_path, capsys):
     out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 2
     assert "replay" in capsys.readouterr().err
+
+
+def _scale_stderr(report):
+    report["scheme2"]["stderr"]["j1"] *= 100
+
+
+def _set_log_negativity(report):
+    report["scheme2"]["entanglement"]["log_negativity"] = 42
+
+
+def _flip_status(report):
+    assert report["scheme1"]["status"] == "full"
+    report["scheme1"]["status"] = "lower-bound-only"
+
+
+def _move_oracle_j1(report):
+    report["oracle"]["invariants"]["j1"] += 1e-3
+
+
+def _set_ms_real(report):
+    report["scheme2"]["cross_block"]["ms_real"] = 1
+
+
+def _zero_delta(report):
+    report["scheme2"]["deltas"]["j1_abs"] = 0
+
+@pytest.mark.parametrize(
+    "edit, name, key",
+    [
+        (_scale_stderr, "scheme2", "stderr"),
+        (_set_log_negativity, "scheme2", "entanglement"),
+        (_flip_status, "scheme1", "status"),
+        # Replay takes the oracle as given; its J values are checked
+        # through each section's deltas.
+        (_move_oracle_j1, "scheme1", "deltas"),
+        (_set_ms_real, "scheme2", "cross_block"),
+        (_zero_delta, "scheme2", "deltas"),
+    ],
+    ids=["stderr", "log-negativity", "status", "oracle-j1", "ms-real", "delta"],
+)
+def test_replay_names_the_first_field_the_transcript_does_not_reproduce(
+    edit, name, key, tmp_path, capsys
+):
+    out, report = _noisy_tmsv_report(tmp_path)
+    edit(report)
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    assert f"error: replay of {name} does not reproduce its {key}:" in capsys.readouterr().err
+
+
+def test_replay_ignores_a_consistency_section(tmp_path, capsys):
+    # Reports once carried a cross-scheme "consistency" section; replay reads
+    # only the scheme sections and the oracle invariants.
+    out, report = _noisy_tmsv_report(tmp_path)
+    s1, s2 = report["scheme1"]["invariants"], report["scheme2"]["invariants"]
+    deltas = {f"delta_{key}": abs(s1[key] - s2[key]) for key in ("j1", "j2", "j3")}
+    worst = max(deltas.values())
+    report["consistency"] = {
+        **deltas, "max_delta": worst, "tol": 1e-9, "within_tolerance": worst <= 1e-9,
+    }
+    out.write_text(json.dumps(report, indent=2, sort_keys=True))
+    assert run_cli("replay", "--report", str(out)) == 0
+    assert capsys.readouterr().out.startswith("replayed 2 transcript(s): ")
 
 
 def test_scheme_subcommands_match_run(tmp_path):
@@ -739,40 +806,64 @@ def _stringify(part, key):
 
 
 @pytest.mark.parametrize(
-    "name, mutate",
+    "code, name, mutate",
     [
-        pytest.param("scheme2", _drop("transcript"), id="no-transcript"),
-        pytest.param("scheme2", _drop("invariants"), id="no-invariants"),
-        pytest.param("scheme2", _set("transcript", 5), id="transcript-not-a-list"),
-        pytest.param("scheme1", _set("invariants", []), id="invariants-not-an-object"),
-        pytest.param("scheme1", _set_record("theta", "x"), id="theta-not-a-number"),
-        pytest.param("scheme1", _drop_record("phi"), id="record-without-phi"),
-        pytest.param("scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
-        pytest.param("scheme2", _set_invariant("j3", [0.1]), id="list-invariant"),
-        pytest.param("scheme1", _set_invariant("j1", True), id="bool-invariant"),
-        pytest.param("scheme1", _stringify("invariants", "j1"), id="string-number-invariant"),
-        pytest.param("scheme2", _set_record("value", True), id="bool-value"),
-        pytest.param("scheme2", _stringify("record", "value"), id="string-number-value"),
-        pytest.param("scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
-        pytest.param("scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
-        pytest.param("scheme2", _set_record("value", math.nan), id="nan-value"),
-        pytest.param("scheme1", _set_record("value", 1e400), id="infinite-value"),
-        pytest.param("scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),
-        pytest.param("scheme1", _set_record("theta", math.nan), id="nan-theta"),
-        pytest.param("scheme2", _set_record("phi", math.nan), id="nan-phi"),
-        pytest.param("scheme2", _set_record("theta", 1e400), id="infinite-theta"),
-        pytest.param("scheme2", _set("special_form", "diagonal"), id="scheme2-special-form"),
-        pytest.param("scheme2", _set("special_form", "antidiagonal"), id="scheme2-antidiagonal"),
+        pytest.param(1, "scheme2", _drop("transcript"), id="no-transcript"),
+        pytest.param(2, "scheme2", _drop("invariants"), id="no-invariants"),
+        pytest.param(1, "scheme2", _set("transcript", 5), id="transcript-not-a-list"),
+        pytest.param(2, "scheme1", _set("invariants", []), id="invariants-not-an-object"),
+        pytest.param(1, "scheme1", _set_record("theta", "x"), id="theta-not-a-number"),
+        pytest.param(1, "scheme1", _drop_record("phi"), id="record-without-phi"),
+        pytest.param(2, "scheme2", _set_invariant("j3", "zero"), id="string-invariant"),
+        pytest.param(2, "scheme2", _set_invariant("j3", [0.1]), id="list-invariant"),
+        pytest.param(2, "scheme1", _set_invariant("j1", True), id="bool-invariant"),
+        pytest.param(2, "scheme1", _stringify("invariants", "j1"), id="string-number-invariant"),
+        pytest.param(1, "scheme2", _set_record("value", True), id="bool-value"),
+        pytest.param(1, "scheme2", _stringify("record", "value"), id="string-number-value"),
+        pytest.param(1, "scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
+        pytest.param(1, "scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
+        pytest.param(1, "scheme2", _set_record("value", math.nan), id="nan-value"),
+        pytest.param(1, "scheme1", _set_record("value", 1e400), id="infinite-value"),
+        pytest.param(1, "scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),
+        pytest.param(1, "scheme1", _set_record("theta", math.nan), id="nan-theta"),
+        pytest.param(1, "scheme2", _set_record("phi", math.nan), id="nan-phi"),
+        pytest.param(1, "scheme2", _set_record("theta", 1e400), id="infinite-theta"),
+        pytest.param(1, "scheme1", _set_record("value", 10**400), id="huge-integer-value"),
+        pytest.param(1, "scheme2", _set("special_form", "diagonal"), id="scheme2-special-form"),
+        pytest.param(1, "scheme2", _set("special_form", "antidiagonal"), id="scheme2-antidiagonal"),
     ],
 )
-def test_replay_of_a_malformed_section_is_config_error(name, mutate, tmp_path, capsys):
+def test_replay_of_a_malformed_section_is_config_error(code, name, mutate, tmp_path, capsys):
+    # A transcript or special form that cannot be read is a config error.
+    # The invariants are an output that replay renders again, so spoiling
+    # them is a mismatch (exit 2) that names them.
     out = tmp_path / "report.json"
     assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     mutate(report[name])
     out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert f"config error: report section {name}" in err
+    else:
+        assert f"error: replay of {name} does not reproduce its invariants:" in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, "0.5", [0.5], 10**400, None],
+    ids=["bool", "string", "list", "huge-integer", "null-j1"],
+)
+def test_replay_of_a_malformed_oracle_is_config_error(value, tmp_path, capsys):
+    # Replay reads the oracle's J1..J4 for each section's deltas; only J4 may be null.
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    report["oracle"]["invariants"]["j1"] = value
+    out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 1
-    assert f"config error: report section {name}" in capsys.readouterr().err
+    assert "config error: report section oracle is malformed" in capsys.readouterr().err
 
 
 def test_replay_of_an_overflowing_transcript_is_a_physics_failure(tmp_path, capsys):

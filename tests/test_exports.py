@@ -14,7 +14,7 @@ MODULES = ("bench", "cli", "entanglement", "generators", "schemes", "stateio", "
 #: ``cross_block_form`` classifies the cross block, so nothing raises for
 #: them; ``invert_loss`` undoes the loss of every detector kind; and NaN turns
 #: into ``null`` only where ``cli`` writes a report, so ``optional_field`` is
-#: private to it.
+#: private to it.  A report's cross-scheme ``consistency`` section is gone.
 REMOVED = (
     "eof_symmetric",
     "eof_lower_bound",
@@ -25,6 +25,9 @@ REMOVED = (
     "invert_loss_homodyne",
     "LossInversion",
     "optional_field",
+    "consistency_check",
+    "ConsistencyReport",
+    "CONSISTENCY_TOL",
 )
 
 

@@ -83,8 +83,7 @@ def brute_force_stderr(records, scheme, special_form, rel_step):
             moved[i] = TranscriptRecord(
                 rec.theta, rec.phi, rec.observable, rec.value + sign * rel_step * rec.stderr
             )
-            inv, _ = reconstruct_from_transcript(moved, scheme, special_form)
-            replays.append(inv)
+            replays.append(reconstruct_from_transcript(moved, scheme, special_form).invariants)
         for key in ("j1", "j2", "j3", "j4"):
             up, down = (getattr(inv, key) for inv in replays)
             squares[key] = squares.get(key, 0.0) + ((up - down) / (2.0 * rel_step)) ** 2
@@ -139,7 +138,7 @@ def test_scheme2_stderr_keeps_the_clamp_branch_of_the_measured_point(mc_sq):
     # inside it, and the signed |m~c|^2 takes the same smooth formula on
     # either side of zero, as the replay of each moved copy does.
     records = _scheme2_transcript(0.36 - mc_sq)
-    _, got = reconstruct_from_transcript(records, "scheme2")
+    got = reconstruct_from_transcript(records, "scheme2").invariant_stderr
     want = brute_force_stderr(records, "scheme2", None, 1e-8)
     for key in ("j3", "j4"):
         assert got[key] == pytest.approx(want[key], rel=1e-5), key
@@ -155,7 +154,8 @@ def test_scheme1_stderr_keeps_the_sign_of_the_measured_j3():
     ]
     records = _records([(t, p, "J", v) for (t, p), v in zip(settings, j)], e)
     records += _records([(t, p, "N", 0.5) for t, p in settings[:3] + settings[4:5]], e)
-    inv, got = reconstruct_from_transcript(records, "scheme1", "diagonal")
+    result = reconstruct_from_transcript(records, "scheme1", "diagonal")
+    inv, got = result.invariants, result.invariant_stderr
     assert inv.j3 == pytest.approx(1e-6, rel=1e-6)
     want = brute_force_stderr(records, "scheme1", "diagonal", 1e-6)
     assert got["j4"] == pytest.approx(want["j4"], rel=1e-5)
@@ -174,7 +174,8 @@ def test_scheme1_j4_error_is_nan_where_the_stencil_crosses_j1_j2_zero():
     ]
     records = _records([(t, p, "J", v) for (t, p), v in zip(settings, j)], e)
     records += _records([(t, p, "N", 0.5) for t, p in settings[:3] + settings[4:5]], e)
-    inv, got = reconstruct_from_transcript(records, "scheme1", "diagonal")
+    result = reconstruct_from_transcript(records, "scheme1", "diagonal")
+    inv, got = result.invariants, result.invariant_stderr
     assert math.isfinite(inv.j4) and inv.j4 > 0.0
     assert math.isnan(got["j4"])
     assert all(math.isfinite(got[key]) for key in ("j1", "j2", "j3"))

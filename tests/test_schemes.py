@@ -11,10 +11,11 @@ from gaussbench import (
     SCHEME1_PLAN,
     SCHEME2_PLAN,
     DetectorModel,
+    InvariantSet,
     QuadCovariance,
     ReconstructionError,
     TranscriptRecord,
-    consistency_check,
+    entanglement_report,
     quad_to_mode,
     random_state,
     reconstruct_from_transcript,
@@ -138,20 +139,23 @@ def test_scheme2_tmsv_closed_forms():
     assert result.entanglement.eof == pytest.approx(want_eof, abs=1e-9)
 
 
+def _deltas(s1, s2):
+    """|scheme 1 - scheme 2| for the invariants both protocols reconstruct."""
+    s1, s2 = s1.invariants, s2.invariants
+    return {key: abs(getattr(s1, key) - getattr(s2, key)) for key in ("j1", "j2", "j3")}
+
+
 def test_schemes_agree_with_each_other():
     for g in states(50, seed_offset=7000):
         v = quad_to_mode(g)
-        report = consistency_check(scheme1(v), scheme2(v))
-        assert report.within_tolerance, report
+        deltas = _deltas(scheme1(v), scheme2(v))
+        assert max(deltas.values()) <= 1e-9, deltas
 
 
 def test_consistency_on_vacuum_is_exact():
     v = quad_to_mode(vacuum_state())
-    report = consistency_check(scheme1(v), scheme2(v))
-    assert report.delta_j1 == pytest.approx(0.0, abs=1e-15)
-    assert report.delta_j2 == pytest.approx(0.0, abs=1e-15)
-    assert report.delta_j3 == pytest.approx(0.0, abs=1e-15)
-    assert report.within_tolerance
+    for key, delta in _deltas(scheme1(v), scheme2(v)).items():
+        assert delta == pytest.approx(0.0, abs=1e-15), key
 
 
 def test_consistency_under_finite_shots():
@@ -161,12 +165,7 @@ def test_consistency_under_finite_shots():
     det = DetectorModel(kind="lossy-homodyne", eta=1.0, shots=100000)
     s1 = scheme1(v, det, seed=11)
     s2 = scheme2(v, det, seed=12)
-    report = consistency_check(s1, s2)  # deltas checked against the shot noise below
-    for name, delta in (
-        ("j1", report.delta_j1),
-        ("j2", report.delta_j2),
-        ("j3", report.delta_j3),
-    ):
+    for name, delta in _deltas(s1, s2).items():
         combined = math.hypot(s1.invariant_stderr[name], s2.invariant_stderr[name])
         assert delta < 3 * combined, name
 
@@ -184,8 +183,8 @@ def test_scheme1_number_combination_is_symmetric_under_arm_swap():
             swapped.append(TranscriptRecord(0.0, 0.0, rec.observable, rec.value))
         else:
             swapped.append(rec)
-    inv, _ = reconstruct_from_transcript(records, "scheme1")
-    inv_swapped, _ = reconstruct_from_transcript(swapped, "scheme1")
+    inv = reconstruct_from_transcript(records, "scheme1").invariants
+    inv_swapped = reconstruct_from_transcript(swapped, "scheme1").invariants
     assert inv_swapped.j3 == pytest.approx(inv.j3, rel=1e-12, abs=1e-15)
     assert inv_swapped.j1 == pytest.approx(inv.j2, rel=1e-12)
 
@@ -194,19 +193,19 @@ def test_transcript_replay_reproduces_invariants_exactly():
     for g in states(25, seed_offset=8000):
         v = quad_to_mode(g)
         r1 = scheme1(v)
-        replayed, _ = reconstruct_from_transcript(
+        replayed = reconstruct_from_transcript(
             [TranscriptRecord.from_dict(rec.to_dict()) for rec in r1.transcript],
             "scheme1",
             special_form=r1.special_form,
-        )
+        ).invariants
         assert replayed.j1 == r1.invariants.j1
         assert replayed.j2 == r1.invariants.j2
         assert replayed.j3 == r1.invariants.j3
         r2 = scheme2(v)
-        replayed2, _ = reconstruct_from_transcript(
+        replayed2 = reconstruct_from_transcript(
             [TranscriptRecord.from_dict(rec.to_dict()) for rec in r2.transcript],
             "scheme2",
-        )
+        ).invariants
         assert replayed2.j1 == r2.invariants.j1
         assert replayed2.j2 == r2.invariants.j2
         assert replayed2.j3 == r2.invariants.j3
@@ -217,12 +216,12 @@ def test_replay_of_noisy_transcript_is_also_exact():
     v = quad_to_mode(tmsv_state(0.5))
     det = DetectorModel(kind="lossy-homodyne", eta=0.9, shots=2000)
     result = scheme2(v, det, seed=5)
-    replayed, stderr = reconstruct_from_transcript(
+    replayed = reconstruct_from_transcript(
         [TranscriptRecord.from_dict(rec.to_dict()) for rec in result.transcript],
         "scheme2",
     )
-    assert replayed.j4 == result.invariants.j4
-    assert stderr == result.invariant_stderr
+    assert replayed.invariants.j4 == result.invariants.j4
+    assert replayed.invariant_stderr == result.invariant_stderr
 
 
 def test_missing_record_raises():
@@ -264,9 +263,9 @@ def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
     ]
     ignored_after = [TranscriptRecord(0.0, 0.0, "N", 99.0, 1.0)]  # only the first match counts
     records = ignored_before + records + ignored_after
-    inv, stderr = reconstruct_from_transcript(records, scheme, result.special_form)
-    assert inv == result.invariants
-    assert stderr == result.invariant_stderr
+    replayed = reconstruct_from_transcript(records, scheme, result.special_form)
+    assert replayed.invariants == result.invariants
+    assert replayed.invariant_stderr == result.invariant_stderr
 
 
 @pytest.mark.parametrize(
@@ -284,8 +283,7 @@ def test_every_reading_a_reconstruction_uses_is_required(scheme, name):
 def test_scheme2_does_not_need_its_other_readings(name):
     result = scheme2(quad_to_mode(random_state(31)))
     records = [rec for rec in result.transcript if not _is_reading(rec, SCHEME2_PLAN, name)]
-    inv, _ = reconstruct_from_transcript(records, "scheme2")
-    assert inv == result.invariants
+    assert reconstruct_from_transcript(records, "scheme2").invariants == result.invariants
 
 
 def test_unknown_scheme_name_rejected():
@@ -329,7 +327,7 @@ def test_nonpositive_direct_reading_is_reported_with_nan_j4(j1, form):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inv, _ = reconstruct_from_transcript(records, "scheme1", form)
+        inv = reconstruct_from_transcript(records, "scheme1", form).invariants
     assert (inv.j1, inv.j2) == (j1, 0.3)
     # J3 = (four theta = pi/4 J's - J1 - J2 + 6 N^2 - 2 (2 N)(2 N)) / 4, N = 0.6.
     assert inv.j3 == pytest.approx((1.2 - j1 - 0.3 + 6 * 0.36 - 8 * 0.36) / 4.0)
@@ -467,8 +465,11 @@ def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
 
 @pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
 def test_scheme1_overflow_obeys_errstate(points):
-    # J1 J2 of a physical 1e100-vacuum overflows.  One state's readings are
-    # Python floats, whose product would overflow to inf without raising.
+    # J1 J2 of a physical 1e100-vacuum overflows, and so does I1 I2 in the
+    # measures of invariants that size.  Python floats, which one state's
+    # readings are, overflow to inf on ``*`` without raising.
     v = quad_to_mode(QuadCovariance(np.broadcast_to(1e100 * np.eye(4), (*points, 4, 4))))
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        scheme1(v)
+    inv = InvariantSet(*(np.full(points, x) for x in (2.5e199, 2.5e199, 0.0, 0.0)))
+    for run in (lambda: scheme1(v), lambda: scheme2(v), lambda: entanglement_report(inv)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run()
