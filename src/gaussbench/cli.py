@@ -55,7 +55,7 @@ from .states import (
     quad_to_mode,
     validate_physical,
 )
-from .stateio import is_json_number, load_state, read_json_object
+from .stateio import is_json_number, load_state, read_json_object, render_json
 
 __all__ = ["main", "build_parser"]
 
@@ -414,11 +414,6 @@ def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
     return [",".join(_CSV_COLUMNS)] + [",".join(row) for row in rows]
 
 
-def _render_json(payload) -> str:
-    # An undefined value is null; a NaN token would make the file invalid JSON.
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -433,7 +428,7 @@ def _cmd_run(cfg, scheme_choice: str) -> int:
     if fmt == "csv":
         text = "\n".join(_csv_lines(cfg.get("r"), ev)) + "\n"
     else:
-        text = _render_json(_build_report(ev))
+        text = render_json(_build_report(ev))
     _emit(text, cfg.get("out"))
     return 0
 
@@ -471,7 +466,7 @@ def _cmd_sweep(cfg) -> int:
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
         rows = [line.split(",") for line in lines[1:]]
-        text = _render_json({"param": param, "columns": _CSV_COLUMNS, "rows": rows})
+        text = render_json({"param": param, "columns": _CSV_COLUMNS, "rows": rows})
     else:
         text = "\n".join(lines) + "\n"
     _emit(text, cfg.get("out"))
@@ -493,7 +488,7 @@ def _cmd_validate(cfg) -> int:
         "symmetric": True,
         "slack": PHYSICALITY_SLACK,
     }
-    _emit(_render_json(payload), cfg.get("out"))
+    _emit(render_json(payload), cfg.get("out"))
     return 0 if phys.physical else 2
 
 

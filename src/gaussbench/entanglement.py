@@ -42,6 +42,10 @@ NEGATIVITY_RADICAND_ATOL = 1e-9
 #: Relative tolerance for treating I1 and I2 as equal.
 SYM_TOL = 1e-6
 
+#: The ``separable`` label at index 2 * undecided + separable: taking it from
+#: a constant array gives a plain value for one state and an array for a batch.
+_SEPARABLE = np.array([False, True, None, None], dtype=object)
+
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -71,23 +75,25 @@ def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
     """
     i1, i2, i3 = inv.i1, inv.i2, inv.i3
     margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - inv.i4 - i1 - i2
-    separable = np.where(np.isnan(margin), None, (i3 >= 0.0) | (margin >= 0.0))
-    return as_field(separable, object), as_field(margin)
+    undecided = (margin != margin).astype(np.intp)  # NaN
+    separable = _SEPARABLE.take(2 * undecided + ((i3 >= 0.0) | (margin >= 0.0)))
+    return separable, as_field(margin)
 
 
-def _x_parameter(i1, i3, i4):
-    """Inner argument x = sqrt(I1 + |I3| - sqrt(I4 + 2 I1 |I3|)).
+def _x_parameter(i1, i3, i4, symmetric):
+    """Inner argument x = sqrt(I1 + |I3| - sqrt(I4 + 2 I1 |I3|)) of a symmetric state.
 
     For a two-mode squeezed vacuum this reduces to exp(-2r); generally it
     plays the role of an effective squeeze factor, with x >= 1 meaning no
     entanglement is seen by the symmetric closed form.  Small negative
     inner radicands (down to -EOF_RADICAND_ATOL) are clamped; x is NaN below
-    that and where x^2 <= 0 (the EoF would diverge).
+    that, where x^2 <= 0 (the EoF would diverge) and where ``symmetric`` is
+    false (the closed form needs I1 = I2).
     """
     inner_sq = i4 + 2.0 * i1 * abs(i3)
     x_sq = i1 + abs(i3) - np.sqrt(np.maximum(inner_sq, 0.0))
-    inner_bad = inner_sq < -EOF_RADICAND_ATOL
-    return np.sqrt(np.where(inner_bad | (x_sq <= 0.0), np.nan, x_sq))
+    defined = symmetric & (inner_sq >= -EOF_RADICAND_ATOL) & (x_sq > 0.0)
+    return np.sqrt(np.where(defined, x_sq, np.nan))
 
 
 def _entropy_of_squeeze_factor(x):
@@ -102,16 +108,14 @@ def _entropy_of_squeeze_factor(x):
     return c_plus * np.log2(c_plus) - c_minus * np.log2(c_minus + (c_minus == 0.0))
 
 
-def _eof(inv: InvariantSet, i4):
+def _eof(inv: InvariantSet, i4, symmetric):
     """Symmetric-state EoF (bits) with the given I4, NaN where undefined.
 
-    NaN too for a non-symmetric state, |I1 - I2| > SYM_TOL * max(I1, I2).
+    NaN too where ``symmetric`` is false, |I1 - I2| > SYM_TOL * max(I1, I2).
     With I4 = 0 it is a lower bound on the EoF: the inner radical grows with
     I4 and E(x) decreases with x, and the bound needs just I1 and I3.
     """
-    value = _entropy_of_squeeze_factor(_x_parameter(inv.i1, inv.i3, i4))
-    symmetric = abs(inv.i1 - inv.i2) <= SYM_TOL * np.maximum(inv.i1, inv.i2)
-    return np.where(symmetric, value, np.nan)
+    return _entropy_of_squeeze_factor(_x_parameter(inv.i1, inv.i3, i4, symmetric))
 
 
 def _negativity(inv: InvariantSet):
@@ -141,5 +145,7 @@ def entanglement_report(inv: InvariantSet) -> EntanglementReport:
     """
     separable, margin = simon_separable(inv)
     negativity, nu_minus = _negativity(inv)
-    measures = (margin, _eof(inv, inv.i4), _eof(inv, 0.0), negativity, nu_minus)
+    symmetric = abs(inv.i1 - inv.i2) <= SYM_TOL * np.maximum(inv.i1, inv.i2)
+    eof, bound = _eof(inv, inv.i4, symmetric), _eof(inv, 0.0, symmetric)
+    measures = (margin, eof, bound, negativity, nu_minus)
     return EntanglementReport(separable, *map(as_field, measures))

@@ -123,12 +123,13 @@ class TranscriptRecord:
         numbers = (data["theta"], data["phi"], data["value"])
         if data.get("stderr") is not None:
             numbers += (data["stderr"],)
-        if not all(map(is_json_number, numbers)):
-            raise TypeError(f"transcript numbers must be JSON numbers, got {numbers!r}")
-        numbers = tuple(map(float, numbers))
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("transcript theta, phi, value and stderr must be finite")
-        return cls(*numbers[:2], str(data["observable"]), *numbers[2:])
+        for x in numbers:
+            if not is_json_number(x):
+                raise TypeError(f"transcript numbers must be JSON numbers, got {numbers!r}")
+            if not math.isfinite(x):
+                raise ValueError("transcript theta, phi, value and stderr must be finite")
+        theta, phi, value, *stderr = map(float, numbers)
+        return cls(theta, phi, str(data["observable"]), value, *stderr)
 
 
 @dataclass(frozen=True)
@@ -169,25 +170,25 @@ def _readings(records, plan, names):
     Each reading is the first record with its observable within 1e-9 of its
     entry's (theta, phi); records the names do not ask for are ignored.  The
     errors are ``None`` when every named reading is exact, otherwise a
-    missing stderr counts as 0.
+    missing stderr counts as 0.  One pass over the records finds them all.
     """
-    settings = {name: entry.setting for entry in plan for name in entry.readings}
-    found = []
-    for name in names:
-        setting = settings[name]
-        for rec in records:
-            if (
-                rec.observable == name[0]
-                and math.isclose(rec.theta, setting.theta, rel_tol=0.0, abs_tol=1e-9)
-                and math.isclose(rec.phi, setting.phi, rel_tol=0.0, abs_tol=1e-9)
-            ):
-                found.append(rec)
+    by_name = {}
+    for rec in records:
+        for entry in plan:  # the settings of a plan are far more than 2e-9 apart
+            setting = entry.setting
+            if abs(rec.theta - setting.theta) <= 1e-9 and abs(rec.phi - setting.phi) <= 1e-9:
+                for name in entry.readings:
+                    if name[0] == rec.observable:
+                        by_name.setdefault(name, rec)
                 break
-        else:
+    for name in names:
+        if name not in by_name:
+            setting = next(entry.setting for entry in plan if name in entry.readings)
             raise ReconstructionError(
                 f"transcript is missing {name[0]} at "
                 f"theta={setting.theta:.6f}, phi={setting.phi:.6f}"
             )
+    found = [by_name[name] for name in names]
     values = [rec.value for rec in found]
     if all(rec.stderr is None for rec in found):
         return values, None
@@ -199,9 +200,13 @@ def _known(special_form):
     return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
 
 
+#: A result's ``status``, indexed by whether J4 is NaN.
+_STATUS = np.array(["full", "lower-bound-only"], dtype=object)
+
+
 def _status(inv: InvariantSet):
     """A result's ``status``: ``"full"`` where J4 is finite, else ``"lower-bound-only"``."""
-    return as_field(np.where(np.isnan(inv.j4), "lower-bound-only", "full"), object)
+    return _STATUS.take(inv.j4 != inv.j4)
 
 
 def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):

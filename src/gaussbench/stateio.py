@@ -6,11 +6,16 @@ Two formats share one envelope {"format": ..., "entries": ...}:
   (a nested 4x4 list of reals is also accepted on input).
 * "mode": entries is {"n1", "n2", "m1", "m2", "ms", "mc"} where the
   occupations are reals and the four complex moments are [re, im] pairs.
+
+Every JSON file the package writes, a state here or a report in ``cli``,
+comes from :func:`render_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -125,5 +130,52 @@ def load_state(path) -> QuadCovariance | ModeCovariance:
 
 def save_state(state, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(state_to_dict(state)))
+
+
+def render_json(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
+    plus one trailing newline, written in one pass.
+
+    With an indent, the standard library encodes in pure-Python generators;
+    this writer builds each container's text with one join instead.  Objects
+    need string keys (the standard library would convert some others), lists
+    and tuples both become arrays, floats are written with ``float.__repr__``
+    (``np.float64`` too), and strings are ASCII-escaped.  A NaN or infinite
+    float raises ``ValueError``: an undefined value must be null, since a NaN
+    token is not JSON.  Any other type raises ``TypeError``.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(o, newline: str) -> str:
+    """``o`` as indented JSON; ``newline`` is the line break and indent of its own line."""
+    if isinstance(o, float):  # first: most leaves of a report are floats
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(o.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in o]) + newline + "]"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -250,8 +250,9 @@ class InvariantSet:
     def __post_init__(self) -> None:
         for name in ("j1", "j2", "j3", "j4"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float)[()])
-        finite = all(np.isfinite(x).all() for x in (self.j1, self.j2, self.j3))
-        if not finite or np.isinf(self.j4).any():
+        # |x| < inf is false for NaN and for an infinity.
+        finite = (abs(self.j1) < math.inf) & (abs(self.j2) < math.inf) & (abs(self.j3) < math.inf)
+        if any_point(~finite | (abs(self.j4) == math.inf)):
             raise ValueError("invariants must be finite (J4 may be NaN)")
 
     @property

@@ -254,24 +254,64 @@ def test_simon_without_fourth_invariant_is_undecided():
     assert separable is None and math.isnan(margin)
 
 
-def test_measures_never_raise_and_one_state_matches_its_batch_point():
-    # Unphysical sets and a missing J4 give NaN measures and a None verdict,
-    # never an error, and one state gets exactly what its batch point gets.
-    rng = np.random.default_rng(5)
-    j1, j2, j3, j4 = rng.uniform(-1.0, 3.0, (4, 200))
-    j4[rng.random(200) < 0.3] = math.nan
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def assert_one_state_matches_its_batch_point(j1, j2, j3, j4):
+    """One state gets the very bits its batch point gets, as a Python float,
+    and a Python bool or None for its verdict."""
     batch = InvariantSet(j1, j2, j3, j4)
     report = entanglement_report(batch)
     verdicts, margins = simon_separable(batch)
     assert list(report.separable) == list(verdicts)
     np.testing.assert_array_equal(report.simon_lhs_minus_rhs, margins)
-    for i in range(200):
+    for i in range(len(j1)):
         one = InvariantSet(j1[i], j2[i], j3[i], j4[i])
         single = entanglement_report(one)
-        assert single.separable == report.separable[i] == simon_separable(one)[0]
+        assert single.separable is report.separable[i] is simon_separable(one)[0]
+        assert type(single.separable) in (bool, type(None))
         for name in FIELDS:
-            np.testing.assert_array_equal(getattr(single, name), getattr(report, name)[i])
+            value = getattr(single, name)
+            assert type(value) is float, name
+            assert _bits(value) == _bits(getattr(report, name)[i]), name
     assert np.isnan(report.log_negativity[np.isnan(j4)]).all()
+
+
+def test_measures_never_raise_and_one_state_matches_its_batch_point():
+    # Unphysical sets and a missing J4 give NaN measures and a None verdict,
+    # never an error.
+    rng = np.random.default_rng(5)
+    j1, j2, j3, j4 = rng.uniform(-1.0, 3.0, (4, 200))
+    j4[rng.random(200) < 0.3] = math.nan
+    assert_one_state_matches_its_batch_point(j1, j2, j3, j4)
+
+
+def _state_sets():
+    states = [
+        vacuum_state(),
+        *(tmsv_state(r) for r in (0.0, 0.3, 1.0, 2.5)),
+        thermal_state(1.2, 2.4),  # asymmetric: no EoF
+        *mixed_population(12, seed_offset=40),
+    ]
+    sets = [invariants_quad(g) for g in states]
+    return [np.array([getattr(inv, key) for inv in sets]) for key in ("j1", "j2", "j3", "j4")]
+
+
+def _noisy_sets():
+    # What finite shots hand the measures: a NaN J4 beside a symmetric and an
+    # asymmetric set, and a noisy J1 below zero.
+    return (
+        np.array([0.3, 0.3, 0.3, -0.02, -0.02, 1.2]),
+        np.array([0.3, 0.3, 0.45, 0.3, 0.3, 1.2000001]),
+        np.array([-0.1, -0.1, -0.1, 0.05, 0.05, -1.1]),
+        np.array([math.nan, 0.01, math.nan, math.nan, 0.001, 1.3]),
+    )
+
+
+@pytest.mark.parametrize("sets", [_state_sets, _noisy_sets], ids=["states", "noisy"])
+def test_one_state_matches_its_batch_point_on_states_and_noisy_sets(sets):
+    assert_one_state_matches_its_batch_point(*sets())
 
 
 def test_report_on_asymmetric_state_drops_eof_fields():

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,12 @@ def test_status_says_where_j4_is_known(run, eta, shots, seed):
         assert result.invariants.j2[0] < 0.0
     else:
         assert result.observations[0].n_prime[0] < 0.0
+    # Each point's transcript alone gives that point's status as a plain string.
+    for i, status in enumerate(result.status):
+        records = [replace(rec, value=rec.value[i], stderr=rec.stderr[i]) for rec in result.transcript]
+        form = result.special_form[i] if run is scheme1 else None
+        one = reconstruct_from_transcript(records, result.scheme, form)
+        assert type(one.status) is str and one.status == status
 
 
 @pytest.mark.parametrize(

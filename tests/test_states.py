@@ -239,6 +239,17 @@ class TestInvariants:
         with pytest.raises(ValueError, match="invariants must be finite"):
             InvariantSet(0.6, 0.6, -0.3, j4)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["j1", "j2", "j3"])
+    @pytest.mark.parametrize("points", [(), (3,)], ids=["one-state", "batch"])
+    def test_non_finite_j1_to_j3_is_rejected(self, points, index, value):
+        # A batch fails for one bad point; a NaN J4 alone is accepted.
+        values = [np.full(points, x) for x in (0.6, 0.6, -0.3, math.nan)]
+        assert np.isnan(InvariantSet(*values).j4).all()
+        values[index][(-1,) * len(points)] = value
+        with pytest.raises(ValueError, match="invariants must be finite"):
+            InvariantSet(*values)
+
 
 class TestPhysicality:
     def test_vacuum_is_physical(self):
