@@ -307,12 +307,10 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     def estimate(*raw):
         return invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
 
-    n_prime, j_prime = estimate(*readings)
-    columns = [n_prime, j_prime, *_derived_purity(j_prime)]
+    (n_prime, j_prime), errors = propagate(estimate, readings, errors)
     if errors is None:
         _check_exact(n_prime, j_prime, det.eta)
-    else:
-        columns += propagate(estimate, readings, errors)
+    columns = [n_prime, j_prime, *_derived_purity(j_prime), *(errors or ())]
     # One split per field: plain numbers for one state, arrays for a batch.
     fields = [x.tolist() if x.ndim == 1 else list(x) for x in columns]
     observations = tuple(map(Mode1Observation, settings, *fields))

@@ -166,6 +166,8 @@ def build_parser() -> _Parser:
     rep.add_argument("--report", metavar="FILE", help="report JSON produced by run")
     rep.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
 
+    for name, command in sub.choices.items():  # parsed alone, a command still names itself
+        command.set_defaults(command=name)
     return parser
 
 
@@ -181,14 +183,34 @@ def _config_value(action, key, value):
     return value
 
 
+def _subparsers(parser) -> dict:
+    """Each command's parser, by command name."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def _parse_args(parser, argv):
+    """``parser.parse_args(argv)``, in one pass where ``argv`` starts with a command:
+    the rest goes straight to that command's parser.  Where it leaves an
+    argument unrecognised, ``parser`` parses the whole line again, so that the
+    error text is the top-level one.  No arguments, ``-h`` and an unknown
+    command are the top-level parser's.
+    """
+    command = _subparsers(parser).get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def _merge_config(parser, args) -> dict:
     """Fold the optional config file under the explicit flags."""
     ns = dict(vars(args))
     path = ns.get("config")
     if path:
         loaded = read_json_object(path, "config file")
-        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+        actions = {a.dest: a for a in _subparsers(parser)[args.command]._actions}
         for key, value in loaded.items():
             if key in ("command", "config") or key not in ns:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -346,7 +368,6 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
         )
     v = quad_to_mode(g)
     oracle_inv = invariants_quad(g)
-    oracle_ent = entanglement_report(oracle_inv)
     res1 = res2 = None
     if scheme_choice in ("scheme1", "both"):
         res1 = scheme1(v, det, seed=s1_seq)
@@ -354,7 +375,7 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
         res2 = scheme2(v, det, seed=s2_seq)
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
-        oracle=oracle_inv, oracle_entanglement=oracle_ent, scheme1=res1, scheme2=res2,
+        oracle=oracle_inv, scheme1=res1, scheme2=res2,
     )
 
 
@@ -373,7 +394,7 @@ def _build_report(ev: SimpleNamespace) -> dict:
         },
         "oracle": {
             "invariants": _invariants_dict(ev.oracle),
-            "entanglement": _entanglement_dict(ev.oracle_entanglement),
+            "entanglement": _entanglement_dict(entanglement_report(ev.oracle)),
         },
         "scheme1": None,
         "scheme2": None,
@@ -392,21 +413,31 @@ def _build_report(ev: SimpleNamespace) -> dict:
     return report
 
 
-def _csv_lines(param, ev: SimpleNamespace) -> list[str]:
-    """The header, then one line of ``_CSV_COLUMNS`` cells per point.
-
-    A cell is the shortest round-trip text of its float (``repr``), or empty
-    where the value is undefined; neither ever needs CSV quoting.  Each
-    distinct cell is formatted once.
-    """
+def _csv_table(param, ev: SimpleNamespace) -> list[str]:
+    """The CSV lines of an evaluation: the scheme columns and measures of the
+    scheme it ran (scheme 2 where both ran), or the oracle's measures."""
     scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
-    inv = None if scheme is None else scheme.invariants
-    ent = ev.oracle_entanglement if scheme is None else scheme.entanglement
-    columns = [param, *(getattr(ev.oracle, key) for key in _J_KEYS)]
-    columns += [None if inv is None else getattr(inv, key) for key in _J_KEYS]
-    columns += [getattr(ent, key) for key in _MEASURES]
-    # None becomes NaN here, and NaN renders as an empty (null) cell.
-    table = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns)), axis=-1)
+    if scheme is None:
+        return _csv_lines(param, ev.oracle, None, entanglement_report(ev.oracle))
+    return _csv_lines(param, ev.oracle, scheme.invariants, scheme.entanglement)
+
+
+def _csv_lines(param, oracle_inv, scheme_inv, measures) -> list[str]:
+    """The header, then one line of ``_CSV_COLUMNS`` cells per value of ``param``.
+
+    The cells are ``param``, the oracle's and the scheme's J1..J4 (empty
+    where ``scheme_inv`` is None) and the entanglement ``measures``.  A cell
+    is the shortest round-trip text of its float (``repr``), or empty where
+    the value is undefined; neither ever needs CSV quoting.  Each distinct
+    cell is formatted once.
+    """
+    columns = [param, *(getattr(oracle_inv, key) for key in _J_KEYS)]
+    columns += [None if scheme_inv is None else getattr(scheme_inv, key) for key in _J_KEYS]
+    columns += [getattr(measures, key) for key in _MEASURES]
+    table = np.empty((np.size(param), len(columns)))
+    for i, column in enumerate(columns):
+        # None becomes NaN here, and NaN renders as an empty (null) cell.
+        table[:, i] = math.nan if column is None else column
     # Keyed on bits, not values: a value key would give 0.0 and -0.0 one text.
     bits, index = np.unique(table.view(np.uint64), return_inverse=True)
     cells = np.array(["" if x != x else repr(x) for x in bits.view(float).tolist()], dtype=object)
@@ -426,7 +457,7 @@ def _cmd_run(cfg, scheme_choice: str) -> int:
     ev = _evaluate(cfg, scheme_choice)
     fmt = cfg.get("format") or "json"
     if fmt == "csv":
-        text = "\n".join(_csv_lines(cfg.get("r"), ev)) + "\n"
+        text = "\n".join(_csv_table(cfg.get("r"), ev)) + "\n"
     else:
         text = render_json(_build_report(ev))
     _emit(text, cfg.get("out"))
@@ -461,7 +492,7 @@ def _cmd_sweep(cfg) -> int:
         cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
 
     # The whole grid is one batch through the same code as ``run``.
-    lines = _csv_lines(grid, _evaluate({**cfg, param: grid}, scheme_choice))
+    lines = _csv_table(grid, _evaluate({**cfg, param: grid}, scheme_choice))
 
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
@@ -548,7 +579,7 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         cfg = _merge_config(parser, args)
         command = args.command

@@ -233,24 +233,26 @@ def reconstruct_scheme1(
     names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
     values, errors = _readings(records, SCHEME1_PLAN, names)
     j1, j2 = values[:2]
-    # The measured point fixes where J4 is defined and the branch of |J3|, so
-    # that no copy moved by ``propagate`` straddles the kink at J3 = 0.
+    # The measured point fixes where J4 is defined, so that no copy moved by
+    # ``propagate`` takes a root where the measured point has none.
     defined = _known(special_form) & (j1 > 0.0) & (j2 > 0.0)
-    negative = _scheme1_j3(*values) < 0.0
 
     def invariants(j1, j2, *readings):
         j3 = _scheme1_j3(j1, j2, *readings)
-        # np.multiply, so that one state's overflow obeys np.errstate as a
-        # batch's does.  A moved copy past J1 J2 = 0 has no square root: its
+        # np.multiply, so that one state's overflows obey np.errstate as a
+        # batch's do.  A moved copy past J1 J2 = 0 has no square root: its
         # J4, and with it the J4 error, is NaN.
         j1j2 = np.multiply(j1, j2)
         j1j2 = np.where(defined & (j1j2 > 0.0), j1j2, np.nan)
-        return j1, j2, j3, 2.0 * np.where(negative, -j3, j3) * np.sqrt(j1j2)
+        return j1, j2, j3, np.multiply(2.0, j3) * np.sqrt(j1j2)
 
-    inv = InvariantSet(*invariants(*values))
-    if errors is None:
-        return inv, None
-    return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors)))
+    (j1, j2, j3, signed_j4), stderr = propagate(invariants, values, errors)
+    # J4 = 2 |J3| sqrt(J1 J2) with the sign of the measured J3 for every moved
+    # copy: the signed formula has no kink at J3 = 0 for the stencil to
+    # straddle, and one sign for all copies leaves the error as it is.  A
+    # product by -1, unlike a negation, leaves a NaN J4 as it is.
+    inv = InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
+    return inv, None if stderr is None else dict(zip(_J_KEYS, stderr))
 
 
 def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
@@ -276,13 +278,11 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
         j4 = np.where(defined, 2.0 * n1t * n2t * (ms_sq + mc_sq), np.nan)
         return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
 
-    *invariant_values, ms_re, ms_im, mc_sq = invariants(*values)
-    inv = InvariantSet(*invariant_values)
+    (*invariant_values, ms_re, ms_im, mc_sq), stderr = propagate(invariants, values, errors)
     mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
     aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
-    if errors is None:
-        return inv, None, aux
-    return inv, dict(zip(_J_KEYS, propagate(invariants, values, errors))), aux
+    stderr = None if stderr is None else dict(zip(_J_KEYS, stderr))
+    return InvariantSet(*invariant_values), stderr, aux
 
 
 def reconstruct_from_transcript(records, scheme: str, special_form=None) -> SchemeResult:

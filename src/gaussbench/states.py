@@ -120,26 +120,33 @@ def first_where(mask, values):
 
 
 def propagate(f, values, errors):
-    """First-order standard error of ``f(*values)`` for independent inputs.
+    """``(f(*values), stderr)`` for independent inputs with standard errors ``errors``.
 
-    Returns sqrt(sum_k (df/dx_k e_k)^2), each derivative a central difference
-    over x_k +- PROPAGATION_STEP e_k.  All 2K moved points go through one call
-    of ``f`` on a stacked leading axis, so ``f`` must be elementwise and must
-    not raise; a tuple of outputs gives a tuple of standard errors.
+    stderr = sqrt(sum_k (df/dx_k e_k)^2), each derivative a central difference
+    over x_k +- PROPAGATION_STEP e_k.  The value and the 2K moved points go
+    through one call of ``f`` on a stacked leading axis, so ``f`` must be
+    elementwise and must not raise; a tuple of outputs gives a tuple of
+    values and one of errors.  With ``errors`` None nothing is stacked:
+    ``(f(*values), None)``, so one state's exact values stay plain numbers.
     """
+    if errors is None:
+        return f(*values), None
     k = len(values)
     x = np.array(np.broadcast_arrays(*values, *errors), dtype=float)
     step = PROPAGATION_STEP * x[k:]
-    moved, axis = np.repeat(x[None, :k], 2 * k, axis=0), np.arange(k)
-    moved[axis, axis] += step
-    moved[axis + k, axis] -= step
+    # Row 0 is the value; rows 1..K move one input up, rows K+1..2K down.
+    moved, axis = np.repeat(x[None, :k], 2 * k + 1, axis=0), np.arange(k)
+    moved[axis + 1, axis] += step
+    moved[axis + k + 1, axis] -= step
     out = f(*moved.swapaxes(0, 1))
-
-    def spread(y):
-        slope = (y[:k] - y[k:]) / (2.0 * PROPAGATION_STEP)
-        return as_field(np.sqrt((slope * slope).sum(axis=0)))
-
-    return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
+    y = np.stack(out) if isinstance(out, tuple) else np.asarray(out)[None]
+    slope = (y[:, 1 : k + 1] - y[:, k + 1 :]) / (2.0 * PROPAGATION_STEP)
+    value, stderr = y[:, 0], np.sqrt((slope * slope).sum(axis=1))
+    if value.ndim == 1:  # one state: plain numbers
+        value, stderr = value.tolist(), stderr.tolist()
+    if isinstance(out, tuple):
+        return tuple(value), tuple(stderr)
+    return value[0], stderr[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,19 +12,26 @@ import io
 import numpy as np
 
 from gaussbench.cli import _CSV_COLUMNS
+from gaussbench.entanglement import entanglement_report
 
 _J_KEYS = ("j1", "j2", "j3", "j4")
 _MEASURES = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus")
 
 
 def csv_rows(param, ev) -> list[list[str]]:
-    """One row of ``_CSV_COLUMNS`` cells per point of an evaluation; NaN is an empty cell."""
+    """The rows of an evaluation: the scheme it ran (scheme 2 where both ran),
+    or no scheme columns and the oracle's own measures."""
     scheme = ev.scheme2 if ev.scheme2 is not None else ev.scheme1
-    inv = None if scheme is None else scheme.invariants
-    ent = ev.oracle_entanglement if scheme is None else scheme.entanglement
-    columns = [param, *(getattr(ev.oracle, key) for key in _J_KEYS)]
-    columns += [None if inv is None else getattr(inv, key) for key in _J_KEYS]
-    columns += [getattr(ent, key) for key in _MEASURES]
+    if scheme is None:
+        return table_rows(param, ev.oracle, None, entanglement_report(ev.oracle))
+    return table_rows(param, ev.oracle, scheme.invariants, scheme.entanglement)
+
+
+def table_rows(param, oracle_inv, scheme_inv, measures) -> list[list[str]]:
+    """One row of ``_CSV_COLUMNS`` cells per point; NaN is an empty cell."""
+    columns = [param, *(getattr(oracle_inv, key) for key in _J_KEYS)]
+    columns += [None if scheme_inv is None else getattr(scheme_inv, key) for key in _J_KEYS]
+    columns += [getattr(measures, key) for key in _MEASURES]
     table = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in table))
     cells = []

@@ -74,7 +74,7 @@ def observe_setting(v, setting, det, seed):
         _check_exact(n_prime, j_prime, det.eta)
         n_err = j_err = None
     else:
-        n_err, j_err = propagate(estimate, readings, errors)
+        _, (n_err, j_err) = propagate(estimate, readings, errors)
     return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)
 
 

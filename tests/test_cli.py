@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from csv_oracle import csv_rows, render_csv
+from csv_oracle import csv_rows, render_csv, table_rows
 from gaussbench import ModeCovariance, cli, load_state, random_state, save_state, tmsv_state
 from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, build_parser, main
 
@@ -557,6 +557,47 @@ def test_cached_parser_survives_usage_and_config_errors(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+#: Command lines and their exit codes: help, abbreviations, ``--flag=value``,
+#: and each kind of usage error.
+COMMANDS = ("run", "oracle", "scheme1", "scheme2", "sweep", "validate", "replay")
+PARSER_ROUTES = [
+    (["-h"], 0),
+    *[([command, "-h"], 0) for command in COMMANDS],
+    (["run", "--gen", "tmsv", "--r", "0.3"], 0),
+    (["run", "--generator=tmsv", "--r=0.3", "--format=csv"], 0),
+    (["sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "2", "--sch", "oracle"], 0),
+    (["sweep", "--bogus", "1"], 1),
+    (["run", "--generator", "vacuum", "extra"], 1),
+    (["run", "--generator", "warp-drive"], 1),
+    (["run", "--r"], 1),
+    ([], 1),
+    (["frobnicate"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", PARSER_ROUTES, ids=[" ".join(argv) or "no-arguments" for argv, _ in PARSER_ROUTES]
+)
+def test_main_parses_as_the_top_level_parser_does(argv, code, monkeypatch, capsys):
+    # main hands the arguments after a command name to that command's parser;
+    # exit code, stdout and stderr must be those of the one top-level pass.
+    def outcome():
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out = capsys.readouterr()
+        return got, out.out, out.err
+
+    direct = outcome()
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert outcome() == direct
+    assert direct[0] == code and (direct[1] or direct[2])
+    if argv[:2] == ["sweep", "--bogus"]:
+        assert direct[2].startswith("usage: gaussbench [-h]")
+        assert direct[2].endswith("gaussbench: error: unrecognized arguments: --bogus 1\n")
+
+
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
     assert cli._parser() is cli._parser()
@@ -622,28 +663,19 @@ def test_csv_renderer_matches_the_cell_by_cell_oracle_on_awkward_values():
     # differ in sign and payload, and 0.25 repeats across columns and rows.
     nans = [math.nan, -math.nan, _bits(0x7FF8_0000_0000_0ABC), _bits(0xFFF8_0000_0000_0001)]
     oracle = SimpleNamespace(j1=0.25, j2=np.array([0.25, 0.0, -0.0, 0.25]), j3=-0.0, j4=nans)
-    measures = [5e-324, 1e16, 1e-5, [0.0, -0.0, 0.25, math.nan], 0.25]
-    scheme = SimpleNamespace(
-        invariants=SimpleNamespace(j1=0.25, j2=1e16, j3=[-0.0, 0.0, -0.0, 0.0], j4=nans[::-1]),
-        entanglement=SimpleNamespace(**dict(zip(cli._MEASURES, measures))),
-    )
-    ev = SimpleNamespace(oracle=oracle, scheme1=None, scheme2=scheme)
+    values = [5e-324, 1e16, 1e-5, [0.0, -0.0, 0.25, math.nan], 0.25]
+    scheme = SimpleNamespace(j1=0.25, j2=1e16, j3=[-0.0, 0.0, -0.0, 0.0], j4=nans[::-1])
+    measures = SimpleNamespace(**dict(zip(cli._MEASURES, values)))
     param = np.array([0.0, -0.0, 5e-324, -5e-324])
-    lines = cli._csv_lines(param, ev)
-    assert "\n".join(lines) + "\n" == render_csv(csv_rows(param, ev))
+    lines = cli._csv_lines(param, oracle, scheme, measures)
+    assert "\n".join(lines) + "\n" == render_csv(table_rows(param, oracle, scheme, measures))
     assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "-0.0", "5e-324", "-5e-324"]
     # One state, as ``run --format csv`` renders it: no param and no scheme.
-    one_row = SimpleNamespace(
-        oracle=SimpleNamespace(j1=-0.0, j2=0.0, j3=1e16, j4=nans[2]),
-        oracle_entanglement=SimpleNamespace(
-            **dict(zip(cli._MEASURES, [0.25, 0.25, -0.0, 1e-5, 0.0]))
-        ),
-        scheme1=None,
-        scheme2=None,
-    )
-    lines = cli._csv_lines(None, one_row)
+    oracle = SimpleNamespace(j1=-0.0, j2=0.0, j3=1e16, j4=nans[2])
+    measures = SimpleNamespace(**dict(zip(cli._MEASURES, [0.25, 0.25, -0.0, 1e-5, 0.0])))
+    lines = cli._csv_lines(None, oracle, None, measures)
     assert len(lines) == 2
-    assert "\n".join(lines) + "\n" == render_csv(csv_rows(None, one_row))
+    assert "\n".join(lines) + "\n" == render_csv(table_rows(None, oracle, None, measures))
 
 
 def test_run_csv_format_single_row(capsys):

@@ -27,7 +27,7 @@ from gaussbench.states import PROPAGATION_STEP, propagate
 def test_linear_functions_are_exact():
     rng = np.random.default_rng(1)
     x, e = rng.normal(size=(3, 5)), rng.uniform(0.1, 2.0, size=(3, 5))
-    got = propagate(lambda a, b, c: 3.0 * a - 2.0 * b + 0.5 * c, x, e)
+    _, got = propagate(lambda a, b, c: 3.0 * a - 2.0 * b + 0.5 * c, x, e)
     want = np.sqrt((3.0 * e[0]) ** 2 + (2.0 * e[1]) ** 2 + (0.5 * e[2]) ** 2)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -35,7 +35,7 @@ def test_linear_functions_are_exact():
 def test_quadratic_functions_are_exact():
     rng = np.random.default_rng(2)
     x, e = rng.normal(size=(2, 7)), rng.uniform(0.1, 2.0, size=(2, 7))
-    got = propagate(lambda a, b: a * a + a * b - 3.0 * b * b, x, e)
+    _, got = propagate(lambda a, b: a * a + a * b - 3.0 * b * b, x, e)
     da, db = 2.0 * x[0] + x[1], x[0] - 6.0 * x[1]
     np.testing.assert_allclose(got, np.hypot(da * e[0], db * e[1]), rtol=1e-12)
 
@@ -44,7 +44,7 @@ def test_quartic_stays_within_the_truncation_bound():
     # [(x + h)^4 - (x - h)^4] / 2h = 4 x^3 + 4 x h^2 with h = step * e.
     rng = np.random.default_rng(3)
     x, e = rng.uniform(0.5, 2.0, size=9), rng.uniform(0.01, 0.5, size=9)
-    got = propagate(lambda a: a**4, [x], [e])
+    _, got = propagate(lambda a: a**4, [x], [e])
     exact = 4.0 * x**3 * e
     bound = 4.0 * x * (PROPAGATION_STEP * e) ** 2 * e
     assert np.all(got > exact)
@@ -52,7 +52,7 @@ def test_quartic_stays_within_the_truncation_bound():
 
 
 def test_zero_errors_give_zero():
-    got = propagate(lambda a, b: (a * b, a**3 - b), [1.5, -0.3], [0.0, 0.0])
+    _, got = propagate(lambda a, b: (a * b, a**3 - b), [1.5, -0.3], [0.0, 0.0])
     assert got == (0.0, 0.0)
 
 
@@ -63,12 +63,58 @@ def test_batches_match_single_points_and_outputs_keep_their_order():
     def f(a, b, c):
         return a * b - c, np.sin(a) * c**2
 
-    batch = propagate(f, x, e)
+    _, batch = propagate(f, x, e)
     assert isinstance(batch, tuple) and all(out.shape == (4,) for out in batch)
     for i in range(4):
-        single = propagate(f, x[:, i], e[:, i])
+        _, single = propagate(f, x[:, i], e[:, i])
         assert all(isinstance(out, float) for out in single)
         np.testing.assert_allclose([out[i] for out in batch], single, rtol=1e-12)
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def test_value_is_f_of_the_values_bit_for_bit_and_exact_inputs_stack_nothing():
+    # The value comes from the unmoved row of the stacked evaluation: the same
+    # bits as a call of f on the values, plain numbers for one state.
+    rng = np.random.default_rng(5)
+    x, e = rng.normal(size=(3, 6)) * 1e3, rng.uniform(0.1, 2.0, size=(3, 6))
+
+    def f(a, b, c):
+        return a * b / c - np.sqrt(abs(a)), (a - b) ** 2 + c**3
+
+    def g(a, b, c):
+        return np.sqrt(a * a + b * b) / c
+
+    value, _ = propagate(f, x, e)
+    assert isinstance(value, tuple) and len(value) == 2
+    assert all(_same_bits(got, want) for got, want in zip(value, f(*x)))
+    value, stderr = propagate(g, x, e)
+    assert value.shape == stderr.shape == (6,) and _same_bits(value, g(*x))
+    for i in range(6):
+        one, errors = x[:, i].tolist(), e[:, i].tolist()
+        value, _ = propagate(f, one, errors)
+        assert all(type(v) is float for v in value)
+        assert all(_same_bits(got, want) for got, want in zip(value, f(*one)))
+        value, stderr = propagate(g, one, errors)
+        assert type(value) is float and type(stderr) is float and _same_bits(value, g(*one))
+
+    # Without errors nothing is stacked: f sees the values as given.
+    seen = []
+
+    def h(a, b):
+        seen.append((a, b))
+        return a * b, a - b
+
+    assert propagate(h, [1.5, -0.25], None) == ((-0.375, 1.75), None)
+    assert seen == [(1.5, -0.25)] and all(type(v) is float for v in seen[0])
+    assert propagate(lambda a: 2.0 * a, [3.0], None) == (6.0, None)
+
+    # Tuple errors keep the order of the outputs.
+    value, stderr = propagate(lambda a, b: (3.0 * a, 5.0 * b, a + b), (1.0, 2.0), (0.5, 0.25))
+    assert value == (3.0, 10.0, 3.0)
+    assert stderr == pytest.approx((1.5, 1.25, math.hypot(0.5, 0.25)), rel=1e-12)
 
 
 def brute_force_stderr(records, scheme, special_form, rel_step):

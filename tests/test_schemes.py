@@ -471,6 +471,29 @@ def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
 
 
 @pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
+def test_finite_shot_reconstruction_overflow_obeys_errstate(points):
+    # Readings near 1e200 with a standard error, whose squares overflow.
+    # One state's finite-shot readings are evaluated on the stacked array of
+    # ``propagate``, as a batch's are, so they raise under np.errstate; Python
+    # floats would raise OverflowError from ``**`` instead.
+    value = 1e200 if points == () else np.full(points, 1e200)
+
+    def transcript(plan):
+        return [
+            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], value, 1e197)
+            for entry in plan
+            for name in entry.readings
+        ]
+
+    for name, plan, form in (
+        ("scheme1", SCHEME1_PLAN, "diagonal"),
+        ("scheme2", SCHEME2_PLAN, None),
+    ):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            reconstruct_from_transcript(transcript(plan), name, form)
+
+
+@pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
 def test_scheme1_overflow_obeys_errstate(points):
     # J1 J2 of a physical 1e100-vacuum overflows, and so does I1 I2 in the
     # measures of invariants that size.  Python floats, which one state's

@@ -304,8 +304,12 @@ class TestPhysicality:
         expected = np.broadcast_to((scales >= 1 - PHYSICALITY_SLACK)[:, None], verdict.shape)
         np.testing.assert_array_equal(verdict, expected)
 
-    @pytest.mark.parametrize("r", [3.0, 4.0, 4.4, 4.5])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 3.0, 4.0, 4.4, 4.5])
     def test_tmsv_at_large_squeezing_sits_on_the_bound(self, r):
+        # Also at small r: nu_minus from the invariants' closed form,
+        # nu_minus^2 = 2 det / (D + sqrt(D^2 - 4 det)), falls below the slack
+        # already at r = 0.5 (1 - 7.5e-9), so a pure state's verdict needs the
+        # spectrum.
         rep = validate_physical(tmsv_state(r))
         assert rep.physical and rep.positive_definite
         assert abs(rep.nu_minus - 1.0) <= 1e-9 and abs(rep.nu_plus - 1.0) <= 1e-9
