@@ -42,7 +42,6 @@ from .schemes import (
     SCHEME2_PLAN,
     PlanEntry,
     SchemeResult,
-    TranscriptRecord,
     reconstruct_from_transcript,
     reconstruct_scheme1,
     reconstruct_scheme2,
@@ -85,7 +84,6 @@ __all__ = [
     "SchemeResult",
     "SingleModeSymplectic",
     "StandardFormResult",
-    "TranscriptRecord",
     "UnphysicalMeasurementError",
     "UnphysicalStateError",
     "entanglement_report",

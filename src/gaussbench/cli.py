@@ -15,9 +15,10 @@ explicit flags win.  Exit codes: 0 success, 1 configuration error,
 
 Reports are deterministic: no timestamps, keys sorted, all randomness
 derived from the single --seed value, so identical invocations produce
-byte-identical output.  Each scheme section embeds its measurement
-transcript; ``replay`` renders again, from that transcript, every field of
-the section it determines and verifies that the report holds the same values.
+byte-identical output.  A scheme section's ``observations`` are its
+transcript, the bench's readings at each setting; ``replay`` renders again,
+from them, every field of the section they determine, the observations
+included, and verifies that the report holds the same values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bench import DETECTOR_KINDS, DetectorModel
+from .bench import DETECTOR_KINDS, BenchSetting, DetectorModel, Mode1Observation, _derived_purity
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ConfigError, GaussBenchError
 from .generators import (
@@ -41,7 +42,7 @@ from .generators import (
     two_mode_squeezed_thermal,
     vacuum_state,
 )
-from .schemes import SchemeResult, TranscriptRecord, reconstruct_from_transcript, scheme1, scheme2
+from .schemes import SchemeResult, reconstruct_from_transcript, scheme1, scheme2
 from .states import (
     PHYSICALITY_SLACK,
     InvariantSet,
@@ -162,7 +163,7 @@ def build_parser() -> _Parser:
     val.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
     val.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
 
-    rep = sub.add_parser("replay", help="re-run reconstructions from a report's transcripts")
+    rep = sub.add_parser("replay", help="re-run reconstructions from a report's observations")
     rep.add_argument("--report", metavar="FILE", help="report JSON produced by run")
     rep.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
 
@@ -311,6 +312,33 @@ def _observation_dict(obs) -> dict:
     return out
 
 
+def _observations(items) -> tuple[Mode1Observation, ...]:
+    """The observations that ``_observation_dict`` wrote, read back.
+
+    ``theta``, ``phi``, ``n_prime`` and ``j_prime`` must be finite JSON
+    numbers, each stderr absent, null or one, and the setting within
+    :class:`BenchSetting`'s range.  ``purity`` and ``wigner0`` are not read:
+    the bench's formula derives them again from ``j_prime``, for all the
+    observations in one call.
+    """
+    rows = []
+    for item in items:
+        stderrs = [item.get("n_stderr"), item.get("j_stderr")]
+        numbers = [item["theta"], item["phi"], item["n_prime"], item["j_prime"]]
+        checked = numbers + [e for e in stderrs if e is not None]
+        if not all(map(is_json_number, checked)):
+            raise TypeError(f"observation numbers must be JSON numbers, got {checked!r}")
+        if not all(map(math.isfinite, checked)):
+            raise ValueError(f"observation numbers must be finite, got {checked!r}")
+        stderrs = [None if e is None else float(e) for e in stderrs]
+        rows.append((BenchSetting(*numbers[:2]), *map(float, numbers[2:]), *stderrs))
+    purity, wigner0 = _derived_purity(np.array([row[2] for row in rows]))
+    return tuple(
+        Mode1Observation(setting, n, j, p, w, n_err, j_err)
+        for (setting, n, j, n_err, j_err), p, w in zip(rows, purity.tolist(), wigner0.tolist())
+    )
+
+
 def _deltas_dict(scheme_inv: InvariantSet, oracle_inv: InvariantSet) -> dict:
     out = {}
     for name in _J_KEYS:
@@ -329,7 +357,7 @@ def _stderr_dict(stderr: dict | None) -> dict | None:
 
 
 def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
-    """The fields of a scheme section that its transcript and special form
+    """The fields of a scheme section that its observations and special form
     determine, given the oracle invariants that ``deltas`` are taken from."""
     section = {
         "status": result.status,
@@ -338,7 +366,7 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
         "stderr": _stderr_dict(result.invariant_stderr),
         "deltas": _deltas_dict(result.invariants, oracle_inv),
         "entanglement": _entanglement_dict(result.entanglement),
-        "transcript": [rec.to_dict() for rec in result.transcript],
+        "observations": [_observation_dict(obs) for obs in result.observations],
     }
     if result.scheme == "scheme2":
         section["cross_block"] = {
@@ -366,7 +394,10 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
             f"nu_minus={first_where(unphysical, phys.nu_minus):.12g}, "
             f"nu_plus={first_where(unphysical, phys.nu_plus):.12g}"
         )
-    v = quad_to_mode(g)
+    try:
+        v = quad_to_mode(g)
+    except ValueError as exc:  # det V of a physical state can overflow
+        raise OverflowError(str(exc)) from exc
     oracle_inv = invariants_quad(g)
     res1 = res2 = None
     if scheme_choice in ("scheme1", "both"):
@@ -402,10 +433,8 @@ def _build_report(ev: SimpleNamespace) -> dict:
     for name, result in (("scheme1", ev.scheme1), ("scheme2", ev.scheme2)):
         if result is None:
             continue
-        # What only the bench run knows, beside what the transcript determines.
         section = report[name] = _scheme_section(result, ev.oracle)
-        section["observations"] = [_observation_dict(o) for o in result.observations]
-        if name == "scheme2":
+        if name == "scheme2":  # only the bench run knows the preparation's residuals
             section["standard_form_residuals"] = {
                 "m1": _optional(result.residual_m1),
                 "m2": _optional(result.residual_m2),
@@ -532,6 +561,16 @@ def _oracle_invariants(report) -> InvariantSet:
     return InvariantSet(*values)
 
 
+def _flat_fields(rendered, stored):
+    """Each scalar of a rendered section value, which is a scalar, a flat
+    object or a list of flat objects, beside the stored value it equals."""
+    if isinstance(rendered, dict):
+        return [(x, stored[key]) for key, x in rendered.items()]
+    if isinstance(rendered, list):
+        return [(x, y[key]) for item, y in zip(rendered, stored) for key, x in item.items()]
+    return [(rendered, stored)]
+
+
 def _cmd_replay(cfg) -> int:
     path = cfg.get("report")
     if not path:
@@ -548,7 +587,7 @@ def _cmd_replay(cfg) -> int:
 
     for name, section in sections.items():
         try:
-            records = [TranscriptRecord.from_dict(r) for r in section["transcript"]]
+            observations = _observations(section["observations"])
             special_form = section.get("special_form")
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"report section {name} is malformed: {exc!r}") from exc
@@ -557,17 +596,20 @@ def _cmd_replay(cfg) -> int:
         if special_form not in forms:
             raise ConfigError(f"report section {name} has a malformed special_form")
         # The section as ``run`` renders it, compared by value: 1 and 1.0 agree,
-        # so do 0.0 and -0.0, and so, as Python has it, do false and 0.
-        rendered = _scheme_section(reconstruct_from_transcript(records, name, special_form), oracle)
-        for key, value in rendered.items():
-            if value != section.get(key):
+        # and so do 0.0 and -0.0, but not a bool and a number.
+        result = reconstruct_from_transcript(observations, name, special_form)
+        for key, value in _scheme_section(result, oracle).items():
+            stored = section.get(key)
+            if value != stored or any(
+                isinstance(x, bool) != isinstance(y, bool) for x, y in _flat_fields(value, stored)
+            ):
                 raise GaussBenchError(
                     f"replay of {name} does not reproduce its {key}: the transcript gives "
-                    f"{json.dumps(value)}, the report has {json.dumps(section.get(key))}"
+                    f"{json.dumps(value)}, the report has {json.dumps(stored)}"
                 )
     sys.stdout.write(
         f"replayed {len(sections)} transcript(s): every field they determine matches by "
-        "value, a bool as 0 or 1; observations and standard-form residuals are not checked\n"
+        "value; standard-form residuals are not checked\n"
     )
     return 0
 

@@ -14,7 +14,7 @@ class UnphysicalMeasurementError(GaussBenchError):
 
 
 class ReconstructionError(GaussBenchError):
-    """A measurement transcript lacks a reading that its reconstruction needs."""
+    """A transcript lacks the observation at a setting whose reading its reconstruction needs."""
 
 
 class ConfigError(GaussBenchError):

@@ -14,20 +14,23 @@ fixed (theta, phi) settings:
   Re m~s, Im m~s and |m~c|.
 
 Each protocol's settings and readings are declared once, in ``SCHEME1_PLAN``
-and ``SCHEME2_PLAN``: the bench run records them, the reconstruction reads them.
+and ``SCHEME2_PLAN``: the bench observes the settings, the reconstruction
+reads the readings.
 
-Reconstruction is a pure function of the recorded transcript (plus, for
-protocol 1, the recorded special-form flag): :func:`reconstruct_from_transcript`
-rebuilds a stored transcript's result bit for bit, bar the bench's readout.  Each protocol
-writes its invariants once, as one elementwise function of the readings; the
-standard errors are that function's first-order propagation
+Reconstruction is a pure function of the transcript, the bench's
+observations (plus, for protocol 1, the recorded special-form flag):
+:func:`reconstruct_from_transcript` rebuilds a run's result bit for bit, bar
+scheme 2's standard-form residuals.  Each protocol writes its invariants
+once, as one elementwise function of the readings; the standard errors are
+that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
 
 A noisy reading is reconstructed as it came out, negatives included, and a
-number it cannot support is NaN; only a transcript that lacks a reading raises.
+number it cannot support is NaN; only a transcript that lacks an observation
+the reconstruction reads raises.
 
 Both protocols are elementwise: one bench call reads a whole plan for a batch
-of states, and its records hold arrays.
+of states, and its observations hold arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
-from .stateio import is_json_number
 from .states import (
     InvariantSet,
     ModeCovariance,
@@ -54,7 +56,6 @@ __all__ = [
     "PlanEntry",
     "SCHEME1_PLAN",
     "SCHEME2_PLAN",
-    "TranscriptRecord",
     "SchemeResult",
     "scheme1",
     "scheme2",
@@ -68,7 +69,7 @@ _J_KEYS = ("j1", "j2", "j3", "j4")
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One bench setting and the named readings recorded there.
+    """One bench setting and the named readings taken from its observation.
 
     A reading's name starts with its observable letter, ``N`` or ``J``; the
     rest tags the setting (``"J45pi"`` is J at theta = pi/4, phi = pi).
@@ -93,106 +94,56 @@ SCHEME2_PLAN = SCHEME1_PLAN[:4]
 
 
 @dataclass(frozen=True)
-class TranscriptRecord:
-    """One recorded measurement: setting, observable letter, value, stderr."""
-
-    theta: float
-    phi: float
-    observable: str
-    value: float
-    stderr: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "theta": self.theta,
-            "phi": self.phi,
-            "observable": self.observable,
-            "value": self.value,
-        }
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TranscriptRecord":
-        """A record from its JSON object; ``stderr`` may be absent or null.
-
-        ``theta``, ``phi``, ``value`` and ``stderr`` must be finite numbers;
-        a bool or a string there is a ``TypeError``, not a number.
-        """
-        numbers = (data["theta"], data["phi"], data["value"])
-        if data.get("stderr") is not None:
-            numbers += (data["stderr"],)
-        for x in numbers:
-            if not is_json_number(x):
-                raise TypeError(f"transcript numbers must be JSON numbers, got {numbers!r}")
-            if not math.isfinite(x):
-                raise ValueError("transcript theta, phi, value and stderr must be finite")
-        theta, phi, value, *stderr = map(float, numbers)
-        return cls(theta, phi, str(data["observable"]), value, *stderr)
-
-
-@dataclass(frozen=True)
 class SchemeResult:
-    """Reconstructed invariants plus everything needed to audit them; only a bench
-    run fills ``observations`` and the residuals, the transcript the rest."""
+    """Reconstructed invariants plus everything needed to audit them; the
+    ``observations`` fix every field but the residuals that scheme 2 fills."""
 
     scheme: str
     invariants: InvariantSet
     entanglement: EntanglementReport
-    transcript: tuple[TranscriptRecord, ...]
+    observations: tuple[Mode1Observation, ...]
     invariant_stderr: dict | None
     status: str
     special_form: str | None = None
     ms_real: float | None = None
     ms_imag: float | None = None
     mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
-    observations: tuple[Mode1Observation, ...] = ()
     residual_m1: float | None = None
     residual_m2: float | None = None
 
 
-def _run_plan(v, plan, det, seed):
-    """Observe ``plan`` in one bench call (one seed child per entry when the
-    detector draws), and record each entry's readings in plan order."""
-    observations = observe_mode1(v, [entry.setting for entry in plan], det, seed)
-    records = []
-    for entry, obs in zip(plan, observations):
-        readout = {"N": (obs.n_prime, obs.n_stderr), "J": (obs.j_prime, obs.j_stderr)}
-        at = (entry.setting.theta, entry.setting.phi)
-        records += [TranscriptRecord(*at, name[0], *readout[name[0]]) for name in entry.readings]
-    return observations, tuple(records)
-
-
-def _readings(records, plan, names):
+def _readings(observations, plan, names):
     """Values and standard errors of the named readings of ``plan``.
 
-    Each reading is the first record with its observable within 1e-9 of its
-    entry's (theta, phi); records the names do not ask for are ignored.  The
-    errors are ``None`` when every named reading is exact, otherwise a
-    missing stderr counts as 0.  One pass over the records finds them all.
+    Each reading is N or J, as its name starts, of the first observation
+    within 1e-9 of its entry's (theta, phi); observations at other settings
+    are ignored.  The errors are ``None`` when every named reading is exact,
+    otherwise a missing stderr counts as 0.  One pass over the observations
+    finds them all.
     """
-    by_name = {}
-    for rec in records:
-        for entry in plan:  # the settings of a plan are far more than 2e-9 apart
-            setting = entry.setting
-            if abs(rec.theta - setting.theta) <= 1e-9 and abs(rec.phi - setting.phi) <= 1e-9:
-                for name in entry.readings:
-                    if name[0] == rec.observable:
-                        by_name.setdefault(name, rec)
+    found = {}
+    for obs in observations:
+        theta, phi = obs.setting.theta, obs.setting.phi
+        for i, entry in enumerate(plan):  # the settings of a plan are far more than 2e-9 apart
+            if abs(theta - entry.setting.theta) <= 1e-9 and abs(phi - entry.setting.phi) <= 1e-9:
+                found.setdefault(i, obs)
                 break
+    entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
+    values, errors = [], []
     for name in names:
-        if name not in by_name:
-            setting = next(entry.setting for entry in plan if name in entry.readings)
+        obs = found.get(entry_of[name])
+        if obs is None:
+            setting = plan[entry_of[name]].setting
             raise ReconstructionError(
-                f"transcript is missing {name[0]} at "
-                f"theta={setting.theta:.6f}, phi={setting.phi:.6f}"
+                f"transcript has no observation at theta={setting.theta:.6f}, "
+                f"phi={setting.phi:.6f}, so no {name}"
             )
-    found = [by_name[name] for name in names]
-    values = [rec.value for rec in found]
-    if all(rec.stderr is None for rec in found):
+        n = name[0] == "N"
+        values.append(obs.n_prime if n else obs.j_prime)
+        errors.append(obs.n_stderr if n else obs.j_stderr)
+    if all(e is None for e in errors):
         return values, None
-    return values, [0.0 if rec.stderr is None else rec.stderr for rec in found]
+    return values, [0.0 if e is None else e for e in errors]
 
 
 def _known(special_form):
@@ -218,7 +169,7 @@ def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
 
 
 def reconstruct_scheme1(
-    records, special_form: str | None = None
+    observations, special_form: str | None = None
 ) -> tuple[InvariantSet, dict | None]:
     """Protocol-1 reconstruction from a transcript.
 
@@ -231,7 +182,7 @@ def reconstruct_scheme1(
     is exact.
     """
     names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
-    values, errors = _readings(records, SCHEME1_PLAN, names)
+    values, errors = _readings(observations, SCHEME1_PLAN, names)
     j1, j2 = values[:2]
     # The measured point fixes where J4 is defined, so that no copy moved by
     # ``propagate`` takes a root where the measured point has none.
@@ -255,16 +206,16 @@ def reconstruct_scheme1(
     return inv, None if stderr is None else dict(zip(_J_KEYS, stderr))
 
 
-def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
+def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
     """Protocol-2 reconstruction from a standard-form transcript.
 
     Returns the invariant set, the propagated standard errors (None for
-    exact records) and the auxiliary cross-block pieces
+    exact readings) and the auxiliary cross-block pieces
     {ms_real, ms_imag, mc_magnitude}.  J3 and J4 use the signed, unbiased
     |m~c|^2 = N45^2 - J45, whose root ``mc_magnitude`` is NaN where it is
     negative; J4 is NaN where n1 <= 0 or n2 <= 0.
     """
-    values, errors = _readings(records, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))
+    values, errors = _readings(observations, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))
     n1t, n2t = values[:2]
     # Fixed at the measured point, so that the copies ``propagate`` moves keep it.
     defined = (n1t > 0.0) & (n2t > 0.0)
@@ -285,24 +236,25 @@ def reconstruct_scheme2(records) -> tuple[InvariantSet, dict | None, dict]:
     return InvariantSet(*invariant_values), stderr, aux
 
 
-def reconstruct_from_transcript(records, scheme: str, special_form=None) -> SchemeResult:
-    """Everything a transcript determines: invariants, stderr, measures, status.
+def reconstruct_from_transcript(observations, scheme: str, special_form=None) -> SchemeResult:
+    """Everything a transcript of observations determines: invariants,
+    stderr, measures, status, and the observations themselves.
 
     ``special_form`` is scheme 1's recorded cross-block form; scheme 2 has
     none.  Scheme 2's result also carries the cross-block pieces.
     """
     if scheme == "scheme1":
-        inv, stderr = reconstruct_scheme1(records, special_form)
+        inv, stderr = reconstruct_scheme1(observations, special_form)
         aux = {}
     elif scheme == "scheme2":
-        inv, stderr, aux = reconstruct_scheme2(records)
+        inv, stderr, aux = reconstruct_scheme2(observations)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return SchemeResult(
         scheme=scheme,
         invariants=inv,
         entanglement=entanglement_report(inv),
-        transcript=tuple(records),
+        observations=tuple(observations),
         invariant_stderr=stderr,
         status=_status(inv),
         special_form=special_form,
@@ -319,9 +271,8 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     entanglement report has the symmetric lower bound only (every other
     measure NaN).
     """
-    observations, records = _run_plan(v, SCHEME1_PLAN, det, seed)
-    result = reconstruct_from_transcript(records, "scheme1", cross_block_form(v))
-    return replace(result, observations=observations)
+    observations = observe_mode1(v, [entry.setting for entry in SCHEME1_PLAN], det, seed)
+    return reconstruct_from_transcript(observations, "scheme1", cross_block_form(v))
 
 
 def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
@@ -332,10 +283,9 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     at four settings and reconstructs J1..J4 plus the cross-block pieces.
     """
     prep = standard_form_prep(v)
-    observations, records = _run_plan(prep.vt, SCHEME2_PLAN, det, seed)
+    observations = observe_mode1(prep.vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
     return replace(
-        reconstruct_from_transcript(records, "scheme2"),
-        observations=observations,
+        reconstruct_from_transcript(observations, "scheme2"),
         residual_m1=prep.residual_m1,
         residual_m2=prep.residual_m2,
     )

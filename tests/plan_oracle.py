@@ -24,7 +24,6 @@ from gaussbench.bench import (
     invert_loss,
     lossy_moments,
 )
-from gaussbench.schemes import TranscriptRecord
 from gaussbench.states import propagate
 
 
@@ -79,17 +78,9 @@ def observe_setting(v, setting, det, seed):
 
 
 def run_plan_by_entry(v, plan, det, seed):
-    """Observe every entry of ``plan`` on its own, one seed child per entry,
-    and record its readings in plan order."""
+    """Observe every entry of ``plan`` on its own, one seed child per entry, in plan order."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    observations = []
-    records = []
-    for entry, child in zip(plan, seq.spawn(len(plan))):
-        obs = observe_setting(v, entry.setting, det, child)
-        observations.append(obs)
-        readout = {"N": (obs.n_prime, obs.n_stderr), "J": (obs.j_prime, obs.j_stderr)}
-        records += [
-            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], *readout[name[0]])
-            for name in entry.readings
-        ]
-    return tuple(observations), tuple(records)
+    return tuple(
+        observe_setting(v, entry.setting, det, child)
+        for entry, child in zip(plan, seq.spawn(len(plan)))
+    )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gaussbench as gb
+from gaussbench.cli import _observations
 from gaussbench.cli import main as cli_main
 from gaussbench.states import OMEGA
 from matrix_oracle import invariants_mode
@@ -303,13 +304,14 @@ def test_criterion_10_determinism_and_replay(tmp_path):
         assert code == 0
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 
-    # and each report's embedded transcripts must replay to the same values
+    # and each report's embedded transcripts, its observations, must replay
+    # to the same values
     replay_exit = cli_main(["replay", "--report", str(paths[0])])
     report = json.loads(paths[0].read_text())
     exact = True
     for name in ("scheme1", "scheme2"):
         section = report[name]
-        records = [gb.TranscriptRecord.from_dict(r) for r in section["transcript"]]
+        records = _observations(section["observations"])
         inv = gb.reconstruct_from_transcript(records, name, section.get("special_form")).invariants
         for key in ("j1", "j2", "j3", "j4"):
             want = section["invariants"][key]

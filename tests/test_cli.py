@@ -2,14 +2,24 @@
 
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from csv_oracle import csv_rows, render_csv, table_rows
-from gaussbench import ModeCovariance, cli, load_state, random_state, save_state, tmsv_state
+from gaussbench import (
+    ModeCovariance,
+    QuadCovariance,
+    cli,
+    load_state,
+    random_state,
+    save_state,
+    tmsv_state,
+)
 from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, build_parser, main
+from gaussbench.stateio import render_json
 
 GOLDEN_CSV_HEADER = (
     "param,J1_oracle,J2_oracle,J3_oracle,J4_oracle,"
@@ -92,6 +102,31 @@ def test_noisy_report_is_replayable(tmp_path):
     assert run_cli("replay", "--report", str(out)) == 0
 
 
+#: Reports whose scheme sections also carry the per-reading ``transcript``
+#: list that left the format at commit 6c44970, written there by ``run`` with
+#: these arguments.
+OLD_REPORTS = {
+    "exact.json": ["--generator", "tmsv", "--r", "0.5"],
+    "finite-shot.json": [
+        "--generator", "random", "--seed", "7",
+        "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", OLD_REPORTS)
+def test_reports_with_a_transcript_list_still_replay(name, capsys):
+    path = Path(__file__).parent / "reports" / name
+    assert run_cli("replay", "--report", str(path)) == 0
+    # Today's run writes the same bytes, bar that list.
+    report = json.loads(path.read_text())
+    for section in ("scheme1", "scheme2"):
+        del report[section]["transcript"]
+    capsys.readouterr()
+    assert run_cli("run", *OLD_REPORTS[name]) == 0
+    assert capsys.readouterr().out == render_json(report)
+
+
 def test_replay_detects_tampering(tmp_path, capsys):
     out = tmp_path / "report.json"
     run_cli("run", "--generator", "tmsv", "--r", "0.5", "--out", str(out))
@@ -126,6 +161,14 @@ def _set_ms_real(report):
 def _zero_delta(report):
     report["scheme2"]["deltas"]["j1_abs"] = 0
 
+
+def _edit_observation(key, scale):
+    """Scale one number of scheme 1's first observation, at full transmission."""
+    def edit(report):
+        report["scheme1"]["observations"][0][key] *= scale
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, name, key",
     [
@@ -137,8 +180,18 @@ def _zero_delta(report):
         (_move_oracle_j1, "scheme1", "deltas"),
         (_set_ms_real, "scheme2", "cross_block"),
         (_zero_delta, "scheme2", "deltas"),
+        # The observations are the transcript: a reading edited there moves
+        # what the reconstruction gives, and an edited purity or W(0) no
+        # longer follows from its J.
+        (_edit_observation("n_prime", 1.001), "scheme1", "invariants"),
+        (_edit_observation("j_stderr", 2.0), "scheme1", "stderr"),
+        (_edit_observation("purity", 1.001), "scheme1", "observations"),
+        (_edit_observation("wigner0", 1.001), "scheme1", "observations"),
     ],
-    ids=["stderr", "log-negativity", "status", "oracle-j1", "ms-real", "delta"],
+    ids=[
+        "stderr", "log-negativity", "status", "oracle-j1", "ms-real", "delta",
+        "n-prime", "j-stderr", "purity", "wigner0",
+    ],
 )
 def test_replay_names_the_first_field_the_transcript_does_not_reproduce(
     edit, name, key, tmp_path, capsys
@@ -148,6 +201,24 @@ def test_replay_names_the_first_field_the_transcript_does_not_reproduce(
     out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 2
     assert f"error: replay of {name} does not reproduce its {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, field, value",
+    [("entanglement", "separable", 0), ("deltas", "j1_abs", False)],
+    ids=["separable-as-0", "zero-delta-as-false"],
+)
+def test_replay_tells_a_bool_from_a_number(key, field, value, tmp_path, capsys):
+    # false == 0 in Python, so the two compare equal; in a report one is a
+    # verdict and the other a number.
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["scheme2"][key][field] == value
+    report["scheme2"][key][field] = value
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    assert f"error: replay of scheme2 does not reproduce its {key}:" in capsys.readouterr().err
 
 
 def test_replay_ignores_a_consistency_section(tmp_path, capsys):
@@ -400,6 +471,17 @@ def test_state_too_large_for_its_invariants_is_a_physics_failure(command, state,
     assert "error: the state overflows double precision" in capsys.readouterr().err
     assert run_cli("validate", "--state", str(path)) == 0
     assert json.loads(capsys.readouterr().out)["physical"] is True
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "scheme1", "scheme2"])
+def test_state_whose_mode_moments_overflow_is_a_physics_failure(command, tmp_path, capsys):
+    # Physical (validate says so below), but n2^2 and |m2|^2 of its mode
+    # form both overflow, and det V2 comes out inf - inf.
+    path = tmp_path / "big.json"
+    save_state(QuadCovariance(random_state(2).entries * 1e154), path)
+    assert run_cli(command, "--state", str(path)) == 2
+    assert "error: the state overflows double precision" in capsys.readouterr().err
+    assert run_cli("validate", "--state", str(path)) == 0
 
 
 @pytest.mark.parametrize(
@@ -813,13 +895,13 @@ def _set(key, value):
 
 def _set_record(key, value):
     def mutate(section):
-        section["transcript"][0][key] = value
+        section["observations"][0][key] = value
     return mutate
 
 
 def _drop_record(key):
     def mutate(section):
-        del section["transcript"][0][key]
+        del section["observations"][0][key]
     return mutate
 
 
@@ -830,9 +912,9 @@ def _set_invariant(key, value):
 
 
 def _stringify(part, key):
-    """Write a number of the section (or of its first record) as a JSON string."""
+    """Write a number of the section (or of its first observation) as a JSON string."""
     def mutate(section):
-        holder = section["transcript"][0] if part == "record" else section[part]
+        holder = section["observations"][0] if part == "record" else section[part]
         holder[key] = repr(holder[key])
     return mutate
 
@@ -840,9 +922,10 @@ def _stringify(part, key):
 @pytest.mark.parametrize(
     "code, name, mutate",
     [
-        pytest.param(1, "scheme2", _drop("transcript"), id="no-transcript"),
+        pytest.param(1, "scheme2", _drop("observations"), id="no-transcript"),
         pytest.param(2, "scheme2", _drop("invariants"), id="no-invariants"),
-        pytest.param(1, "scheme2", _set("transcript", 5), id="transcript-not-a-list"),
+        pytest.param(1, "scheme2", _set("observations", 5), id="transcript-not-a-list"),
+        pytest.param(1, "scheme1", _set("observations", [5]), id="record-not-an-object"),
         pytest.param(2, "scheme1", _set("invariants", []), id="invariants-not-an-object"),
         pytest.param(1, "scheme1", _set_record("theta", "x"), id="theta-not-a-number"),
         pytest.param(1, "scheme1", _drop_record("phi"), id="record-without-phi"),
@@ -850,23 +933,28 @@ def _stringify(part, key):
         pytest.param(2, "scheme2", _set_invariant("j3", [0.1]), id="list-invariant"),
         pytest.param(2, "scheme1", _set_invariant("j1", True), id="bool-invariant"),
         pytest.param(2, "scheme1", _stringify("invariants", "j1"), id="string-number-invariant"),
-        pytest.param(1, "scheme2", _set_record("value", True), id="bool-value"),
-        pytest.param(1, "scheme2", _stringify("record", "value"), id="string-number-value"),
+        pytest.param(1, "scheme2", _set_record("j_prime", True), id="bool-value"),
+        pytest.param(1, "scheme2", _set_record("n_prime", None), id="null-value"),
+        pytest.param(1, "scheme2", _stringify("record", "n_prime"), id="string-number-value"),
         pytest.param(1, "scheme1", _set("special_form", ["diagonal"]), id="list-special-form"),
         pytest.param(1, "scheme1", _set("special_form", "bogus"), id="bogus-special-form"),
-        pytest.param(1, "scheme2", _set_record("value", math.nan), id="nan-value"),
-        pytest.param(1, "scheme1", _set_record("value", 1e400), id="infinite-value"),
-        pytest.param(1, "scheme2", _set_record("stderr", math.inf), id="infinite-stderr"),
+        pytest.param(1, "scheme2", _set_record("j_prime", math.nan), id="nan-value"),
+        pytest.param(1, "scheme1", _set_record("n_prime", 1e400), id="infinite-value"),
+        pytest.param(1, "scheme2", _set_record("n_stderr", math.inf), id="infinite-stderr"),
+        pytest.param(1, "scheme1", _set_record("j_stderr", "0.1"), id="string-stderr"),
         pytest.param(1, "scheme1", _set_record("theta", math.nan), id="nan-theta"),
         pytest.param(1, "scheme2", _set_record("phi", math.nan), id="nan-phi"),
         pytest.param(1, "scheme2", _set_record("theta", 1e400), id="infinite-theta"),
-        pytest.param(1, "scheme1", _set_record("value", 10**400), id="huge-integer-value"),
+        # A transcript record once held any finite setting; a bench setting cannot.
+        pytest.param(1, "scheme1", _set_record("theta", 2.0), id="theta-out-of-range"),
+        pytest.param(1, "scheme2", _set_record("phi", -4.0), id="phi-out-of-range"),
+        pytest.param(1, "scheme1", _set_record("j_prime", 10**400), id="huge-integer-value"),
         pytest.param(1, "scheme2", _set("special_form", "diagonal"), id="scheme2-special-form"),
         pytest.param(1, "scheme2", _set("special_form", "antidiagonal"), id="scheme2-antidiagonal"),
     ],
 )
 def test_replay_of_a_malformed_section_is_config_error(code, name, mutate, tmp_path, capsys):
-    # A transcript or special form that cannot be read is a config error.
+    # Observations or a special form that cannot be read are a config error.
     # The invariants are an output that replay renders again, so spoiling
     # them is a mismatch (exit 2) that names them.
     out = tmp_path / "report.json"
@@ -902,7 +990,7 @@ def test_replay_of_an_overflowing_transcript_is_a_physics_failure(tmp_path, caps
     out = tmp_path / "report.json"
     assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
     report = json.loads(out.read_text())
-    report["scheme2"]["transcript"][0]["value"] = 1e200
+    report["scheme2"]["observations"][0]["n_prime"] = 1e200
     out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 2
     assert "error: the state overflows double precision" in capsys.readouterr().err

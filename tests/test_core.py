@@ -8,6 +8,7 @@ states give.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,20 +226,18 @@ def test_batch_marks_unavailable_measures_with_nan():
 
 
 def test_one_failing_point_fails_the_batch():
+    settings = [(0.0, 0.0), (math.pi / 2, 0.0), (math.pi / 4, 0.0), (math.pi / 4, math.pi / 2)]
     good = [
-        gb.TranscriptRecord(0.0, 0.0, "N", 0.5),
-        gb.TranscriptRecord(math.pi / 2, 0.0, "N", 0.5),
-        gb.TranscriptRecord(math.pi / 4, 0.0, "N", 0.5),
-        gb.TranscriptRecord(math.pi / 4, 0.0, "J", 0.25),
-        gb.TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.5),
+        gb.Mode1Observation(gb.BenchSetting(*at), 0.5, 0.25, 1.0, 1.0 / math.pi)
+        for at in settings
     ]
     gb.reconstruct_scheme2(good)
     # The same transcript with a second point whose |m~c|^2 is -0.25.
     batch = [
-        gb.TranscriptRecord(r.theta, r.phi, r.observable, np.array([r.value, r.value]))
-        for r in good
+        replace(obs, **{f: np.array([getattr(obs, f)] * 2) for f in ("n_prime", "j_prime")})
+        for obs in good
     ]
-    batch[3] = gb.TranscriptRecord(math.pi / 4, 0.0, "J", np.array([0.25, 0.5]))
+    batch[2] = replace(batch[2], j_prime=np.array([0.25, 0.5]))
     # A noisy reading is no failure: that point's |m~c|^2 stays signed, and
     # only its magnitude, which has no root, is NaN.
     inv, _, aux = gb.reconstruct_scheme2(batch)

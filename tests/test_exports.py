@@ -14,7 +14,9 @@ MODULES = ("bench", "cli", "entanglement", "generators", "schemes", "stateio", "
 #: ``cross_block_form`` classifies the cross block, so nothing raises for
 #: them; ``invert_loss`` undoes the loss of every detector kind; and NaN turns
 #: into ``null`` only where ``cli`` writes a report, so ``optional_field`` is
-#: private to it.  A report's cross-scheme ``consistency`` section is gone.
+#: private to it.  A report's cross-scheme ``consistency`` section is gone,
+#: and a transcript is the tuple of the bench's observations, so the
+#: per-reading ``TranscriptRecord`` is gone too.
 REMOVED = (
     "eof_symmetric",
     "eof_lower_bound",
@@ -28,6 +30,7 @@ REMOVED = (
     "consistency_check",
     "ConsistencyReport",
     "CONSISTENCY_TOL",
+    "TranscriptRecord",
 )
 
 

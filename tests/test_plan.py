@@ -1,9 +1,9 @@
 """One bench call per measurement plan, against the per-entry loop it replaced.
 
-``schemes._run_plan`` reads a whole plan with one ``observe_mode1`` call
-over a leading settings axis; ``plan_oracle`` keeps the loop that read one
-setting per call.  Every field of every observation and transcript record
-must agree exactly, for one state, a batch of states and an eta grid, and
+``scheme1`` and ``scheme2`` read a whole plan with one ``observe_mode1``
+call over a leading settings axis; ``plan_oracle`` keeps the loop that read
+one setting per call.  Every field of every observation, the transcript
+that reconstruction reads, must agree exactly, for one state, a batch of states and an eta grid, and
 a finite-shot plan still builds one generator per entry.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 import gaussbench as gb
 from gaussbench.bench import BenchSetting
-from gaussbench.schemes import SCHEME1_PLAN, SCHEME2_PLAN, PlanEntry, _run_plan
+from gaussbench.schemes import SCHEME1_PLAN, SCHEME2_PLAN, PlanEntry
 from plan_oracle import run_plan_by_entry
 
 
@@ -68,6 +68,11 @@ def source(name, detector):
     return modes(1, 73000)[0], gb.DetectorModel(**{**detector, "eta": grid})
 
 
+def run_plan(v, plan, det, seed):
+    """The observations of ``plan``, as a scheme reads them: one bench call."""
+    return gb.observe_mode1(v, [entry.setting for entry in plan], det, seed)
+
+
 def assert_same(got, want):
     """Exactly equal, NaN matching NaN; a plain number for one state, an array for a batch."""
     if want is None:
@@ -82,24 +87,19 @@ def assert_same(got, want):
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_plan_call_equals_the_per_entry_loop(detector, where, plan):
     v, det = source(where, DETECTORS[detector])
-    got_obs, got_records = _run_plan(v, PLANS[plan], det, np.random.SeedSequence(8128))
-    want_obs, want_records = run_plan_by_entry(v, PLANS[plan], det, np.random.SeedSequence(8128))
+    got_obs = run_plan(v, PLANS[plan], det, np.random.SeedSequence(8128))
+    want_obs = run_plan_by_entry(v, PLANS[plan], det, np.random.SeedSequence(8128))
     assert len(got_obs) == len(want_obs) == len(PLANS[plan])
     for got, want in zip(got_obs, want_obs):
         assert got.setting == want.setting
         for field in ("n_prime", "j_prime", "purity", "wigner0", "n_stderr", "j_stderr"):
             assert_same(getattr(got, field), getattr(want, field))
-    assert len(got_records) == len(want_records)
-    for got, want in zip(got_records, want_records):
-        assert (got.theta, got.phi, got.observable) == (want.theta, want.phi, want.observable)
-        assert_same(got.value, want.value)
-        assert_same(got.stderr, want.stderr)
 
 
 def test_few_shots_reach_nan_purities():
     # The few-shot configs above do cover the NaN branch of the purity.
     v, det = source("batch", DETECTORS["photocount-few-shots"])
-    observations, _ = _run_plan(v, SCHEME1_PLAN, det, np.random.SeedSequence(8128))
+    observations = run_plan(v, SCHEME1_PLAN, det, np.random.SeedSequence(8128))
     assert any(np.isnan(obs.purity).any() for obs in observations)
 
 
@@ -120,7 +120,7 @@ def test_below_floor_reading_raises_the_same_error(det, batch):
     with pytest.raises(gb.UnphysicalMeasurementError) as want:
         run_plan_by_entry(v, SCHEME1_PLAN, det, 5)
     with pytest.raises(gb.UnphysicalMeasurementError) as got:
-        _run_plan(v, SCHEME1_PLAN, det, 5)
+        run_plan(v, SCHEME1_PLAN, det, 5)
     assert str(got.value) == str(want.value)
     assert "n' = -0.0625" in str(got.value)
 

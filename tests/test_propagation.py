@@ -1,18 +1,21 @@
 """First-order error propagation: the helper and every reported error bar.
 
 Each reported invariant stderr must equal the first-order propagation of the
-reconstruction itself, found here by brute force: move one transcript record
-at a time and replay the transcript through ``reconstruct_from_transcript``.
+reconstruction itself, found here by brute force: move one reading of the
+transcript's observations at a time and replay the transcript through
+``reconstruct_from_transcript``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gaussbench import (
+    BenchSetting,
     DetectorModel,
-    TranscriptRecord,
+    Mode1Observation,
     quad_to_mode,
     random_state,
     reconstruct_from_transcript,
@@ -118,21 +121,21 @@ def test_value_is_f_of_the_values_bit_for_bit_and_exact_inputs_stack_nothing():
 
 
 def brute_force_stderr(records, scheme, special_form, rel_step):
-    """First-order propagation through the replay, one record moved at a time."""
+    """First-order propagation through the replay, one reading moved at a time."""
     squares = {}
-    for i, rec in enumerate(records):
-        if not rec.stderr:
-            continue
-        replays = []
-        for sign in (1.0, -1.0):
-            moved = list(records)
-            moved[i] = TranscriptRecord(
-                rec.theta, rec.phi, rec.observable, rec.value + sign * rel_step * rec.stderr
-            )
-            replays.append(reconstruct_from_transcript(moved, scheme, special_form).invariants)
-        for key in ("j1", "j2", "j3", "j4"):
-            up, down = (getattr(inv, key) for inv in replays)
-            squares[key] = squares.get(key, 0.0) + ((up - down) / (2.0 * rel_step)) ** 2
+    for i, obs in enumerate(records):
+        for value, error in (("n_prime", "n_stderr"), ("j_prime", "j_stderr")):
+            stderr = getattr(obs, error)
+            if not stderr:
+                continue
+            replays = []
+            for sign in (1.0, -1.0):
+                moved = list(records)
+                moved[i] = replace(obs, **{value: getattr(obs, value) + sign * rel_step * stderr})
+                replays.append(reconstruct_from_transcript(moved, scheme, special_form).invariants)
+            for key in ("j1", "j2", "j3", "j4"):
+                up, down = (getattr(inv, key) for inv in replays)
+                squares[key] = squares.get(key, 0.0) + ((up - down) / (2.0 * rel_step)) ** 2
     return {key: math.sqrt(total) for key, total in squares.items()}
 
 
@@ -152,7 +155,7 @@ DETECTORS = {
 @pytest.mark.parametrize("state", STATES.values(), ids=STATES.keys())
 def test_reported_stderr_is_the_first_order_propagation_of_the_replay(run, det, state):
     result = run(quad_to_mode(state), det, seed=11)
-    want = brute_force_stderr(result.transcript, result.scheme, result.special_form, 1e-3)
+    want = brute_force_stderr(result.observations, result.scheme, result.special_form, 1e-3)
     got = result.invariant_stderr
     assert set(got) == set(want) == {"j1", "j2", "j3", "j4"}
     assert math.isnan(got["j4"]) == (result.scheme == "scheme1" and result.special_form is None)
@@ -161,18 +164,22 @@ def test_reported_stderr_is_the_first_order_propagation_of_the_replay(run, det, 
 
 
 def _records(plan_values, stderr):
-    return [TranscriptRecord(t, p, o, v, stderr) for t, p, o, v in plan_values]
+    """Observations of (theta, phi, N, J), every reading with error ``stderr``."""
+    return [
+        Mode1Observation(BenchSetting(t, p), n, j, math.nan, math.nan, stderr, stderr)
+        for t, p, n, j in plan_values
+    ]
 
 
 def _scheme2_transcript(j45, stderr=1e-3):
+    # Scheme 2 reads J only at (pi/4, 0); the other J's are never moved into it.
     q = math.pi / 4
     return _records(
         [
-            (0.0, 0.0, "N", 0.8),
-            (math.pi / 2, 0.0, "N", 0.6),
-            (q, 0.0, "N", 0.6),
-            (q, 0.0, "J", j45),
-            (q, math.pi / 2, "N", 0.65),
+            (0.0, 0.0, 0.8, 0.64),
+            (math.pi / 2, 0.0, 0.6, 0.36),
+            (q, 0.0, 0.6, j45),
+            (q, math.pi / 2, 0.65, 0.4),
         ],
         stderr,
     )
@@ -198,8 +205,8 @@ def test_scheme1_stderr_keeps_the_sign_of_the_measured_j3():
     settings = [
         (0.0, 0.0), (math.pi / 2, 0.0), (q, 0.0), (q, math.pi), (q, math.pi / 2), (q, -math.pi / 2)
     ]
-    records = _records([(t, p, "J", v) for (t, p), v in zip(settings, j)], e)
-    records += _records([(t, p, "N", 0.5) for t, p in settings[:3] + settings[4:5]], e)
+    # Scheme 1 reads no N at (pi/4, pi) and (pi/4, -pi/2).
+    records = _records([(t, p, 0.5, v) for (t, p), v in zip(settings, j)], e)
     result = reconstruct_from_transcript(records, "scheme1", "diagonal")
     inv, got = result.invariants, result.invariant_stderr
     assert inv.j3 == pytest.approx(1e-6, rel=1e-6)
@@ -218,8 +225,7 @@ def test_scheme1_j4_error_is_nan_where_the_stencil_crosses_j1_j2_zero():
     settings = [
         (0.0, 0.0), (math.pi / 2, 0.0), (q, 0.0), (q, math.pi), (q, math.pi / 2), (q, -math.pi / 2)
     ]
-    records = _records([(t, p, "J", v) for (t, p), v in zip(settings, j)], e)
-    records += _records([(t, p, "N", 0.5) for t, p in settings[:3] + settings[4:5]], e)
+    records = _records([(t, p, 0.5, v) for (t, p), v in zip(settings, j)], e)
     result = reconstruct_from_transcript(records, "scheme1", "diagonal")
     inv, got = result.invariants, result.invariant_stderr
     assert math.isfinite(inv.j4) and inv.j4 > 0.0

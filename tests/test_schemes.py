@@ -11,11 +11,12 @@ import pytest
 from gaussbench import (
     SCHEME1_PLAN,
     SCHEME2_PLAN,
+    BenchSetting,
     DetectorModel,
     InvariantSet,
+    Mode1Observation,
     QuadCovariance,
     ReconstructionError,
-    TranscriptRecord,
     entanglement_report,
     quad_to_mode,
     random_state,
@@ -28,9 +29,20 @@ from gaussbench import (
     tmsv_state,
     vacuum_state,
 )
+from gaussbench.cli import _observation_dict, _observations
 from matrix_oracle import invariants_mode
 
 IDEAL = DetectorModel()
+
+
+def observation(theta, phi, n, j, stderr=None):
+    """A transcript entry with the given readings; no reconstruction reads its purity."""
+    return Mode1Observation(BenchSetting(theta, phi), n, j, math.nan, math.nan, stderr, stderr)
+
+
+def through_a_report(observations):
+    """The observations as a report writes them and replay reads them back."""
+    return _observations([_observation_dict(obs) for obs in observations])
 
 
 def states(count, seed_offset=0):
@@ -90,11 +102,16 @@ def test_scheme1_matches_oracle_on_random_states():
 
 
 def test_scheme1_transcript_has_ten_records():
+    # One observation per setting, from which the reconstruction reads ten
+    # readings: J at all six settings, N at four.
     result = scheme1(quad_to_mode(tmsv_state(0.3)))
-    kinds = [(rec.observable, rec.theta) for rec in result.transcript]
+    assert [obs.setting for obs in result.observations] == [e.setting for e in SCHEME1_PLAN]
+    names = [name for entry in SCHEME1_PLAN for name in entry.readings]
+    assert sorted(names) == sorted(USED_READINGS["scheme1"])
+    kinds = [name[0] for name in names]
     assert len(kinds) == 10
-    assert sum(1 for k, _ in kinds if k == "J") == 6
-    assert sum(1 for k, _ in kinds if k == "N") == 4
+    assert kinds.count("J") == 6
+    assert kinds.count("N") == 4
 
 
 def test_scheme2_matches_oracle_on_random_states():
@@ -175,15 +192,15 @@ def test_scheme1_number_combination_is_symmetric_under_arm_swap():
     # The J3 number combination treats the two direct readings N(0,0) and
     # N(pi/2,0) symmetrically, so relabeling the arms must not change J3.
     v = quad_to_mode(random_state(202, purity="mixed", symmetry="general"))
-    records = list(scheme1(v).transcript)
+    records = list(scheme1(v).observations)
     swapped = []
-    for rec in records:
-        if rec.theta == 0.0:
-            swapped.append(TranscriptRecord(math.pi / 2, 0.0, rec.observable, rec.value))
-        elif rec.theta == math.pi / 2:
-            swapped.append(TranscriptRecord(0.0, 0.0, rec.observable, rec.value))
+    for obs in records:
+        if obs.setting.theta == 0.0:
+            swapped.append(replace(obs, setting=BenchSetting(math.pi / 2, 0.0)))
+        elif obs.setting.theta == math.pi / 2:
+            swapped.append(replace(obs, setting=BenchSetting(0.0, 0.0)))
         else:
-            swapped.append(rec)
+            swapped.append(obs)
     inv = reconstruct_from_transcript(records, "scheme1").invariants
     inv_swapped = reconstruct_from_transcript(swapped, "scheme1").invariants
     assert inv_swapped.j3 == pytest.approx(inv.j3, rel=1e-12, abs=1e-15)
@@ -195,7 +212,7 @@ def test_transcript_replay_reproduces_invariants_exactly():
         v = quad_to_mode(g)
         r1 = scheme1(v)
         replayed = reconstruct_from_transcript(
-            [TranscriptRecord.from_dict(rec.to_dict()) for rec in r1.transcript],
+            through_a_report(r1.observations),
             "scheme1",
             special_form=r1.special_form,
         ).invariants
@@ -204,7 +221,7 @@ def test_transcript_replay_reproduces_invariants_exactly():
         assert replayed.j3 == r1.invariants.j3
         r2 = scheme2(v)
         replayed2 = reconstruct_from_transcript(
-            [TranscriptRecord.from_dict(rec.to_dict()) for rec in r2.transcript],
+            through_a_report(r2.observations),
             "scheme2",
         ).invariants
         assert replayed2.j1 == r2.invariants.j1
@@ -217,17 +234,15 @@ def test_replay_of_noisy_transcript_is_also_exact():
     v = quad_to_mode(tmsv_state(0.5))
     det = DetectorModel(kind="lossy-homodyne", eta=0.9, shots=2000)
     result = scheme2(v, det, seed=5)
-    replayed = reconstruct_from_transcript(
-        [TranscriptRecord.from_dict(rec.to_dict()) for rec in result.transcript],
-        "scheme2",
-    )
+    replayed = reconstruct_from_transcript(through_a_report(result.observations), "scheme2")
     assert replayed.invariants.j4 == result.invariants.j4
     assert replayed.invariant_stderr == result.invariant_stderr
+    assert replayed.observations == result.observations
 
 
 def test_missing_record_raises():
     v = quad_to_mode(tmsv_state(0.5))
-    records = [rec for rec in scheme2(v).transcript if rec.phi != math.pi / 2]
+    records = [obs for obs in scheme2(v).observations if obs.setting.phi != math.pi / 2]
     with pytest.raises(ReconstructionError):
         reconstruct_from_transcript(records, "scheme2")
 
@@ -241,9 +256,10 @@ PLANS = {"scheme1": SCHEME1_PLAN, "scheme2": SCHEME2_PLAN}
 RUNS = {"scheme1": scheme1, "scheme2": scheme2}
 
 
-def _is_reading(rec, plan, name):
+def _setting(plan, name):
+    """The setting whose observation holds the reading ``name`` of ``plan``."""
     (setting,) = [entry.setting for entry in plan if name in entry.readings]
-    return rec.observable == name[0] and (rec.theta, rec.phi) == (setting.theta, setting.phi)
+    return setting
 
 
 @pytest.mark.parametrize("scheme", ["scheme1", "scheme2"])
@@ -254,15 +270,14 @@ def _is_reading(rec, plan, name):
 )
 def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
     result = RUNS[scheme](quad_to_mode(tmsv_state(0.4)), det, seed=11)
-    records = list(result.transcript)
+    records = list(result.observations)
     random.Random(3).shuffle(records)
     ignored_before = [
-        TranscriptRecord(0.3, 0.0, "N", 99.0, 1.0),  # a setting no plan has
-        TranscriptRecord(math.pi / 4 + 1e-6, 0.0, "N", 99.0, 1.0),  # beyond the 1e-9 match
-        TranscriptRecord(math.pi / 4, math.pi / 2 + 1e-6, "N", 99.0, 1.0),
-        TranscriptRecord(math.pi / 4, 0.0, "X", 99.0, 1.0),  # not an observable
+        observation(0.3, 0.0, 99.0, 99.0, 1.0),  # a setting no plan has
+        observation(math.pi / 4 + 1e-6, 0.0, 99.0, 99.0, 1.0),  # beyond the 1e-9 match
+        observation(math.pi / 4, math.pi / 2 + 1e-6, 99.0, 99.0, 1.0),
     ]
-    ignored_after = [TranscriptRecord(0.0, 0.0, "N", 99.0, 1.0)]  # only the first match counts
+    ignored_after = [observation(0.0, 0.0, 99.0, 99.0, 1.0)]  # only the first match counts
     records = ignored_before + records + ignored_after
     replayed = reconstruct_from_transcript(records, scheme, result.special_form)
     assert replayed.invariants == result.invariants
@@ -273,18 +288,34 @@ def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
     "scheme, name", [(scheme, name) for scheme, names in USED_READINGS.items() for name in names]
 )
 def test_every_reading_a_reconstruction_uses_is_required(scheme, name):
+    # A reading is there when its setting's observation is: without it the
+    # reconstruction raises and names the setting.
     result = RUNS[scheme](quad_to_mode(random_state(31)))
-    records = [rec for rec in result.transcript if not _is_reading(rec, PLANS[scheme], name)]
-    assert len(records) == len(result.transcript) - 1
-    with pytest.raises(ReconstructionError, match=f"missing {name[0]} at"):
+    setting = _setting(PLANS[scheme], name)
+    records = [obs for obs in result.observations if obs.setting != setting]
+    assert len(records) == len(result.observations) - 1
+    at = f"no observation at theta={setting.theta:.6f}, phi={setting.phi:.6f}, so no "
+    with pytest.raises(ReconstructionError, match=at):
         reconstruct_from_transcript(records, scheme, result.special_form)
 
 
 @pytest.mark.parametrize("name", ["J00", "J90", "J45p"])
 def test_scheme2_does_not_need_its_other_readings(name):
+    # Scheme 2 observes J at these settings but never reads it: a junk value
+    # and error there leave every reconstructed number bit-identical.
     result = scheme2(quad_to_mode(random_state(31)))
-    records = [rec for rec in result.transcript if not _is_reading(rec, SCHEME2_PLAN, name)]
-    assert reconstruct_from_transcript(records, "scheme2").invariants == result.invariants
+    setting = _setting(SCHEME2_PLAN, name)
+    records = [
+        replace(obs, j_prime=-99.0, j_stderr=7.0) if obs.setting == setting else obs
+        for obs in result.observations
+    ]
+    assert records != list(result.observations)
+    replayed = reconstruct_from_transcript(records, "scheme2")
+    assert replayed.invariants == result.invariants
+    assert replayed.invariant_stderr == result.invariant_stderr
+    assert (replayed.ms_real, replayed.ms_imag, replayed.mc_magnitude) == (
+        result.ms_real, result.ms_imag, result.mc_magnitude
+    )
 
 
 def test_unknown_scheme_name_rejected():
@@ -296,12 +327,12 @@ def test_unknown_scheme_name_rejected():
 def test_negative_mc_square_is_reported_signed(mc_sq):
     # Standard-form readings with m~s = 0, so J3 = -|m~c|^2 and
     # J4 = 2 n1 n2 |m~c|^2 carry the signed estimate N45^2 - J45 unclamped.
+    # Scheme 2 reads J only at (pi/4, 0).
     records = [
-        TranscriptRecord(0.0, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 2, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 4, 0.0, "N", 0.5),
-        TranscriptRecord(math.pi / 4, 0.0, "J", 0.25 - mc_sq),
-        TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.5),
+        observation(0.0, 0.0, 0.5, 0.25),
+        observation(math.pi / 2, 0.0, 0.5, 0.25),
+        observation(math.pi / 4, 0.0, 0.5, 0.25 - mc_sq),
+        observation(math.pi / 4, math.pi / 2, 0.5, 0.25),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -314,17 +345,14 @@ def test_negative_mc_square_is_reported_signed(mc_sq):
 @pytest.mark.parametrize("form", [None, "diagonal", "antidiagonal"])
 @pytest.mark.parametrize("j1", [-0.1, 0.0], ids=["negative", "zero"])
 def test_nonpositive_direct_reading_is_reported_with_nan_j4(j1, form):
+    # Scheme 1 reads no N at (pi/4, pi) and (pi/4, -pi/2).
     records = [
-        TranscriptRecord(0.0, 0.0, "J", j1),
-        TranscriptRecord(math.pi / 2, 0.0, "J", 0.3),
-        TranscriptRecord(math.pi / 4, 0.0, "J", 0.3),
-        TranscriptRecord(math.pi / 4, math.pi, "J", 0.3),
-        TranscriptRecord(math.pi / 4, math.pi / 2, "J", 0.3),
-        TranscriptRecord(math.pi / 4, -math.pi / 2, "J", 0.3),
-        TranscriptRecord(0.0, 0.0, "N", 0.6),
-        TranscriptRecord(math.pi / 2, 0.0, "N", 0.6),
-        TranscriptRecord(math.pi / 4, 0.0, "N", 0.6),
-        TranscriptRecord(math.pi / 4, math.pi / 2, "N", 0.6),
+        observation(0.0, 0.0, 0.6, j1),
+        observation(math.pi / 2, 0.0, 0.6, 0.3),
+        observation(math.pi / 4, 0.0, 0.6, 0.3),
+        observation(math.pi / 4, math.pi, 0.6, 0.3),
+        observation(math.pi / 4, math.pi / 2, 0.6, 0.3),
+        observation(math.pi / 4, -math.pi / 2, 0.6, 0.3),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -354,8 +382,11 @@ def test_status_says_where_j4_is_known(run, eta, shots, seed):
     else:
         assert result.observations[0].n_prime[0] < 0.0
     # Each point's transcript alone gives that point's status as a plain string.
+    fields = ("n_prime", "j_prime", "purity", "wigner0", "n_stderr", "j_stderr")
     for i, status in enumerate(result.status):
-        records = [replace(rec, value=rec.value[i], stderr=rec.stderr[i]) for rec in result.transcript]
+        records = [
+            replace(obs, **{f: getattr(obs, f)[i] for f in fields}) for obs in result.observations
+        ]
         form = result.special_form[i] if run is scheme1 else None
         one = reconstruct_from_transcript(records, result.scheme, form)
         assert type(one.status) is str and one.status == status
@@ -460,7 +491,7 @@ def test_same_seed_reproduces_scheme_results():
     b = scheme2(v, det, seed=99)
     assert a.invariants.j1 == b.invariants.j1
     assert a.invariants.j4 == b.invariants.j4
-    assert a.transcript == b.transcript
+    assert a.observations == b.observations
 
 
 def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
@@ -479,11 +510,7 @@ def test_finite_shot_reconstruction_overflow_obeys_errstate(points):
     value = 1e200 if points == () else np.full(points, 1e200)
 
     def transcript(plan):
-        return [
-            TranscriptRecord(entry.setting.theta, entry.setting.phi, name[0], value, 1e197)
-            for entry in plan
-            for name in entry.readings
-        ]
+        return [Mode1Observation(e.setting, value, value, 0.0, 0.0, 1e197, 1e197) for e in plan]
 
     for name, plan, form in (
         ("scheme1", SCHEME1_PLAN, "diagonal"),
