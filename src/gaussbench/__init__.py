@@ -60,7 +60,6 @@ from .states import (
     mode_to_quad,
     quad_to_mode,
     standard_form_prep,
-    symplectic_eigenvalues,
     validate_physical,
 )
 

@@ -6,8 +6,8 @@ mode 1 of the output.  Two single-mode quantities are observed:
 
 * ``N``: the symmetrized occupation <a'+ a' + 1/2> (photon counting), and
 * ``J``: det of the output mode's 2x2 covariance block, equivalently the
-  purity through purity = 1/(2 sqrt J) and the Wigner function at the
-  origin through W(0) = purity / pi.
+  purity through purity = 1/(2 sqrt J) (the Wigner function at the origin
+  is W(0) = purity / pi).
 
 The output mode's moments have closed forms.  With c = cos theta and
 s = sin theta,
@@ -126,17 +126,16 @@ class Mode1Observation:
     """Readout of output mode 1 at one bench setting.
 
     ``n_prime`` is <a'+ a' + 1/2>, ``j_prime`` the determinant of the
-    output mode's covariance block; ``purity`` and ``wigner0`` are the
-    derived 1/(2 sqrt j) and purity/pi (NaN when a noisy j_prime fell
-    non-positive).  Standard errors are populated for finite-shot
-    detectors, None otherwise.
+    output mode's covariance block; ``purity`` the derived 1/(2 sqrt j_prime),
+    NaN when a noisy j_prime fell non-positive.  Standard errors are populated
+    for finite-shot detectors, None otherwise.  One state's numbers are numpy
+    scalars, so a reconstruction from them obeys ``np.errstate``.
     """
 
     setting: BenchSetting
     n_prime: float
     j_prime: float
     purity: float
-    wigner0: float
     n_stderr: float | None = None
     j_stderr: float | None = None
 
@@ -227,9 +226,9 @@ def _check_exact(n_prime, j_prime, eta):
 
 
 def _derived_purity(j_prime):
+    """1/(2 sqrt j') of an array of readings, NaN where j' <= 0."""
     positive = j_prime > 0.0
-    purity = np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
-    return as_field(purity), as_field(purity / math.pi)
+    return np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
 
 
 def _draws(seeds, draw, like):
@@ -279,7 +278,7 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     quadrature variance raises :class:`UnphysicalMeasurementError`, naming
     the first in plan order.  A finite-shot reading is one chi-square draw
     per homodyne variance or Gaussian noise on each photocount reading,
-    inverted unchecked (a noisy j' <= 0 leaves purity and wigner0 NaN), with
+    inverted unchecked (a noisy j' <= 0 leaves the purity NaN), with
     standard errors propagated through the same inversion.  Deterministic in
     ``seed``: a finite-shot plan spawns one seed child per entry (a lone
     setting uses ``seed``), each entry builds one generator from it and draws
@@ -310,8 +309,8 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     (n_prime, j_prime), errors = propagate(estimate, readings, errors)
     if errors is None:
         _check_exact(n_prime, j_prime, det.eta)
-    columns = [n_prime, j_prime, *_derived_purity(j_prime), *(errors or ())]
-    # One split per field: plain numbers for one state, arrays for a batch.
-    fields = [x.tolist() if x.ndim == 1 else list(x) for x in columns]
+    columns = [n_prime, j_prime, _derived_purity(j_prime), *(errors or ())]
+    # One split per field: numpy scalars for one state, arrays for a batch.
+    fields = [list(x) for x in columns]
     observations = tuple(map(Mode1Observation, settings, *fields))
     return observations[0] if lone else observations

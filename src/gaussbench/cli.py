@@ -287,8 +287,7 @@ def _optional(x):
 
 
 def _invariants_dict(inv: InvariantSet) -> dict:
-    out = {key: float(getattr(inv, key)) for key in ("j1", "j2", "j3", "i1", "i2", "i3")}
-    return {**out, "j4": _optional(inv.j4), "i4": _optional(inv.i4)}
+    return {"j1": float(inv.j1), "j2": float(inv.j2), "j3": float(inv.j3), "j4": _optional(inv.j4)}
 
 
 def _entanglement_dict(rep: EntanglementReport) -> dict:
@@ -303,7 +302,6 @@ def _observation_dict(obs) -> dict:
         "n_prime": float(obs.n_prime),
         "j_prime": float(obs.j_prime),
         "purity": _optional(obs.purity),
-        "wigner0": _optional(obs.wigner0),
     }
     if obs.n_stderr is not None:
         out["n_stderr"] = float(obs.n_stderr)
@@ -317,26 +315,26 @@ def _observations(items) -> tuple[Mode1Observation, ...]:
 
     ``theta``, ``phi``, ``n_prime`` and ``j_prime`` must be finite JSON
     numbers, each stderr absent, null or one, and the setting within
-    :class:`BenchSetting`'s range.  ``purity`` and ``wigner0`` are not read:
-    the bench's formula derives them again from ``j_prime``, for all the
-    observations in one call.
+    :class:`BenchSetting`'s range.  ``purity`` (and an older report's
+    ``wigner0``) is not read: the bench's formula derives it again from
+    ``j_prime``.  The readings are split from one array per field, as the
+    bench splits them, so one state's are numpy scalars here too.
     """
-    rows = []
+    settings, readings, stderrs = [], [], []
     for item in items:
-        stderrs = [item.get("n_stderr"), item.get("j_stderr")]
+        errors = [item.get("n_stderr"), item.get("j_stderr")]
         numbers = [item["theta"], item["phi"], item["n_prime"], item["j_prime"]]
-        checked = numbers + [e for e in stderrs if e is not None]
+        checked = numbers + [e for e in errors if e is not None]
         if not all(map(is_json_number, checked)):
             raise TypeError(f"observation numbers must be JSON numbers, got {checked!r}")
         if not all(map(math.isfinite, checked)):
             raise ValueError(f"observation numbers must be finite, got {checked!r}")
-        stderrs = [None if e is None else float(e) for e in stderrs]
-        rows.append((BenchSetting(*numbers[:2]), *map(float, numbers[2:]), *stderrs))
-    purity, wigner0 = _derived_purity(np.array([row[2] for row in rows]))
-    return tuple(
-        Mode1Observation(setting, n, j, p, w, n_err, j_err)
-        for (setting, n, j, n_err, j_err), p, w in zip(rows, purity.tolist(), wigner0.tolist())
-    )
+        settings.append(BenchSetting(*numbers[:2]))
+        readings.append(numbers[2:])
+        stderrs.append([None if e is None else float(e) for e in errors])
+    n, j = np.array(readings, dtype=float).reshape(-1, 2).T
+    columns = [list(n), list(j), list(_derived_purity(j)), *zip(*stderrs)]
+    return tuple(map(Mode1Observation, settings, *columns))
 
 
 def _deltas_dict(scheme_inv: InvariantSet, oracle_inv: InvariantSet) -> dict:
@@ -561,14 +559,42 @@ def _oracle_invariants(report) -> InvariantSet:
     return InvariantSet(*values)
 
 
-def _flat_fields(rendered, stored):
-    """Each scalar of a rendered section value, which is a scalar, a flat
-    object or a list of flat objects, beside the stored value it equals."""
-    if isinstance(rendered, dict):
-        return [(x, stored[key]) for key, x in rendered.items()]
-    if isinstance(rendered, list):
-        return [(x, y[key]) for item, y in zip(rendered, stored) for key, x in item.items()]
-    return [(rendered, stored)]
+#: A key that one side of a replay comparison lacks.
+_ABSENT = object()
+
+
+def _first_difference(rendered, stored):
+    """``(path, rendered, stored)`` at the first value where ``stored``
+    differs from ``rendered``, objects walked by key and lists by index, or
+    None.  Values compare by ``==``: 1 and 1.0 agree, and so do 0.0 and -0.0,
+    but a bool never equals a number."""
+    if type(rendered) is type(stored) and not isinstance(rendered, (dict, list)):
+        return None if rendered == stored else ("", rendered, stored)  # the common case
+    lists = isinstance(rendered, list) and isinstance(stored, list)
+    if lists or isinstance(rendered, dict) and isinstance(stored, dict):
+        if lists:
+            rendered, stored = dict(enumerate(rendered)), dict(enumerate(stored))
+        for key in {**rendered, **stored}:
+            found = _first_difference(rendered.get(key, _ABSENT), stored.get(key, _ABSENT))
+            if found is not None:
+                return (f"[{key}]" if lists else f".{key}") + found[0], *found[1:]
+        return None
+    same = rendered == stored and isinstance(rendered, bool) == isinstance(stored, bool)
+    return None if same else ("", rendered, stored)
+
+
+def _with_legacy_copies(rendered: dict, stored: dict) -> dict:
+    """``rendered`` with the copies that ``stored`` holds if ``run`` wrote it
+    before J1..J4 and the purity were their numbers' only form, rendered as
+    then: I1..I4 = 4 J1, 4 J2, 4 J3, 16 J4, and W(0) = purity/pi."""
+    inv, old = rendered["invariants"], stored.get("invariants")
+    if isinstance(old, dict) and "i1" in old:  # any other I it lacks or holds alone differs
+        i4 = None if inv["j4"] is None else 16.0 * inv["j4"]
+        inv.update(i1=4.0 * inv["j1"], i2=4.0 * inv["j2"], i3=4.0 * inv["j3"], i4=i4)
+    for obs, old in zip(rendered["observations"], stored["observations"]):
+        if "wigner0" in old:
+            obs["wigner0"] = None if obs["purity"] is None else obs["purity"] / math.pi
+    return rendered
 
 
 def _cmd_replay(cfg) -> int:
@@ -595,17 +621,17 @@ def _cmd_replay(cfg) -> int:
         forms = (None, "diagonal", "antidiagonal") if name == "scheme1" else (None,)
         if special_form not in forms:
             raise ConfigError(f"report section {name} has a malformed special_form")
-        # The section as ``run`` renders it, compared by value: 1 and 1.0 agree,
-        # and so do 0.0 and -0.0, but not a bool and a number.
+        # The section as ``run`` renders it, or rendered then for an older report.
         result = reconstruct_from_transcript(observations, name, special_form)
-        for key, value in _scheme_section(result, oracle).items():
-            stored = section.get(key)
-            if value != stored or any(
-                isinstance(x, bool) != isinstance(y, bool) for x, y in _flat_fields(value, stored)
-            ):
+        rendered = _with_legacy_copies(_scheme_section(result, oracle), section)
+        for key, value in rendered.items():
+            found = _first_difference(value, section.get(key))
+            if found is not None:
+                path, *values = found
+                want, got = ("absent" if x is _ABSENT else json.dumps(x) for x in values)
                 raise GaussBenchError(
-                    f"replay of {name} does not reproduce its {key}: the transcript gives "
-                    f"{json.dumps(value)}, the report has {json.dumps(stored)}"
+                    f"replay of {name} does not reproduce its {key}: {key}{path} is {want} "
+                    f"from the transcript, {got} in the report"
                 )
     sys.stdout.write(
         f"replayed {len(sections)} transcript(s): every field they determine matches by "

@@ -1,7 +1,9 @@
 """Separability tests and entanglement measures from symplectic invariants.
 
 Everything here consumes an :class:`~gaussbench.states.InvariantSet` only;
-no covariance matrix is touched.  Logarithms are base 2 (bits).
+no covariance matrix is touched.  Logarithms are base 2 (bits).  The closed
+forms are in the quadrature convention I1..I4 = 4 J1, 4 J2, 4 J3, 16 J4,
+which each public call derives once and which nothing else holds.
 
 * Simon's PPT-based criterion decides separability from the margin
   I1 I2 + (1 - |I3|)^2 - I4 - I1 - I2 together with the sign of I3
@@ -65,6 +67,16 @@ class EntanglementReport:
     nu_tilde_minus: float
 
 
+def _quad_invariants(inv: InvariantSet):
+    """(I1, I2, I3, I4) = (4 J1, 4 J2, 4 J3, 16 J4); scaling by a power of two is exact."""
+    return 4.0 * inv.j1, 4.0 * inv.j2, 4.0 * inv.j3, 16.0 * inv.j4
+
+
+def _det_gamma(i1, i2, i3, i4):
+    """det gamma through the invariants: I1 I2 + I3^2 - I4 (NaN without I4)."""
+    return i1 * i2 + i3**2 - i4
+
+
 def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
     """Evaluate the separability inequality.
 
@@ -73,8 +85,11 @@ def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
     iff I3 >= 0 or the margin is non-negative.  Where the margin is NaN
     (no J4) the verdict is ``None``: undecided.
     """
-    i1, i2, i3 = inv.i1, inv.i2, inv.i3
-    margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - inv.i4 - i1 - i2
+    return _simon(*_quad_invariants(inv))
+
+
+def _simon(i1, i2, i3, i4):
+    margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - i4 - i1 - i2
     undecided = (margin != margin).astype(np.intp)  # NaN
     separable = _SEPARABLE.take(2 * undecided + ((i3 >= 0.0) | (margin >= 0.0)))
     return separable, as_field(margin)
@@ -108,25 +123,15 @@ def _entropy_of_squeeze_factor(x):
     return c_plus * np.log2(c_plus) - c_minus * np.log2(c_minus + (c_minus == 0.0))
 
 
-def _eof(inv: InvariantSet, i4, symmetric):
-    """Symmetric-state EoF (bits) with the given I4, NaN where undefined.
-
-    NaN too where ``symmetric`` is false, |I1 - I2| > SYM_TOL * max(I1, I2).
-    With I4 = 0 it is a lower bound on the EoF: the inner radical grows with
-    I4 and E(x) decreases with x, and the bound needs just I1 and I3.
-    """
-    return _entropy_of_squeeze_factor(_x_parameter(inv.i1, inv.i3, i4, symmetric))
-
-
-def _negativity(inv: InvariantSet):
+def _negativity(i1, i2, i3, i4):
     """Logarithmic negativity (bits) and the PPT symplectic eigenvalue, NaN where undefined.
 
     nu~_-^2 = (Delta~ - sqrt(Delta~^2 - 4 det gamma))/2 with
     Delta~ = I1 + I2 - 2 I3; E_N = max(0, -log2 nu~_-).  Small negative
     radicands are clamped to zero.
     """
-    det_gamma = inv.quad_determinant()
-    delta_tilde = inv.i1 + inv.i2 - 2.0 * inv.i3
+    det_gamma = _det_gamma(i1, i2, i3, i4)
+    delta_tilde = i1 + i2 - 2.0 * i3
     radicand = delta_tilde * delta_tilde - 4.0 * det_gamma
     radicand_bad = radicand < -NEGATIVITY_RADICAND_ATOL * np.maximum(1.0, delta_tilde**2)
     nu_sq = (delta_tilde - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
@@ -143,9 +148,12 @@ def entanglement_report(inv: InvariantSet) -> EntanglementReport:
     finite-shot noise pushed the reconstructed set outside the physical
     region.
     """
-    separable, margin = simon_separable(inv)
-    negativity, nu_minus = _negativity(inv)
-    symmetric = abs(inv.i1 - inv.i2) <= SYM_TOL * np.maximum(inv.i1, inv.i2)
-    eof, bound = _eof(inv, inv.i4, symmetric), _eof(inv, 0.0, symmetric)
+    i1, i2, i3, i4 = _quad_invariants(inv)
+    separable, margin = _simon(i1, i2, i3, i4)
+    negativity, nu_minus = _negativity(i1, i2, i3, i4)
+    symmetric = abs(i1 - i2) <= SYM_TOL * np.maximum(i1, i2)
+    # The symmetric EoF, and at I4 = 0 its lower bound: the inner radical
+    # grows with I4 and E(x) decreases with x.
+    eof, bound = (_entropy_of_squeeze_factor(_x_parameter(i1, i3, x, symmetric)) for x in (i4, 0.0))
     measures = (margin, eof, bound, negativity, nu_minus)
     return EntanglementReport(separable, *map(as_field, measures))

@@ -108,6 +108,7 @@ class SchemeResult:
     ms_real: float | None = None
     ms_imag: float | None = None
     mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
+    # Scheme 2's |m~1|, |m~2|: what rounding leaves of the prepared squeezing.
     residual_m1: float | None = None
     residual_m2: float | None = None
 
@@ -282,10 +283,10 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     the cross correlations); the bench then measures the transformed state
     at four settings and reconstructs J1..J4 plus the cross-block pieces.
     """
-    prep = standard_form_prep(v)
-    observations = observe_mode1(prep.vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
+    vt = standard_form_prep(v).vt
+    observations = observe_mode1(vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
     return replace(
         reconstruct_from_transcript(observations, "scheme2"),
-        residual_m1=prep.residual_m1,
-        residual_m2=prep.residual_m2,
+        residual_m1=as_field(abs(vt.m1)),
+        residual_m2=as_field(abs(vt.m2)),
     )

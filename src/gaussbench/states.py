@@ -23,17 +23,17 @@ Conventions used throughout the package:
   and mode_to_quad inverts these closed forms.
 
 Local Gaussian unitaries act on gamma as S1 (+) S2 with S_j in Sp(2, R);
-four polynomial combinations of the blocks are unchanged by them.  Writing
-gamma = [[A, C], [C^T, B]] and J = [[0, 1], [-1, 0]]:
-
-    I1 = det A,  I2 = det B,  I3 = det C,  I4 = tr(A J C J B J C^T J)
-
-and in the mode picture, with Z = diag(1, -1) and V blocks V1, V2, C_V:
+four polynomial combinations of the blocks are unchanged by them.  The
+package keeps them in the mode picture only, with Z = diag(1, -1) and
+V blocks V1, V2, C_V:
 
     J1 = det V1,  J2 = det V2,  J3 = det C_V,
-    J4 = tr(V1 Z C_V Z V2 Z C_V+ Z),
+    J4 = tr(V1 Z C_V Z V2 Z C_V+ Z).
 
-related exactly by I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4.
+invariants_quad evaluates them from gamma = [[A, C], [C^T, B]], with
+J = [[0, 1], [-1, 0]]: det A = 4 J1, det B = 4 J2, det C = 4 J3 and
+tr(A J C J B J C^T J) = 16 J4.  Those quadrature-convention values are the
+I1..I4 that :mod:`gaussbench.entanglement` writes its closed forms in.
 
 The symplectic eigenvalues nu_minus <= nu_plus of gamma (Williamson's
 theorem) come from its Cholesky factor gamma = L L^T: the Hermitian matrix
@@ -72,7 +72,6 @@ __all__ = [
     "PhysicalityReport",
     "SingleModeSymplectic",
     "StandardFormResult",
-    "symplectic_eigenvalues",
     "validate_physical",
     "quad_to_mode",
     "mode_to_quad",
@@ -239,14 +238,12 @@ class ModeCovariance:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """The four local-symplectic invariants in the mode convention.
-
-    The quadrature-convention values I1..I4 are derived properties with the
-    exact scaling I1 = 4 J1, I2 = 4 J2, I3 = 4 J3, I4 = 16 J4, so the two
-    conventions can never drift apart.  J1..J3 must be finite; ``j4`` is
-    NaN, for one state and at any point of a batch, where a measurement
-    scheme could not determine it (the default), and finite elsewhere.  One
-    state's are numpy scalars, so their arithmetic obeys ``np.errstate``.
+    """The four local-symplectic invariants J1..J4 in the mode convention,
+    the package's one form of them (:mod:`gaussbench.entanglement` derives
+    its I1..I4 inside each call).  J1..J3 must be finite; ``j4`` is NaN, for
+    one state and at any point of a batch, where a measurement scheme could
+    not determine it (the default), and finite elsewhere.  One state's are
+    numpy scalars, so their arithmetic obeys ``np.errstate``.
     """
 
     j1: float
@@ -262,33 +259,13 @@ class InvariantSet:
         if any_point(~finite | (abs(self.j4) == math.inf)):
             raise ValueError("invariants must be finite (J4 may be NaN)")
 
-    @property
-    def i1(self) -> float:
-        return 4.0 * self.j1
-
-    @property
-    def i2(self) -> float:
-        return 4.0 * self.j2
-
-    @property
-    def i3(self) -> float:
-        return 4.0 * self.j3
-
-    @property
-    def i4(self) -> float:
-        return 16.0 * self.j4
-
-    def quad_determinant(self) -> float:
-        """det(gamma) expressed through the invariants: I1 I2 + I3^2 - I4 (NaN without J4)."""
-        return self.i1 * self.i2 + self.i3**2 - self.i4
-
 
 @dataclass(frozen=True)
 class PhysicalityReport:
     """Outcome of the uncertainty-bound check on a quadrature covariance.
 
-    ``nu_minus`` and ``nu_plus`` are the symplectic eigenvalues of
-    :func:`symplectic_eigenvalues`, NaN at a point where gamma is not
+    ``nu_minus`` and ``nu_plus`` are the symplectic eigenvalues of gamma
+    (see :func:`validate_physical`), NaN at a point where gamma is not
     positive definite (``positive_definite`` false), where they are
     undefined.  Fields are plain values for one state and arrays for a batch.
     """
@@ -331,28 +308,15 @@ def _spectrum(g: QuadCovariance):
     return as_field(nu_minus), as_field(nu_plus), as_field(positive, bool)
 
 
-def symplectic_eigenvalues(g: QuadCovariance) -> tuple[float, float]:
-    """Symplectic spectrum (nu_minus, nu_plus) of gamma, by Williamson's theorem.
-
-    With the Cholesky factor gamma = L L^T, the Hermitian matrix
-    i L^T Omega L is similar to i Omega gamma, and its ascending eigenvalues
-    are (-nu_plus, -nu_minus, nu_minus, nu_plus).  Each symplectic eigenvalue
-    is the average of its +- pair (half the distance between them), which
-    suppresses eigensolver noise.  Where gamma is not positive definite there
-    is no factor and no symplectic spectrum: both values are NaN there.
-    """
-    nu_minus, nu_plus, _ = _spectrum(g)
-    return nu_minus, nu_plus
-
-
 def validate_physical(g: QuadCovariance) -> PhysicalityReport:
     """Check a covariance matrix against the uncertainty bound nu >= 1.
 
     A matrix is physical when it is positive definite (it has a Cholesky
     factor) and its smaller symplectic eigenvalue is at least
-    ``1 - PHYSICALITY_SLACK``.  The spectrum is that of
-    :func:`symplectic_eigenvalues`, from the same factorisation, and NaN
-    where the matrix is not positive definite.
+    ``1 - PHYSICALITY_SLACK``.  It reports the symplectic spectrum from the
+    same factorisation (see the module docstring), each nu the average of its
+    +- pair of eigenvalues of i L^T Omega L (half the distance between them),
+    which suppresses eigensolver noise, and NaN where there is no factor.
     """
     nu_minus, nu_plus, positive = _spectrum(g)
     return PhysicalityReport(
@@ -433,8 +397,6 @@ class StandardFormResult:
     s1: SingleModeSymplectic
     s2: SingleModeSymplectic
     vt: ModeCovariance
-    residual_m1: float
-    residual_m2: float
 
 
 def _standardizing_local(n, m, label: str) -> SingleModeSymplectic:
@@ -461,8 +423,8 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     """Block-diagonalize both single-mode blocks by local transformations.
 
     Returns the per-mode transformations S1, S2 and vt = S V S+ with
-    m1, m2 driven to zero (up to double-precision residuals, reported in
-    ``residual_m1``/``residual_m2``).  All four invariants of ``vt`` equal
+    m1, m2 driven to zero up to double-precision residuals, which are
+    ``abs(vt.m1)`` and ``abs(vt.m2)``.  All four invariants of ``vt`` equal
     those of ``v`` since det S_j = 1.  With S_j = [[e c, f s], [f* s, e* c]]
     the conjugation is written out entry by entry.
     """
@@ -482,7 +444,7 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     row_c = e1 * c1 * v.mc + f1 * h1 * np.conj(v.ms)
     ms = row_s * np.conj(e2) * c2 + row_c * np.conj(f2) * h2
     vt = ModeCovariance(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=row_s * f2 * h2 + row_c * e2 * c2)
-    return StandardFormResult(s1, s2, vt, as_field(abs(vt.m1)), as_field(abs(vt.m2)))
+    return StandardFormResult(s1, s2, vt)
 
 
 def cross_block_form(v: ModeCovariance):

@@ -74,7 +74,8 @@ def observe_setting(v, setting, det, seed):
         n_err = j_err = None
     else:
         _, (n_err, j_err) = propagate(estimate, readings, errors)
-    return Mode1Observation(setting, n_prime, j_prime, *_derived_purity(j_prime), n_err, j_err)
+    purity = _derived_purity(j_prime)[()]  # a number for one state
+    return Mode1Observation(setting, n_prime, j_prime, purity, n_err, j_err)
 
 
 def run_plan_by_entry(v, plan, det, seed):

@@ -206,7 +206,7 @@ def test_criterion_07_bound_ordering():
         bound = rep.eof_lower_bound
         if bound > eof + 1e-12:
             ordering_ok = False
-        if inv.i4 > 1e-6 and not bound < eof:
+        if 16 * inv.j4 > 1e-6 and not bound < eof:
             strict_ok = False
     _report(
         7,

@@ -260,12 +260,21 @@ class TestSampling:
 
 
 class TestObserveMode1:
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "finite-shot"])
+    def test_one_state_readings_are_numpy_scalars(self, shots):
+        # So that a reconstruction from them obeys np.errstate as a batch's does.
+        det = DetectorModel(kind="lossy-homodyne", eta=0.9, shots=shots)
+        obs = observe_mode1(quad_to_mode(tmsv_state(0.5)), BenchSetting(0.3, 0.1), det, seed=3)
+        fields = (obs.n_prime, obs.j_prime, obs.purity)
+        fields += () if shots is None else (obs.n_stderr, obs.j_stderr)
+        assert all(type(x) is np.float64 for x in fields)
+
     def test_vacuum_observation(self):
         obs = observe_mode1(vacuum_mode(), BenchSetting(0.3, 0.1))
         assert obs.n_prime == pytest.approx(0.5, abs=1e-13)
         assert obs.j_prime == pytest.approx(0.25, abs=1e-13)
         assert obs.purity == pytest.approx(1.0, abs=1e-12)
-        assert obs.wigner0 == pytest.approx(1 / math.pi, abs=1e-12)
+        assert obs.purity / math.pi == pytest.approx(1 / math.pi, abs=1e-12)  # W(0)
         assert obs.n_stderr is None and obs.j_stderr is None
 
     def test_tmsv_at_full_transmission(self):

@@ -102,29 +102,111 @@ def test_noisy_report_is_replayable(tmp_path):
     assert run_cli("replay", "--report", str(out)) == 0
 
 
-#: Reports whose scheme sections also carry the per-reading ``transcript``
-#: list that left the format at commit 6c44970, written there by ``run`` with
-#: these arguments.
+REPORTS = Path(__file__).parent / "reports"
+EXACT_ARGS = ["--generator", "tmsv", "--r", "0.5"]
+FINITE_SHOT_ARGS = [
+    "--generator", "random", "--seed", "7",
+    "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
+]
+
+#: Reports written by ``run`` with these arguments in older formats.  Every
+#: one holds I1..I4 beside J1..J4 in each ``invariants`` object and W(0)
+#: beside each observation's purity, copies that left the format after
+#: commit d8f3b11, where the last two were written.  The first two were
+#: written at commit 6c44970 and also carry the per-reading ``transcript``
+#: list of each scheme section, which left the format there.
 OLD_REPORTS = {
-    "exact.json": ["--generator", "tmsv", "--r", "0.5"],
-    "finite-shot.json": [
-        "--generator", "random", "--seed", "7",
-        "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
-    ],
+    "exact.json": EXACT_ARGS,
+    "finite-shot.json": FINITE_SHOT_ARGS,
+    "exact-d8f3b11.json": EXACT_ARGS,
+    "finite-shot-d8f3b11.json": FINITE_SHOT_ARGS,
 }
+
+
+def _without_old_keys(report):
+    """An older report as today's ``run`` writes it: without the transcript
+    list, I1..I4 and W(0)."""
+    for name in ("oracle", "scheme1", "scheme2"):
+        for key in ("i1", "i2", "i3", "i4"):
+            del report[name]["invariants"][key]
+    for name in ("scheme1", "scheme2"):
+        report[name].pop("transcript", None)
+        for obs in report[name]["observations"]:
+            del obs["wigner0"]
+    return report
 
 
 @pytest.mark.parametrize("name", OLD_REPORTS)
 def test_reports_with_a_transcript_list_still_replay(name, capsys):
-    path = Path(__file__).parent / "reports" / name
+    path = REPORTS / name
     assert run_cli("replay", "--report", str(path)) == 0
-    # Today's run writes the same bytes, bar that list.
-    report = json.loads(path.read_text())
-    for section in ("scheme1", "scheme2"):
-        del report[section]["transcript"]
+    # Today's run writes the same bytes, bar the keys that left the format.
+    report = _without_old_keys(json.loads(path.read_text()))
     capsys.readouterr()
     assert run_cli("run", *OLD_REPORTS[name]) == 0
     assert capsys.readouterr().out == render_json(report)
+
+
+def _scale_copy(part, key, scale):
+    """Scale a copy that an older report holds in its scheme 2 invariants
+    (``part`` "invariants") or in scheme 1's third observation."""
+    def edit(report):
+        if part == "invariants":
+            report["scheme2"]["invariants"][key] *= scale
+        else:
+            report["scheme1"]["observations"][2][key] *= scale
+    return edit
+
+
+def _drop_invariant(key):
+    def edit(report):
+        del report["scheme2"]["invariants"][key]
+    return edit
+
+
+@pytest.mark.parametrize("name", ["exact-d8f3b11.json", "finite-shot-d8f3b11.json"])
+@pytest.mark.parametrize(
+    "edit, section, path",
+    [
+        (_scale_copy("invariants", "i1", 1.001), "scheme2", "invariants.i1"),
+        (_scale_copy("invariants", "i4", 1.001), "scheme2", "invariants.i4"),
+        (_drop_invariant("i2"), "scheme2", "invariants.i2"),
+        # Without I1 replay renders no I's, and the other three are extra keys.
+        (_drop_invariant("i1"), "scheme2", "invariants.i2"),
+        (_scale_copy("observations", "wigner0", 1.001), "scheme1", "observations[2].wigner0"),
+    ],
+    ids=["i1", "i4", "no-i2", "no-i1", "wigner0"],
+)
+def test_replay_checks_the_copies_an_older_report_holds(
+    name, edit, section, path, tmp_path, capsys
+):
+    # Replay renders I1..I4 and W(0) as the format that held them did, so an
+    # edited or missing copy fails as it did then.
+    report = json.loads((REPORTS / name).read_text())
+    edit(report)
+    out = tmp_path / name
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    key = path.split(".")[0].split("[")[0]
+    want = f"error: replay of {section} does not reproduce its {key}: {path} is "
+    assert want in capsys.readouterr().err
+
+
+def test_replay_mismatch_names_its_field_in_one_short_line(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("run", *FINITE_SHOT_ARGS, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    purity = report["scheme1"]["observations"][3]["purity"]
+    report["scheme1"]["observations"][3]["purity"] = purity * 1.001
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert err == (
+        "gaussbench: error: replay of scheme1 does not reproduce its observations: "
+        f"observations[3].purity is {purity!r} from the transcript, "
+        f"{purity * 1.001!r} in the report\n"
+    )
 
 
 def test_replay_detects_tampering(tmp_path, capsys):
@@ -169,6 +251,15 @@ def _edit_observation(key, scale):
     return edit
 
 
+def _add_wigner0(scale):
+    """Give scheme 1's first observation the W(0) = purity/pi that reports
+    held until the purity became its only form, scaled by ``scale``."""
+    def edit(report):
+        obs = report["scheme1"]["observations"][0]
+        obs["wigner0"] = obs["purity"] / math.pi * scale
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, name, key",
     [
@@ -181,12 +272,12 @@ def _edit_observation(key, scale):
         (_set_ms_real, "scheme2", "cross_block"),
         (_zero_delta, "scheme2", "deltas"),
         # The observations are the transcript: a reading edited there moves
-        # what the reconstruction gives, and an edited purity or W(0) no
-        # longer follows from its J.
+        # what the reconstruction gives, and an edited purity, or an older
+        # report's W(0), no longer follows from its J.
         (_edit_observation("n_prime", 1.001), "scheme1", "invariants"),
         (_edit_observation("j_stderr", 2.0), "scheme1", "stderr"),
         (_edit_observation("purity", 1.001), "scheme1", "observations"),
-        (_edit_observation("wigner0", 1.001), "scheme1", "observations"),
+        (_add_wigner0(1.001), "scheme1", "observations"),
     ],
     ids=[
         "stderr", "log-negativity", "status", "oracle-j1", "ms-real", "delta",
@@ -248,7 +339,7 @@ def test_oracle_subcommand_has_no_scheme_sections(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["scheme1"] is None and report["scheme2"] is None
-    assert report["oracle"]["invariants"]["i3"] == pytest.approx(0.0, abs=1e-12)
+    assert report["oracle"]["invariants"]["j3"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_state_file_round_trip(tmp_path):
@@ -330,7 +421,7 @@ def test_two_state_sources_is_config_error(tmp_path):
 
 def test_undefined_purity_is_written_as_null(tmp_path):
     # At r = 1, eta = 0.8 and 1000 shots, shot noise carries some j' readings
-    # of seed 5 below zero, where purity and W(0) are undefined.
+    # of seed 5 below zero, where the purity is undefined.
     out = tmp_path / "report.json"
     code = run_cli(
         "run", "--generator", "tmsv", "--r", "1", "--detector", "lossy-homodyne",
@@ -345,7 +436,7 @@ def test_undefined_purity_is_written_as_null(tmp_path):
     observations = report["scheme1"]["observations"] + report["scheme2"]["observations"]
     undefined = [obs for obs in observations if obs["j_prime"] <= 0.0]
     assert undefined
-    assert all(obs["purity"] is None and obs["wigner0"] is None for obs in undefined)
+    assert all(obs["purity"] is None and "wigner0" not in obs for obs in undefined)
     assert run_cli("replay", "--report", str(out)) == 0
 
 
@@ -372,7 +463,7 @@ def test_scheme1_without_j4_writes_nulls_and_replays(source, shots, tmp_path):
         assert sorted(section["stderr"]) == ["j1", "j2", "j3"]
     else:
         assert section["stderr"] is None
-    assert section["invariants"]["j4"] is None and section["invariants"]["i4"] is None
+    assert section["invariants"]["j4"] is None and "i4" not in section["invariants"]
     assert section["deltas"]["j4_abs"] is None and section["deltas"]["j4_rel"] is None
     ent = section["entanglement"]
     for key in ("eof", "log_negativity", "simon_lhs_minus_rhs", "separable"):

@@ -174,7 +174,7 @@ def test_ideal_is_exact_photocount_at_unit_efficiency():
         exact = gb.observe_mode1(batch, setting, photocount)
         assert np.array_equal(ideal.n_prime, n)
         assert np.array_equal(ideal.j_prime, n * n - (m.real * m.real + m.imag * m.imag))
-        for name in ("n_prime", "j_prime", "purity", "wigner0"):
+        for name in ("n_prime", "j_prime", "purity"):
             assert np.array_equal(getattr(ideal, name), getattr(exact, name))
         assert ideal.n_stderr is None and ideal.j_stderr is None
 

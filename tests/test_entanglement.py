@@ -133,7 +133,7 @@ def test_bound_strictly_below_for_entangled_states_with_cross_term():
         g = random_state(i, purity="pure", symmetry="symmetric")
         inv = invariants_quad(g)
         exact, bound = eof_and_bound(inv)
-        if exact <= 1e-9 or inv.i4 <= 1e-6:
+        if exact <= 1e-9 or 16 * inv.j4 <= 1e-6:
             continue
         assert bound < exact
         found += 1
@@ -158,7 +158,7 @@ def test_eof_grows_with_the_fourth_invariant():
     for i in range(400):
         g = random_state(i, purity="pure", symmetry="symmetric")
         inv = invariants_quad(g)
-        if eof_and_bound(inv)[0] <= 1e-9 or inv.i4 <= 1e-9:
+        if eof_and_bound(inv)[0] <= 1e-9 or 16 * inv.j4 <= 1e-9:
             continue
         values = [
             eof_and_bound(type(inv)(j1=inv.j1, j2=inv.j2, j3=inv.j3, j4=s * inv.j4))[0]

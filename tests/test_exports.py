@@ -31,6 +31,7 @@ REMOVED = (
     "ConsistencyReport",
     "CONSISTENCY_TOL",
     "TranscriptRecord",
+    "symplectic_eigenvalues",
 )
 
 

@@ -92,7 +92,7 @@ def test_plan_call_equals_the_per_entry_loop(detector, where, plan):
     assert len(got_obs) == len(want_obs) == len(PLANS[plan])
     for got, want in zip(got_obs, want_obs):
         assert got.setting == want.setting
-        for field in ("n_prime", "j_prime", "purity", "wigner0", "n_stderr", "j_stderr"):
+        for field in ("n_prime", "j_prime", "purity", "n_stderr", "j_stderr"):
             assert_same(getattr(got, field), getattr(want, field))
 
 

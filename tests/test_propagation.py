@@ -166,7 +166,7 @@ def test_reported_stderr_is_the_first_order_propagation_of_the_replay(run, det, 
 def _records(plan_values, stderr):
     """Observations of (theta, phi, N, J), every reading with error ``stderr``."""
     return [
-        Mode1Observation(BenchSetting(t, p), n, j, math.nan, math.nan, stderr, stderr)
+        Mode1Observation(BenchSetting(t, p), n, j, math.nan, stderr, stderr)
         for t, p, n, j in plan_values
     ]
 

@@ -37,7 +37,7 @@ IDEAL = DetectorModel()
 
 def observation(theta, phi, n, j, stderr=None):
     """A transcript entry with the given readings; no reconstruction reads its purity."""
-    return Mode1Observation(BenchSetting(theta, phi), n, j, math.nan, math.nan, stderr, stderr)
+    return Mode1Observation(BenchSetting(theta, phi), n, j, math.nan, stderr, stderr)
 
 
 def through_a_report(observations):
@@ -382,7 +382,7 @@ def test_status_says_where_j4_is_known(run, eta, shots, seed):
     else:
         assert result.observations[0].n_prime[0] < 0.0
     # Each point's transcript alone gives that point's status as a plain string.
-    fields = ("n_prime", "j_prime", "purity", "wigner0", "n_stderr", "j_stderr")
+    fields = ("n_prime", "j_prime", "purity", "n_stderr", "j_stderr")
     for i, status in enumerate(result.status):
         records = [
             replace(obs, **{f: getattr(obs, f)[i] for f in fields}) for obs in result.observations
@@ -501,16 +501,28 @@ def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
     assert result.entanglement.eof_lower_bound >= 0.0
 
 
-@pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
-def test_finite_shot_reconstruction_overflow_obeys_errstate(points):
-    # Readings near 1e200 with a standard error, whose squares overflow.
-    # One state's finite-shot readings are evaluated on the stacked array of
-    # ``propagate``, as a batch's are, so they raise under np.errstate; Python
-    # floats would raise OverflowError from ``**`` instead.
+@pytest.mark.parametrize(
+    "points, stderr",
+    [((), 1e197), ((2,), 1e197), ((), None)],
+    ids=["one-state", "batch", "one-state-exact"],
+)
+def test_finite_shot_reconstruction_overflow_obeys_errstate(points, stderr):
+    # Readings near 1e200, whose squares overflow.  One state's finite-shot
+    # readings are evaluated on the stacked array of ``propagate``, as a
+    # batch's are, so they raise under np.errstate; Python floats would raise
+    # OverflowError from ``**`` instead.  One state's exact readings are not
+    # stacked: they obey np.errstate because the bench, and replay reading a
+    # report, hand them over as numpy scalars.
     value = 1e200 if points == () else np.full(points, 1e200)
 
     def transcript(plan):
-        return [Mode1Observation(e.setting, value, value, 0.0, 0.0, 1e197, 1e197) for e in plan]
+        if stderr is None:
+            items = [
+                {"theta": e.setting.theta, "phi": e.setting.phi, "n_prime": 1e200, "j_prime": 1e200}
+                for e in plan
+            ]
+            return _observations(items)
+        return [Mode1Observation(e.setting, value, value, 0.0, stderr, stderr) for e in plan]
 
     for name, plan, form in (
         ("scheme1", SCHEME1_PLAN, "diagonal"),

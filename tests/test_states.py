@@ -16,13 +16,13 @@ from gaussbench import (
     random_state,
     special_form_state,
     standard_form_prep,
-    symplectic_eigenvalues,
     thermal_state,
     tmsv_state,
     two_mode_squeezed_thermal,
     vacuum_state,
     validate_physical,
 )
+from gaussbench.entanglement import _det_gamma, _quad_invariants
 from gaussbench.generators import conjugate_local, random_local_symplectic
 from gaussbench.states import PHYSICALITY_SLACK, cross_block_form
 from matrix_oracle import (
@@ -46,9 +46,15 @@ def tmsv_mode_closed_form(r):
 
 
 def tmsv_invariants_closed_form(r):
-    """Independent closed form for the TMSV quadrature invariants."""
+    """Independent closed form for the TMSV quadrature invariants I1..I4."""
     c, s = math.cosh(2 * r), math.sinh(2 * r)
     return {"i1": c * c, "i2": c * c, "i3": -s * s, "i4": 2 * c * c * s * s}
+
+
+def spectrum(g):
+    """(nu_minus, nu_plus) as ``validate_physical`` reports them."""
+    rep = validate_physical(g)
+    return rep.nu_minus, rep.nu_plus
 
 
 def random_population(count, seed_offset=0):
@@ -169,20 +175,21 @@ class TestConversions:
 class TestInvariants:
     def test_vacuum(self):
         inv = invariants_quad(vacuum_state())
-        assert inv.i1 == pytest.approx(1.0, abs=1e-14)
-        assert inv.i2 == pytest.approx(1.0, abs=1e-14)
-        assert inv.i3 == pytest.approx(0.0, abs=1e-14)
-        assert inv.i4 == pytest.approx(0.0, abs=1e-14)
+        i1, i2, i3, i4 = _quad_invariants(inv)
+        assert i1 == pytest.approx(1.0, abs=1e-14)
+        assert i2 == pytest.approx(1.0, abs=1e-14)
+        assert i3 == pytest.approx(0.0, abs=1e-14)
+        assert i4 == pytest.approx(0.0, abs=1e-14)
         assert inv.j1 == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 1.3])
     def test_tmsv_closed_form(self, r):
-        inv = invariants_quad(tmsv_state(r))
+        i1, i2, i3, i4 = _quad_invariants(invariants_quad(tmsv_state(r)))
         want = tmsv_invariants_closed_form(r)
-        assert inv.i1 == pytest.approx(want["i1"], rel=1e-12)
-        assert inv.i2 == pytest.approx(want["i2"], rel=1e-12)
-        assert inv.i3 == pytest.approx(want["i3"], rel=1e-12)
-        assert inv.i4 == pytest.approx(want["i4"], rel=1e-12)
+        assert i1 == pytest.approx(want["i1"], rel=1e-12)
+        assert i2 == pytest.approx(want["i2"], rel=1e-12)
+        assert i3 == pytest.approx(want["i3"], rel=1e-12)
+        assert i4 == pytest.approx(want["i4"], rel=1e-12)
         # the state is pure, so its determinant stays at the vacuum value
         assert float(np.linalg.det(tmsv_state(r).entries)) == pytest.approx(1.0, abs=1e-9)
 
@@ -198,18 +205,13 @@ class TestInvariants:
                 atol=1e-13,
             )
 
-    def test_scaling_bridge_is_exact_by_construction(self):
-        # i-values are defined as fixed multiples of the stored j-values.
-        inv = InvariantSet(j1=0.3, j2=0.4, j3=-0.1, j4=0.02)
-        assert inv.i1 == 4 * 0.3 and inv.i2 == 4 * 0.4
-        assert inv.i3 == 4 * -0.1 and inv.i4 == 16 * 0.02
-
     def test_determinant_identity(self):
-        # det gamma = I1 I2 + I3^2 - I4 for every physical state.
+        # det gamma = I1 I2 + I3^2 - I4 for every physical state, as the
+        # measures compute it from the I's they derive.
         for g in random_population(1000):
-            inv = invariants_quad(g)
+            got = _det_gamma(*_quad_invariants(invariants_quad(g)))
             det = float(np.linalg.det(g.entries))
-            assert inv.quad_determinant() == pytest.approx(det, rel=1e-9, abs=1e-11)
+            assert got == pytest.approx(det, rel=1e-9, abs=1e-11)
 
     def test_invariance_under_local_symplectics(self):
         rng = np.random.default_rng(20240407)
@@ -219,20 +221,20 @@ class TestInvariants:
             s2 = random_local_symplectic(rng)
             moved = invariants_quad(conjugate_local(g, s1, s2))
             np.testing.assert_allclose(
-                [moved.i1, moved.i2, moved.i3, moved.i4],
-                [base.i1, base.i2, base.i3, base.i4],
+                _quad_invariants(moved),
+                _quad_invariants(base),
                 rtol=1e-9,
                 atol=1e-12,
             )
 
     def test_partial_set_has_no_i4(self):
         inv = InvariantSet(j1=0.25, j2=0.25, j3=0.0)
-        assert math.isnan(inv.j4) and math.isnan(inv.i4)
-        assert math.isnan(inv.quad_determinant())
+        assert math.isnan(inv.j4)
+        assert math.isnan(_det_gamma(*_quad_invariants(inv)))
 
     def test_nan_j4_constructs_for_one_state(self):
         inv = InvariantSet(0.6, 0.6, -0.3, math.nan)
-        assert math.isnan(inv.j4) and math.isnan(inv.i4)
+        assert math.isnan(inv.j4)
 
     @pytest.mark.parametrize("j4", [math.inf, -math.inf, np.array([0.1, math.inf])])
     def test_infinite_j4_is_rejected(self, j4):
@@ -261,7 +263,7 @@ class TestPhysicality:
         # A state built as S diag(nu) S^T must report exactly those nu.
         nu1, nu2 = 1.3, 2.0
         g = two_mode_squeezed_thermal(0.6, nu1, nu2)
-        lo, hi = symplectic_eigenvalues(g)
+        lo, hi = spectrum(g)
         assert lo == pytest.approx(nu1, rel=1e-12)
         assert hi == pytest.approx(nu2, rel=1e-12)
 
@@ -286,7 +288,7 @@ class TestPhysicality:
     )
     def test_spectrum_matches_the_general_eigensolver(self, population):
         g = population()
-        got, want = symplectic_eigenvalues(g), symplectic_eigenvalues_general(g)
+        got, want = spectrum(g), symplectic_eigenvalues_general(g)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_verdict_matches_the_general_eigensolver_at_the_boundary(self):
@@ -336,7 +338,7 @@ class TestStandardFormPrep:
     def test_already_standard_is_untouched(self):
         v = quad_to_mode(tmsv_state(0.5))
         prep = standard_form_prep(v)
-        assert prep.residual_m1 == 0.0 and prep.residual_m2 == 0.0
+        assert abs(prep.vt.m1) == 0.0 and abs(prep.vt.m2) == 0.0
         assert prep.vt.n1 == pytest.approx(v.n1, abs=1e-14)
         assert prep.vt.mc == pytest.approx(v.mc, abs=1e-14)
 
@@ -349,13 +351,13 @@ class TestStandardFormPrep:
         assert prep.s1.alpha == pytest.approx(math.pi / 2)
         assert prep.s1.theta == pytest.approx(math.atanh(0.3) / 2)
         assert prep.vt.n1 == pytest.approx(math.sqrt(n * n - 0.09), rel=1e-12)
-        assert prep.residual_m1 < 1e-12
+        assert abs(prep.vt.m1) < 1e-12
 
     def test_residuals_small_on_random_states(self):
         for g in random_population(200):
             prep = standard_form_prep(quad_to_mode(g))
-            assert prep.residual_m1 < 1e-10
-            assert prep.residual_m2 < 1e-10
+            assert abs(prep.vt.m1) < 1e-10
+            assert abs(prep.vt.m2) < 1e-10
 
     def test_invariants_preserved(self):
         for g in random_population(100, seed_offset=900):
@@ -431,15 +433,17 @@ class TestGenerators:
     def test_pure_states_have_unit_symplectic_spectrum(self):
         for i in range(50):
             g = random_state(i, purity="pure", symmetry="general")
-            lo, hi = symplectic_eigenvalues(g)
+            lo, hi = spectrum(g)
             assert lo == pytest.approx(1.0, abs=1e-9)
             assert hi == pytest.approx(1.0, abs=1e-9)
             assert abs(float(np.linalg.det(g.entries)) - 1.0) < 1e-9
 
     def test_symmetric_class_pins_first_two_invariants(self):
         for i in range(50):
-            inv = invariants_quad(random_state(i, purity="mixed", symmetry="symmetric"))
-            assert inv.i1 == pytest.approx(inv.i2, rel=1e-10)
+            i1, i2, _, _ = _quad_invariants(
+                invariants_quad(random_state(i, purity="mixed", symmetry="symmetric"))
+            )
+            assert i1 == pytest.approx(i2, rel=1e-10)
 
     def test_special_form_states_satisfy_the_advertised_pattern(self):
         for i in range(25):
@@ -448,8 +452,8 @@ class TestGenerators:
                 assert cross_block_form(vt) == form
 
     def test_thermal_product_invariants(self):
-        inv = invariants_quad(thermal_state(1.4, 2.0))
-        assert inv.i1 == pytest.approx(1.4**2, rel=1e-12)
-        assert inv.i2 == pytest.approx(2.0**2, rel=1e-12)
-        assert inv.i3 == pytest.approx(0.0, abs=1e-14)
-        assert inv.i4 == pytest.approx(0.0, abs=1e-14)
+        i1, i2, i3, i4 = _quad_invariants(invariants_quad(thermal_state(1.4, 2.0)))
+        assert i1 == pytest.approx(1.4**2, rel=1e-12)
+        assert i2 == pytest.approx(2.0**2, rel=1e-12)
+        assert i3 == pytest.approx(0.0, abs=1e-14)
+        assert i4 == pytest.approx(0.0, abs=1e-14)
