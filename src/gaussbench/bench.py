@@ -95,9 +95,11 @@ class BenchSetting:
 class DetectorModel:
     """Detector kind, efficiency and shot budget (None = unlimited).
 
-    ``eta`` may be an array, one efficiency per point of a batch.  The
-    ideal detector is exact photon counting at eta = 1, so it takes neither
-    another efficiency nor a shot budget.
+    ``eta`` may be an array, one efficiency per point of a batch; it is
+    stored as a read-only copy, so the efficiency check made here holds for
+    the model's life and the bench does not repeat it.  The ideal detector
+    is exact photon counting at eta = 1, so it takes neither another
+    efficiency nor a shot budget.
     """
 
     kind: str = "ideal"
@@ -107,8 +109,11 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        object.__setattr__(self, "eta", as_field(self.eta))
-        _check_efficiency(self.eta)
+        eta = as_field(np.array(self.eta, dtype=float))
+        if isinstance(eta, np.ndarray):
+            eta.flags.writeable = False
+        object.__setattr__(self, "eta", eta)
+        _check_efficiency(eta)
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
             if self.shots <= 0:
@@ -167,6 +172,11 @@ def output_mode1_moments(v: ModeCovariance, settings):
 def lossy_moments(n, m, eta):
     """Vacuum admixture of an inefficient detector: eta V + (1 - eta)/2 I on (n, m)."""
     _check_efficiency(eta)
+    return _lossy_moments(n, m, eta)
+
+
+def _lossy_moments(n, m, eta):
+    """:func:`lossy_moments` on an efficiency already checked."""
     return eta * n + (1.0 - eta) * 0.5, eta * m
 
 
@@ -197,6 +207,11 @@ def invert_loss(n, j, eta):
     O(eta^2), so its rounding error grows like eps/eta^2 at small eta.
     """
     _check_efficiency(eta)
+    return _invert_loss(n, j, eta)
+
+
+def _invert_loss(n, j, eta):
+    """:func:`invert_loss` on an efficiency already checked."""
     loss = 1.0 - eta
     return (n - loss * 0.5) / eta, (j - loss * n + loss * loss * 0.25) / (eta * eta)
 
@@ -233,8 +248,8 @@ def _derived_purity(j_prime):
 
 def _draws(seeds, draw, like):
     """``draw`` on one generator per plan entry, each value a column on ``like``'s settings axis."""
-    rows = [draw(np.random.default_rng(seed)) for seed in seeds]
-    return [np.reshape(col, (len(rows),) + (1,) * (np.ndim(like) - 1)) for col in zip(*rows)]
+    table = np.array([draw(np.random.default_rng(seed)) for seed in seeds])  # entry x value
+    return list(table.T.reshape(table.shape[::-1] + (1,) * (np.ndim(like) - 1)))
 
 
 def _homodyne_readings(n, m, det: DetectorModel, seeds):
@@ -298,13 +313,13 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     n, m = output_mode1_moments(v, settings)
     if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
         n, m = n[:, None], m[:, None]
-    n, m = lossy_moments(n, m, det.eta)
+    n, m = _lossy_moments(n, m, det.eta)  # DetectorModel checked det.eta
     homodyne = det.kind == "lossy-homodyne"
     read = _homodyne_readings if homodyne else _photocount_readings
     readings, errors = read(n, m, det, seeds)
 
     def estimate(*raw):
-        return invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
+        return _invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
 
     (n_prime, j_prime), errors = propagate(estimate, readings, errors)
     if errors is None:

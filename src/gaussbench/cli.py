@@ -228,7 +228,15 @@ def _seed(cfg) -> int:
     return seed
 
 
-def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
+def _seed_child(seed: int, index: int):
+    """Child ``index`` of ``SeedSequence(seed)``, the same sequence as its
+    ``spawn(3)[index]``, built alone where it is drawn: child 0 feeds the
+    random generator, children 1 and 2 the finite-shot plans of schemes 1
+    and 2.  A run that draws nothing never imports ``numpy.random``."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
+def _resolve_state(cfg, seed: int) -> tuple[QuadCovariance, dict]:
     """Build the input state and a JSON-able description of its source."""
     state_path = cfg.get("state")
     generator = cfg.get("generator")
@@ -261,7 +269,10 @@ def _resolve_state(cfg, rng_seed) -> tuple[QuadCovariance, dict]:
             "tmst": two_mode_squeezed_thermal,
         }
         with np.errstate(over="raise", invalid="raise"):
-            g = random_state(rng_seed) if generator == "random" else makers[generator](**params)
+            if generator == "random":
+                g = random_state(_seed_child(seed, 0))
+            else:
+                g = makers[generator](**params)
     except (ValueError, FloatingPointError) as exc:
         # Non-finite or overflowing parameters leave no valid covariance.
         raise ConfigError(f"cannot build the {generator} state: {exc}") from exc
@@ -314,8 +325,8 @@ def _observations(items) -> tuple[Mode1Observation, ...]:
     """The observations that ``_observation_dict`` wrote, read back.
 
     ``theta``, ``phi``, ``n_prime`` and ``j_prime`` must be finite JSON
-    numbers, each stderr absent, null or one, and the setting within
-    :class:`BenchSetting`'s range.  ``purity`` (and an older report's
+    numbers, each stderr absent, null or one that is not negative, and the
+    setting within :class:`BenchSetting`'s range.  ``purity`` (and an older report's
     ``wigner0``) is not read: the bench's formula derives it again from
     ``j_prime``.  The readings are split from one array per field, as the
     bench splits them, so one state's are numpy scalars here too.
@@ -329,6 +340,8 @@ def _observations(items) -> tuple[Mode1Observation, ...]:
             raise TypeError(f"observation numbers must be JSON numbers, got {checked!r}")
         if not all(map(math.isfinite, checked)):
             raise ValueError(f"observation numbers must be finite, got {checked!r}")
+        if any(e is not None and e < 0 for e in errors):
+            raise ValueError(f"observation standard errors must not be negative, got {errors!r}")
         settings.append(BenchSetting(*numbers[:2]))
         readings.append(numbers[2:])
         stderrs.append([None if e is None else float(e) for e in errors])
@@ -378,9 +391,7 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
 def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
     """Input, oracle and the chosen schemes for one state, or elementwise for a grid."""
     seed = _seed(cfg)
-    gen_seq, s1_seq, s2_seq = np.random.SeedSequence(seed).spawn(3)
-
-    g, source = _resolve_state(cfg, gen_seq)
+    g, source = _resolve_state(cfg, seed)
     det = _resolve_detector(cfg)
     phys = validate_physical(g)
     unphysical = np.logical_not(phys.physical)
@@ -398,10 +409,12 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
         raise OverflowError(str(exc)) from exc
     oracle_inv = invariants_quad(g)
     res1 = res2 = None
+    # An exact plan never reads its seed.
+    finite = det.shots is not None
     if scheme_choice in ("scheme1", "both"):
-        res1 = scheme1(v, det, seed=s1_seq)
+        res1 = scheme1(v, det, seed=_seed_child(seed, 1) if finite else None)
     if scheme_choice in ("scheme2", "both"):
-        res2 = scheme2(v, det, seed=s2_seq)
+        res2 = scheme2(v, det, seed=_seed_child(seed, 2) if finite else None)
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
         oracle=oracle_inv, scheme1=res1, scheme2=res2,
@@ -534,8 +547,7 @@ def _cmd_sweep(cfg) -> int:
 def _cmd_validate(cfg) -> int:
     if cfg.get("seed") is not None and cfg.get("generator") != "random":
         raise ConfigError("--seed applies only to the random generator")
-    gen_seq = np.random.SeedSequence(_seed(cfg)).spawn(1)[0]
-    g, source = _resolve_state(cfg, gen_seq)
+    g, source = _resolve_state(cfg, _seed(cfg))
     phys = validate_physical(g)
     payload = {
         "state": source,

@@ -14,7 +14,8 @@ class UnphysicalMeasurementError(GaussBenchError):
 
 
 class ReconstructionError(GaussBenchError):
-    """A transcript lacks the observation at a setting whose reading its reconstruction needs."""
+    """A transcript lacks the observation at a setting whose reading its
+    reconstruction needs, or holds two observations at one plan setting."""
 
 
 class ConfigError(GaussBenchError):

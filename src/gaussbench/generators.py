@@ -39,10 +39,12 @@ def vacuum_state() -> QuadCovariance:
 
 def _standard_form_entries(a, b, c) -> np.ndarray:
     """gamma with A = a I, B = b I and cross block diag(c, -c), elementwise in a, b, c."""
-    a, b, c = np.broadcast_arrays(a, b, c)
-    z = np.zeros_like(a)
-    rows = [[a, z, c, z], [z, a, z, -c], [c, z, b, z], [z, -c, z, b]]
-    return np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1))
+    g = np.zeros(np.broadcast(a, b, c).shape + (4, 4))
+    g[..., 0, 0] = g[..., 1, 1] = a
+    g[..., 2, 2] = g[..., 3, 3] = b
+    g[..., 0, 2] = g[..., 2, 0] = c
+    g[..., 1, 3] = g[..., 3, 1] = -c
+    return g
 
 
 def _tmsv_entries(r) -> np.ndarray:

@@ -116,18 +116,24 @@ class SchemeResult:
 def _readings(observations, plan, names):
     """Values and standard errors of the named readings of ``plan``.
 
-    Each reading is N or J, as its name starts, of the first observation
-    within 1e-9 of its entry's (theta, phi); observations at other settings
-    are ignored.  The errors are ``None`` when every named reading is exact,
-    otherwise a missing stderr counts as 0.  One pass over the observations
-    finds them all.
+    Each reading is N or J, as its name starts, of the observation within
+    1e-9 of its entry's (theta, phi), in any order; observations at other
+    settings are ignored, and a plan setting observed twice raises
+    :class:`ReconstructionError`.  The errors are ``None`` when every named
+    reading is exact, otherwise a missing stderr counts as 0.  One pass over
+    the observations finds them all.
     """
     found = {}
     for obs in observations:
         theta, phi = obs.setting.theta, obs.setting.phi
         for i, entry in enumerate(plan):  # the settings of a plan are far more than 2e-9 apart
             if abs(theta - entry.setting.theta) <= 1e-9 and abs(phi - entry.setting.phi) <= 1e-9:
-                found.setdefault(i, obs)
+                if i in found:
+                    raise ReconstructionError(
+                        f"transcript has two observations at theta={entry.setting.theta:.6f}, "
+                        f"phi={entry.setting.phi:.6f}"
+                    )
+                found[i] = obs
                 break
     entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
     values, errors = [], []

@@ -50,6 +50,7 @@ every point, and a check failing anywhere raises for the whole call.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,16 @@ def first_where(mask, values):
     return values[mask][0]
 
 
+@functools.cache
+def _stencil_rows(k: int):
+    """Input index i of each moved entry, and its rows 1 + i (up) and 1 + K + i
+    (down), read-only: every call with K inputs shares them."""
+    rows = np.arange(k), np.arange(1, k + 1), np.arange(k + 1, 2 * k + 1)
+    for index in rows:
+        index.flags.writeable = False
+    return rows
+
+
 def propagate(f, values, errors):
     """``(f(*values), stderr)`` for independent inputs with standard errors ``errors``.
 
@@ -131,14 +142,21 @@ def propagate(f, values, errors):
     if errors is None:
         return f(*values), None
     k = len(values)
-    x = np.array(np.broadcast_arrays(*values, *errors), dtype=float)
+    try:  # inputs of one shape, the bench's and the reconstructions' case
+        x = np.array((*values, *errors), dtype=float)
+    except ValueError:
+        x = np.array(np.broadcast_arrays(*values, *errors), dtype=float)
+    # moved[i] is input i in every row: row 0 is the value, row 1 + j moves
+    # input j up by its step and row 1 + K + j down.  Only the moved entry
+    # is added to, so a -0.0 input stays -0.0 in every other row.
+    moved = np.empty((k, 2 * k + 1) + x.shape[1:])
+    moved[:] = x[:k, None]
     step = PROPAGATION_STEP * x[k:]
-    # Row 0 is the value; rows 1..K move one input up, rows K+1..2K down.
-    moved, axis = np.repeat(x[None, :k], 2 * k + 1, axis=0), np.arange(k)
-    moved[axis + 1, axis] += step
-    moved[axis + k + 1, axis] -= step
-    out = f(*moved.swapaxes(0, 1))
-    y = np.stack(out) if isinstance(out, tuple) else np.asarray(out)[None]
+    inputs, up, down = _stencil_rows(k)
+    moved[inputs, up] += step
+    moved[inputs, down] -= step
+    out = f(*moved)
+    y = np.array(out) if isinstance(out, tuple) else np.asarray(out)[None]
     slope = (y[:, 1 : k + 1] - y[:, k + 1 :]) / (2.0 * PROPAGATION_STEP)
     value, stderr = y[:, 0], np.sqrt((slope * slope).sum(axis=1))
     if value.ndim == 1:  # one state: plain numbers

@@ -1,0 +1,287 @@
+"""The golden population: the command lines whose outputs ``regen.py`` digests.
+
+``steps(reports)`` lists them in run order.  A step is either an argument
+list for ``gaussbench.cli.main`` or a ``Prepare`` that writes input files
+into the working directory (state files from seeds, copies of the committed
+older reports, spoiled copies of reports that earlier steps wrote); a
+preparation has no digest.  Every path is relative to the working directory,
+so the bytes a call writes do not depend on where it runs, and every JSON
+report a run writes is replayed by the next step.
+
+The population covers:
+
+* ``run``, ``oracle``, ``scheme1`` and ``scheme2`` on random states of seeds
+  0-5, with four detectors and both formats;
+* ``run`` with the four parameterised generators, three detectors and both
+  formats;
+* ``run`` on 24 state files of the six state classes of the benchmark's
+  ``reports_mixed`` workload (half in the mode convention), five detectors,
+  both formats;
+* both sweep axes with each ``--scheme``, in both formats, and the
+  benchmark's finite-shot eta sweep shape;
+* the commands of CI's determinism step;
+* ``validate``, configuration and usage errors;
+* replays of every report written, of the committed older reports, and of
+  copies spoiled in ways that replay must reject.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import shutil
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+#: Detector flags of the random-state and state-file runs.
+DETECTORS = (
+    (),
+    ("--detector", "lossy-homodyne", "--eta", "0.8"),
+    ("--detector", "lossy-photocount", "--eta", "0.9"),
+    ("--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000"),
+)
+STATE_FILE_DETECTORS = DETECTORS + (
+    ("--detector", "lossy-photocount", "--eta", "0.8", "--shots", "20000"),
+)
+GENERATOR_DETECTORS = (
+    (),
+    ("--detector", "lossy-homodyne", "--eta", "0.7", "--shots", "2000"),
+    ("--detector", "lossy-photocount", "--eta", "0.5"),
+)
+GENERATORS = (
+    ("--generator", "vacuum"),
+    ("--generator", "tmsv", "--r", "0.7"),
+    ("--generator", "thermal", "--nu1", "1.5", "--nu2", "1.2"),
+    ("--generator", "tmst", "--r", "0.4", "--nu1", "1.3", "--nu2", "1.1"),
+)
+#: The six state classes of the benchmark's reports_mixed population.
+STATE_CLASSES = (
+    ("random", "pure", "symmetric"),
+    ("random", "pure", "general"),
+    ("random", "mixed", "symmetric"),
+    ("random", "mixed", "general"),
+    ("special", "antidiagonal"),
+    ("special", "diagonal"),
+)
+STATE_FILES = 24
+
+#: The finite-shot run whose report the negated-stderr copies spoil.
+FINITE_SHOT_RUN = (
+    "run", "--generator", "random", "--seed", "7",
+    "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
+)
+
+
+@dataclass(frozen=True)
+class Prepare:
+    """Write input files into the working directory; ``label`` names the step."""
+
+    label: str
+    write: Callable[[], None]
+
+
+def _write_state_files() -> None:
+    from gaussbench import quad_to_mode, random_state, save_state, special_form_state
+
+    for i in range(STATE_FILES):
+        kind, *params = STATE_CLASSES[i % len(STATE_CLASSES)]
+        seed = 1000 + i
+        state = random_state(seed, *params) if kind == "random" else special_form_state(seed, *params)
+        if (i // len(STATE_CLASSES)) % 2:
+            state = quad_to_mode(state)
+        save_state(state, f"state{i:02d}.json")
+
+
+def _spoil(source: str, target: str, edit) -> Prepare:
+    """A copy of the report ``source`` with ``edit`` applied, as ``target``."""
+
+    def write() -> None:
+        report = json.loads(Path(source).read_text(encoding="utf-8"))
+        edit(report)
+        Path(target).write_text(json.dumps(report), encoding="utf-8")
+
+    return Prepare(f"spoil {source} as {target}", write)
+
+
+def _scale(*path_and_factor):
+    *path, key, factor = path_and_factor
+
+    def edit(report):
+        node = report
+        for part in path:
+            node = node[part]
+        node[key] *= factor
+
+    return edit
+
+
+def _set_log_negativity(report):
+    report["scheme2"]["entanglement"]["log_negativity"] = 42
+
+
+def _observe_scheme1_theta0_twice(report):
+    """Append a second observation at (0, 0), its J x1.5 and purity derived again."""
+    observations = report["scheme1"]["observations"]
+    twin = {**observations[0], "j_prime": 1.5 * observations[0]["j_prime"]}
+    twin["purity"] = 1.0 / (2.0 * math.sqrt(twin["j_prime"]))
+    observations.append(twin)
+
+
+class _Steps:
+    def __init__(self):
+        self.steps: list = []
+
+    def call(self, *argv: str) -> None:
+        self.steps.append(list(argv))
+
+    def written(self, *argv: str, suffix: str) -> str:
+        """Call ``argv`` with a fresh ``--out`` path, and return the path."""
+        out = f"out{len(self.steps):04d}.{suffix}"
+        self.call(*argv, "--out", out)
+        return out
+
+    def report(self, *argv: str, fmt: str = "json") -> str:
+        """Call ``argv`` in format ``fmt``; a JSON report is replayed next."""
+        out = self.written(*argv, "--format", fmt, suffix=fmt)
+        if fmt == "json":
+            self.call("replay", "--report", out)
+        return out
+
+
+def steps(reports: Path) -> list:
+    """The population, in run order; ``reports`` holds the committed older reports."""
+    s = _Steps()
+    s.steps.append(Prepare("state files", _write_state_files))
+
+    for seed in range(6):
+        for command in ("run", "oracle", "scheme1", "scheme2"):
+            for det in DETECTORS:
+                for fmt in ("json", "csv"):
+                    s.report(command, "--generator", "random", "--seed", str(seed), *det, fmt=fmt)
+
+    for generator in GENERATORS:
+        for det in GENERATOR_DETECTORS:
+            for fmt in ("json", "csv"):
+                s.report("run", *generator, "--seed", "5", *det, fmt=fmt)
+
+    for i in range(STATE_FILES):
+        for det in STATE_FILE_DETECTORS:
+            for fmt in ("json", "csv"):
+                s.report("run", "--state", f"state{i:02d}.json", "--seed", str(i), *det, fmt=fmt)
+
+    for scheme in ("oracle", "scheme1", "scheme2", "both"):
+        for fmt in ("csv", "json"):
+            s.written(
+                "sweep", "--param", "r", "--start", "0", "--stop", "2", "--steps", "11",
+                "--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1",
+                "--scheme", scheme, "--format", fmt, suffix=fmt,
+            )
+            s.written(
+                "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5",
+                "--generator", "random", "--seed", "7", "--detector", "lossy-homodyne",
+                "--shots", "5000", "--scheme", scheme, "--format", fmt, suffix=fmt,
+            )
+    # The benchmark's sweep_eta_shots op.
+    for r, nu1, nu2, seed in (("0.3", "1.4", "1.9", "11"), ("0.1", "2.5", "1.0", "4294967295"),
+                              ("0.5", "1.0", "1.0", "0"), ("0.25", "1.7", "2.2", "18446744073709551621")):
+        s.written(
+            "sweep", "--param", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "3",
+            "--detector", "lossy-homodyne", "--shots", "100000", "--scheme", "both",
+            "--generator", "tmst", "--r", r, "--nu1", nu1, "--nu2", nu2, "--seed", seed,
+            suffix="csv",
+        )
+
+    # CI's determinism step.
+    finite = s.report(*FINITE_SHOT_RUN)
+    s.written(
+        "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5",
+        "--scheme", "scheme1", "--generator", "random", "--seed", "7",
+        "--detector", "lossy-homodyne", "--shots", "5000", suffix="csv",
+    )
+    s.written(
+        "sweep", "--param", "r", "--start", "0", "--stop", "2", "--steps", "21", "--generator",
+        "tmst", "--nu1", "1.3", "--nu2", "1.1", "--scheme", "both", "--format", "json",
+        suffix="json",
+    )
+    s.report(
+        "run", "--generator", "random", "--seed", "7", "--detector", "lossy-photocount",
+        "--eta", "0.9", "--shots", "20000", fmt="csv",
+    )
+    s.written(
+        "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5",
+        "--scheme", "both", "--generator", "random", "--seed", "7",
+        "--detector", "lossy-photocount", "--shots", "20000", suffix="csv",
+    )
+    s.written(
+        "sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "11",
+        "--scheme", "scheme2", "--generator", "tmsv", "--seed", "7",
+        "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000", suffix="csv",
+    )
+    s.report(
+        "run", "--generator", "random", "--seed", "42", "--detector", "lossy-homodyne",
+        "--eta", "0.8", "--shots", "1000",
+    )
+    s.written("sweep", "--param", "r", "--start", "0", "--stop", "4", "--steps", "9",
+              "--scheme", "both", suffix="csv")
+    s.written(
+        "sweep", "--param", "r", "--start", "0", "--stop", "2", "--steps", "21", "--generator",
+        "tmst", "--nu1", "1.3", "--nu2", "1.1", "--scheme", "oracle", suffix="csv",
+    )
+    s.written("validate", "--generator", "random", "--seed", "7", suffix="json")
+    s.written("validate", "--generator", "tmsv", "--r", "4.4", suffix="json")
+
+    for name in ("log-negativity-42", "purity-x1.001"):
+        edit = _set_log_negativity if name == "log-negativity-42" else _scale(
+            "scheme1", "observations", 0, "purity", 1.001)
+        s.steps.append(_spoil(finite, f"{name}.json", edit))
+        s.call("replay", "--report", f"{name}.json")
+
+    # Replay rejects a negative standard error and a plan setting observed twice.
+    for section, index, key in (("scheme1", 0, "n_stderr"), ("scheme2", 2, "j_stderr")):
+        target = f"negative-{section}-{key}.json"
+        s.steps.append(_spoil(finite, target, _scale(section, "observations", index, key, -1.0)))
+        s.call("replay", "--report", target)
+    exact = s.report("run", "--generator", "random", "--seed", "3")
+    s.steps.append(_spoil(exact, "observed-twice.json", _observe_scheme1_theta0_twice))
+    s.call("replay", "--report", "observed-twice.json")
+
+    # Reports written by older versions still replay, and their copies are checked.
+    old = sorted(p.name for p in reports.glob("*.json"))
+    s.steps.append(Prepare("older reports", lambda: [shutil.copy(reports / n, n) for n in old]))
+    for name in old:
+        s.call("replay", "--report", name)
+    s.steps.append(_spoil("exact.json", "old-i1-x1.001.json", _scale("scheme2", "invariants", "i1", 1.001)))
+    s.call("replay", "--report", "old-i1-x1.001.json")
+
+    for i in range(6):
+        s.written("validate", "--state", f"state{i:02d}.json", suffix="json")
+    for argv in (
+        ("validate", "--generator", "vacuum"),
+        ("validate", "--generator", "thermal", "--nu1", "0.5", "--nu2", "1.0"),
+        ("run", "--generator", "thermal", "--nu1", "1e308", "--nu2", "1.0"),
+        ("run", "--generator", "tmsv", "--r", "1000"),
+        ("sweep", "--param", "r", "--start", "4", "--stop", "6", "--steps", "5"),
+    ):
+        s.written(*argv, suffix="txt")
+    for argv in (
+        (),
+        ("bogus",),
+        ("run",),
+        ("run", "--generator", "tmsv", "--bogus"),
+        ("run", "--generator", "tmsv", "--seed", "-1"),
+        ("run", "--generator", "tmsv", "--state", "state00.json"),
+        ("run", "--generator", "random", "--r", "0.5"),
+        ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--shots", "1"),
+        ("run", "--generator", "tmsv", "--eta", "0.5"),
+        ("run", "--generator", "tmsv", "--format", "xml"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "0"),
+        ("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3", "--eta", "0.5",
+         "--generator", "tmsv"),
+        ("validate", "--generator", "tmsv", "--seed", "3"),
+        ("replay",),
+        ("replay", "--report", "missing.json"),
+        ("replay", "--report", "state00.json"),
+    ):
+        s.call(*argv)
+    return s.steps

@@ -362,3 +362,15 @@ class TestObserveMode1:
             DetectorModel(kind="ideal", eta=0.5)
         with pytest.raises(ValueError):
             DetectorModel(kind="ideal", shots=100)
+
+    def test_detector_model_keeps_the_efficiencies_it_checked(self):
+        # The bench trusts the model's check: a later write to the caller's
+        # array does not reach the model, and its own copy is read-only.
+        eta = np.array([0.5, 0.9])
+        det = DetectorModel(kind="lossy-homodyne", eta=eta)
+        eta[0] = -1.0
+        assert det.eta.tolist() == [0.5, 0.9]
+        with pytest.raises(ValueError):
+            det.eta[0] = 2.0
+        with pytest.raises(ValueError, match="eta = -1.0 outside"):
+            DetectorModel(kind="lossy-homodyne", eta=eta)

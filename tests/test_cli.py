@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,6 +54,54 @@ def test_run_tmsv_both_schemes(tmp_path):
     eof_scheme = report["scheme2"]["entanglement"]["eof"]
     assert eof_scheme == pytest.approx(eof_oracle, abs=1e-9)
     assert report["scheme1"]["special_form"] == "antidiagonal"
+
+
+#: A fresh interpreter runs ``main`` on each argument list of its JSON
+#: argument in turn and prints, after each, the exit code and whether
+#: ``numpy.random`` is imported.  ``import numpy`` alone does not import it
+#: (numpy loads it on first use), which the script checks first.
+_IMPORT_PROBE = """
+import json, sys
+import numpy
+assert "numpy.random" not in sys.modules, "import numpy loads numpy.random"
+from gaussbench.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(main(argv), "numpy.random" in sys.modules)
+"""
+
+
+def _import_probe(argvs, cwd):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_only_a_run_that_draws_imports_numpy_random(tmp_path):
+    # An exact run reads no seed, so it builds no SeedSequence and never pays
+    # for importing numpy.random; the random generator and finite shots do.
+    save_state(random_state(5), tmp_path / "state.json")
+    exact = [
+        ["run", "--generator", "tmsv"],
+        ["sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "5"],
+        ["validate", "--generator", "tmsv"],
+        ["run", "--state", "state.json"],
+        ["run", "--state", "state.json", "--detector", "lossy-homodyne", "--eta", "0.8"],
+    ]
+    drawing = [
+        ["run", "--generator", "random"],
+        ["run", "--generator", "tmsv", "--detector", "lossy-photocount", "--eta", "0.9",
+         "--shots", "5000"],
+    ]
+    # The calls of one interpreter share its modules: the exact ones go first.
+    got = _import_probe([argv + ["--out", "out.txt"] for argv in exact + drawing[:1]], tmp_path)
+    assert got == [["0", "False"]] * len(exact) + [["0", "True"]]
+    assert _import_probe([drawing[1] + ["--out", "out.txt"]], tmp_path) == [["0", "True"]]
 
 
 def test_run_vacuum_scheme1(capsys):
@@ -1002,6 +1053,22 @@ def _set_invariant(key, value):
     return mutate
 
 
+#: The report that a malformed-section case spoils, unless its ``mutate`` names another.
+_EXACT_RUN = ("run", "--generator", "tmsv", "--r", "0.4")
+_FINITE_SHOT_RUN = (
+    "run", "--generator", "random", "--seed", "7",
+    "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
+)
+
+
+def _negate_record(index, key):
+    """Negate a standard error of an observation of the finite-shot report."""
+    def mutate(section):
+        section["observations"][index][key] *= -1.0
+    mutate.run = _FINITE_SHOT_RUN
+    return mutate
+
+
 def _stringify(part, key):
     """Write a number of the section (or of its first observation) as a JSON string."""
     def mutate(section):
@@ -1033,6 +1100,10 @@ def _stringify(part, key):
         pytest.param(1, "scheme1", _set_record("n_prime", 1e400), id="infinite-value"),
         pytest.param(1, "scheme2", _set_record("n_stderr", math.inf), id="infinite-stderr"),
         pytest.param(1, "scheme1", _set_record("j_stderr", "0.1"), id="string-stderr"),
+        # propagate squares each slope, so a negated error gives the same
+        # invariant errors: only the check on reading catches it.
+        pytest.param(1, "scheme1", _negate_record(0, "n_stderr"), id="negative-n-stderr"),
+        pytest.param(1, "scheme2", _negate_record(2, "j_stderr"), id="negative-j-stderr"),
         pytest.param(1, "scheme1", _set_record("theta", math.nan), id="nan-theta"),
         pytest.param(1, "scheme2", _set_record("phi", math.nan), id="nan-phi"),
         pytest.param(1, "scheme2", _set_record("theta", 1e400), id="infinite-theta"),
@@ -1049,7 +1120,7 @@ def test_replay_of_a_malformed_section_is_config_error(code, name, mutate, tmp_p
     # The invariants are an output that replay renders again, so spoiling
     # them is a mismatch (exit 2) that names them.
     out = tmp_path / "report.json"
-    assert run_cli("run", "--generator", "tmsv", "--r", "0.4", "--out", str(out)) == 0
+    assert run_cli(*getattr(mutate, "run", _EXACT_RUN), "--out", str(out)) == 0
     report = json.loads(out.read_text())
     mutate(report[name])
     out.write_text(json.dumps(report))
@@ -1059,6 +1130,24 @@ def test_replay_of_a_malformed_section_is_config_error(code, name, mutate, tmp_p
         assert f"config error: report section {name}" in err
     else:
         assert f"error: replay of {name} does not reproduce its invariants:" in err
+
+
+def test_replay_rejects_a_plan_setting_observed_twice(tmp_path, capsys):
+    # run never writes two observations at one setting.  A report holding a
+    # second one, its purity derived again, leaves that setting's readings
+    # ambiguous: a physics failure that names the setting, as a missing one is.
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--generator", "random", "--seed", "3", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    observations = report["scheme1"]["observations"]
+    twin = {**observations[0], "j_prime": 1.5 * observations[0]["j_prime"]}
+    twin["purity"] = 1.0 / (2.0 * math.sqrt(twin["j_prime"]))
+    assert (twin["theta"], twin["phi"]) == (0.0, 0.0)
+    observations.append(twin)
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: transcript has two observations at theta=0.000000, phi=0.000000" in err
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,10 @@ def test_batches_match_single_points_and_outputs_keep_their_order():
         _, single = propagate(f, x[:, i], e[:, i])
         assert all(isinstance(out, float) for out in single)
         np.testing.assert_allclose([out[i] for out in batch], single, rtol=1e-12)
+    # Inputs of different shapes broadcast: a scalar error stands for every point.
+    _, scalar = propagate(f, x, [e[0], 0.5, e[2]])
+    _, full = propagate(f, x, [e[0], np.full(4, 0.5), e[2]])
+    assert all(_same_bits(got, want) for got, want in zip(scalar, full))
 
 
 def _same_bits(got, want):

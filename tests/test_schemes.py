@@ -272,16 +272,30 @@ def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
     result = RUNS[scheme](quad_to_mode(tmsv_state(0.4)), det, seed=11)
     records = list(result.observations)
     random.Random(3).shuffle(records)
-    ignored_before = [
+    ignored = [
         observation(0.3, 0.0, 99.0, 99.0, 1.0),  # a setting no plan has
         observation(math.pi / 4 + 1e-6, 0.0, 99.0, 99.0, 1.0),  # beyond the 1e-9 match
         observation(math.pi / 4, math.pi / 2 + 1e-6, 99.0, 99.0, 1.0),
     ]
-    ignored_after = [observation(0.0, 0.0, 99.0, 99.0, 1.0)]  # only the first match counts
-    records = ignored_before + records + ignored_after
+    records = ignored + records
     replayed = reconstruct_from_transcript(records, scheme, result.special_form)
     assert replayed.invariants == result.invariants
     assert replayed.invariant_stderr == result.invariant_stderr
+
+
+@pytest.mark.parametrize(
+    "scheme, index", [(scheme, i) for scheme, plan in PLANS.items() for i in range(len(plan))]
+)
+def test_a_plan_setting_observed_twice_is_rejected(scheme, index):
+    # Two observations at one plan setting leave its readings ambiguous: the
+    # reconstruction raises and names the setting, whichever comes first.
+    result = RUNS[scheme](quad_to_mode(random_state(31)))
+    setting = PLANS[scheme][index].setting
+    twin = observation(setting.theta, setting.phi, 99.0, 99.0)
+    at = f"two observations at theta={setting.theta:.6f}, phi={setting.phi:.6f}"
+    for records in ([*result.observations, twin], [twin, *result.observations]):
+        with pytest.raises(ReconstructionError, match=at):
+            reconstruct_from_transcript(records, scheme, result.special_form)
 
 
 @pytest.mark.parametrize(
