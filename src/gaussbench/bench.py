@@ -31,10 +31,10 @@ of the quadrature covariance they fix).
 Finite-shot homodyne readout samples each quadrature's sample variance
 directly.  By Cochran's theorem the sample variance of k standard normals is
 distributed as chi^2_{k-1}/(k-1) = Gamma((k-1)/2) * 2/(k-1), so one gamma
-draw per angle and plan entry replaces k simulated shots, a reading costs
-the same at any shot count, and every point of a batch scales its entry's
-draws.  Such a reading is an estimate: the check that the corrected mode's
-quadrature variances are not negative applies to exact readings only.
+draw per angle, plan entry and batch point replaces k simulated shots, and
+a reading costs the same at any shot count.  Such a reading is an estimate:
+the check that the corrected mode's quadrature variances are not negative
+applies to exact readings only.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class DetectorModel:
 
     ``eta`` may be an array, one efficiency per point of a batch; it is
     stored as a read-only copy, so the efficiency check made here holds for
-    the model's life and the bench does not repeat it.  The ideal detector
+    the model's life and the bench does not repeat it.  Loss correction
+    divides by eta^2, so an eta whose square is not a normal double
+    (eta < 1.49e-154) is rejected too.  The ideal detector
     is exact photon counting at eta = 1, so it takes neither another
     efficiency nor a shot budget.
     """
@@ -114,6 +116,9 @@ class DetectorModel:
             eta.flags.writeable = False
         object.__setattr__(self, "eta", eta)
         _check_efficiency(eta)
+        tiny = eta * eta < np.finfo(float).tiny
+        if any_point(tiny):
+            raise ValueError(f"eta = {first_where(tiny, eta)} too small: eta^2 underflows")
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
             if self.shots <= 0:
@@ -246,25 +251,20 @@ def _derived_purity(j_prime):
     return np.where(positive, 1.0 / (2.0 * np.sqrt(np.where(positive, j_prime, 1.0))), math.nan)
 
 
-def _draws(seeds, draw, like):
-    """``draw`` on one generator per plan entry, each value a column on ``like``'s settings axis."""
-    table = np.array([draw(np.random.default_rng(seed)) for seed in seeds])  # entry x value
-    return list(table.T.reshape(table.shape[::-1] + (1,) * (np.ndim(like) - 1)))
-
-
-def _homodyne_readings(n, m, det: DetectorModel, seeds):
+def _homodyne_readings(n, m, det: DetectorModel, seed):
     """The three quadrature variances of the attenuated mode, and their
     standard errors (None when exact)."""
     variances = [homodyne_variance(n, m, a) for a in HOMODYNE_ANGLES]
     if det.shots is None:
         return variances, None
     dof = det.shots - 1
-    unit = _draws(seeds, lambda g: g.standard_gamma(dof / 2.0, size=3) * (2.0 / dof), n)
+    unit = np.random.default_rng(seed).standard_gamma(dof / 2.0, size=n.shape[1:] + (3, len(n)))
+    unit = (unit * (2.0 / dof)).transpose(-2, -1, *range(n.ndim - 1))  # batch axes last, as in n
     variances = [variance * u for variance, u in zip(variances, unit)]
     return variances, [math.sqrt(2.0 / dof) * variance for variance in variances]
 
 
-def _photocount_readings(n, m, det: DetectorModel, seeds):
+def _photocount_readings(n, m, det: DetectorModel, seed):
     """(n, j) of the attenuated mode, and their standard errors (None when exact)."""
     j = _determinant(n, m)
     if det.shots is None:
@@ -275,7 +275,8 @@ def _photocount_readings(n, m, det: DetectorModel, seeds):
     m_sq = m.real * m.real + m.imag * m.imag
     n_err = np.sqrt(np.maximum(n * n - 0.25 + m_sq, 0.0) / det.shots)
     j_err = 2.0 * j / math.sqrt(det.shots)
-    z_n, z_j = _draws(seeds, lambda g: (g.standard_normal(), g.standard_normal()), n)
+    z = np.random.default_rng(seed).standard_normal(n.shape[1:] + (2, len(n)))
+    z_n, z_j = z.transpose(-2, -1, *range(n.ndim - 1))  # batch axes last, as in n
     return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
 
 
@@ -295,28 +296,24 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     per homodyne variance or Gaussian noise on each photocount reading,
     inverted unchecked (a noisy j' <= 0 leaves the purity NaN), with
     standard errors propagated through the same inversion.  Deterministic in
-    ``seed``: a finite-shot plan spawns one seed child per entry (a lone
-    setting uses ``seed``), each entry builds one generator from it and draws
-    once, and every point of a batch scales its entry's draws.  An exact plan
-    draws nothing and spawns nothing, so it leaves a caller's
-    ``SeedSequence`` as it was: a later ``spawn`` from that object yields the
-    same children whether or not an exact plan ran on it first.
+    ``seed``: a finite-shot call draws all its noise at once from one
+    generator, ``np.random.default_rng(seed)``: batch + (3, entries) gammas
+    for homodyne (angle by entry) or batch + (2, entries) normals for photon
+    counting (N noise, then J noise), filled in order, so every batch point
+    has its own noise and point 0 reads what a one-state call draws.  An
+    exact call draws nothing, so it leaves a caller's ``SeedSequence`` as it
+    was.
     """
     lone = isinstance(settings, BenchSetting)
     if lone:
-        settings, seeds = (settings,), (seed,)
-    elif det.shots is None:
-        seeds = ()
-    else:
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seeds = seq.spawn(len(settings))
+        settings = (settings,)
     n, m = output_mode1_moments(v, settings)
     if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
         n, m = n[:, None], m[:, None]
     n, m = _lossy_moments(n, m, det.eta)  # DetectorModel checked det.eta
     homodyne = det.kind == "lossy-homodyne"
     read = _homodyne_readings if homodyne else _photocount_readings
-    readings, errors = read(n, m, det, seeds)
+    readings, errors = read(n, m, det, seed)
 
     def estimate(*raw):
         return _invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)

@@ -231,8 +231,9 @@ def _seed(cfg) -> int:
 def _seed_child(seed: int, index: int):
     """Child ``index`` of ``SeedSequence(seed)``, the same sequence as its
     ``spawn(3)[index]``, built alone where it is drawn: child 0 feeds the
-    random generator, children 1 and 2 the finite-shot plans of schemes 1
-    and 2.  A run that draws nothing never imports ``numpy.random``."""
+    random generator, children 1 and 2 the one generator that the finite-shot
+    bench call of scheme 1 or 2 draws all its noise from.  A run that draws
+    nothing never imports ``numpy.random``."""
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 

@@ -219,7 +219,7 @@ def steps(reports: Path) -> list:
         "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000", suffix="csv",
     )
     s.report(
-        "run", "--generator", "random", "--seed", "42", "--detector", "lossy-homodyne",
+        "run", "--generator", "random", "--seed", "286", "--detector", "lossy-homodyne",
         "--eta", "0.8", "--shots", "1000",
     )
     s.written("sweep", "--param", "r", "--start", "0", "--stop", "4", "--steps", "9",
@@ -274,6 +274,8 @@ def steps(reports: Path) -> list:
         ("run", "--generator", "random", "--r", "0.5"),
         ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--shots", "1"),
         ("run", "--generator", "tmsv", "--eta", "0.5"),
+        ("run", "--generator", "tmsv", "--detector", "lossy-photocount", "--eta", "1e-164"),
+        ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--eta", "1e-168"),
         ("run", "--generator", "tmsv", "--format", "xml"),
         ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "0"),
         ("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3", "--eta", "0.5",

@@ -15,7 +15,9 @@ seeds.  To check that a change moves no output byte, run this script with
 the parent commit's ``src`` and with the change's on one machine and diff
 the two files.  Digests are not comparable across machines: the BLAS
 kernels that numpy picks for the CPU move the last bits of generated states,
-invariants and the symplectic spectrum.
+invariants and the symplectic spectrum, and numpy's SIMD dispatch picks
+elementwise loops such as ``exp``, ``log``, ``sin`` and ``cos`` by the CPU's
+instruction set, whose results may differ in the last bit.
 """
 
 from __future__ import annotations

@@ -224,24 +224,21 @@ class TestSampling:
 
     @pytest.mark.parametrize("state", ["tmsv", "random"])
     def test_pulls_are_calibrated(self, state):
-        # Each reading's (value - exact)/stderr over 1000 seeded runs has
-        # mean 0 and std 1, at every scheme-2 setting of the state and of
-        # its standard form.
+        # Each reading's (value - exact)/stderr over 1000 runs has mean 0 and
+        # std 1, at every scheme-2 setting of the state and of its standard
+        # form.  A batch of 1000 copies of the state is 1000 independent runs.
         v = quad_to_mode(tmsv_state(0.5) if state == "tmsv" else random_state(3))
         det = homodyne(5000, eta=0.8)
-        for target in (v, standard_form_prep(v).vt):
+        for t, target in enumerate((v, standard_form_prep(v).vt)):
+            fields = ("n1", "n2", "m1", "m2", "ms", "mc")
+            copies = ModeCovariance(**{f: np.full(1000, getattr(target, f)) for f in fields})
             for index, entry in enumerate(SCHEME2_PLAN):
                 exact = observe_mode1(target, entry.setting)
-                runs = [
-                    observe_mode1(target, entry.setting, det, seed=[index, rep])
-                    for rep in range(1000)
-                ]
+                runs = observe_mode1(copies, entry.setting, det, seed=[t, index])
                 for field in ("n", "j"):
                     want = getattr(exact, f"{field}_prime")
-                    pulls = [
-                        (getattr(o, f"{field}_prime") - want) / getattr(o, f"{field}_stderr")
-                        for o in runs
-                    ]
+                    got = getattr(runs, f"{field}_prime")
+                    pulls = (got - want) / getattr(runs, f"{field}_stderr")
                     assert 0.9 <= np.std(pulls) <= 1.1, (field, entry.setting)
                     assert abs(np.mean(pulls)) <= 0.15, (field, entry.setting)
 
@@ -362,6 +359,16 @@ class TestObserveMode1:
             DetectorModel(kind="ideal", eta=0.5)
         with pytest.raises(ValueError):
             DetectorModel(kind="ideal", shots=100)
+
+    @pytest.mark.parametrize("eta", [1e-164, 1e-168, 1.49e-154, [0.5, 1e-160]])
+    def test_detector_model_rejects_an_eta_whose_square_is_not_normal(self, eta):
+        # Loss correction divides by eta^2; below sqrt of the smallest normal
+        # double it is subnormal or zero, and the inversion loses every digit.
+        bad = eta[-1] if isinstance(eta, list) else eta
+        for kind in ("lossy-homodyne", "lossy-photocount"):
+            with pytest.raises(ValueError, match=f"eta = {bad} too small"):
+                DetectorModel(kind=kind, eta=eta)
+        assert DetectorModel(kind="lossy-homodyne", eta=1.5e-154).eta == 1.5e-154
 
     def test_detector_model_keeps_the_efficiencies_it_checked(self):
         # The bench trusts the model's check: a later write to the caller's

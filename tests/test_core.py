@@ -130,16 +130,20 @@ def test_closed_form_standard_form_matches_matrix_conjugation():
     ids=["ideal", "homodyne", "photocount", "homodyne-shots", "photocount-shots"],
 )
 def test_batch_observation_equals_single_states(det):
-    # A finite-shot call draws once from a generator seeded with the call's
-    # seed and every point of the batch scales those draws, so finite-shot
-    # points reproduce the single-state call.
+    # A finite-shot call fills its batch's draws in order from one generator
+    # seeded with the call's seed, so point i is the single-state call on a
+    # generator that has first drawn points 0..i-1's values.
     modes = list(states(12, seed_offset=64000))
     batch = stack(modes)
     setting = gb.BenchSetting(0.6, -1.1)
-    seed = np.random.SeedSequence(99)
-    got = gb.observe_mode1(batch, setting, det, seed=seed)
+    got = gb.observe_mode1(batch, setting, det, seed=np.random.SeedSequence(99))
     for i, v in enumerate(modes):
-        want = gb.observe_mode1(v, setting, det, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(99))
+        if det.kind == "lossy-homodyne" and det.shots is not None:
+            rng.standard_gamma((det.shots - 1) / 2.0, size=3 * i)
+        elif det.shots is not None:
+            rng.standard_normal(2 * i)
+        want = gb.observe_mode1(v, setting, det, seed=rng)
         for name in ("n_prime", "j_prime", "purity", "n_stderr", "j_stderr"):
             if getattr(want, name) is None:
                 assert getattr(got, name) is None

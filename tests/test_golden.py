@@ -4,9 +4,9 @@
 ``tests/golden/population.py``) and prints one digest of each call's exit
 code, stdout, stderr and written file.  Two interpreters whose string hashes
 differ must print the same lines.  The digests are compared between the two
-processes only, never against committed values: numpy's BLAS kernels differ
-between CPUs, and they move the last bits of generated states, invariants and
-the symplectic spectrum.
+processes only, never against committed values: numpy's BLAS kernels and its
+SIMD-dispatched elementwise loops differ between CPUs, and they move the last
+bits of generated states, invariants and the symplectic spectrum.
 """
 
 import os

@@ -2,9 +2,10 @@
 
 ``scheme1`` and ``scheme2`` read a whole plan with one ``observe_mode1``
 call over a leading settings axis; ``plan_oracle`` keeps the loop that read
-one setting per call.  Every field of every observation, the transcript
-that reconstruction reads, must agree exactly, for one state, a batch of states and an eta grid, and
-a finite-shot plan still builds one generator per entry.
+one setting per call, each entry on its slice of the plan's one draw.  Every
+field of every observation, the transcript that reconstruction reads, must
+agree exactly, for one state, a batch of states and an eta grid, and a
+finite-shot plan builds one generator for all its entries.
 """
 
 import numpy as np
@@ -129,6 +130,8 @@ def test_below_floor_reading_raises_the_same_error(det, batch):
 @pytest.mark.parametrize("where", ["one", "batch", "eta"])
 @pytest.mark.parametrize("kind", ["lossy-homodyne", "lossy-photocount"])
 def test_finite_shot_plan_builds_one_generator_per_entry(kind, where, plan, monkeypatch):
+    # The name is older than the layout: every entry now draws from one
+    # generator, built from the call's seed itself, which spawns no child.
     v, det = source(where, {"kind": kind, "eta": 0.8, "shots": 3000})
     settings = [entry.setting for entry in PLANS[plan]]
     built = []
@@ -139,9 +142,10 @@ def test_finite_shot_plan_builds_one_generator_per_entry(kind, where, plan, monk
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    gb.observe_mode1(v, settings, det, seed=np.random.SeedSequence(99))
-    assert len(built) == len(settings)
-    assert [seed.spawn_key for seed in built] == [(i,) for i in range(len(settings))]
+    seq = np.random.SeedSequence(99)
+    gb.observe_mode1(v, settings, det, seed=seq)
+    assert len(built) == 1 and built[0] is seq
+    assert seq.n_children_spawned == 0
 
 
 @pytest.mark.parametrize("plan", PLANS)
