@@ -60,6 +60,7 @@ __all__ = [
     "homodyne_variance",
     "invert_loss",
     "observe_mode1",
+    "transcript",
 ]
 
 #: Quadrature angles measured by the homodyne readout; these three determine
@@ -321,8 +322,15 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     (n_prime, j_prime), errors = propagate(estimate, readings, errors)
     if errors is None:
         _check_exact(n_prime, j_prime, det.eta)
-    columns = [n_prime, j_prime, _derived_purity(j_prime), *(errors or ())]
-    # One split per field: numpy scalars for one state, arrays for a batch.
-    fields = [list(x) for x in columns]
-    observations = tuple(map(Mode1Observation, settings, *fields))
+    observations = transcript(settings, n_prime, j_prime, *(errors or ()))
     return observations[0] if lone else observations
+
+
+def transcript(settings, n_prime, j_prime, n_stderr=None, j_stderr=None):
+    """One observation per setting, from readings along a leading settings
+    axis, with the purity derived from its j'.  A standard error is ``None``
+    or one entry (a number or ``None``) per setting.  One split per field:
+    numpy scalars for one state, arrays for a batch."""
+    columns = [n_prime, j_prime, _derived_purity(j_prime), n_stderr, j_stderr]
+    fields = [[None] * len(settings) if x is None else list(x) for x in columns]
+    return tuple(map(Mode1Observation, settings, *fields))

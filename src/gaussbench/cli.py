@@ -15,10 +15,10 @@ explicit flags win.  Exit codes: 0 success, 1 configuration error,
 
 Reports are deterministic: no timestamps, keys sorted, all randomness
 derived from the single --seed value, so identical invocations produce
-byte-identical output.  A scheme section's ``observations`` are its
-transcript, the bench's readings at each setting; ``replay`` renders again,
-from them, every field of the section they determine, the observations
-included, and verifies that the report holds the same values.
+byte-identical output.  A scheme section holds its transcript, the
+``observations``, and what that determines, each once; ``replay`` renders
+the section again from the transcript and verifies that the report holds
+the same values.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bench import DETECTOR_KINDS, BenchSetting, DetectorModel, Mode1Observation, _derived_purity
+from .bench import DETECTOR_KINDS, BenchSetting, DetectorModel, Mode1Observation, transcript
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ConfigError, GaussBenchError
 from .generators import (
@@ -44,6 +44,7 @@ from .generators import (
 )
 from .schemes import SchemeResult, reconstruct_from_transcript, scheme1, scheme2
 from .states import (
+    J_KEYS,
     PHYSICALITY_SLACK,
     InvariantSet,
     ModeCovariance,
@@ -71,7 +72,6 @@ _GENERATOR_PARAMS = {
 _GENERATORS = tuple(_GENERATOR_PARAMS)
 _SCHEMES = ("oracle", "scheme1", "scheme2", "both")
 
-_J_KEYS = ("j1", "j2", "j3", "j4")
 #: The entanglement measures of a report, in the order of their CSV columns.
 _MEASURES = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", "nu_tilde_minus")
 
@@ -329,8 +329,8 @@ def _observations(items) -> tuple[Mode1Observation, ...]:
     numbers, each stderr absent, null or one that is not negative, and the
     setting within :class:`BenchSetting`'s range.  ``purity`` (and an older report's
     ``wigner0``) is not read: the bench's formula derives it again from
-    ``j_prime``.  The readings are split from one array per field, as the
-    bench splits them, so one state's are numpy scalars here too.
+    ``j_prime``.  The bench's :func:`~gaussbench.bench.transcript` builds
+    them, so one state's readings are numpy scalars here too.
     """
     settings, readings, stderrs = [], [], []
     for item in items:
@@ -347,13 +347,12 @@ def _observations(items) -> tuple[Mode1Observation, ...]:
         readings.append(numbers[2:])
         stderrs.append([None if e is None else float(e) for e in errors])
     n, j = np.array(readings, dtype=float).reshape(-1, 2).T
-    columns = [list(n), list(j), list(_derived_purity(j)), *zip(*stderrs)]
-    return tuple(map(Mode1Observation, settings, *columns))
+    return transcript(settings, n, j, *zip(*stderrs))
 
 
 def _deltas_dict(scheme_inv: InvariantSet, oracle_inv: InvariantSet) -> dict:
     out = {}
-    for name in _J_KEYS:
+    for name in J_KEYS:
         want = float(getattr(oracle_inv, name))
         delta = abs(float(getattr(scheme_inv, name)) - want)
         out[f"{name}_abs"] = _optional(delta)
@@ -369,18 +368,18 @@ def _stderr_dict(stderr: dict | None) -> dict | None:
 
 
 def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
-    """The fields of a scheme section that its observations and special form
-    determine, given the oracle invariants that ``deltas`` are taken from."""
+    """A scheme section: the observations, scheme 1's special form and what
+    they determine, ``deltas`` taken from the given oracle invariants."""
     section = {
-        "status": result.status,
-        "special_form": result.special_form,
         "invariants": _invariants_dict(result.invariants),
         "stderr": _stderr_dict(result.invariant_stderr),
         "deltas": _deltas_dict(result.invariants, oracle_inv),
         "entanglement": _entanglement_dict(result.entanglement),
         "observations": [_observation_dict(obs) for obs in result.observations],
     }
-    if result.scheme == "scheme2":
+    if result.scheme == "scheme1":
+        section["special_form"] = result.special_form
+    else:
         section["cross_block"] = {
             "ms_real": _optional(result.ms_real),
             "ms_imag": _optional(result.ms_imag),
@@ -439,18 +438,10 @@ def _build_report(ev: SimpleNamespace) -> dict:
             "invariants": _invariants_dict(ev.oracle),
             "entanglement": _entanglement_dict(entanglement_report(ev.oracle)),
         },
-        "scheme1": None,
-        "scheme2": None,
     }
-    for name, result in (("scheme1", ev.scheme1), ("scheme2", ev.scheme2)):
-        if result is None:
-            continue
-        section = report[name] = _scheme_section(result, ev.oracle)
-        if name == "scheme2":  # only the bench run knows the preparation's residuals
-            section["standard_form_residuals"] = {
-                "m1": _optional(result.residual_m1),
-                "m2": _optional(result.residual_m2),
-            }
+    for name in ("scheme1", "scheme2"):
+        result = getattr(ev, name)
+        report[name] = None if result is None else _scheme_section(result, ev.oracle)
     return report
 
 
@@ -472,8 +463,8 @@ def _csv_lines(param, oracle_inv, scheme_inv, measures) -> list[str]:
     the value is undefined; neither ever needs CSV quoting.  Each distinct
     cell is formatted once.
     """
-    columns = [param, *(getattr(oracle_inv, key) for key in _J_KEYS)]
-    columns += [None if scheme_inv is None else getattr(scheme_inv, key) for key in _J_KEYS]
+    columns = [param, *(getattr(oracle_inv, key) for key in J_KEYS)]
+    columns += [None if scheme_inv is None else getattr(scheme_inv, key) for key in J_KEYS]
     columns += [getattr(measures, key) for key in _MEASURES]
     table = np.empty((np.size(param), len(columns)))
     for i, column in enumerate(columns):
@@ -566,7 +557,7 @@ def _cmd_validate(cfg) -> int:
 def _oracle_invariants(report) -> InvariantSet:
     """The oracle's J1..J4 as a report records them; a null J4 is NaN."""
     stored = report["oracle"]["invariants"]
-    values = [math.nan if stored[key] is None else stored[key] for key in _J_KEYS]
+    values = [math.nan if stored[key] is None else stored[key] for key in J_KEYS]
     if not all(map(is_json_number, values)):
         raise TypeError(f"oracle invariants must be JSON numbers, got {values!r}")
     return InvariantSet(*values)
@@ -598,12 +589,16 @@ def _first_difference(rendered, stored):
 
 def _with_legacy_copies(rendered: dict, stored: dict) -> dict:
     """``rendered`` with the copies that ``stored`` holds if ``run`` wrote it
-    before J1..J4 and the purity were their numbers' only form, rendered as
-    then: I1..I4 = 4 J1, 4 J2, 4 J3, 16 J4, and W(0) = purity/pi."""
+    before J1..J4, the purity and a null J4 were their numbers' only form,
+    rendered as then: I1..I4 = 4 J1, 4 J2, 4 J3, 16 J4, W(0) = purity/pi,
+    and ``status``, "full" where J4 is a number and "lower-bound-only" where
+    it is null."""
     inv, old = rendered["invariants"], stored.get("invariants")
     if isinstance(old, dict) and "i1" in old:  # any other I it lacks or holds alone differs
         i4 = None if inv["j4"] is None else 16.0 * inv["j4"]
         inv.update(i1=4.0 * inv["j1"], i2=4.0 * inv["j2"], i3=4.0 * inv["j3"], i4=i4)
+    if "status" in stored:
+        rendered["status"] = "lower-bound-only" if inv["j4"] is None else "full"
     for obs, old in zip(rendered["observations"], stored["observations"]):
         if "wigner0" in old:
             obs["wigner0"] = None if obs["purity"] is None else obs["purity"] / math.pi
@@ -647,8 +642,7 @@ def _cmd_replay(cfg) -> int:
                     f"from the transcript, {got} in the report"
                 )
     sys.stdout.write(
-        f"replayed {len(sections)} transcript(s): every field they determine matches by "
-        "value; standard-form residuals are not checked\n"
+        f"replayed {len(sections)} transcript(s): every field they determine matches by value\n"
     )
     return 0
 

@@ -14,8 +14,8 @@ class UnphysicalMeasurementError(GaussBenchError):
 
 
 class ReconstructionError(GaussBenchError):
-    """A transcript lacks the observation at a setting whose reading its
-    reconstruction needs, or holds two observations at one plan setting."""
+    """A transcript is not one observation at each setting of its plan: a
+    setting is missing, observed twice or off the plan."""
 
 
 class ConfigError(GaussBenchError):

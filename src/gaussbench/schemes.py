@@ -19,15 +19,16 @@ reads the readings.
 
 Reconstruction is a pure function of the transcript, the bench's
 observations (plus, for protocol 1, the recorded special-form flag):
-:func:`reconstruct_from_transcript` rebuilds a run's result bit for bit, bar
-scheme 2's standard-form residuals.  Each protocol writes its invariants
-once, as one elementwise function of the readings; the standard errors are
-that function's first-order propagation
+:func:`reconstruct_from_transcript` rebuilds a run's result bit for bit.  A
+transcript is one observation at each setting of its protocol's plan, in any
+order; any other raises :class:`ReconstructionError`.  Each protocol writes
+its invariants once, as one elementwise function of the readings; the
+standard errors are that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
 
 A noisy reading is reconstructed as it came out, negatives included, and a
-number it cannot support is NaN; only a transcript that lacks an observation
-the reconstruction reads raises.
+number it cannot support is NaN, J4 included: a NaN J4 marks a result that
+has the symmetric lower bound only.
 
 Both protocols are elementwise: one bench call reads a whole plan for a batch
 of states, and its observations hold arrays.
@@ -36,7 +37,7 @@ of states, and its observations hold arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
 from .states import (
+    J_KEYS,
     InvariantSet,
     ModeCovariance,
     as_field,
@@ -63,9 +65,6 @@ __all__ = [
     "reconstruct_scheme2",
     "reconstruct_from_transcript",
 ]
-
-_J_KEYS = ("j1", "j2", "j3", "j4")
-
 
 @dataclass(frozen=True)
 class PlanEntry:
@@ -96,55 +95,51 @@ SCHEME2_PLAN = SCHEME1_PLAN[:4]
 @dataclass(frozen=True)
 class SchemeResult:
     """Reconstructed invariants plus everything needed to audit them; the
-    ``observations`` fix every field but the residuals that scheme 2 fills."""
+    ``observations`` and scheme 1's ``special_form`` fix every field."""
 
     scheme: str
     invariants: InvariantSet
     entanglement: EntanglementReport
     observations: tuple[Mode1Observation, ...]
     invariant_stderr: dict | None
-    status: str
     special_form: str | None = None
     ms_real: float | None = None
     ms_imag: float | None = None
     mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
-    # Scheme 2's |m~1|, |m~2|: what rounding leaves of the prepared squeezing.
-    residual_m1: float | None = None
-    residual_m2: float | None = None
+
+
+def _at(setting: BenchSetting) -> str:
+    """A setting as an error message names it, exactly."""
+    return f"theta={setting.theta!r}, phi={setting.phi!r}"
 
 
 def _readings(observations, plan, names):
-    """Values and standard errors of the named readings of ``plan``.
-
-    Each reading is N or J, as its name starts, of the observation within
-    1e-9 of its entry's (theta, phi), in any order; observations at other
-    settings are ignored, and a plan setting observed twice raises
-    :class:`ReconstructionError`.  The errors are ``None`` when every named
-    reading is exact, otherwise a missing stderr counts as 0.  One pass over
-    the observations finds them all.
+    """Values and standard errors of the named readings of ``plan``, from
+    one observation at each plan setting (``==``), in any order; else
+    :class:`ReconstructionError` names the first setting off the plan or
+    observed twice, or else the first missing.  The errors are ``None`` when
+    every named reading is exact, otherwise a missing stderr counts as 0.
     """
-    found = {}
+    # Keyed on (theta, phi), which BenchSetting equality compares, for a
+    # faster hash than the dataclass's.
+    index = {(entry.setting.theta, entry.setting.phi): i for i, entry in enumerate(plan)}
+    found = [None] * len(plan)
     for obs in observations:
-        theta, phi = obs.setting.theta, obs.setting.phi
-        for i, entry in enumerate(plan):  # the settings of a plan are far more than 2e-9 apart
-            if abs(theta - entry.setting.theta) <= 1e-9 and abs(phi - entry.setting.phi) <= 1e-9:
-                if i in found:
-                    raise ReconstructionError(
-                        f"transcript has two observations at theta={entry.setting.theta:.6f}, "
-                        f"phi={entry.setting.phi:.6f}"
-                    )
-                found[i] = obs
-                break
-    entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
+        i = index.get((obs.setting.theta, obs.setting.phi))
+        if i is None:
+            raise ReconstructionError(
+                f"transcript has an observation off its plan at {_at(obs.setting)}"
+            )
+        if found[i] is not None:
+            raise ReconstructionError(f"transcript has two observations at {_at(obs.setting)}")
+        found[i] = obs
+    for entry, obs in zip(plan, found):
+        if obs is None:
+            raise ReconstructionError(f"transcript has no observation at {_at(entry.setting)}")
+    obs_of = {name: obs for entry, obs in zip(plan, found) for name in entry.readings}
     values, errors = [], []
     for name in names:
-        obs = found.get(entry_of[name])
-        if obs is None:
-            setting = plan[entry_of[name]].setting
-            raise ReconstructionError(
-                f"transcript has no observation at theta={setting.theta:.6f}, "
-                f"phi={setting.phi:.6f}, so no {name}"
-            )
+        obs = obs_of[name]
         n = name[0] == "N"
         values.append(obs.n_prime if n else obs.j_prime)
         errors.append(obs.n_stderr if n else obs.j_stderr)
@@ -156,15 +151,6 @@ def _readings(observations, plan, names):
 def _known(special_form):
     """Where a special form is recorded; ``None`` marks an unknown cross block."""
     return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
-
-
-#: A result's ``status``, indexed by whether J4 is NaN.
-_STATUS = np.array(["full", "lower-bound-only"], dtype=object)
-
-
-def _status(inv: InvariantSet):
-    """A result's ``status``: ``"full"`` where J4 is finite, else ``"lower-bound-only"``."""
-    return _STATUS.take(inv.j4 != inv.j4)
 
 
 def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
@@ -210,7 +196,7 @@ def reconstruct_scheme1(
     # straddle, and one sign for all copies leaves the error as it is.  A
     # product by -1, unlike a negation, leaves a NaN J4 as it is.
     inv = InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
-    return inv, None if stderr is None else dict(zip(_J_KEYS, stderr))
+    return inv, None if stderr is None else dict(zip(J_KEYS, stderr))
 
 
 def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
@@ -239,13 +225,13 @@ def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
     (*invariant_values, ms_re, ms_im, mc_sq), stderr = propagate(invariants, values, errors)
     mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
     aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
-    stderr = None if stderr is None else dict(zip(_J_KEYS, stderr))
+    stderr = None if stderr is None else dict(zip(J_KEYS, stderr))
     return InvariantSet(*invariant_values), stderr, aux
 
 
 def reconstruct_from_transcript(observations, scheme: str, special_form=None) -> SchemeResult:
     """Everything a transcript of observations determines: invariants,
-    stderr, measures, status, and the observations themselves.
+    stderr, measures, and the observations themselves.
 
     ``special_form`` is scheme 1's recorded cross-block form; scheme 2 has
     none.  Scheme 2's result also carries the cross-block pieces.
@@ -263,7 +249,6 @@ def reconstruct_from_transcript(observations, scheme: str, special_form=None) ->
         entanglement=entanglement_report(inv),
         observations=tuple(observations),
         invariant_stderr=stderr,
-        status=_status(inv),
         special_form=special_form,
         **aux,
     )
@@ -288,11 +273,9 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     The local preparation uses only the single-mode blocks of ``v`` (never
     the cross correlations); the bench then measures the transformed state
     at four settings and reconstructs J1..J4 plus the cross-block pieces.
+    What rounding leaves of the prepared squeezing is
+    ``abs(standard_form_prep(v).vt.m1)`` (and ``m2``), which no reading sees.
     """
     vt = standard_form_prep(v).vt
     observations = observe_mode1(vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
-    return replace(
-        reconstruct_from_transcript(observations, "scheme2"),
-        residual_m1=as_field(abs(vt.m1)),
-        residual_m2=as_field(abs(vt.m2)),
-    )
+    return reconstruct_from_transcript(observations, "scheme2")

@@ -69,6 +69,7 @@ __all__ = [
     "propagate",
     "QuadCovariance",
     "ModeCovariance",
+    "J_KEYS",
     "InvariantSet",
     "PhysicalityReport",
     "SingleModeSymplectic",
@@ -254,6 +255,11 @@ class ModeCovariance:
                 )
 
 
+#: The names of J1..J4, in order: the fields of :class:`InvariantSet` and
+#: the keys of a report's ``invariants`` and ``stderr``.
+J_KEYS = ("j1", "j2", "j3", "j4")
+
+
 @dataclass(frozen=True)
 class InvariantSet:
     """The four local-symplectic invariants J1..J4 in the mode convention,
@@ -270,7 +276,7 @@ class InvariantSet:
     j4: float = math.nan
 
     def __post_init__(self) -> None:
-        for name in ("j1", "j2", "j3", "j4"):
+        for name in J_KEYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float)[()])
         # |x| < inf is false for NaN and for an infinity.
         finite = (abs(self.j1) < math.inf) & (abs(self.j2) < math.inf) & (abs(self.j3) < math.inf)

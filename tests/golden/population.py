@@ -19,10 +19,14 @@ The population covers:
   both formats;
 * both sweep axes with each ``--scheme``, in both formats, and the
   benchmark's finite-shot eta sweep shape;
-* the commands of CI's determinism step;
-* ``validate``, configuration and usage errors;
+* finite-shot sweeps along both grid axes, a noisy report with a negative
+  J1, an exact r sweep from 0 and ``validate`` payloads;
+* reports, tables and payloads written to stdout;
+* ``--config`` files, valid and not, and malformed state files;
+* ``validate``, configuration and usage errors, ``sweep``'s among them;
 * replays of every report written, of the committed older reports, and of
-  copies spoiled in ways that replay must reject.
+  copies spoiled in ways that replay must reject, transcripts that no run
+  writes among them, and of a shuffled transcript, which replay takes.
 """
 
 from __future__ import annotations
@@ -72,6 +76,46 @@ FINITE_SHOT_RUN = (
     "--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000",
 )
 
+_QUAD_VACUUM = [1 if i % 5 == 0 else 0 for i in range(16)]
+
+#: Input files by name, written as given: config files, then state files
+#: that ``run`` and ``validate`` must reject (exit 1) or find unphysical (exit 2).
+INPUT_FILES = {
+    "config-run.json": {"generator": "tmst", "r": 0.4, "nu1": 1.3, "nu2": 1.1,
+                        "detector": "lossy-photocount", "eta": 0.9, "scheme": "scheme2"},
+    "config-sweep.json": {"param": "r", "start": 0, "stop": 1, "steps": 5, "format": "json"},
+    "config-null.json": {"generator": "tmsv", "r": None},
+    "config-bool-steps.json": {"steps": True},
+    "config-string-r.json": {"r": "half"},
+    "config-bad-choice.json": {"format": "xml"},
+    "config-unknown-key.json": {"bogus": 1},
+    "config-command-key.json": {"command": "sweep"},
+    "config-list.json": [],
+    "state-bool-entry.json": {"format": "quad", "entries": [True] + _QUAD_VACUUM[1:]},
+    "state-string-entry.json": {"format": "quad", "entries": ["1"] + _QUAD_VACUUM[1:]},
+    "state-wrong-shape.json": {"format": "quad", "entries": [1, 0, 0]},
+    "state-nested.json": {
+        "format": "quad", "entries": [_QUAD_VACUUM[i:i + 4] for i in (0, 4, 8, 12)]
+    },
+    "state-ragged.json": {"format": "quad", "entries": [[1, 0], [1]]},
+    "state-mode-missing-keys.json": {"format": "mode", "entries": {"n1": 0.5}},
+    "state-mode-not-an-object.json": {"format": "mode", "entries": [0.5, 0.5]},
+    "state-mode-bool-n1.json": {"format": "mode", "entries": {"n1": True, "n2": 0.5}},
+    "state-mode-bad-pair.json": {
+        "format": "mode", "entries": {"n1": 0.5, "n2": 0.5, "m1": [1, 2, 3]}
+    },
+    "state-mode-real-pair.json": {"format": "mode", "entries": {"n1": 1.0, "n2": 1.0, "mc": 0.5}},
+    "state-huge-integer.json": {"format": "quad", "entries": [10**400] + _QUAD_VACUUM[1:]},
+    "state-mode-huge-integer.json": {"format": "mode", "entries": {"n1": 10**400, "n2": 0.5}},
+    "state-unknown-format.json": {"format": "wigner", "entries": []},
+    "state-no-entries.json": {"format": "quad"},
+    "state-list.json": _QUAD_VACUUM,
+    "state-asymmetric.json": {"format": "quad", "entries": [1, 0.1] + _QUAD_VACUUM[2:]},
+    "state-not-positive-definite.json": {
+        "format": "quad", "entries": [-1 if i == 15 else x for i, x in enumerate(_QUAD_VACUUM)]
+    },
+}
+
 
 @dataclass(frozen=True)
 class Prepare:
@@ -116,8 +160,40 @@ def _scale(*path_and_factor):
     return edit
 
 
+def _put(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(report):
+        node = report
+        for part in path:
+            node = node[part]
+        node[key] = value
+
+    return edit
+
+
 def _set_log_negativity(report):
     report["scheme2"]["entanglement"]["log_negativity"] = 42
+
+
+def _write_input_files() -> None:
+    for name, payload in INPUT_FILES.items():
+        Path(name).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _observe_scheme1_off_plan(report):
+    """Append an observation at theta = 0.3, a setting no plan has."""
+    observations = report["scheme1"]["observations"]
+    observations.append({**observations[0], "theta": 0.3})
+
+
+def _drop_scheme1_last_observation(report):
+    report["scheme1"]["observations"].pop()
+
+
+def _shuffle_observations(report):
+    for name in ("scheme1", "scheme2"):
+        report[name]["observations"].reverse()
 
 
 def _observe_scheme1_theta0_twice(report):
@@ -153,6 +229,7 @@ def steps(reports: Path) -> list:
     """The population, in run order; ``reports`` holds the committed older reports."""
     s = _Steps()
     s.steps.append(Prepare("state files", _write_state_files))
+    s.steps.append(Prepare("input files", _write_input_files))
 
     for seed in range(6):
         for command in ("run", "oracle", "scheme1", "scheme2"):
@@ -192,7 +269,9 @@ def steps(reports: Path) -> list:
             suffix="csv",
         )
 
-    # CI's determinism step.
+    # Finite-shot sweeps along both grid axes that a plan's settings broadcast
+    # against, a noisy report with a negative J1, an exact r sweep from 0 with
+    # cells repeated across columns, and validate payloads from LAPACK.
     finite = s.report(*FINITE_SHOT_RUN)
     s.written(
         "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5",
@@ -245,6 +324,29 @@ def steps(reports: Path) -> list:
     exact = s.report("run", "--generator", "random", "--seed", "3")
     s.steps.append(_spoil(exact, "observed-twice.json", _observe_scheme1_theta0_twice))
     s.call("replay", "--report", "observed-twice.json")
+    # Replay rejects an observation off the plan and a missing one, and takes
+    # a shuffled transcript.
+    tmsv = s.report("run", "--generator", "tmsv", "--r", "0.5")
+    for target, edit in (("off-plan.json", _observe_scheme1_off_plan),
+                         ("missing-observation.json", _drop_scheme1_last_observation),
+                         ("shuffled.json", _shuffle_observations)):
+        s.steps.append(_spoil(tmsv, target, edit))
+        s.call("replay", "--report", target)
+
+    # Replay rejects numbers that are not JSON numbers or not finite (written
+    # as the standard library's NaN token), a malformed oracle and a special
+    # form on scheme 2.
+    for target, edit in (
+        ("string-theta.json", _put("scheme1", "observations", 0, "theta", "0")),
+        ("nan-n-prime.json", _put("scheme1", "observations", 0, "n_prime", math.nan)),
+        ("string-oracle-j1.json", _put("oracle", "invariants", "j1", "1")),
+        ("scheme2-special-form.json", _put("scheme2", "special_form", "diagonal")),
+    ):
+        s.steps.append(_spoil(tmsv, target, edit))
+        s.call("replay", "--report", target)
+    s.steps.append(Prepare("a report that is not JSON",
+                           lambda: Path("not-json.json").write_text("{", encoding="utf-8")))
+    s.call("replay", "--report", "not-json.json")
 
     # Reports written by older versions still replay, and their copies are checked.
     old = sorted(p.name for p in reports.glob("*.json"))
@@ -253,6 +355,38 @@ def steps(reports: Path) -> list:
         s.call("replay", "--report", name)
     s.steps.append(_spoil("exact.json", "old-i1-x1.001.json", _scale("scheme2", "invariants", "i1", 1.001)))
     s.call("replay", "--report", "old-i1-x1.001.json")
+
+    # Written to stdout.
+    s.call("run", "--generator", "tmsv", "--r", "0.5")
+    s.call("run", "--generator", "random", "--seed", "2", "--format", "csv")
+    s.call("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3")
+    s.call("validate", "--generator", "tmsv")
+
+    # Config files: explicit flags win, and a file value passes its flag's checks.
+    s.report("run", "--config", "config-run.json")
+    s.report("run", "--config", "config-run.json", "--r", "0.6", "--scheme", "both")
+    s.report("scheme1", "--config", "config-null.json")
+    s.written("sweep", "--config", "config-sweep.json", suffix="json")
+    s.written("sweep", "--config", "config-sweep.json", "--format", "csv", suffix="csv")
+    s.written("validate", "--config", "config-null.json", suffix="json")
+    for argv in (
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1",
+         "--config", "config-bool-steps.json"),
+        ("run", "--generator", "tmsv", "--config", "config-string-r.json"),
+        ("run", "--generator", "tmsv", "--config", "config-bad-choice.json"),
+        ("run", "--generator", "tmsv", "--config", "config-unknown-key.json"),
+        ("run", "--generator", "tmsv", "--config", "config-command-key.json"),
+        ("replay", "--config", "config-unknown-key.json"),
+        ("run", "--generator", "tmsv", "--config", "config-list.json"),
+        ("run", "--generator", "tmsv", "--config", "missing.json"),
+    ):
+        s.call(*argv)
+
+    # State files that no state comes from, and two that are not physical.
+    for name in INPUT_FILES:
+        if name.startswith("state-"):
+            s.report("run", "--state", name)
+            s.written("validate", "--state", name, suffix="json")
 
     for i in range(6):
         s.written("validate", "--state", f"state{i:02d}.json", suffix="json")
@@ -280,6 +414,20 @@ def steps(reports: Path) -> list:
         ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "0"),
         ("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3", "--eta", "0.5",
          "--generator", "tmsv"),
+        ("sweep", "--start", "0", "--stop", "1", "--steps", "3"),
+        ("sweep", "--param", "r", "--stop", "1", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "10001"),
+        ("sweep", "--param", "r", "--start=-1e308", "--stop", "1e308", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "inf", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3", "--r", "0.5"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3",
+         "--state", "state00.json"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3",
+         "--generator", "thermal"),
+        ("sweep", "--param", "eta", "--start", "0.5", "--stop", "1", "--steps", "3",
+         "--generator", "tmsv"),
+        ("sweep", "--param", "theta", "--start", "0", "--stop", "1", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "x"),
         ("validate", "--generator", "tmsv", "--seed", "3"),
         ("replay",),
         ("replay", "--report", "missing.json"),

@@ -54,6 +54,10 @@ def test_run_tmsv_both_schemes(tmp_path):
     eof_scheme = report["scheme2"]["entanglement"]["eof"]
     assert eof_scheme == pytest.approx(eof_oracle, abs=1e-9)
     assert report["scheme1"]["special_form"] == "antidiagonal"
+    # A section is its transcript and what the transcript determines.
+    common = ["deltas", "entanglement", "invariants", "observations", "stderr"]
+    assert sorted(report["scheme1"]) == sorted([*common, "special_form"])
+    assert sorted(report["scheme2"]) == sorted([*common, "cross_block"])
 
 
 #: A fresh interpreter runs ``main`` on each argument list of its JSON
@@ -176,14 +180,18 @@ OLD_REPORTS = {
 
 def _without_old_keys(report):
     """An older report as today's ``run`` writes it: without the transcript
-    list, I1..I4 and W(0)."""
+    list, I1..I4, W(0), ``status``, scheme 2's ``standard_form_residuals``
+    and its null ``special_form``."""
     for name in ("oracle", "scheme1", "scheme2"):
         for key in ("i1", "i2", "i3", "i4"):
-            del report[name]["invariants"][key]
+            report[name]["invariants"].pop(key, None)
     for name in ("scheme1", "scheme2"):
-        report[name].pop("transcript", None)
+        for key in ("transcript", "status"):
+            report[name].pop(key, None)
         for obs in report[name]["observations"]:
-            del obs["wigner0"]
+            obs.pop("wigner0", None)
+    assert report["scheme2"].pop("special_form") is None
+    report["scheme2"].pop("standard_form_residuals")
     return report
 
 
@@ -207,12 +215,12 @@ def test_reports_with_a_transcript_list_still_replay(name, capsys):
     assert capsys.readouterr().out == render_json(report)
 
 
-def test_finite_shot_report_is_what_run_writes(capsys):
-    path = REPORTS / FINITE_SHOT_REPORT
+def test_finite_shot_report_is_what_run_writes(tmp_path):
+    path, out = REPORTS / FINITE_SHOT_REPORT, tmp_path / "report.json"
     assert run_cli("replay", "--report", str(path)) == 0
-    capsys.readouterr()
-    assert run_cli("run", *FINITE_SHOT_ARGS) == 0
-    assert capsys.readouterr().out == path.read_text()
+    assert run_cli("run", *FINITE_SHOT_ARGS, "--out", str(out)) == 0
+    assert out.read_text() == render_json(_without_old_keys(json.loads(path.read_text())))
+    assert run_cli("replay", "--report", str(out)) == 0
 
 
 def _scale_copy(part, key, scale):
@@ -232,7 +240,12 @@ def _drop_invariant(key):
     return edit
 
 
-@pytest.mark.parametrize("name", ["exact-d8f3b11.json", "finite-shot-d8f3b11.json"])
+def _flip_old_status(report):
+    flipped = {"full": "lower-bound-only", "lower-bound-only": "full"}
+    report["scheme1"]["status"] = flipped[report["scheme1"]["status"]]
+
+
+@pytest.mark.parametrize("name", OLD_REPORTS)
 @pytest.mark.parametrize(
     "edit, section, path",
     [
@@ -242,14 +255,15 @@ def _drop_invariant(key):
         # Without I1 replay renders no I's, and the other three are extra keys.
         (_drop_invariant("i1"), "scheme2", "invariants.i2"),
         (_scale_copy("observations", "wigner0", 1.001), "scheme1", "observations[2].wigner0"),
+        (_flip_old_status, "scheme1", "status"),
     ],
-    ids=["i1", "i4", "no-i2", "no-i1", "wigner0"],
+    ids=["i1", "i4", "no-i2", "no-i1", "wigner0", "status"],
 )
 def test_replay_checks_the_copies_an_older_report_holds(
     name, edit, section, path, tmp_path, capsys
 ):
-    # Replay renders I1..I4 and W(0) as the format that held them did, so an
-    # edited or missing copy fails as it did then.
+    # Replay renders I1..I4, W(0) and the status as the format that held
+    # them did, so an edited or missing copy fails as it did then.
     report = json.loads((REPORTS / name).read_text())
     edit(report)
     out = tmp_path / name
@@ -295,8 +309,11 @@ def _set_log_negativity(report):
     report["scheme2"]["entanglement"]["log_negativity"] = 42
 
 
-def _flip_status(report):
-    assert report["scheme1"]["status"] == "full"
+def _add_status(report):
+    """Give scheme 1 the status that reports held until a null J4 was its only
+    mark, and the wrong one: its J4 is a number."""
+    assert "status" not in report["scheme1"]
+    assert report["scheme1"]["invariants"]["j4"] is not None
     report["scheme1"]["status"] = "lower-bound-only"
 
 
@@ -333,7 +350,7 @@ def _add_wigner0(scale):
     [
         (_scale_stderr, "scheme2", "stderr"),
         (_set_log_negativity, "scheme2", "entanglement"),
-        (_flip_status, "scheme1", "status"),
+        (_add_status, "scheme1", "status"),
         # Replay takes the oracle as given; its J values are checked
         # through each section's deltas.
         (_move_oracle_j1, "scheme1", "deltas"),
@@ -526,7 +543,6 @@ def test_scheme1_without_j4_writes_nulls_and_replays(source, shots, tmp_path):
     argv = ["--detector", "lossy-homodyne", "--eta", "0.8", *shots, "--out", str(out)]
     assert run_cli("run", *source, *argv) == 0
     section = json.loads(out.read_text())["scheme1"]
-    assert section["status"] == "lower-bound-only"
     if shots:
         assert sorted(section["stderr"]) == ["j1", "j2", "j3"]
     else:
@@ -555,7 +571,6 @@ def test_noisy_reading_outside_the_physical_region_is_reported(tmp_path, capsys)
     assert section["invariants"]["j1"] == pytest.approx(-1.649, abs=1e-3)
     assert section["stderr"]["j1"] == pytest.approx(5.284, abs=1e-3)
     assert section["invariants"]["j4"] is None and "j4" not in section["stderr"]
-    assert section["status"] == "lower-bound-only"
     assert set(section["entanglement"].values()) == {None}
     assert run_cli("replay", "--report", str(out)) == 0
 
@@ -1196,7 +1211,44 @@ def test_replay_rejects_a_plan_setting_observed_twice(tmp_path, capsys):
     out.write_text(json.dumps(report))
     assert run_cli("replay", "--report", str(out)) == 2
     err = capsys.readouterr().err
-    assert "error: transcript has two observations at theta=0.000000, phi=0.000000" in err
+    assert err == "gaussbench: error: transcript has two observations at theta=0.0, phi=0.0\n"
+
+
+def _append_off_plan(report):
+    """Append to scheme 1's transcript an observation at theta = 0.3, a setting no plan has."""
+    observations = report["scheme1"]["observations"]
+    observations.append({**observations[0], "theta": 0.3})
+
+
+def _drop_last_observation(report):
+    report["scheme1"]["observations"].pop()
+
+
+def _shuffle_observations(report):
+    for name in ("scheme1", "scheme2"):
+        report[name]["observations"].reverse()
+
+
+@pytest.mark.parametrize(
+    "edit, code, err",
+    [
+        (_append_off_plan, 2, "transcript has an observation off its plan at theta=0.3, phi=0.0"),
+        (_drop_last_observation, 2,
+         f"transcript has no observation at theta={math.pi / 4!r}, phi={-math.pi / 2!r}"),
+        (_shuffle_observations, 0, ""),
+    ],
+    ids=["off-plan", "missing", "shuffled"],
+)
+def test_replay_takes_only_a_transcript_that_a_run_could_write(edit, code, err, tmp_path, capsys):
+    # run writes one observation at each setting of a scheme's plan, and
+    # replay takes them in any order, but no more and no fewer.
+    out = tmp_path / "report.json"
+    assert run_cli("run", *EXACT_ARGS, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    edit(report)
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == code
+    assert capsys.readouterr().err == (f"gaussbench: error: {err}\n" if err else "")
 
 
 @pytest.mark.parametrize(

@@ -150,8 +150,14 @@ def test_state_files_are_the_stdlib_text(tmp_path):
         ["sweep", "--param", "r", "--start", "0", "--stop", "2", "--steps", "5",
          "--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1", "--format", "json"],
         ["validate", "--generator", "random", "--seed", "7"],
+        # A noisy negative J1, with null measures.
+        ["run", "--generator", "random", "--seed", "286", "--detector", "lossy-homodyne",
+         "--eta", "0.8", "--shots", "1000"],
+        # A spectrum from LAPACK at large squeezing.
+        ["validate", "--generator", "tmsv", "--r", "4.4"],
     ],
-    ids=["run-finite-shots", "run-scheme1", "sweep-json", "validate"],
+    ids=["run-finite-shots", "run-scheme1", "sweep-json", "validate", "run-seed-286",
+         "validate-tmsv-r4.4"],
 )
 def test_cli_json_outputs_are_the_stdlib_text(tmp_path, argv):
     out = tmp_path / "out.json"

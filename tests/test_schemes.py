@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from gaussbench import (
     scheme1,
     scheme2,
     special_form_state,
+    standard_form_prep,
     thermal_state,
     tmsv_state,
     vacuum_state,
@@ -70,7 +72,7 @@ def test_scheme1_vacuum():
     assert result.invariants.j1 == pytest.approx(0.25, abs=1e-13)
     assert result.invariants.j2 == pytest.approx(0.25, abs=1e-13)
     assert result.invariants.j3 == pytest.approx(0.0, abs=1e-13)
-    assert result.status == "full"  # no cross block at all ties to diagonal
+    assert not math.isnan(result.invariants.j4)  # no cross block at all ties to diagonal
     assert result.entanglement.separable is True
 
 
@@ -79,7 +81,7 @@ def test_scheme1_tmsv_uses_the_antidiagonal_shortcut():
     result = scheme1(v)
     oracle = invariants_mode(v)
     assert result.special_form == "antidiagonal"
-    assert result.status == "full"
+    assert not math.isnan(result.invariants.j4)
     assert_invariants_close(result.invariants, oracle, include_j4=True)
     assert result.entanglement.eof == pytest.approx(0.9513895138912782, abs=1e-9)
 
@@ -87,7 +89,6 @@ def test_scheme1_tmsv_uses_the_antidiagonal_shortcut():
 def test_scheme1_generic_state_reports_lower_bound_only():
     v = quad_to_mode(random_state(101, purity="mixed", symmetry="general"))
     result = scheme1(v)
-    assert result.status == "lower-bound-only"
     assert result.special_form is None
     assert math.isnan(result.invariants.j4)
     assert math.isnan(result.entanglement.eof)
@@ -119,8 +120,9 @@ def test_scheme2_matches_oracle_on_random_states():
         v = quad_to_mode(g)
         result = scheme2(v)
         assert_invariants_close(result.invariants, invariants_mode(v), include_j4=True)
-        assert result.residual_m1 < 1e-10
-        assert result.residual_m2 < 1e-10
+        vt = standard_form_prep(v).vt
+        assert abs(vt.m1) < 1e-10
+        assert abs(vt.m2) < 1e-10
 
 
 def test_scheme2_recovers_cross_block_pieces():
@@ -268,19 +270,43 @@ def _setting(plan, name):
     [IDEAL, DetectorModel(kind="lossy-homodyne", eta=0.9, shots=5000)],
     ids=["exact", "finite-shot"],
 )
-def test_shuffled_transcript_with_extra_records_replays_exactly(scheme, det):
+def test_shuffled_transcript_replays_exactly(scheme, det):
     result = RUNS[scheme](quad_to_mode(tmsv_state(0.4)), det, seed=11)
     records = list(result.observations)
     random.Random(3).shuffle(records)
-    ignored = [
-        observation(0.3, 0.0, 99.0, 99.0, 1.0),  # a setting no plan has
-        observation(math.pi / 4 + 1e-6, 0.0, 99.0, 99.0, 1.0),  # beyond the 1e-9 match
-        observation(math.pi / 4, math.pi / 2 + 1e-6, 99.0, 99.0, 1.0),
-    ]
-    records = ignored + records
+    assert records != list(result.observations)
     replayed = reconstruct_from_transcript(records, scheme, result.special_form)
     assert replayed.invariants == result.invariants
     assert replayed.invariant_stderr == result.invariant_stderr
+
+
+#: Settings that no plan has: one far off, and two a rounding or a small
+#: step away from a plan setting.
+OFF_PLAN = {
+    "theta-0.3": (0.3, 0.0),
+    "theta-pi/4-rounded": (math.pi / 4 + 1e-12, 0.0),
+    "phi-pi/2-moved": (math.pi / 4, math.pi / 2 + 1e-6),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme, theta, phi",
+    [
+        *(pytest.param(s, *OFF_PLAN[k], id=f"{s}-{k}") for s in PLANS for k in OFF_PLAN),
+        # On scheme 1's plan, not on scheme 2's.
+        pytest.param("scheme2", math.pi / 4, math.pi, id="scheme2-theta-pi/4-phi-pi"),
+    ],
+)
+def test_an_observation_off_the_plan_is_rejected(scheme, theta, phi):
+    # No run writes an observation at a setting outside its plan, so a
+    # transcript holding one is rejected, wherever it stands, and the error
+    # names its setting exactly.
+    result = RUNS[scheme](quad_to_mode(tmsv_state(0.4)))
+    extra = observation(theta, phi, 99.0, 99.0, 1.0)
+    at = re.escape(f"observation off its plan at theta={theta!r}, phi={phi!r}")
+    for records in ([*result.observations, extra], [extra, *result.observations]):
+        with pytest.raises(ReconstructionError, match=at):
+            reconstruct_from_transcript(records, scheme, result.special_form)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +318,7 @@ def test_a_plan_setting_observed_twice_is_rejected(scheme, index):
     result = RUNS[scheme](quad_to_mode(random_state(31)))
     setting = PLANS[scheme][index].setting
     twin = observation(setting.theta, setting.phi, 99.0, 99.0)
-    at = f"two observations at theta={setting.theta:.6f}, phi={setting.phi:.6f}"
+    at = re.escape(f"two observations at theta={setting.theta!r}, phi={setting.phi!r}")
     for records in ([*result.observations, twin], [twin, *result.observations]):
         with pytest.raises(ReconstructionError, match=at):
             reconstruct_from_transcript(records, scheme, result.special_form)
@@ -308,7 +334,7 @@ def test_every_reading_a_reconstruction_uses_is_required(scheme, name):
     setting = _setting(PLANS[scheme], name)
     records = [obs for obs in result.observations if obs.setting != setting]
     assert len(records) == len(result.observations) - 1
-    at = f"no observation at theta={setting.theta:.6f}, phi={setting.phi:.6f}, so no "
+    at = re.escape(f"no observation at theta={setting.theta!r}, phi={setting.phi!r}") + "$"
     with pytest.raises(ReconstructionError, match=at):
         reconstruct_from_transcript(records, scheme, result.special_form)
 
@@ -382,12 +408,11 @@ def test_nonpositive_direct_reading_is_reported_with_nan_j4(j1, form):
     [(scheme1, 0.5, 100, 63), (scheme2, 0.3, 30, 41)],
     ids=["scheme1", "scheme2"],
 )
-def test_status_says_where_j4_is_known(run, eta, shots, seed):
+def test_a_nan_j4_marks_where_j4_is_unknown(run, eta, shots, seed):
     # A weakly squeezed point whose noisy J2 (scheme 1) or n1 (scheme 2) fell
     # below zero next to a strongly squeezed one; both have a special form.
     v = quad_to_mode(tmsv_state(np.array([0.05, 1.0])))
     result = run(v, DetectorModel(kind="lossy-homodyne", eta=eta, shots=shots), seed=seed)
-    assert list(result.status) == ["lower-bound-only", "full"]
     assert list(np.isnan(result.invariants.j4)) == [True, False]
     assert np.isnan(result.entanglement.log_negativity[0])
     if run is scheme1:
@@ -395,15 +420,15 @@ def test_status_says_where_j4_is_known(run, eta, shots, seed):
         assert result.invariants.j2[0] < 0.0
     else:
         assert result.observations[0].n_prime[0] < 0.0
-    # Each point's transcript alone gives that point's status as a plain string.
+    # Each point's transcript alone gives that point's J4, NaN where the batch's is.
     fields = ("n_prime", "j_prime", "purity", "n_stderr", "j_stderr")
-    for i, status in enumerate(result.status):
+    for i, j4 in enumerate(result.invariants.j4):
         records = [
             replace(obs, **{f: getattr(obs, f)[i] for f in fields}) for obs in result.observations
         ]
         form = result.special_form[i] if run is scheme1 else None
         one = reconstruct_from_transcript(records, result.scheme, form)
-        assert type(one.status) is str and one.status == status
+        assert np.isnan(one.invariants.j4) == np.isnan(j4)
 
 
 @pytest.mark.parametrize(
