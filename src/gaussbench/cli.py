@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -97,9 +98,23 @@ _CSV_COLUMNS = [
 ]
 
 
+#: A negative decimal float literal, exponent included.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
-    physics failures, so usage problems exit 1 like any other config error."""
+    physics failures, so usage problems exit 1 like any other config error.
+
+    argparse takes an argument that starts with ``-`` for a value only if it
+    looks like a negative number, and by its own pattern ``-1e-3`` does not;
+    here any decimal float literal does, so ``--start -1e-3`` parses as
+    ``--start=-1e-3``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -36,10 +36,18 @@ tr(A J C J B J C^T J) = 16 J4.  Those quadrature-convention values are the
 I1..I4 that :mod:`gaussbench.entanglement` writes its closed forms in.
 
 The symplectic eigenvalues nu_minus <= nu_plus of gamma (Williamson's
-theorem) come from its Cholesky factor gamma = L L^T: the Hermitian matrix
-i L^T Omega L has the eigenvalues (-nu_plus, -nu_minus, nu_minus, nu_plus).
-The factorisation is also the positive-definiteness test, and where gamma
-has no factor it has no symplectic spectrum: nu_minus and nu_plus are NaN.
+theorem) come from its Cholesky factor gamma = L L^T.  K = L^T Omega L is
+real antisymmetric and similar to Omega gamma, whose eigenvalues are
++-i nu_minus and +-i nu_plus, and its Pfaffian is det L > 0.  So the
+self-dual and anti-self-dual parts of K,
+
+    a = (k01 + k23, k02 - k13, k03 + k12),
+    b = (k01 - k23, k02 + k13, k03 - k12),
+
+have the norms |a| = nu_plus + nu_minus and |b| = nu_plus - nu_minus: two
+sums of squares, with no root of a cancellation at a pure state.  The
+factorisation is also the positive-definiteness test, and where gamma has
+no factor it has no symplectic spectrum: nu_minus and nu_plus are NaN.
 
 The package is elementwise: a QuadCovariance may hold a (..., 4, 4) stack
 and a ModeCovariance equal-shape arrays, one entry per point of a grid.
@@ -86,7 +94,7 @@ __all__ = [
 SYMMETRY_ATOL = 1e-12
 
 #: Slack allowed below the uncertainty bound nu >= 1 before a state is
-#: declared unphysical (double-precision 4x4 eigenvalue noise).
+#: declared unphysical (double-precision rounding of the spectrum).
 PHYSICALITY_SLACK = 1e-9
 
 #: Relative tolerance on the entries that :func:`cross_block_form` needs to vanish.
@@ -288,10 +296,11 @@ class InvariantSet:
 class PhysicalityReport:
     """Outcome of the uncertainty-bound check on a quadrature covariance.
 
-    ``nu_minus`` and ``nu_plus`` are the symplectic eigenvalues of gamma
-    (see :func:`validate_physical`), NaN at a point where gamma is not
-    positive definite (``positive_definite`` false), where they are
-    undefined.  Fields are plain values for one state and arrays for a batch.
+    ``nu_minus`` and ``nu_plus`` are the symplectic eigenvalues of gamma, in
+    closed form from its Cholesky factor (see :func:`validate_physical`), NaN
+    at a point where gamma is not positive definite (``positive_definite``
+    false), where they are undefined.  Fields are plain values for one state
+    and arrays for a batch.
     """
 
     physical: bool
@@ -324,11 +333,19 @@ def _cholesky(entries):
 def _spectrum(g: QuadCovariance):
     """(nu_minus, nu_plus, positive_definite) of gamma, NaN off the positive-definite cone."""
     factor, positive = _cholesky(g.entries)
-    # i L^T Omega L is Hermitian and similar to i Omega gamma (gamma = L L^T),
-    # so its ascending eigenvalues are (-nu_plus, -nu_minus, nu_minus, nu_plus).
-    ev = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ OMEGA @ factor))
-    nu_minus = np.where(positive, (ev[..., 2] - ev[..., 1]) / 2, math.nan)
-    nu_plus = np.where(positive, (ev[..., 3] - ev[..., 0]) / 2, math.nan)
+    # The upper entries of K = L^T Omega L, written out for a lower triangular L.
+    l00, l11 = factor[..., 0, 0], factor[..., 1, 1]
+    l20, l21, l22 = factor[..., 2, 0], factor[..., 2, 1], factor[..., 2, 2]
+    l30, l31, l32, l33 = factor[..., 3, 0], factor[..., 3, 1], factor[..., 3, 2], factor[..., 3, 3]
+    k01 = l00 * l11 + l20 * l31 - l30 * l21
+    k02, k03, k23 = l20 * l32 - l30 * l22, l20 * l33, l22 * l33
+    k12, k13 = l21 * l32 - l31 * l22, l21 * l33
+    # Norms by nested hypot, whose squares would overflow before K does; K is
+    # not halved, so |a| + |b| overflows exactly where nu_plus does.
+    plus = np.hypot(np.hypot(k01 + k23, k02 - k13), k03 + k12)  # nu_plus + nu_minus
+    minus = np.hypot(np.hypot(k01 - k23, k02 + k13), k03 - k12)  # nu_plus - nu_minus
+    nu_minus = np.where(positive, (plus - minus) / 2, math.nan)
+    nu_plus = np.where(positive, (plus + minus) / 2, math.nan)
     return as_field(nu_minus), as_field(nu_plus), as_field(positive, bool)
 
 
@@ -338,9 +355,8 @@ def validate_physical(g: QuadCovariance) -> PhysicalityReport:
     A matrix is physical when it is positive definite (it has a Cholesky
     factor) and its smaller symplectic eigenvalue is at least
     ``1 - PHYSICALITY_SLACK``.  It reports the symplectic spectrum from the
-    same factorisation (see the module docstring), each nu the average of its
-    +- pair of eigenvalues of i L^T Omega L (half the distance between them),
-    which suppresses eigensolver noise, and NaN where there is no factor.
+    same factorisation, in closed form from the entries of L^T Omega L (see
+    the module docstring), and NaN where there is no factor.
     """
     nu_minus, nu_plus, positive = _spectrum(g)
     return PhysicalityReport(
@@ -388,13 +404,27 @@ def mode_to_quad(v: ModeCovariance) -> QuadCovariance:
 
 
 def invariants_quad(g: QuadCovariance) -> InvariantSet:
-    """Evaluate the four invariants from the quadrature blocks of gamma."""
-    a, b, c = g.block_a, g.block_b, g.block_c
-    i1 = np.linalg.det(a)
-    i2 = np.linalg.det(b)
-    i3 = np.linalg.det(c)
-    i4 = np.trace(a @ _J2 @ c @ _J2 @ b @ _J2 @ c.swapaxes(-1, -2) @ _J2, axis1=-2, axis2=-1)
-    return InvariantSet(j1=i1 / 4, j2=i2 / 4, j3=i3 / 4, j4=i4 / 16)
+    """Evaluate the four invariants from the quadrature blocks of gamma.
+
+    Each 2x2 product is written out entry by entry.  I4 keeps the order
+    ((A JCJ) B) JC^TJ, then the trace; JCJ = [[-c11, c10], [c01, -c00]].
+    """
+    e = g.entries
+    a00, a01, a11 = e[..., 0, 0], e[..., 0, 1], e[..., 1, 1]
+    b00, b01, b11 = e[..., 2, 2], e[..., 2, 3], e[..., 3, 3]
+    c00, c01, c10, c11 = e[..., 0, 2], e[..., 0, 3], e[..., 1, 2], e[..., 1, 3]
+    p00, p01 = a01 * c01 - a00 * c11, a00 * c10 - a01 * c00  # A JCJ
+    p10, p11 = a11 * c01 - a01 * c11, a01 * c10 - a11 * c00
+    q00, q01 = p00 * b00 + p01 * b01, p00 * b01 + p01 * b11  # (A JCJ) B
+    q10, q11 = p10 * b00 + p11 * b01, p10 * b01 + p11 * b11
+    # times JC^TJ = [[-c11, c01], [c10, -c00]], diagonal only
+    i4 = (q01 * c10 - q00 * c11) + (q10 * c01 - q11 * c00)
+    return InvariantSet(
+        j1=(a00 * a11 - a01 * a01) / 4,
+        j2=(b00 * b11 - b01 * b01) / 4,
+        j3=(c00 * c11 - c01 * c10) / 4,
+        j4=i4 / 16,
+    )
 
 
 @dataclass(frozen=True)

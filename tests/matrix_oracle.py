@@ -5,10 +5,11 @@ standard form and the quadrature <-> mode conversions in closed form.  This
 module keeps the matrix route to the same numbers, assembling the Hermitian
 mode matrix V, changing basis by the fixed unitary K (V = K (gamma/2) K+)
 and conjugating by the Bogoliubov transformation of the bench, so the tests
-can compare the two.  It also keeps the general-eigensolver route to the
-symplectic spectrum and the physicality verdict.  Apart from those, the
-conversions and the layout helpers, which take stacks, it works on single
-states only.
+can compare the two.  It also keeps the eigensolver routes to the
+symplectic spectrum (general, with the physicality verdict, and Hermitian)
+and the LAPACK-determinant and matrix-chain route to the invariants.  Apart
+from those, the conversions and the layout helpers, which take stacks, it
+works on single states only.
 """
 
 import cmath
@@ -228,3 +229,24 @@ def standard_form_by_matrix(v: ModeCovariance, s1, s2) -> ModeCovariance:
     )
     vt = s @ mode_matrix(v) @ s.conj().T
     return mode_from_matrix(vt, atol=1e-9 * max(1.0, float(np.max(np.abs(vt)))))
+
+
+def invariants_quad_by_matrix(g: QuadCovariance) -> InvariantSet:
+    """The four invariants from LAPACK determinants of the quadrature blocks
+    and the 2x2 matrix chain A J C J B J C^T J, with J = [[0, 1], [-1, 0]]."""
+    a, b, c = g.block_a, g.block_b, g.block_c
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    i4 = np.trace(a @ j @ c @ j @ b @ j @ c.swapaxes(-1, -2) @ j, axis1=-2, axis2=-1)
+    return InvariantSet(
+        j1=np.linalg.det(a) / 4, j2=np.linalg.det(b) / 4, j3=np.linalg.det(c) / 4, j4=i4 / 16
+    )
+
+
+def symplectic_eigenvalues_hermitian(g: QuadCovariance):
+    """(nu_minus, nu_plus) of a positive-definite gamma = L L^T from the
+    Hermitian eigensolver: i L^T Omega L has the ascending eigenvalues
+    (-nu_plus, -nu_minus, nu_minus, nu_plus), and each nu is half the
+    distance between its +- pair."""
+    factor = np.linalg.cholesky(g.entries)
+    ev = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ OMEGA @ factor))
+    return (ev[..., 2] - ev[..., 1]) / 2, (ev[..., 3] - ev[..., 0]) / 2

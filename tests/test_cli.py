@@ -665,16 +665,28 @@ def test_state_whose_mode_moments_overflow_is_a_physics_failure(command, tmp_pat
         ("sweep", "--param", "r", "--start", "0", "--stop", "1000", "--steps", "3"),
         ("run", "--generator", "tmst", "--r", "1", "--nu1", "1e308"),
         ("sweep", "--param", "r", "--start=-1e308", "--stop", "1e308", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "-1e308", "--stop", "1e308", "--steps", "3"),
         ("sweep", "--param", "eta", "--start=-1e308", "--stop", "1e308", "--steps", "3",
          "--generator", "tmsv", "--detector", "lossy-homodyne"),
     ],
-    ids=["tmsv-r-1000", "sweep-r-to-1000", "tmst-nu1-1e308", "r-span", "eta-span"],
+    ids=["tmsv-r-1000", "sweep-r-to-1000", "tmst-nu1-1e308", "r-span", "r-span-spaced",
+         "eta-span"],
 )
 def test_input_overflow_is_config_error(argv, capsys):
     # A numpy overflow warning is a test failure here, so this also checks
     # that the overflow is caught rather than printed.
     assert run_cli(*argv) == 1
     assert "gaussbench: config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["-1e-3", "-1E-3", "-.001e0", "-1.e-3"])
+def test_negative_bound_in_exponent_form_is_a_value(start, capsys):
+    # Each spelling is read as the value of --start, as --start=-0.001 is.
+    grid = ("--param", "r", "--stop", "1", "--steps", "3")
+    assert run_cli("sweep", "--start=-0.001", *grid) == 0
+    want = capsys.readouterr().out
+    assert run_cli("sweep", "--start", start, *grid) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize(

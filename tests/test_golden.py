@@ -7,6 +7,12 @@ differ must print the same lines.  The digests are compared between the two
 processes only, never against committed values: numpy's BLAS kernels and its
 SIMD-dispatched elementwise loops differ between CPUs, and they move the last
 bits of generated states, invariants and the symplectic spectrum.
+
+Exit codes do not depend on the CPU: the first process's ``<exit> <argv>``
+lines must equal the committed ``tests/golden/exits.txt``, so a verdict that
+flips in both interpreters alike still fails.  To record a deliberate change
+of verdict, write the file again from ``regen.py``'s lines without their
+digests.
 """
 
 import os
@@ -34,3 +40,5 @@ def test_the_golden_population_prints_the_same_digests_under_two_hash_seeds():
     assert len(first) >= 700
     assert not [line for line in first if line.split()[1] == "raised"]
     assert first == second
+    exits = (ROOT / "tests" / "golden" / "exits.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(" ", 1)[1].rstrip() for line in first] == exits

@@ -153,7 +153,7 @@ def test_state_files_are_the_stdlib_text(tmp_path):
         # A noisy negative J1, with null measures.
         ["run", "--generator", "random", "--seed", "286", "--detector", "lossy-homodyne",
          "--eta", "0.8", "--shots", "1000"],
-        # A spectrum from LAPACK at large squeezing.
+        # A spectrum at large squeezing, from the Cholesky factor in closed form.
         ["validate", "--generator", "tmsv", "--r", "4.4"],
     ],
     ids=["run-finite-shots", "run-scheme1", "sweep-json", "validate", "run-seed-286",

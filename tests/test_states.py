@@ -27,10 +27,12 @@ from gaussbench.generators import conjugate_local, random_local_symplectic
 from gaussbench.states import PHYSICALITY_SLACK, cross_block_form
 from matrix_oracle import (
     invariants_mode,
+    invariants_quad_by_matrix,
     mode_from_matrix,
     mode_matrix,
     physical_by_general_eigensolver,
     symplectic_eigenvalues_general,
+    symplectic_eigenvalues_hermitian,
 )
 
 N_RANDOM = 500
@@ -55,6 +57,25 @@ def spectrum(g):
     """(nu_minus, nu_plus) as ``validate_physical`` reports them."""
     rep = validate_physical(g)
     return rep.nu_minus, rep.nu_plus
+
+
+#: Populations that the closed forms are compared on with the matrix routes:
+#: 1000 random states of the four classes as one stack, and a TMST grid.
+ORACLE_POPULATIONS = pytest.mark.parametrize(
+    "population",
+    [
+        lambda: QuadCovariance(np.stack([g.entries for g in random_population(1000, 5000)])),
+        lambda: two_mode_squeezed_thermal(
+            *np.meshgrid(np.linspace(0.0, 2.0, 11), [1.0, 1.7, 2.5], [1.0, 1.2, 3.0])
+        ),
+    ],
+    ids=["random", "tmst"],
+)
+
+#: Budget of the closed-form invariants against LAPACK determinants and the
+#: matrix chain: J1..J3 within 64 eps max(J1, J2), J4 within 64 eps max(J1, J2)^2
+#: (measured maxima 8.3e-15 and 1.3e-15 of those scales).
+MATRIX_ROUTE_BUDGET = 64 * np.finfo(float).eps
 
 
 def random_population(count, seed_offset=0):
@@ -205,6 +226,26 @@ class TestInvariants:
                 atol=1e-13,
             )
 
+    @ORACLE_POPULATIONS
+    def test_closed_forms_match_the_matrix_chain(self, population):
+        g = population()
+        got, want = invariants_quad(g), invariants_quad_by_matrix(g)
+        scale = np.maximum(abs(want.j1), abs(want.j2))
+        for key in ("j1", "j2", "j3"):
+            err = abs(getattr(got, key) - getattr(want, key))
+            assert (err <= MATRIX_ROUTE_BUDGET * scale).all(), key
+        assert (abs(got.j4 - want.j4) <= MATRIX_ROUTE_BUDGET * scale**2).all()
+
+    @ORACLE_POPULATIONS
+    def test_batch_invariants_are_each_states_invariants(self, population):
+        g = population()
+        batch = invariants_quad(g)
+        for i in np.ndindex(batch.j1.shape):
+            one = invariants_quad(QuadCovariance(g.entries[i]))
+            assert [one.j1, one.j2, one.j3, one.j4] == [
+                batch.j1[i], batch.j2[i], batch.j3[i], batch.j4[i]
+            ]
+
     def test_determinant_identity(self):
         # det gamma = I1 I2 + I3^2 - I4 for every physical state, as the
         # measures compute it from the I's they derive.
@@ -276,20 +317,25 @@ class TestPhysicality:
         assert not rep.physical
         assert rep.nu_minus < 1.0
 
-    @pytest.mark.parametrize(
-        "population",
-        [
-            lambda: QuadCovariance(np.stack([g.entries for g in random_population(1000, 5000)])),
-            lambda: two_mode_squeezed_thermal(
-                *np.meshgrid(np.linspace(0.0, 2.0, 11), [1.0, 1.7, 2.5], [1.0, 1.2, 3.0])
-            ),
-        ],
-        ids=["random", "tmst"],
-    )
+    @ORACLE_POPULATIONS
     def test_spectrum_matches_the_general_eigensolver(self, population):
         g = population()
         got, want = spectrum(g), symplectic_eigenvalues_general(g)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @ORACLE_POPULATIONS
+    def test_spectrum_matches_the_hermitian_eigensolver(self, population):
+        g = population()
+        got, want = spectrum(g), symplectic_eigenvalues_hermitian(g)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @ORACLE_POPULATIONS
+    def test_batch_spectrum_is_each_states_spectrum(self, population):
+        g = population()
+        lo, hi = spectrum(g)
+        for i in np.ndindex(lo.shape):
+            one = validate_physical(QuadCovariance(g.entries[i]))
+            assert (one.nu_minus, one.nu_plus) == (lo[i], hi[i])
 
     def test_verdict_matches_the_general_eigensolver_at_the_boundary(self):
         # Pure states scaled by s have nu_minus = s: the scales straddle the
@@ -310,8 +356,9 @@ class TestPhysicality:
     def test_tmsv_at_large_squeezing_sits_on_the_bound(self, r):
         # Also at small r: nu_minus from the invariants' closed form,
         # nu_minus^2 = 2 det / (D + sqrt(D^2 - 4 det)), falls below the slack
-        # already at r = 0.5 (1 - 7.5e-9), so a pure state's verdict needs the
-        # spectrum.
+        # already at r = 0.5 (1 - 7.5e-9), since it takes the root of a
+        # rounding error.  The spectrum's self-dual split takes no such root:
+        # nu_plus - nu_minus is the norm of differences of entries of K.
         rep = validate_physical(tmsv_state(r))
         assert rep.physical and rep.positive_definite
         assert abs(rep.nu_minus - 1.0) <= 1e-9 and abs(rep.nu_plus - 1.0) <= 1e-9
