@@ -18,7 +18,7 @@ derived from the single --seed value, so identical invocations produce
 byte-identical output.  A scheme section holds its transcript, the
 ``observations``, and what that determines, each once; ``replay`` renders
 the section again from the transcript and verifies that the report holds
-the same values.
+the same values and no key that ``run`` does not write.
 """
 
 from __future__ import annotations
@@ -620,7 +620,24 @@ def _with_legacy_copies(rendered: dict, stored: dict) -> dict:
     return rendered
 
 
+#: The keys of an older report's scheme sections that replay takes as they
+#: are: each section's per-reading ``transcript`` list, and scheme 2's
+#: ``standard_form_residuals`` and null ``special_form``.
+_LEGACY_SECTION_KEYS = {
+    "scheme1": {"transcript"},
+    "scheme2": {"transcript", "standard_form_residuals", "special_form"},
+}
+
+
 def _cmd_replay(cfg) -> int:
+    """Render each scheme section again from its transcript and compare.
+
+    Every key of the rendered and the stored section is compared, so a key
+    that no run writes is a mismatch (exit 2).  The keys that an older
+    report holds (``_LEGACY_SECTION_KEYS``) are accepted unchecked: the
+    residuals of scheme 2's preparation come from the exact input, not
+    from the transcript, so no transcript determines them.
+    """
     path = cfg.get("report")
     if not path:
         raise ConfigError("replay needs --report")
@@ -647,8 +664,10 @@ def _cmd_replay(cfg) -> int:
         # The section as ``run`` renders it, or rendered then for an older report.
         result = reconstruct_from_transcript(observations, name, special_form)
         rendered = _with_legacy_copies(_scheme_section(result, oracle), section)
-        for key, value in rendered.items():
-            found = _first_difference(value, section.get(key))
+        for key in {**rendered, **section}:  # in order, rendered keys first
+            if key in _LEGACY_SECTION_KEYS[name]:
+                continue
+            found = _first_difference(rendered.get(key, _ABSENT), section.get(key, _ABSENT))
             if found is not None:
                 path, *values = found
                 want, got = ("absent" if x is _ABSENT else json.dumps(x) for x in values)

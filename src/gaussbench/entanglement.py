@@ -12,6 +12,8 @@ which each public call derives once and which nothing else holds.
 * The entanglement of formation has a closed form for symmetric states
   (I1 = I2); dropping I4 from its inner radical can only lower the result,
   which gives a cheap lower bound that works without the fourth invariant.
+  Both are NaN off the symmetric points, and the closed form is evaluated
+  only where some point of the call is symmetric.
 * The logarithmic negativity follows from the smallest symplectic
   eigenvalue of the partially transposed state, which depends on gamma only
   through Delta~ = I1 + I2 - 2 I3 and det gamma = I1 I2 + I3^2 - I4.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import InvariantSet, as_field
+from .states import InvariantSet, any_point, as_field
 
 __all__ = [
     "EntanglementReport",
@@ -146,14 +148,21 @@ def entanglement_report(inv: InvariantSet) -> EntanglementReport:
     Everything beyond the lower bound needs J4, the EoF entries need
     I1 = I2, and any of the derived measures may be undefined when
     finite-shot noise pushed the reconstructed set outside the physical
-    region.
+    region.  Where no point is symmetric (every finite-shot reconstruction,
+    for one), the EoF and its bound are NaN in the call's shape without
+    evaluating the symmetric closed form.
     """
     i1, i2, i3, i4 = _quad_invariants(inv)
     separable, margin = _simon(i1, i2, i3, i4)
     negativity, nu_minus = _negativity(i1, i2, i3, i4)
     symmetric = abs(i1 - i2) <= SYM_TOL * np.maximum(i1, i2)
-    # The symmetric EoF, and at I4 = 0 its lower bound: the inner radical
-    # grows with I4 and E(x) decreases with x.
-    eof, bound = (_entropy_of_squeeze_factor(_x_parameter(i1, i3, x, symmetric)) for x in (i4, 0.0))
+    if any_point(symmetric):
+        # The symmetric EoF, and at I4 = 0 its lower bound: the inner radical
+        # grows with I4 and E(x) decreases with x.
+        eof, bound = (
+            _entropy_of_squeeze_factor(_x_parameter(i1, i3, x, symmetric)) for x in (i4, 0.0)
+        )
+    else:  # the closed form would be NaN at every point
+        eof = bound = np.full(np.shape(margin), np.nan)
     measures = (margin, eof, bound, negativity, nu_minus)
     return EntanglementReport(separable, *map(as_field, measures))

@@ -273,8 +273,9 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     The local preparation uses only the single-mode blocks of ``v`` (never
     the cross correlations); the bench then measures the transformed state
     at four settings and reconstructs J1..J4 plus the cross-block pieces.
-    What rounding leaves of the prepared squeezing is
-    ``abs(standard_form_prep(v).vt.m1)`` (and ``m2``), which no reading sees.
+    A state already in standard form is measured as it is.  What rounding
+    leaves of the prepared squeezing is ``abs(standard_form_prep(v).vt.m1)``
+    (and ``m2``), which no reading sees.
     """
     vt = standard_form_prep(v).vt
     observations = observe_mode1(vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)

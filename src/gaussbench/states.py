@@ -459,8 +459,10 @@ def _standardizing_local(n, m, label: str) -> SingleModeSymplectic:
     With m = |m| e^(i mu) the choice alpha = (mu + pi)/2,
     tanh(2 theta) = |m|/n sends the off-diagonal of S V_j S+ to
     n sinh(2 theta) - |m| cosh(2 theta) = 0 and the diagonal to
-    sqrt(n^2 - |m|^2).  For m = 0 the exact identity is returned so that an
-    already block-diagonal state passes through untouched.
+    sqrt(n^2 - |m|^2).  For m = 0 the exact identity is returned, so that
+    the points of a batch that are already block-diagonal pass through
+    untouched; :func:`standard_form_prep` does not call this for a state
+    (or batch) that is block-diagonal at every point.
     """
     magnitude = abs(m)
     if any_point(magnitude >= n):
@@ -481,7 +483,15 @@ def standard_form_prep(v: ModeCovariance) -> StandardFormResult:
     ``abs(vt.m1)`` and ``abs(vt.m2)``.  All four invariants of ``vt`` equal
     those of ``v`` since det S_j = 1.  With S_j = [[e c, f s], [f* s, e* c]]
     the conjugation is written out entry by entry.
+
+    A state already in standard form (m1 = m2 = 0 at every point) is
+    returned as it is: identity transformations (alpha = theta = 0 in the
+    state's shape) and ``vt`` is ``v`` itself, signed zeros included.
     """
+    if not any_point((v.m1 != 0) | (v.m2 != 0)):
+        zero = as_field(np.zeros(np.shape(v.n1)))
+        identity = SingleModeSymplectic(alpha=zero, theta=zero)
+        return StandardFormResult(identity, identity, v)
     s1 = _standardizing_local(v.n1, v.m1, "1")
     s2 = _standardizing_local(v.n2, v.m2, "2")
     (e1, f1, c1, h1), (e2, f2, c2, h2) = (

@@ -12,8 +12,9 @@ exception's type and message in the digest, and the run goes on.
 Two runs of the same tree on one machine must print the same lines: the
 tier-1 test ``test_golden.py`` compares two interpreters with different hash
 seeds, and compares their ``<exit> <argv>`` with the committed ``exits.txt``
-on any machine.  To check that a change moves no output byte, run this script with
-the parent commit's ``src`` and with the change's on one machine and diff
+on any machine, bar an exit written ``*`` there (a verdict within rounding).
+To check that a change moves no output byte, run this script with the parent
+commit's ``src`` and with the change's on one machine and diff
 the two files.  Digests are not comparable across machines: the BLAS
 kernels that numpy picks for the CPU move the last bits of generated states,
 invariants and the symplectic spectrum, and numpy's SIMD dispatch picks

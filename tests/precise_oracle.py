@@ -11,6 +11,13 @@ symplectic spectrum follows from Delta = I1 + I2 + 2 I3 and det gamma,
 with the discriminant D = Delta^2 - 4 det gamma exact as well: rounded to 60
 digits first, it comes out below zero at a pure state.  Only the square roots
 are rounded, in ``decimal`` at 60 significant digits.
+
+``BUDGETS`` holds the error that the float oracle may make against this
+reference, per test population and field: J1..J3 relative to max(J1, J2),
+J4 relative to max(J1, J2)^2 and nu+- relative to nu_plus
+(``spectrum_errors``).  Each budget is twice the largest error measured on
+the population when it was set, rounded up; a budget is tightened when a
+change makes the oracle more accurate, and never widened.
 """
 
 from __future__ import annotations
@@ -21,6 +28,17 @@ from fractions import Fraction
 
 #: Significant digits of every rounded step.
 DIGITS = 60
+
+#: Error budgets per population and field.  Largest errors measured when set
+#: (J's then nu's): TMSV 8.9e-17, 8.9e-17, 8.3e-17, 2.1e-16, 8.0e-10, 8.0e-10
+#: (nu at r = 4.4: a one-ulp change of entries near 3300 moves nu this much);
+#: random 1.4e-15, 1.6e-15, 1.6e-16, 5.8e-16, 3.5e-15, 4.2e-15; dressed
+#: 6.8e-11, 2.1e-10, 2.7e-12, 5.8e-9, 6.6e-10, 3.0e-10.
+BUDGETS = {
+    "tmsv": dict(j1=2e-16, j2=2e-16, j3=2e-16, j4=5e-16, nu_minus=2e-9, nu_plus=2e-9),
+    "random": dict(j1=3e-15, j2=4e-15, j3=4e-16, j4=2e-15, nu_minus=8e-15, nu_plus=9e-15),
+    "dressed": dict(j1=2e-10, j2=5e-10, j3=6e-12, j4=2e-8, nu_minus=2e-9, nu_plus=6e-10),
+}
 
 
 @dataclass(frozen=True)
@@ -88,3 +106,13 @@ def precise_oracle(entries) -> PreciseOracle:
         nu_plus = (plus / 2).sqrt()
         nu_minus = (2 * _decimal(det) / plus).sqrt()
     return PreciseOracle(i1 / 4, i2 / 4, i3 / 4, i4 / 16, det, nu_minus, nu_plus)
+
+
+def spectrum_errors(ref: PreciseOracle, nu_minus, nu_plus) -> dict:
+    """The errors of a computed ``nu_minus`` and ``nu_plus`` against ``ref``,
+    relative to its nu_plus: the units of the nu budgets."""
+    scale = Fraction(ref.nu_plus)
+    return {
+        "nu_minus": abs(Fraction(float(nu_minus)) - Fraction(ref.nu_minus)) / scale,
+        "nu_plus": abs(Fraction(float(nu_plus)) - Fraction(ref.nu_plus)) / scale,
+    }

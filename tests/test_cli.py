@@ -23,6 +23,7 @@ from gaussbench import (
 )
 from gaussbench.cli import _CSV_COLUMNS, MAX_SWEEP_STEPS, build_parser, main
 from gaussbench.stateio import render_json
+from precise_oracle import BUDGETS, precise_oracle, spectrum_errors
 
 GOLDEN_CSV_HEADER = (
     "param,J1_oracle,J2_oracle,J3_oracle,J4_oracle,"
@@ -215,11 +216,66 @@ def test_reports_with_a_transcript_list_still_replay(name, capsys):
     assert capsys.readouterr().out == render_json(report)
 
 
+@pytest.mark.parametrize(
+    "name, key", [("scheme1", "bogus"), ("scheme2", "bogus"), ("scheme1", "standard_form_residuals")]
+)
+def test_replay_rejects_a_section_key_that_no_run_writes(name, key, tmp_path, capsys):
+    # An older report's transcript list, scheme 2's residuals and its null
+    # special form replay unchecked; any other key that run does not write,
+    # in either section, is a mismatch.
+    report = json.loads((REPORTS / "exact.json").read_text())
+    report[name][key] = 1
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"gaussbench: error: replay of {name} does not reproduce its {key}: "
+        f"{key} is absent from the transcript, 1 in the report\n"
+    )
+
+
+def test_replay_names_a_section_key_the_report_lacks(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("run", *EXACT_ARGS, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    del report["scheme2"]["cross_block"]
+    out.write_text(json.dumps(report))
+    assert run_cli("replay", "--report", str(out)) == 2
+    assert capsys.readouterr().err.endswith(" from the transcript, absent in the report\n")
+
+
+#: Relative budget of the finite-shot report's floats across CPUs: numpy's
+#: SIMD dispatch moves 29 of them, by at most 1.7e-12 (scheme 2's J3 deltas).
+#: A change of the seed stream moves them by about 1e-2.
+FINITE_SHOT_RTOL = 1e-11
+
+#: Floats that are settings, not results: compared exactly.
+SETTING_KEYS = {"theta", "phi", "eta"}
+
+
+def assert_same_report(got, want, path=""):
+    """Keys, nulls, bools, ints, strings and settings equal; every other
+    float within ``FINITE_SHOT_RTOL`` of its stored value."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and path.rsplit(".", 1)[-1] not in SETTING_KEYS:
+        assert abs(got - want) <= FINITE_SHOT_RTOL * abs(want), (path, got, want)
+    else:
+        assert got == want, path
+
+
 def test_finite_shot_report_is_what_run_writes(tmp_path):
     path, out = REPORTS / FINITE_SHOT_REPORT, tmp_path / "report.json"
     assert run_cli("replay", "--report", str(path)) == 0
     assert run_cli("run", *FINITE_SHOT_ARGS, "--out", str(out)) == 0
-    assert out.read_text() == render_json(_without_old_keys(json.loads(path.read_text())))
+    assert_same_report(json.loads(out.read_text()), _without_old_keys(json.loads(path.read_text())))
     assert run_cli("replay", "--report", str(out)) == 0
 
 
@@ -752,12 +808,16 @@ def test_state_that_is_not_positive_definite_has_no_spectrum(command, tmp_path, 
 @pytest.mark.parametrize("r", ["4.4", "4.5"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_tmsv_at_large_squeezing_is_physical(command, r, capsys):
-    # The rounded entries put nu_minus within 1e-9 of 1 (8e-10 below it at r = 4.4).
+    # The rounded entries put nu_minus within 2e-9 of 1, on either side by
+    # the CPU's cosh and sinh: the reported one is checked against the exact
+    # nu_minus of those entries, within the oracle's TMSV budget.
     assert run_cli(command, "--generator", "tmsv", "--r", r) == 0
     payload = json.loads(capsys.readouterr().out)
     physicality = payload if command == "validate" else payload["physicality"]
     assert physicality["physical"] is True
-    assert abs(physicality["nu_minus"] - 1.0) <= 1e-9
+    ref = precise_oracle(tmsv_state(float(r)).entries.tolist())
+    errors = spectrum_errors(ref, physicality["nu_minus"], physicality["nu_plus"])
+    assert all(errors[key] <= BUDGETS["tmsv"][key] for key in errors), errors
 
 
 def test_bad_flag_value_exits_one(capsys):
@@ -1073,17 +1133,20 @@ def test_finite_shot_sweep_rows_have_independent_noise():
 
 
 def test_sweep_with_one_failing_point_exits_two(tmp_path, capsys):
-    # tmsv_state(5) is unphysical at double precision (its nu_minus is
-    # 1 - 6.8e-9 on its rounded entries); the other points are fine.
+    # At r = 180 cosh 2r and sinh 2r round to one double, so gamma is
+    # singular; were they an ulp apart, J1 ~ 1e311 would overflow.  Either
+    # fails the whole sweep, whatever the CPU's last bits.  r = 0.5 is fine.
     out = tmp_path / "sweep.csv"
     code = run_cli(
-        "sweep", "--param", "r", "--start", "4", "--stop", "6", "--steps", "5",
+        "sweep", "--param", "r", "--start", "0.5", "--stop", "180", "--steps", "2",
         "--out", str(out),
     )
     assert code == 2
-    assert "gaussbench: error: state is unphysical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("gaussbench: error: ")
+    assert "state is unphysical" in err or "overflows double precision" in err
     assert not out.exists()
-    assert run_cli("sweep", "--param", "r", "--start", "4", "--stop", "4.5", "--steps", "2") == 0
+    assert run_cli("sweep", "--param", "r", "--start", "0.5", "--stop", "4.5", "--steps", "2") == 0
 
 
 def test_sweep_both_runs_only_the_scheme_it_writes(monkeypatch, capsys):

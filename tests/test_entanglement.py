@@ -20,7 +20,8 @@ from gaussbench import (
     tmsv_state,
     vacuum_state,
 )
-from gaussbench.states import OMEGA, InvariantSet
+from gaussbench import entanglement
+from gaussbench.states import J_KEYS, OMEGA, InvariantSet
 
 PPT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -312,6 +313,29 @@ def _noisy_sets():
 @pytest.mark.parametrize("sets", [_state_sets, _noisy_sets], ids=["states", "noisy"])
 def test_one_state_matches_its_batch_point_on_states_and_noisy_sets(sets):
     assert_one_state_matches_its_batch_point(*sets())
+
+
+def test_a_call_with_no_symmetric_point_reports_what_its_points_get_beside_one(monkeypatch):
+    # With no symmetric point the symmetric closed form is not evaluated, and
+    # each point gets what it gets in a call that holds one symmetric point:
+    # NaN where NaN, the same bits elsewhere.  One point has no J4, as a
+    # finite-shot reconstruction may leave it.
+    states = [*(random_state(i) for i in range(20)), thermal_state(1.2, 2.4), tmsv_state(0.5)]
+    sets = [invariants_quad(g) for g in states]
+    j1, j2, j3, j4 = (np.array([getattr(inv, key) for inv in sets]) for key in J_KEYS)
+    j4[0] = math.nan
+    mixed = entanglement_report(InvariantSet(j1, j2, j3, j4))
+    assert not math.isnan(mixed.eof[-1])
+    monkeypatch.setattr(entanglement, "_x_parameter", lambda *args: pytest.fail("evaluated"))
+    alone = entanglement_report(InvariantSet(j1[:-1], j2[:-1], j3[:-1], j4[:-1]))
+    assert list(alone.separable) == list(mixed.separable[:-1])
+    for name in FIELDS:
+        got, want = getattr(alone, name), getattr(mixed, name)[:-1]
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+        defined = ~np.isnan(want)
+        assert (got[defined].view(np.uint64) == want[defined].view(np.uint64)).all(), name
+    assert np.isnan(alone.eof).all() and np.isnan(alone.eof_lower_bound).all()
 
 
 def test_report_on_asymmetric_state_drops_eof_fields():

@@ -10,9 +10,11 @@ bits of generated states, invariants and the symplectic spectrum.
 
 Exit codes do not depend on the CPU: the first process's ``<exit> <argv>``
 lines must equal the committed ``tests/golden/exits.txt``, so a verdict that
-flips in both interpreters alike still fails.  To record a deliberate change
-of verdict, write the file again from ``regen.py``'s lines without their
-digests.
+flips in both interpreters alike still fails.  The one exception is a call
+whose verdict lies within the rounding that numpy's SIMD dispatch moves:
+its exit is written ``*`` and not compared, and ``population.py`` gives the
+reason beside the call.  To record a deliberate change of verdict, write
+the file again from ``regen.py``'s lines without their digests.
 """
 
 import os
@@ -41,4 +43,7 @@ def test_the_golden_population_prints_the_same_digests_under_two_hash_seeds():
     assert not [line for line in first if line.split()[1] == "raised"]
     assert first == second
     exits = (ROOT / "tests" / "golden" / "exits.txt").read_text(encoding="utf-8").splitlines()
-    assert [line.split(" ", 1)[1].rstrip() for line in first] == exits
+    got = [line.split(" ", 1)[1].rstrip() for line in first]
+    unpinned = {i for i, line in enumerate(exits) if line.startswith("* ")}
+    got = ["* " + line.split(" ", 1)[1] if i in unpinned else line for i, line in enumerate(got)]
+    assert got == exits

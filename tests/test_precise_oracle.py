@@ -3,10 +3,7 @@
 ``precise_oracle`` evaluates J1..J4 and nu+- exactly for the float entries of
 gamma (up to 60-digit square roots), and each field of ``invariants_quad``
 and ``validate_physical`` must stay within its own error budget of it, per
-population: J1..J3 relative to max(J1, J2), J4 relative to max(J1, J2)^2 and
-nu+- relative to nu_plus.  Each budget is twice the largest error measured
-on the population when it was set, rounded up; a budget is tightened when a
-change makes the oracle more accurate, and never widened.
+population (``precise_oracle.BUDGETS``, which says how each is set).
 """
 
 import math
@@ -23,7 +20,7 @@ from gaussbench import (
     validate_physical,
 )
 from gaussbench.generators import conjugate_local, rotation_symplectic, squeeze_symplectic
-from precise_oracle import precise_oracle
+from precise_oracle import BUDGETS, precise_oracle, spectrum_errors
 
 CLASSES = [("pure", "symmetric"), ("pure", "general"), ("mixed", "symmetric"),
            ("mixed", "general")]
@@ -45,17 +42,6 @@ POPULATIONS = {
     "dressed": lambda: [dressed_state(i) for i in range(100)],
 }
 
-#: Error budgets per population and field.  Largest errors measured when set
-#: (J's then nu's): TMSV 8.9e-17, 8.9e-17, 8.3e-17, 2.1e-16, 8.0e-10, 8.0e-10
-#: (nu at r = 4.4: a one-ulp change of entries near 3300 moves nu this much);
-#: random 1.4e-15, 1.6e-15, 1.6e-16, 5.8e-16, 3.5e-15, 4.2e-15; dressed
-#: 6.8e-11, 2.1e-10, 2.7e-12, 5.8e-9, 6.6e-10, 3.0e-10.
-BUDGETS = {
-    "tmsv": dict(j1=2e-16, j2=2e-16, j3=2e-16, j4=5e-16, nu_minus=2e-9, nu_plus=2e-9),
-    "random": dict(j1=3e-15, j2=4e-15, j3=4e-16, j4=2e-15, nu_minus=8e-15, nu_plus=9e-15),
-    "dressed": dict(j1=2e-10, j2=5e-10, j3=6e-12, j4=2e-8, nu_minus=2e-9, nu_plus=6e-10),
-}
-
 
 def _errors(g):
     """Each field's error against the reference, in its budget's units."""
@@ -65,10 +51,7 @@ def _errors(g):
     errors = {key: abs(Fraction(float(getattr(inv, key))) - getattr(ref, key)) / scale
               for key in ("j1", "j2", "j3")}
     errors["j4"] = abs(Fraction(float(inv.j4)) - ref.j4) / scale**2
-    for key in ("nu_minus", "nu_plus"):
-        exact = Fraction(getattr(ref, key))
-        errors[key] = abs(Fraction(float(getattr(phys, key))) - exact) / Fraction(ref.nu_plus)
-    return errors
+    return {**errors, **spectrum_errors(ref, phys.nu_minus, phys.nu_plus)}
 
 
 @pytest.mark.parametrize("population", POPULATIONS)
