@@ -35,6 +35,12 @@ draw per angle, plan entry and batch point replaces k simulated shots, and
 a reading costs the same at any shot count.  Such a reading is an estimate:
 the check that the corrected mode's quadrature variances are not negative
 applies to exact readings only.
+
+One draw serves two callers.  :func:`observe_mode1` adds what a report
+prints: each reading's standard error, propagated from the raw readings'
+(a stencil of moved copies), its purity, and one :class:`Mode1Observation`
+per setting.  :func:`read_mode1` stops at the central readings, which is
+all a table prints.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "homodyne_variance",
     "invert_loss",
     "observe_mode1",
+    "read_mode1",
     "transcript",
 ]
 
@@ -281,6 +288,24 @@ def _photocount_readings(n, m, det: DetectorModel, seed):
     return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
 
 
+def _draw(v: ModeCovariance, settings, det: DetectorModel, seed):
+    """The bench's one draw at each setting of a plan: the raw readings of
+    the attenuated mode, their standard errors (None when exact), and the
+    estimate that turns raw readings into the corrected mode's (n', j')."""
+    n, m = output_mode1_moments(v, settings)
+    if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
+        n, m = n[:, None], m[:, None]
+    n, m = _lossy_moments(n, m, det.eta)  # DetectorModel checked det.eta
+    homodyne = det.kind == "lossy-homodyne"
+    read = _homodyne_readings if homodyne else _photocount_readings
+    readings, errors = read(n, m, det, seed)
+
+    def estimate(*raw):
+        return _invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
+
+    return estimate, readings, errors
+
+
 def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorModel(), seed=None):
     """Measure N and J of output mode 1 at each bench setting of a plan.
 
@@ -308,22 +333,28 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     lone = isinstance(settings, BenchSetting)
     if lone:
         settings = (settings,)
-    n, m = output_mode1_moments(v, settings)
-    if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
-        n, m = n[:, None], m[:, None]
-    n, m = _lossy_moments(n, m, det.eta)  # DetectorModel checked det.eta
-    homodyne = det.kind == "lossy-homodyne"
-    read = _homodyne_readings if homodyne else _photocount_readings
-    readings, errors = read(n, m, det, seed)
-
-    def estimate(*raw):
-        return _invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
-
+    estimate, readings, errors = _draw(v, settings, det, seed)
     (n_prime, j_prime), errors = propagate(estimate, readings, errors)
     if errors is None:
         _check_exact(n_prime, j_prime, det.eta)
     observations = transcript(settings, n_prime, j_prime, *(errors or ()))
     return observations[0] if lone else observations
+
+
+def read_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorModel(), seed=None):
+    """(n', j') of output mode 1 at each setting of a plan, on a leading axis.
+
+    These are the readings of :func:`observe_mode1` with the same ``seed``,
+    bit for bit: the same draw and the same estimate, and the same check of
+    exact readings.  Nothing else is made: no standard error (its stencil
+    is not evaluated), no purity and no :class:`Mode1Observation`.  A caller
+    that prints no error bar needs no more.
+    """
+    estimate, readings, errors = _draw(v, settings, det, seed)
+    n_prime, j_prime = estimate(*readings)
+    if errors is None:
+        _check_exact(n_prime, j_prime, det.eta)
+    return n_prime, j_prime
 
 
 def transcript(settings, n_prime, j_prime, n_stderr=None, j_stderr=None):

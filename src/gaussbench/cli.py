@@ -19,6 +19,12 @@ byte-identical output.  A scheme section holds its transcript, the
 ``observations``, and what that determines, each once; ``replay`` renders
 the section again from the transcript and verifies that the report holds
 the same values and no key that ``run`` does not write.
+
+Tables (``sweep``, and ``--format csv``) print no observation and no
+standard error, so they build neither: they run the schemes' table route
+(:func:`~gaussbench.schemes.scheme1_values`,
+:func:`~gaussbench.schemes.scheme2_values`) on the same draw, and their
+cells are the numbers a report would hold.
 """
 
 from __future__ import annotations
@@ -43,7 +49,14 @@ from .generators import (
     two_mode_squeezed_thermal,
     vacuum_state,
 )
-from .schemes import SchemeResult, reconstruct_from_transcript, scheme1, scheme2
+from .schemes import (
+    SchemeResult,
+    reconstruct_from_transcript,
+    scheme1,
+    scheme1_values,
+    scheme2,
+    scheme2_values,
+)
 from .states import (
     J_KEYS,
     PHYSICALITY_SLACK,
@@ -403,8 +416,14 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
     return section
 
 
-def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
-    """Input, oracle and the chosen schemes for one state, or elementwise for a grid."""
+def _evaluate(cfg, scheme_choice: str, table: bool = False) -> SimpleNamespace:
+    """Input, oracle and the chosen schemes for one state, or elementwise for a grid.
+
+    A report runs each scheme in full (:func:`scheme1`, :func:`scheme2`).  A
+    ``table`` prints no observation and no error bar, so it runs
+    :func:`scheme1_values` and :func:`scheme2_values`: the same draw and
+    the same formulas on the central readings only, with the same checks.
+    """
     seed = _seed(cfg)
     g, source = _resolve_state(cfg, seed)
     det = _resolve_detector(cfg)
@@ -427,9 +446,11 @@ def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
     # An exact plan never reads its seed.
     finite = det.shots is not None
     if scheme_choice in ("scheme1", "both"):
-        res1 = scheme1(v, det, seed=_seed_child(seed, 1) if finite else None)
+        run = scheme1_values if table else scheme1
+        res1 = run(v, det, seed=_seed_child(seed, 1) if finite else None)
     if scheme_choice in ("scheme2", "both"):
-        res2 = scheme2(v, det, seed=_seed_child(seed, 2) if finite else None)
+        run = scheme2_values if table else scheme2
+        res2 = run(v, det, seed=_seed_child(seed, 2) if finite else None)
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
         oracle=oracle_inv, scheme1=res1, scheme2=res2,
@@ -501,8 +522,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_run(cfg, scheme_choice: str) -> int:
-    ev = _evaluate(cfg, scheme_choice)
     fmt = cfg.get("format") or "json"
+    ev = _evaluate(cfg, scheme_choice, table=fmt == "csv")
     if fmt == "csv":
         text = "\n".join(_csv_table(cfg.get("r"), ev)) + "\n"
     else:
@@ -538,8 +559,8 @@ def _cmd_sweep(cfg) -> int:
             raise ConfigError("an r sweep needs the tmsv or tmst generator")
         cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
 
-    # The whole grid is one batch through the same code as ``run``.
-    lines = _csv_table(grid, _evaluate({**cfg, param: grid}, scheme_choice))
+    # The whole grid is one batch through the same draw and formulas as ``run``.
+    lines = _csv_table(grid, _evaluate({**cfg, param: grid}, scheme_choice, table=True))
 
     fmt = cfg.get("format") or "csv"
     if fmt == "json":

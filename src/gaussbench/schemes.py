@@ -32,16 +32,24 @@ has the symmetric lower bound only.
 
 Both protocols are elementwise: one bench call reads a whole plan for a batch
 of states, and its observations hold arrays.
+
+A table prints the invariants and measures only, so it takes a shorter
+route to the same numbers: :func:`scheme1_values` and :func:`scheme2_values`
+take the bench's central readings (:func:`~gaussbench.bench.read_mode1`)
+through the same module-level formulas once, with no transcript and no
+standard errors, and give what :func:`scheme1` and :func:`scheme2` give, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1
+from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1, read_mode1
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
 from .states import (
@@ -51,6 +59,7 @@ from .states import (
     as_field,
     cross_block_form,
     propagate,
+    propagated_value,
     standard_form_prep,
 )
 
@@ -59,8 +68,11 @@ __all__ = [
     "SCHEME1_PLAN",
     "SCHEME2_PLAN",
     "SchemeResult",
+    "SchemeValues",
     "scheme1",
     "scheme2",
+    "scheme1_values",
+    "scheme2_values",
     "reconstruct_scheme1",
     "reconstruct_scheme2",
     "reconstruct_from_transcript",
@@ -161,6 +173,58 @@ def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
     return (det_comb + num_comb) / 4.0
 
 
+#: The readings each protocol's invariants take, in argument order.
+_SCHEME1_READINGS = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
+_SCHEME2_READINGS = ("N00", "N90", "N45", "N45p", "J45")
+
+
+def _scheme1_formula(values, special_form):
+    """Protocol 1's invariants as one elementwise function of its readings.
+
+    Where J4 is defined is fixed at the measured ``values``, so that no copy
+    moved by ``propagate`` takes a root where the measured point has none.
+    """
+    j1, j2 = values[:2]
+    return functools.partial(_scheme1_invariants, _known(special_form) & (j1 > 0.0) & (j2 > 0.0))
+
+
+def _scheme1_invariants(defined, j1, j2, *readings):
+    """J1, J2, J3 and the signed J4 = 2 J3 sqrt(J1 J2), NaN off ``defined``."""
+    j3 = _scheme1_j3(j1, j2, *readings)
+    # np.multiply, so that one state's overflows obey np.errstate as a
+    # batch's do.  A moved copy past J1 J2 = 0 has no square root: its
+    # J4, and with it the J4 error, is NaN.
+    j1j2 = np.multiply(j1, j2)
+    j1j2 = np.where(defined & (j1j2 > 0.0), j1j2, np.nan)
+    return j1, j2, j3, np.multiply(2.0, j3) * np.sqrt(j1j2)
+
+
+def _scheme1_set(j1, j2, j3, signed_j4) -> InvariantSet:
+    """J4 = 2 |J3| sqrt(J1 J2), with the sign of the measured J3 for every moved
+    copy: the signed formula has no kink at J3 = 0 for the stencil to
+    straddle, and one sign for all copies leaves the error as it is.  A
+    product by -1, unlike a negation, leaves a NaN J4 as it is."""
+    return InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
+
+
+def _scheme2_formula(values):
+    """Protocol 2's invariants and cross-block pieces as one elementwise
+    function of its readings, J4 defined where the measured n1, n2 > 0, so
+    that the copies ``propagate`` moves keep it."""
+    n1t, n2t = values[:2]
+    return functools.partial(_scheme2_invariants, (n1t > 0.0) & (n2t > 0.0))
+
+
+def _scheme2_invariants(defined, n1t, n2t, n45, n45_p, j45):
+    """J1..J4, Re m~s, Im m~s and the signed |m~c|^2, J4 NaN off ``defined``."""
+    mc_sq = n45**2 - j45
+    ms_re = (n1t + n2t) / 2.0 - n45
+    ms_im = (n1t + n2t) / 2.0 - n45_p
+    ms_sq = ms_re**2 + ms_im**2
+    j4 = np.where(defined, 2.0 * n1t * n2t * (ms_sq + mc_sq), np.nan)
+    return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
+
+
 def reconstruct_scheme1(
     observations, special_form: str | None = None
 ) -> tuple[InvariantSet, dict | None]:
@@ -174,29 +238,9 @@ def reconstruct_scheme1(
     and four standard errors (the J4 error NaN with J4) unless every reading
     is exact.
     """
-    names = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
-    values, errors = _readings(observations, SCHEME1_PLAN, names)
-    j1, j2 = values[:2]
-    # The measured point fixes where J4 is defined, so that no copy moved by
-    # ``propagate`` takes a root where the measured point has none.
-    defined = _known(special_form) & (j1 > 0.0) & (j2 > 0.0)
-
-    def invariants(j1, j2, *readings):
-        j3 = _scheme1_j3(j1, j2, *readings)
-        # np.multiply, so that one state's overflows obey np.errstate as a
-        # batch's do.  A moved copy past J1 J2 = 0 has no square root: its
-        # J4, and with it the J4 error, is NaN.
-        j1j2 = np.multiply(j1, j2)
-        j1j2 = np.where(defined & (j1j2 > 0.0), j1j2, np.nan)
-        return j1, j2, j3, np.multiply(2.0, j3) * np.sqrt(j1j2)
-
-    (j1, j2, j3, signed_j4), stderr = propagate(invariants, values, errors)
-    # J4 = 2 |J3| sqrt(J1 J2) with the sign of the measured J3 for every moved
-    # copy: the signed formula has no kink at J3 = 0 for the stencil to
-    # straddle, and one sign for all copies leaves the error as it is.  A
-    # product by -1, unlike a negation, leaves a NaN J4 as it is.
-    inv = InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
-    return inv, None if stderr is None else dict(zip(J_KEYS, stderr))
+    values, errors = _readings(observations, SCHEME1_PLAN, _SCHEME1_READINGS)
+    outputs, stderr = propagate(_scheme1_formula(values, special_form), values, errors)
+    return _scheme1_set(*outputs), None if stderr is None else dict(zip(J_KEYS, stderr))
 
 
 def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
@@ -208,21 +252,9 @@ def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
     |m~c|^2 = N45^2 - J45, whose root ``mc_magnitude`` is NaN where it is
     negative; J4 is NaN where n1 <= 0 or n2 <= 0.
     """
-    values, errors = _readings(observations, SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))
-    n1t, n2t = values[:2]
-    # Fixed at the measured point, so that the copies ``propagate`` moves keep it.
-    defined = (n1t > 0.0) & (n2t > 0.0)
-
-    def invariants(n1t, n2t, n45, n45_p, j45):
-        # J1..J4, Re m~s, Im m~s, |m~c|^2.
-        mc_sq = n45**2 - j45
-        ms_re = (n1t + n2t) / 2.0 - n45
-        ms_im = (n1t + n2t) / 2.0 - n45_p
-        ms_sq = ms_re**2 + ms_im**2
-        j4 = np.where(defined, 2.0 * n1t * n2t * (ms_sq + mc_sq), np.nan)
-        return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
-
-    (*invariant_values, ms_re, ms_im, mc_sq), stderr = propagate(invariants, values, errors)
+    values, errors = _readings(observations, SCHEME2_PLAN, _SCHEME2_READINGS)
+    formula = _scheme2_formula(values)
+    (*invariant_values, ms_re, ms_im, mc_sq), stderr = propagate(formula, values, errors)
     mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
     aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
     stderr = None if stderr is None else dict(zip(J_KEYS, stderr))
@@ -254,6 +286,21 @@ def reconstruct_from_transcript(observations, scheme: str, special_form=None) ->
     )
 
 
+@dataclass(frozen=True)
+class SchemeValues:
+    """What a table prints of a protocol run: the invariants and their
+    measures, from the bench's central readings alone."""
+
+    invariants: InvariantSet
+    entanglement: EntanglementReport
+
+
+def _central_readings(plan, names, n_prime, j_prime):
+    """The named readings of ``plan`` from (n', j') along its settings axis."""
+    entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
+    return [(n_prime if name[0] == "N" else j_prime)[entry_of[name]] for name in names]
+
+
 def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
     """Run protocol 1: J1, J2, J3 from ten single-mode readings.
 
@@ -280,3 +327,30 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     vt = standard_form_prep(v).vt
     observations = observe_mode1(vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
     return reconstruct_from_transcript(observations, "scheme2")
+
+
+def scheme1_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
+    """The invariants and measures of :func:`scheme1` with the same ``seed``,
+    bit for bit, and what fails there fails here, but with no transcript
+    and no standard errors: the bench's central readings
+    (:func:`~gaussbench.bench.read_mode1`) go through the same formulas once,
+    where a transcript's copies moved for the error bars go through them
+    2K + 1 times.  A copy that would overflow alone is not evaluated."""
+    plan = [entry.setting for entry in SCHEME1_PLAN]
+    values = _central_readings(SCHEME1_PLAN, _SCHEME1_READINGS, *read_mode1(v, plan, det, seed))
+    formula = _scheme1_formula(values, cross_block_form(v))
+    inv = _scheme1_set(*propagated_value(formula, values, det.shots is not None))
+    return SchemeValues(inv, entanglement_report(inv))
+
+
+def scheme2_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
+    """The invariants and measures of :func:`scheme2` with the same ``seed``,
+    bit for bit, from the bench's central readings alone, as
+    :func:`scheme1_values` gives scheme 1's: no transcript, no standard
+    errors and no cross-block pieces."""
+    plan = [entry.setting for entry in SCHEME2_PLAN]
+    vt = standard_form_prep(v).vt
+    values = _central_readings(SCHEME2_PLAN, _SCHEME2_READINGS, *read_mode1(vt, plan, det, seed))
+    outputs = propagated_value(_scheme2_formula(values), values, det.shots is not None)
+    inv = InvariantSet(*outputs[:4])
+    return SchemeValues(inv, entanglement_report(inv))

@@ -45,7 +45,10 @@ self-dual and anti-self-dual parts of K,
     b = (k01 - k23, k02 + k13, k03 - k12),
 
 have the norms |a| = nu_plus + nu_minus and |b| = nu_plus - nu_minus: two
-sums of squares, with no root of a cancellation at a pure state.  The
+sums of squares, with no root of a cancellation at a pure state.  Where
+nu_minus is below 2^-26 of |a|, |a| - |b| cancels its digits away, and
+nu_minus = det L / nu_plus is taken instead (det gamma = (det L)^2 =
+(nu_plus nu_minus)^2).  The
 factorisation is also the positive-definiteness test, and where gamma has
 no factor it has no symplectic spectrum: nu_minus and nu_plus are NaN.
 
@@ -75,6 +78,7 @@ __all__ = [
     "any_point",
     "PROPAGATION_STEP",
     "propagate",
+    "propagated_value",
     "QuadCovariance",
     "ModeCovariance",
     "J_KEYS",
@@ -138,6 +142,27 @@ def _stencil_rows(k: int):
     return rows
 
 
+def _stacked(values):
+    """Inputs on a leading axis of one float array, broadcast to one shape."""
+    try:  # inputs of one shape, the bench's and the reconstructions' case
+        return np.array(values, dtype=float)
+    except ValueError:
+        return np.array(np.broadcast_arrays(*values), dtype=float)
+
+
+def _rows(out):
+    """The outputs of ``f`` on a leading axis, one row each."""
+    return np.array(out) if isinstance(out, tuple) else np.asarray(out)[None]
+
+
+def _outputs(out, rows):
+    """``rows``, one per output of ``f``, as ``f`` gave its outputs: a tuple
+    for a tuple, and plain numbers for one state."""
+    if rows.ndim == 1:
+        rows = rows.tolist()
+    return tuple(rows) if isinstance(out, tuple) else rows[0]
+
+
 def propagate(f, values, errors):
     """``(f(*values), stderr)`` for independent inputs with standard errors ``errors``.
 
@@ -151,10 +176,7 @@ def propagate(f, values, errors):
     if errors is None:
         return f(*values), None
     k = len(values)
-    try:  # inputs of one shape, the bench's and the reconstructions' case
-        x = np.array((*values, *errors), dtype=float)
-    except ValueError:
-        x = np.array(np.broadcast_arrays(*values, *errors), dtype=float)
+    x = _stacked((*values, *errors))
     # moved[i] is input i in every row: row 0 is the value, row 1 + j moves
     # input j up by its step and row 1 + K + j down.  Only the moved entry
     # is added to, so a -0.0 input stays -0.0 in every other row.
@@ -165,14 +187,24 @@ def propagate(f, values, errors):
     moved[inputs, up] += step
     moved[inputs, down] -= step
     out = f(*moved)
-    y = np.array(out) if isinstance(out, tuple) else np.asarray(out)[None]
+    y = _rows(out)
     slope = (y[:, 1 : k + 1] - y[:, k + 1 :]) / (2.0 * PROPAGATION_STEP)
-    value, stderr = y[:, 0], np.sqrt((slope * slope).sum(axis=1))
-    if value.ndim == 1:  # one state: plain numbers
-        value, stderr = value.tolist(), stderr.tolist()
-    if isinstance(out, tuple):
-        return tuple(value), tuple(stderr)
-    return value[0], stderr[0]
+    return _outputs(out, y[:, 0]), _outputs(out, np.sqrt((slope * slope).sum(axis=1)))
+
+
+def propagated_value(f, values, noisy: bool):
+    """The value that :func:`propagate` gives, without its 2K moved points.
+
+    ``noisy`` says whether the inputs have standard errors, which the value
+    does not need.  Where they do, ``f`` runs on the values stacked as
+    :func:`propagate` stacks them, one row in place of 2K + 1, so the value
+    has the same bits and the same type (plain numbers for one state), and
+    its overflows obey ``np.errstate`` alike.  Else it is ``f(*values)``.
+    """
+    if not noisy:
+        return f(*values)
+    out = f(*_stacked(values)[:, None])
+    return _outputs(out, _rows(out)[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +376,15 @@ def _spectrum(g: QuadCovariance):
     # not halved, so |a| + |b| overflows exactly where nu_plus does.
     plus = np.hypot(np.hypot(k01 + k23, k02 - k13), k03 + k12)  # nu_plus + nu_minus
     minus = np.hypot(np.hypot(k01 - k23, k02 + k13), k03 - k12)  # nu_plus - nu_minus
-    nu_minus = np.where(positive, (plus - minus) / 2, math.nan)
-    nu_plus = np.where(positive, (plus + minus) / 2, math.nan)
+    nu_plus = (plus + minus) / 2
+    # Where nu_minus < 2^-26 (nu_plus + nu_minus), plus - minus has lost its
+    # digits to cancellation; det L = nu_plus nu_minus keeps them, in an
+    # order whose partial products overflow only where gamma's entries do.
+    nu_minus = np.where(
+        plus - minus < plus * 2.0**-26, l00 * l11 / nu_plus * (l22 * l33), (plus - minus) / 2
+    )
+    nu_minus = np.where(positive, nu_minus, math.nan)
+    nu_plus = np.where(positive, nu_plus, math.nan)
     return as_field(nu_minus), as_field(nu_plus), as_field(positive, bool)
 
 

@@ -30,7 +30,9 @@ The population covers:
   replay takes;
 * states already in standard form at one mode or both and a symmetric
   TMST, a mode file whose quadrature form overflows, a physical state whose
-  det V overflows, and an r sweep with one point that fails on any CPU.
+  det V overflows, and an r sweep with one point that fails on any CPU;
+* finite-shot tables of scheme 1 with both detector kinds, low-shot tables
+  with null J4 cells, and a finite-shot table of both schemes.
 """
 
 from __future__ import annotations
@@ -487,4 +489,27 @@ def steps(reports: Path) -> list:
     # older keys it takes unchecked.
     s.steps.append(_spoil("exact.json", "old-unknown-key.json", _put("scheme1", "bogus", 1)))
     s.call("replay", "--report", "old-unknown-key.json")
+
+    # Tables, which print only central readings: a finite-shot scheme-1 eta
+    # sweep with photon counting, finite-shot TMST r sweeps with scheme 1
+    # (whose special form gives J4) and both detector kinds, low-shot sweeps
+    # with null J4 cells in some rows, and a table of both schemes.
+    tmst = ("--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1", "--seed", "5")
+    s.written(
+        "sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "5", *tmst,
+        "--r", "0.4", "--scheme", "scheme1", "--detector", "lossy-photocount", "--shots", "20000",
+        suffix="csv",
+    )
+    for det in (("--detector", "lossy-homodyne", "--eta", "0.8", "--shots", "5000"),
+                ("--detector", "lossy-photocount", "--eta", "0.9", "--shots", "20000")):
+        s.written("sweep", "--param", "r", "--start", "0", "--stop", "1.5", "--steps", "7",
+                  *tmst, "--scheme", "scheme1", *det, suffix="csv")
+    for scheme, fmt in (("scheme1", "csv"), ("scheme2", "json")):
+        s.written(
+            "sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "9", "--generator",
+            "tmsv", "--seed", "3", "--scheme", scheme, "--detector", "lossy-photocount", "--eta",
+            "0.9", "--shots", "1", "--format", fmt, suffix=fmt,
+        )
+    s.report("run", *tmst, "--r", "0.4", "--scheme", "both", "--detector", "lossy-photocount",
+             "--eta", "0.8", "--shots", "20000", fmt="csv")
     return s.steps

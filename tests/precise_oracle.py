@@ -33,12 +33,19 @@ DIGITS = 60
 #: (J's then nu's): TMSV 8.9e-17, 8.9e-17, 8.3e-17, 2.1e-16, 8.0e-10, 8.0e-10
 #: (nu at r = 4.4: a one-ulp change of entries near 3300 moves nu this much);
 #: random 1.4e-15, 1.6e-15, 1.6e-16, 5.8e-16, 3.5e-15, 4.2e-15; dressed
-#: 6.8e-11, 2.1e-10, 2.7e-12, 5.8e-9, 6.6e-10, 3.0e-10.
+#: 6.8e-11, 2.1e-10, 2.7e-12, 5.8e-9, 6.6e-10, 3.0e-10; thermal 5.4e-17, 0, 0,
+#: 0, 0, 1.3e-16.
 BUDGETS = {
     "tmsv": dict(j1=2e-16, j2=2e-16, j3=2e-16, j4=5e-16, nu_minus=2e-9, nu_plus=2e-9),
     "random": dict(j1=3e-15, j2=4e-15, j3=4e-16, j4=2e-15, nu_minus=8e-15, nu_plus=9e-15),
     "dressed": dict(j1=2e-10, j2=5e-10, j3=6e-12, j4=2e-8, nu_minus=2e-9, nu_plus=6e-10),
+    "thermal": dict(j1=2e-16, j2=2e-16, j3=2e-16, j4=2e-16, nu_minus=3e-16, nu_plus=3e-16),
 }
+
+#: nu_minus relative to nu_minus itself, where nu_plus / nu_minus is large
+#: enough that a budget relative to nu_plus would pass a nu_minus of 0: the
+#: thermal population, where the largest error measured was 0 (two ulps).
+NU_MINUS_OWN_BUDGET = 4.5e-16
 
 
 @dataclass(frozen=True)

@@ -938,8 +938,8 @@ def evaluations(monkeypatch):
     evaluate = cli._evaluate
     seen = []
 
-    def spy(cfg, scheme_choice):
-        ev = evaluate(cfg, scheme_choice)
+    def spy(cfg, scheme_choice, **route):
+        ev = evaluate(cfg, scheme_choice, **route)
         seen.append((cfg.get(cfg.get("param") or "r"), ev))  # run has no --param
         return ev
 
@@ -1491,3 +1491,65 @@ def test_ideal_eta_sweep_runs_only_at_unit_efficiency(grid, code, capsys):
 def test_validate_prints_the_physicality_slack(capsys):
     assert run_cli("validate", "--generator", "tmsv", "--r", "0.3") == 0
     assert json.loads(capsys.readouterr().out)["slack"] == 1e-9
+
+
+def test_validate_keeps_nu_minus_far_below_nu_plus(capsys):
+    # nu_plus / nu_minus = 1e16: (|a| - |b|) / 2 cancelled nu_minus down to
+    # 0.0 and called this physical product state unphysical (exit 2).
+    assert run_cli("validate", "--generator", "thermal", "--nu1", "1e16", "--nu2", "1.0") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["physical"] is True
+    assert payload["nu_minus"] == 1.0 and payload["nu_plus"] == 1e16
+
+
+def _count_records_and_stencils(monkeypatch):
+    """Wrap ``Mode1Observation`` and ``propagate`` wherever a gaussbench
+    module binds them, as ``perfbench/tracing.py`` wraps what it traces, and
+    count the records built and the calls that evaluate a stencil."""
+    from gaussbench import bench, states
+
+    counts = {"records": 0, "stencils": 0}
+    observation, stencil = bench.Mode1Observation, states.propagate
+
+    def record(*args, **kwargs):
+        counts["records"] += 1
+        return observation(*args, **kwargs)
+
+    def propagate(f, values, errors):
+        counts["stencils"] += errors is not None
+        return stencil(f, values, errors)
+
+    wrappers = {id(observation): record, id(stencil): propagate}
+    for module in [m for name, m in sys.modules.items() if name.startswith("gaussbench")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[id(value)])
+    return counts
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_finite_shot_table_builds_no_record_and_no_stencil(fmt, monkeypatch, capsys):
+    counts = _count_records_and_stencils(monkeypatch)
+    state = ("--generator", "tmst", "--r", "0.4", "--nu1", "1.3", "--nu2", "1.1")
+    det = ("--detector", "lossy-homodyne", "--shots", "5000")
+    base = (*state, *det, "--eta", "0.8")
+    assert run_cli("sweep", "--param", "eta", "--start", "0.6", "--stop", "1", "--steps", "3",
+                   "--scheme", "both", "--format", fmt, *state, *det) == 0
+    assert run_cli("run", "--scheme", "both", "--format", "csv", *base) == 0
+    assert counts == {"records": 0, "stencils": 0}
+    # A report builds its transcript and error bars: the counters count.
+    assert run_cli("run", "--scheme", "both", *base) == 0
+    assert counts == {"records": 6 + 4, "stencils": 2 * 2}
+    capsys.readouterr()
+
+
+def test_a_table_of_both_schemes_still_runs_scheme1(monkeypatch, capsys):
+    # The table shows scheme 2's columns, but scheme 1 runs too, so its
+    # failure decides the exit, as it does for the report.
+    def fail(*args, **kwargs):
+        raise cli.GaussBenchError("scheme 1 failed")
+
+    monkeypatch.setattr(cli, "scheme1_values", fail)
+    assert run_cli("run", "--generator", "tmsv", "--scheme", "both", "--format", "csv") == 2
+    assert capsys.readouterr().err == "gaussbench: error: scheme 1 failed\n"
+    assert run_cli("run", "--generator", "tmsv", "--scheme", "scheme2", "--format", "csv") == 0

@@ -14,13 +14,14 @@ import pytest
 from gaussbench import (
     invariants_quad,
     random_state,
+    thermal_state,
     tmsv_state,
     two_mode_squeezed_thermal,
     vacuum_state,
     validate_physical,
 )
 from gaussbench.generators import conjugate_local, rotation_symplectic, squeeze_symplectic
-from precise_oracle import BUDGETS, precise_oracle, spectrum_errors
+from precise_oracle import BUDGETS, NU_MINUS_OWN_BUDGET, precise_oracle, spectrum_errors
 
 CLASSES = [("pure", "symmetric"), ("pure", "general"), ("mixed", "symmetric"),
            ("mixed", "general")]
@@ -40,6 +41,8 @@ POPULATIONS = {
         random_state(i, purity=CLASSES[i % 4][0], symmetry=CLASSES[i % 4][1]) for i in range(200)
     ],
     "dressed": lambda: [dressed_state(i) for i in range(100)],
+    # Product states whose nu_plus / nu_minus runs past 1 / eps.
+    "thermal": lambda: [thermal_state(nu1, 1.0) for nu1 in (1e8, 1e12, 1e15, 1e16, 1e20)],
 }
 
 
@@ -62,6 +65,16 @@ def test_oracle_is_within_its_budget_of_the_precise_reference(population):
             worst[key] = max(worst[key], err)
     over = {key: float(err) for key, err in worst.items() if err > BUDGETS[population][key]}
     assert not over, f"over budget: {over}"
+
+
+def test_nu_minus_is_within_its_own_budget_when_nu_plus_is_far_larger():
+    # (|a| - |b|) / 2 cancels two norms of size nu_plus: at nu_plus = 1e16 it
+    # left nu_minus = 0 of an exact 1, which is within a budget relative to
+    # nu_plus, so nu_minus is held relative to itself.
+    for g in POPULATIONS["thermal"]():
+        ref = precise_oracle(g.entries.tolist())
+        want, got = Fraction(ref.nu_minus), Fraction(float(validate_physical(g).nu_minus))
+        assert abs(got - want) / want <= NU_MINUS_OWN_BUDGET
 
 
 def test_reference_determinant_is_the_invariants_identity():

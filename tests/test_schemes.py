@@ -26,12 +26,15 @@ from gaussbench import (
     scheme1,
     scheme2,
     special_form_state,
+    two_mode_squeezed_thermal,
     standard_form_prep,
     thermal_state,
     tmsv_state,
     vacuum_state,
 )
 from gaussbench.cli import _observation_dict, _observations
+from gaussbench.entanglement import EntanglementReport
+from gaussbench.schemes import scheme1_values, scheme2_values
 from matrix_oracle import invariants_mode
 
 IDEAL = DetectorModel()
@@ -581,3 +584,95 @@ def test_scheme1_overflow_obeys_errstate(points):
     for run in (lambda: scheme1(v), lambda: scheme2(v), lambda: entanglement_report(inv)):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             run()
+
+
+#: States for the table route: one state, an r batch and one state over an
+#: eta grid, each with the efficiency it is read at.
+TABLE_STATES = {
+    "one-state": lambda: (quad_to_mode(two_mode_squeezed_thermal(0.6, 1.2, 1.05)), 0.8),
+    "r-batch": lambda: (quad_to_mode(tmsv_state(np.linspace(0.0, 1.5, 13))), 0.8),
+    "eta-grid": lambda: (quad_to_mode(random_state(3)), np.linspace(0.6, 1.0, 5)),
+}
+#: Detector kind and shots; the last two read so few shots that some rows
+#: come out with a null J4.
+TABLE_DETECTORS = [
+    ("ideal", None), ("lossy-homodyne", None), ("lossy-photocount", None),
+    ("lossy-homodyne", 5000), ("lossy-photocount", 20000),
+    ("lossy-homodyne", 5), ("lossy-photocount", 1),
+]
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, kind, shots",
+    # The ideal detector reads at eta = 1 only, so it has no eta grid.
+    [(p, k, n) for p in TABLE_STATES for k, n in TABLE_DETECTORS
+     if (p, k) != ("eta-grid", "ideal")],
+    ids=lambda x: str(x),
+)
+@pytest.mark.parametrize(
+    "report, table", [(scheme1, scheme1_values), (scheme2, scheme2_values)],
+    ids=["scheme1", "scheme2"],
+)
+def test_table_route_gives_the_report_route_bit_for_bit(report, table, points, kind, shots):
+    # A table takes the central readings of the same draw through the same
+    # formulas, so its invariants and measures are the report's: the same
+    # bits and NaN masks, -0.0 included, and the same types for one state.
+    v, eta = TABLE_STATES[points]()
+    eta = 1.0 if kind == "ideal" else eta
+    det = DetectorModel(kind, eta, shots)
+    seed = None if shots is None else np.random.SeedSequence(11, spawn_key=(2,))
+    want, got = report(v, det, seed), table(v, det, seed)
+    for name in ("j1", "j2", "j3", "j4"):
+        a, b = getattr(want.invariants, name), getattr(got.invariants, name)
+        assert type(a) is type(b) and _bits(a) == _bits(b), name
+    for name in EntanglementReport.__dataclass_fields__:
+        a, b = getattr(want.entanglement, name), getattr(got.entanglement, name)
+        assert type(a) is type(b), name
+        if name == "separable":
+            assert np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object)), name
+        else:
+            assert _bits(a) == _bits(b), name
+
+
+def test_table_route_rows_cover_null_and_defined_j4():
+    # The low-shot cases above are there for their null J4 cells: in one
+    # batch some rows have a J4 and some do not, for both schemes.
+    v = quad_to_mode(tmsv_state(np.linspace(0.0, 1.5, 13)))
+    for table, det in ((scheme1_values, DetectorModel("lossy-homodyne", 0.8, 5)),
+                       (scheme2_values, DetectorModel("lossy-photocount", 0.8, 1))):
+        j4 = table(v, det, np.random.SeedSequence(11, spawn_key=(2,))).invariants.j4
+        assert np.isnan(j4).any() and not np.isnan(j4).all()
+
+
+def test_table_route_runs_the_checks_of_the_report_route():
+    # Scheme 1's overflow of J1 J2 for a physical 1e100-vacuum raises on both
+    # routes, one state and batch alike.
+    for points in ((), (2,)):
+        v = quad_to_mode(QuadCovariance(np.broadcast_to(1e100 * np.eye(4), (*points, 4, 4))))
+        for run in (scheme1_values, scheme2_values):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                run(v)
+
+
+def _numbers(result):
+    """J1..J4, E_N and nu~_- of a scheme's result."""
+    measures = result.entanglement.log_negativity, result.entanglement.nu_tilde_minus
+    return [*vars(result.invariants).values(), *measures]
+
+
+@pytest.mark.parametrize("kind, shots", [("lossy-homodyne", 5000), ("lossy-photocount", 20000)])
+def test_one_noisy_state_reads_alike_on_both_routes_over_many_seeds(kind, shots):
+    # One state's noisy readings go through the formulas as a stacked array on
+    # both routes.  As numpy scalars they would not: a scalar ``x**2`` is C's
+    # pow, which misrounds x*x for about one x in 1000.
+    v = quad_to_mode(random_state(4))
+    det = DetectorModel(kind, 0.8, shots)
+    for report, table in ((scheme1, scheme1_values), (scheme2, scheme2_values)):
+        for seed in range(400):
+            want, got = (_numbers(run(v, det, seed)) for run in (report, table))
+            assert _bits(want) == _bits(got)
