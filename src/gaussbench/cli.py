@@ -13,6 +13,13 @@ scheme pinned.  Options may also come from a JSON config file (--config);
 explicit flags win.  Exit codes: 0 success, 1 configuration error,
 2 physics failure or replay mismatch (never a noisy reading: that gives null).
 
+``build_parser`` declares every option.  A line of ``--flag value`` pairs
+after a command name is read from that command's option table, built once
+from the parser's actions: one lookup per flag, then its type and choices.
+Any other line (help, an abbreviation, ``--flag=value``, a value that starts
+with ``-``, a bad value, an unknown flag, a missing value, a bare command)
+goes through argparse, so usage and error text are argparse's.
+
 Reports are deterministic: no timestamps, keys sorted, all randomness
 derived from the single --seed value, so identical invocations produce
 byte-identical output.  A scheme section holds its transcript, the
@@ -200,36 +207,65 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)  # main passes its one parser: built once per process
+def _commands(parser) -> dict[str, tuple[dict, dict]]:
+    """Each command's option table, read from ``parser``'s actions:
+    ``(defaults, flags)``, the values of the command given alone (each
+    option's default, and ``command``), and each option string of a
+    one-value store action, mapped to that action."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    tables = {}
+    for name, command in subparsers.choices.items():
+        actions = [a for a in command._actions if a.dest is not argparse.SUPPRESS]
+        defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+        flags = {
+            flag: a
+            for a in actions
+            if isinstance(a, argparse._StoreAction) and a.nargs is None
+            for flag in a.option_strings
+        }
+        tables[name] = ({**defaults, **command._defaults}, flags)
+    return tables
+
+
+def _flag_value(action, text: str):
+    """``text`` through ``action``'s type and choices check, as argparse applies them."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _config_value(action, key, value):
     """A config-file value through the same type and choices checks as its flag."""
     text = value if isinstance(value, str) else json.dumps(value)
     try:
-        value = text if action.type is None else action.type(text)
+        return _flag_value(action, text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-    return value
 
 
-def _subparsers(parser) -> dict:
-    """Each command's parser, by command name."""
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subparsers.choices
-
-
-def _parse_args(parser, argv):
-    """``parser.parse_args(argv)``, in one pass where ``argv`` starts with a command:
-    the rest goes straight to that command's parser.  Where it leaves an
-    argument unrecognised, ``parser`` parses the whole line again, so that the
-    error text is the top-level one.  No arguments, ``-h`` and an unknown
-    command are the top-level parser's.
+def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, read from the command's option table
+    where ``argv`` is a command and then ``--flag value`` pairs: each flag an
+    exact option string of that command, no value starting with ``-``, and
+    each value passing its flag's type and choices.  A repeated flag keeps
+    its last value, as in argparse.  Any other line goes through ``parser``.
     """
-    command = _subparsers(parser).get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            return args
+    table = _commands(parser).get(argv[0]) if len(argv) > 1 and len(argv) % 2 else None
+    if table is not None:
+        defaults, flags = table
+        values = {}
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            action = flags.get(flag)
+            if action is None or text.startswith("-"):
+                break
+            try:
+                values[action.dest] = _flag_value(action, text)
+            except ValueError:
+                break
+        else:
+            return argparse.Namespace(**{**defaults, **values})
     return parser.parse_args(argv)
 
 
@@ -239,7 +275,8 @@ def _merge_config(parser, args) -> dict:
     path = ns.get("config")
     if path:
         loaded = read_json_object(path, "config file")
-        actions = {a.dest: a for a in _subparsers(parser)[args.command]._actions}
+        _, flags = _commands(parser)[args.command]
+        actions = {a.dest: a for a in flags.values()}
         for key, value in loaded.items():
             if key in ("command", "config") or key not in ns:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -515,8 +552,11 @@ def _csv_lines(param, oracle_inv, scheme_inv, measures) -> list[str]:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -703,7 +743,7 @@ def _cmd_replay(cfg) -> int:
 
 
 #: The parser ``main`` uses, built on the first call and then shared by every
-#: call in the process.  Nothing may write into it: ``_merge_config`` reads it.
+#: call in the process.  Nothing may write into it: ``_commands`` reads its actions.
 _parser = functools.cache(build_parser)
 
 

@@ -32,7 +32,9 @@ The population covers:
   TMST, a mode file whose quadrature form overflows, a physical state whose
   det V overflows, and an r sweep with one point that fails on any CPU;
 * finite-shot tables of scheme 1 with both detector kinds, low-shot tables
-  with null J4 cells, and a finite-shot table of both schemes.
+  with null J4 cells, and a finite-shot table of both schemes;
+* each kind of command line that argparse parses in place of the option
+  table, and ``--out`` paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -512,4 +514,30 @@ def steps(reports: Path) -> list:
         )
     s.report("run", *tmst, "--r", "0.4", "--scheme", "both", "--detector", "lossy-photocount",
              "--eta", "0.8", "--shots", "20000", fmt="csv")
+
+    # Command lines that the option table leaves to argparse: help after
+    # flags, an abbreviation, --flag=value, a negative value in both of its
+    # spellings, a bad type, a bad choice, another command's flag, a trailing
+    # flag with no value and an empty value; then a reordered line with a
+    # repeated flag, which the table takes.  Last, --out paths that cannot be
+    # written: in a missing directory, and a directory.
+    for argv in (
+        ("run", "--generator", "tmsv", "-h"),
+        ("run", "--gen", "tmsv", "--r", "0.3"),
+        ("run", "--generator=tmsv", "--r", "0.3"),
+        ("sweep", "--param", "r", "--start", "-0.5", "--stop", "0.5", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "-1e-3", "--stop", "0.5", "--steps", "3"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "2.5"),
+        ("run", "--generator", "tmsv", "--detector", "warp"),
+        ("run", "--generator", "tmsv", "--report", "report.json"),
+        ("run", "--generator", "tmsv", "--r"),
+        ("run", "--generator", "tmsv", "--r", ""),
+        ("run", "--r", "0.3", "--format", "csv", "--generator", "tmsv", "--r", "0.6"),
+        ("run", "--generator", "tmsv", "--out", "nodir/report.json"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3",
+         "--out", "nodir/table.csv"),
+        ("validate", "--generator", "tmsv", "--out", "nodir/payload.json"),
+        ("run", "--generator", "tmsv", "--out", "."),
+    ):
+        s.call(*argv)
     return s.steps

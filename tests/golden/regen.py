@@ -58,7 +58,7 @@ def _call(main, argv: list[str]) -> str:
         code = "raised"
         err.write(f"{type(exc).__name__}: {exc}")
     path = argv[argv.index("--out") + 1] if "--out" in argv else None
-    written = Path(path).read_bytes() if path is not None and os.path.exists(path) else None
+    written = Path(path).read_bytes() if path is not None and os.path.isfile(path) else None
     return f"{_digest(code, out.getvalue(), err.getvalue(), written)} {code} {' '.join(argv)}"
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: reports, determinism, exit codes, formats."""
 
+import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -907,7 +909,7 @@ PARSER_ROUTES = [
     "argv, code", PARSER_ROUTES, ids=[" ".join(argv) or "no-arguments" for argv, _ in PARSER_ROUTES]
 )
 def test_main_parses_as_the_top_level_parser_does(argv, code, monkeypatch, capsys):
-    # main hands the arguments after a command name to that command's parser;
+    # main reads a line of --flag value pairs from the command's option table;
     # exit code, stdout and stderr must be those of the one top-level pass.
     def outcome():
         try:
@@ -924,6 +926,121 @@ def test_main_parses_as_the_top_level_parser_does(argv, code, monkeypatch, capsy
     if argv[:2] == ["sweep", "--bogus"]:
         assert direct[2].startswith("usage: gaussbench [-h]")
         assert direct[2].endswith("gaussbench: error: unrecognized arguments: --bogus 1\n")
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What ``parse(argv)`` returns, or the code it exits with, and what it printed."""
+    try:
+        got = parse(argv)
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+def _mutations(argv, rng) -> list[list[str]]:
+    """Edits of a line of ``--flag value`` pairs: each kind of line that the
+    option table takes (reordered, a flag repeated) or leaves to argparse."""
+    command, pairs = argv[:1], [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    k = rng.randrange(len(pairs))
+    flag, value = pairs[k]
+
+    def edited(pair):
+        return command + sum(pairs[:k] + [pair] + pairs[k + 1:], [])
+
+    edits = [
+        command + sum(rng.sample(pairs, len(pairs)), []),
+        argv + [flag, rng.choice(pairs)[1]],
+        edited([f"{flag}={value}"]),
+        edited([flag, ""]),
+        argv + [flag],
+        argv + ["-h"],
+        argv + ["--start", "-1e-3"],
+        argv + ["--start", "-0.5"],
+        argv + ["--steps", "2.5"],
+        argv + ["--detector", "warp"],
+    ]
+    if len(flag) > 3:
+        edits.append(edited([flag[:rng.randrange(3, len(flag))], value]))
+    return edits
+
+
+def _equivalence_argvs(source):
+    from golden.population import Prepare, steps
+
+    if source == "routes":
+        return [argv for argv, _ in PARSER_ROUTES]
+    population = [step for step in steps(REPORTS) if not isinstance(step, Prepare)]
+    if source == "population":
+        return population
+    rng = random.Random(20261021)
+    well_formed = [
+        argv for argv in population
+        if len(argv) > 1 and len(argv) % 2 and all(x.startswith("--") for x in argv[1::2])
+    ]
+    return [edit for argv in rng.sample(well_formed, 60) for edit in _mutations(argv, rng)]
+
+
+@pytest.mark.parametrize("source", ["population", "routes", "mutations"])
+def test_the_option_table_parses_as_argparse_does(source, capsys):
+    # Every golden command line, the routes above and seeded edits of golden
+    # lines: the same Namespace, or the same exit code, stdout and stderr.
+    parser = cli._parser()
+    argvs = _equivalence_argvs(source)
+    assert len(argvs) >= len(PARSER_ROUTES)
+    differ = [
+        argv for argv in argvs
+        if _parse_outcome(lambda a: cli._parse_args(parser, a), list(argv), capsys)
+        != _parse_outcome(parser.parse_args, list(argv), capsys)
+    ]
+    assert differ == []
+
+
+def test_the_benchmark_command_lines_never_reach_argparse(monkeypatch, tmp_path):
+    # The argv shapes of sweep_r, sweep_eta_shots and reports_mixed's run and
+    # replay are read from the option table alone.
+    save_state(random_state(11), tmp_path / "state.json")
+    report = str(tmp_path / "report.json")
+    argvs = [
+        ["sweep", "--param", "r", "--generator", "tmsv", "--scheme", "both", "--start", "0.1",
+         "--stop", "1.95", "--steps", "180", "--out", str(tmp_path / "r.csv")],
+        ["sweep", "--param", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "3",
+         "--detector", "lossy-homodyne", "--shots", "100000", "--scheme", "both",
+         "--generator", "tmst", "--r", "0.3", "--nu1", "1.4", "--nu2", "1.9", "--seed", "11",
+         "--out", str(tmp_path / "eta.csv")],
+        ["run", "--state", str(tmp_path / "state.json"), "--scheme", "both", "--seed", "7",
+         "--out", report, "--detector", "lossy-homodyne", "--eta", "0.8"],
+        ["replay", "--report", report],
+    ]
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for argv in argvs:
+        assert main(argv) == 0
+    assert calls == []
+    assert main(["sweep", "--param=r", *argvs[0][3:]]) == 0  # argparse's line
+    assert calls
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--generator", "tmsv"),
+        ("sweep", "--param", "r", "--start", "0", "--stop", "1", "--steps", "3"),
+        ("validate", "--generator", "tmsv"),
+    ],
+    ids=["run", "sweep", "validate"],
+)
+def test_an_out_path_that_cannot_be_written_is_config_error(argv, where, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"gaussbench: config error: cannot write {out}: ")
 
 
 def test_build_parser_returns_a_fresh_parser():
