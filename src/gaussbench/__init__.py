@@ -43,8 +43,6 @@ from .schemes import (
     PlanEntry,
     SchemeResult,
     reconstruct_from_transcript,
-    reconstruct_scheme1,
-    reconstruct_scheme2,
     scheme1,
     scheme2,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "quad_to_mode",
     "random_state",
     "reconstruct_from_transcript",
-    "reconstruct_scheme1",
-    "reconstruct_scheme2",
     "save_state",
     "scheme1",
     "scheme2",

@@ -25,6 +25,10 @@ order; any other raises :class:`ReconstructionError`.  Each protocol writes
 its invariants once, as one elementwise function of the readings; the
 standard errors are that function's first-order propagation
 (:func:`~gaussbench.states.propagate`), with the readings taken as independent.
+The formulas square by multiplication, ``x * x``, never by a power, which on
+a numpy scalar is C's ``pow`` and misrounds some squares; so they round alike
+on one state's scalars and on a batch's rows: one state gives the bits of
+the same readings read as a batch of one.
 
 A noisy reading is reconstructed as it came out, negatives included, and a
 number it cannot support is NaN, J4 included: a NaN J4 marks a result that
@@ -36,9 +40,8 @@ of states, and its observations hold arrays.
 A table prints the invariants and measures only, so it takes a shorter
 route to the same numbers: :func:`scheme1_values` and :func:`scheme2_values`
 take the bench's central readings (:func:`~gaussbench.bench.read_mode1`)
-through the same module-level formulas once, with no transcript and no
-standard errors, and give what :func:`scheme1` and :func:`scheme2` give, bit
-for bit.
+through the same reconstruction once, with no transcript and no standard
+errors, and give what :func:`scheme1` and :func:`scheme2` give, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .states import (
     as_field,
     cross_block_form,
     propagate,
-    propagated_value,
     standard_form_prep,
 )
 
@@ -73,8 +75,6 @@ __all__ = [
     "scheme2",
     "scheme1_values",
     "scheme2_values",
-    "reconstruct_scheme1",
-    "reconstruct_scheme2",
     "reconstruct_from_transcript",
 ]
 
@@ -102,6 +102,14 @@ SCHEME1_PLAN = (
 
 #: Protocol 2: both observables at the four standard-form settings.
 SCHEME2_PLAN = SCHEME1_PLAN[:4]
+
+#: Each protocol's plan, and the readings its invariants take, in argument order.
+_PROTOCOLS = {
+    "scheme1": (
+        SCHEME1_PLAN, ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
+    ),
+    "scheme2": (SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45")),
+}
 
 
 @dataclass(frozen=True)
@@ -160,32 +168,13 @@ def _readings(observations, plan, names):
     return values, [0.0 if e is None else e for e in errors]
 
 
-def _known(special_form):
-    """Where a special form is recorded; ``None`` marks an unknown cross block."""
-    return np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
-
-
 def _scheme1_j3(j1, j2, j45, j45_pi, j45_p, j45_m, n00, n90, n45, n45_p):
     det_comb = j45 + j45_pi + j45_p + j45_m - j1 - j2
     num_comb = (
-        n00**2 + n90**2 + 2.0 * n45**2 + 2.0 * n45_p**2 - 2.0 * (n00 + n90) * (n45 + n45_p)
+        n00 * n00 + n90 * n90 + 2.0 * (n45 * n45) + 2.0 * (n45_p * n45_p)
+        - 2.0 * (n00 + n90) * (n45 + n45_p)
     )
     return (det_comb + num_comb) / 4.0
-
-
-#: The readings each protocol's invariants take, in argument order.
-_SCHEME1_READINGS = ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
-_SCHEME2_READINGS = ("N00", "N90", "N45", "N45p", "J45")
-
-
-def _scheme1_formula(values, special_form):
-    """Protocol 1's invariants as one elementwise function of its readings.
-
-    Where J4 is defined is fixed at the measured ``values``, so that no copy
-    moved by ``propagate`` takes a root where the measured point has none.
-    """
-    j1, j2 = values[:2]
-    return functools.partial(_scheme1_invariants, _known(special_form) & (j1 > 0.0) & (j2 > 0.0))
 
 
 def _scheme1_invariants(defined, j1, j2, *readings):
@@ -199,66 +188,50 @@ def _scheme1_invariants(defined, j1, j2, *readings):
     return j1, j2, j3, np.multiply(2.0, j3) * np.sqrt(j1j2)
 
 
-def _scheme1_set(j1, j2, j3, signed_j4) -> InvariantSet:
-    """J4 = 2 |J3| sqrt(J1 J2), with the sign of the measured J3 for every moved
-    copy: the signed formula has no kink at J3 = 0 for the stencil to
-    straddle, and one sign for all copies leaves the error as it is.  A
-    product by -1, unlike a negation, leaves a NaN J4 as it is."""
-    return InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
-
-
-def _scheme2_formula(values):
-    """Protocol 2's invariants and cross-block pieces as one elementwise
-    function of its readings, J4 defined where the measured n1, n2 > 0, so
-    that the copies ``propagate`` moves keep it."""
-    n1t, n2t = values[:2]
-    return functools.partial(_scheme2_invariants, (n1t > 0.0) & (n2t > 0.0))
-
-
 def _scheme2_invariants(defined, n1t, n2t, n45, n45_p, j45):
     """J1..J4, Re m~s, Im m~s and the signed |m~c|^2, J4 NaN off ``defined``."""
-    mc_sq = n45**2 - j45
+    mc_sq = n45 * n45 - j45
     ms_re = (n1t + n2t) / 2.0 - n45
     ms_im = (n1t + n2t) / 2.0 - n45_p
-    ms_sq = ms_re**2 + ms_im**2
+    ms_sq = ms_re * ms_re + ms_im * ms_im
     j4 = np.where(defined, 2.0 * n1t * n2t * (ms_sq + mc_sq), np.nan)
-    return n1t**2, n2t**2, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
+    return n1t * n1t, n2t * n2t, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
 
 
-def reconstruct_scheme1(
-    observations, special_form: str | None = None
-) -> tuple[InvariantSet, dict | None]:
-    """Protocol-1 reconstruction from a transcript.
+def _reconstruct(scheme, values, errors, special_form):
+    """The invariants, their standard errors (``None`` for exact readings)
+    and scheme 2's cross-block pieces, from a protocol's readings in
+    ``_PROTOCOLS`` order.
 
-    J1 and J2 are the determinant readings at (0, 0) and (pi/2, 0); J3
-    combines the four theta = pi/4 determinant readings with the
-    photon-number readings, all three as measured.  J4 = 2 |J3| sqrt(J1 J2)
-    where ``special_form`` says the cross block is diagonal or antidiagonal,
-    and NaN where it is ``None`` or J1 <= 0 or J2 <= 0.  Always four invariants,
-    and four standard errors (the J4 error NaN with J4) unless every reading
-    is exact.
+    Scheme 1's J1 and J2 are the determinant readings at (0, 0) and
+    (pi/2, 0), and J3 combines the four theta = pi/4 determinant readings
+    with the photon-number readings; J4 = 2 |J3| sqrt(J1 J2) where
+    ``special_form`` (``None`` for an unknown cross block) says the cross
+    block is diagonal or antidiagonal.  Scheme 2 reads a standard-form
+    state: J3 and J4 use the signed, unbiased |m~c|^2 = N45^2 - J45, whose
+    root ``mc_magnitude`` is NaN where it is negative.  J4 is NaN unless the
+    first two readings (J1 and J2, or n1 and n2) are positive as measured,
+    so that no copy moved by ``propagate`` takes a root where the measured
+    point has none.
     """
-    values, errors = _readings(observations, SCHEME1_PLAN, _SCHEME1_READINGS)
-    outputs, stderr = propagate(_scheme1_formula(values, special_form), values, errors)
-    return _scheme1_set(*outputs), None if stderr is None else dict(zip(J_KEYS, stderr))
-
-
-def reconstruct_scheme2(observations) -> tuple[InvariantSet, dict | None, dict]:
-    """Protocol-2 reconstruction from a standard-form transcript.
-
-    Returns the invariant set, the propagated standard errors (None for
-    exact readings) and the auxiliary cross-block pieces
-    {ms_real, ms_imag, mc_magnitude}.  J3 and J4 use the signed, unbiased
-    |m~c|^2 = N45^2 - J45, whose root ``mc_magnitude`` is NaN where it is
-    negative; J4 is NaN where n1 <= 0 or n2 <= 0.
-    """
-    values, errors = _readings(observations, SCHEME2_PLAN, _SCHEME2_READINGS)
-    formula = _scheme2_formula(values)
-    (*invariant_values, ms_re, ms_im, mc_sq), stderr = propagate(formula, values, errors)
-    mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
-    aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
-    stderr = None if stderr is None else dict(zip(J_KEYS, stderr))
-    return InvariantSet(*invariant_values), stderr, aux
+    defined = (values[0] > 0.0) & (values[1] > 0.0)
+    if scheme == "scheme1":
+        known = np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
+        formula = functools.partial(_scheme1_invariants, known & defined)
+        (j1, j2, j3, signed_j4), stderr = propagate(formula, values, errors)
+        # J4 = 2 |J3| sqrt(J1 J2), with the sign of the measured J3 for every
+        # moved copy: the signed formula has no kink at J3 = 0 for the stencil
+        # to straddle, and one sign for all copies leaves the error as it is.
+        # A product by -1, unlike a negation, leaves a NaN J4 as it is.
+        inv = InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
+        aux = {}
+    else:
+        formula = functools.partial(_scheme2_invariants, defined)
+        (*invariants, ms_re, ms_im, mc_sq), stderr = propagate(formula, values, errors)
+        inv = InvariantSet(*invariants)
+        mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
+        aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
+    return inv, None if stderr is None else dict(zip(J_KEYS, stderr)), aux
 
 
 def reconstruct_from_transcript(observations, scheme: str, special_form=None) -> SchemeResult:
@@ -268,13 +241,10 @@ def reconstruct_from_transcript(observations, scheme: str, special_form=None) ->
     ``special_form`` is scheme 1's recorded cross-block form; scheme 2 has
     none.  Scheme 2's result also carries the cross-block pieces.
     """
-    if scheme == "scheme1":
-        inv, stderr = reconstruct_scheme1(observations, special_form)
-        aux = {}
-    elif scheme == "scheme2":
-        inv, stderr, aux = reconstruct_scheme2(observations)
-    else:
+    if scheme not in _PROTOCOLS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    values, errors = _readings(observations, *_PROTOCOLS[scheme])
+    inv, stderr, aux = _reconstruct(scheme, values, errors, special_form)
     return SchemeResult(
         scheme=scheme,
         invariants=inv,
@@ -329,6 +299,15 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     return reconstruct_from_transcript(observations, "scheme2")
 
 
+def _table_values(scheme, v, det, seed, special_form) -> SchemeValues:
+    """A protocol's invariants and measures from the central readings of its
+    plan on ``v``, with no transcript and no standard errors."""
+    plan, names = _PROTOCOLS[scheme]
+    readings = read_mode1(v, [entry.setting for entry in plan], det, seed)
+    inv = _reconstruct(scheme, _central_readings(plan, names, *readings), None, special_form)[0]
+    return SchemeValues(inv, entanglement_report(inv))
+
+
 def scheme1_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
     """The invariants and measures of :func:`scheme1` with the same ``seed``,
     bit for bit, and what fails there fails here, but with no transcript
@@ -336,11 +315,7 @@ def scheme1_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed
     (:func:`~gaussbench.bench.read_mode1`) go through the same formulas once,
     where a transcript's copies moved for the error bars go through them
     2K + 1 times.  A copy that would overflow alone is not evaluated."""
-    plan = [entry.setting for entry in SCHEME1_PLAN]
-    values = _central_readings(SCHEME1_PLAN, _SCHEME1_READINGS, *read_mode1(v, plan, det, seed))
-    formula = _scheme1_formula(values, cross_block_form(v))
-    inv = _scheme1_set(*propagated_value(formula, values, det.shots is not None))
-    return SchemeValues(inv, entanglement_report(inv))
+    return _table_values("scheme1", v, det, seed, cross_block_form(v))
 
 
 def scheme2_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
@@ -348,9 +323,4 @@ def scheme2_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed
     bit for bit, from the bench's central readings alone, as
     :func:`scheme1_values` gives scheme 1's: no transcript, no standard
     errors and no cross-block pieces."""
-    plan = [entry.setting for entry in SCHEME2_PLAN]
-    vt = standard_form_prep(v).vt
-    values = _central_readings(SCHEME2_PLAN, _SCHEME2_READINGS, *read_mode1(vt, plan, det, seed))
-    outputs = propagated_value(_scheme2_formula(values), values, det.shots is not None)
-    inv = InvariantSet(*outputs[:4])
-    return SchemeValues(inv, entanglement_report(inv))
+    return _table_values("scheme2", standard_form_prep(v).vt, det, seed, None)

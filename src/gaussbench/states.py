@@ -78,7 +78,6 @@ __all__ = [
     "any_point",
     "PROPAGATION_STEP",
     "propagate",
-    "propagated_value",
     "QuadCovariance",
     "ModeCovariance",
     "J_KEYS",
@@ -150,28 +149,17 @@ def _stacked(values):
         return np.array(np.broadcast_arrays(*values), dtype=float)
 
 
-def _rows(out):
-    """The outputs of ``f`` on a leading axis, one row each."""
-    return np.array(out) if isinstance(out, tuple) else np.asarray(out)[None]
-
-
-def _outputs(out, rows):
-    """``rows``, one per output of ``f``, as ``f`` gave its outputs: a tuple
-    for a tuple, and plain numbers for one state."""
-    if rows.ndim == 1:
-        rows = rows.tolist()
-    return tuple(rows) if isinstance(out, tuple) else rows[0]
-
-
 def propagate(f, values, errors):
     """``(f(*values), stderr)`` for independent inputs with standard errors ``errors``.
 
     stderr = sqrt(sum_k (df/dx_k e_k)^2), each derivative a central difference
     over x_k +- PROPAGATION_STEP e_k.  The value and the 2K moved points go
     through one call of ``f`` on a stacked leading axis, so ``f`` must be
-    elementwise and must not raise; a tuple of outputs gives a tuple of
-    values and one of errors.  With ``errors`` None nothing is stacked:
-    ``(f(*values), None)``, so one state's exact values stay plain numbers.
+    elementwise, must not raise, and must round alike on plain numbers and
+    on rows (square by ``x * x``: a numpy scalar's ``x**2`` is C's ``pow``);
+    a tuple of outputs gives a tuple of values and one of errors.  With
+    ``errors`` None nothing is stacked: ``(f(*values), None)``, so one
+    state's exact values stay plain numbers.
     """
     if errors is None:
         return f(*values), None
@@ -187,24 +175,13 @@ def propagate(f, values, errors):
     moved[inputs, up] += step
     moved[inputs, down] -= step
     out = f(*moved)
-    y = _rows(out)
+    several = isinstance(out, tuple)
+    y = np.array(out) if several else np.asarray(out)[None]
     slope = (y[:, 1 : k + 1] - y[:, k + 1 :]) / (2.0 * PROPAGATION_STEP)
-    return _outputs(out, y[:, 0]), _outputs(out, np.sqrt((slope * slope).sum(axis=1)))
-
-
-def propagated_value(f, values, noisy: bool):
-    """The value that :func:`propagate` gives, without its 2K moved points.
-
-    ``noisy`` says whether the inputs have standard errors, which the value
-    does not need.  Where they do, ``f`` runs on the values stacked as
-    :func:`propagate` stacks them, one row in place of 2K + 1, so the value
-    has the same bits and the same type (plain numbers for one state), and
-    its overflows obey ``np.errstate`` alike.  Else it is ``f(*values)``.
-    """
-    if not noisy:
-        return f(*values)
-    out = f(*_stacked(values)[:, None])
-    return _outputs(out, _rows(out)[:, 0])
+    value, stderr = y[:, 0], np.sqrt((slope * slope).sum(axis=1))
+    if value.ndim == 1:  # one state: plain numbers
+        value, stderr = value.tolist(), stderr.tolist()
+    return (tuple(value), tuple(stderr)) if several else (value[0], stderr[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,11 @@ The population covers:
 * finite-shot tables of scheme 1 with both detector kinds, low-shot tables
   with null J4 cells, and a finite-shot table of both schemes;
 * each kind of command line that argparse parses in place of the option
-  table, and ``--out`` paths that cannot be written.
+  table, and ``--out`` paths that cannot be written;
+* the input checks that no call above reaches: an efficiency out of
+  (0, 1], no shots, shots on the ideal detector, a NaN squeezing, replayed
+  settings out of range, and mode files with an infinite n1, an n1 below
+  the vacuum floor and a mode below det V >= 1/4.
 """
 
 from __future__ import annotations
@@ -140,6 +144,18 @@ LATE_STATE_FILES = {
     "state-det-v-overflow.json": {
         "format": "quad", "entries": [1e200, 0, 0, 0, 0, 2e200, 0, 0, 0, 0, 1e200, 0, 0, 0, 0, 2e200]
     },
+}
+
+
+#: Mode files that fail the state's own checks, written last and as text,
+#: since a JSON writer has no 1e400: a number that reads as inf (exit 1), an
+#: n1 below the vacuum floor, and a mode 1 below det V1 >= 1/4 (exit 2 each).
+RANGE_STATE_FILES = {
+    "state-mode-n1-1e400.json": '{"format": "mode", "entries": {"n1": 1e400, "n2": 0.5}}',
+    "state-mode-n1-0.4.json": '{"format": "mode", "entries": {"n1": 0.4, "n2": 0.5}}',
+    "state-mode-det-v1.json": (
+        '{"format": "mode", "entries": {"n1": 0.6, "n2": 0.5, "m1": [0.5, 0]}}'
+    ),
 }
 
 
@@ -540,4 +556,29 @@ def steps(reports: Path) -> list:
         ("run", "--generator", "tmsv", "--out", "."),
     ):
         s.call(*argv)
+
+    # Input checks that no call above reaches: an efficiency out of (0, 1],
+    # no shots, shots on the ideal detector, a NaN squeezing, replays of a
+    # setting out of range (scheme 2's theta, scheme 1's phi), and mode files
+    # out of range.
+    for argv in (
+        ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--eta", "0"),
+        ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--eta", "1.5"),
+        ("run", "--generator", "tmsv", "--detector", "lossy-homodyne", "--shots", "0"),
+        ("run", "--generator", "tmsv", "--shots", "5"),
+        ("run", "--generator", "tmsv", "--r", "nan"),
+    ):
+        s.call(*argv)
+    for section, key, value in (("scheme2", "theta", 2.0), ("scheme1", "phi", 4.0)):
+        target = f"{section}-{key}-{value}.json"
+        s.steps.append(_spoil(tmsv, target, _put(section, "observations", 0, key, value)))
+        s.call("replay", "--report", target)
+
+    def write_range_files() -> None:
+        for name, text in RANGE_STATE_FILES.items():
+            Path(name).write_text(text, encoding="utf-8")
+
+    s.steps.append(Prepare("mode files out of range", write_range_files))
+    for name in RANGE_STATE_FILES:
+        s.call("run", "--state", name)
     return s.steps

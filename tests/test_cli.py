@@ -928,10 +928,19 @@ def test_main_parses_as_the_top_level_parser_does(argv, code, monkeypatch, capsy
         assert direct[2].endswith("gaussbench: error: unrecognized arguments: --bogus 1\n")
 
 
+#: What ``_parse_outcome`` writes for a float NaN field: equal only to itself.
+_NAN = object()
+
+
 def _parse_outcome(parse, argv, capsys):
-    """What ``parse(argv)`` returns, or the code it exits with, and what it printed."""
+    """The fields of what ``parse(argv)`` returns, or the code it exits with,
+    and what it printed.  A float NaN field is written as ``_NAN``, so that
+    two parses of ``--r nan`` compare equal."""
     try:
-        got = parse(argv)
+        got = {
+            key: _NAN if isinstance(value, float) and math.isnan(value) else value
+            for key, value in vars(parse(argv)).items()
+        }
     except SystemExit as exc:
         got = ("exit", exc.code)
     out = capsys.readouterr()
@@ -1232,6 +1241,18 @@ def test_every_sweep_row_matches_run(sweep, state_flags, capsys):
         assert run_cli("run", *flags, *scheme, "--format", "csv") == 0
         (run_row,) = _csv_body(capsys.readouterr().out)
         _assert_rows_match(row, run_row)
+
+
+def test_one_state_run_prints_the_row_of_a_one_point_sweep(capsys):
+    # At this r a scalar ``x**2`` misrounded a reading's square, and the
+    # run's E_N differed from the sweep's in the 9th digit.  The formulas
+    # square by multiplication, so one state rounds as a batch does.
+    r = "2.3936136062130133"
+    flags = ("--generator", "tmst", "--nu1", "1.3", "--nu2", "1.1", "--scheme", "scheme2")
+    assert run_cli("run", *flags, "--r", r, "--format", "csv") == 0
+    (run_row,) = _csv_body(capsys.readouterr().out)
+    assert run_cli("sweep", "--param", "r", "--start", r, "--stop", r, "--steps", "1", *flags) == 0
+    assert _csv_body(capsys.readouterr().out) == [run_row]
 
 
 def test_finite_shot_sweep_rows_have_independent_noise():

@@ -235,7 +235,7 @@ def test_one_failing_point_fails_the_batch():
         gb.Mode1Observation(gb.BenchSetting(*at), 0.5, 0.25, 1.0, 1.0 / math.pi)
         for at in settings
     ]
-    gb.reconstruct_scheme2(good)
+    gb.reconstruct_from_transcript(good, "scheme2")
     # The same transcript with a second point whose |m~c|^2 is -0.25.
     batch = [
         replace(obs, **{f: np.array([getattr(obs, f)] * 2) for f in ("n_prime", "j_prime")})
@@ -244,10 +244,10 @@ def test_one_failing_point_fails_the_batch():
     batch[2] = replace(batch[2], j_prime=np.array([0.25, 0.5]))
     # A noisy reading is no failure: that point's |m~c|^2 stays signed, and
     # only its magnitude, which has no root, is NaN.
-    inv, _, aux = gb.reconstruct_scheme2(batch)
-    assert list(inv.j3) == [0.0, 0.25]
-    assert list(inv.j4) == [0.0, -0.125]
-    assert aux["mc_magnitude"][0] == 0.0 and np.isnan(aux["mc_magnitude"][1])
+    result = gb.reconstruct_from_transcript(batch, "scheme2")
+    assert list(result.invariants.j3) == [0.0, 0.25]
+    assert list(result.invariants.j4) == [0.0, -0.125]
+    assert result.mc_magnitude[0] == 0.0 and np.isnan(result.mc_magnitude[1])
     with pytest.raises(gb.UnphysicalStateError):
         gb.ModeCovariance(n1=np.array([0.6, 0.4]), n2=0.5)
     with pytest.raises(ValueError):

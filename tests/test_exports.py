@@ -16,7 +16,10 @@ MODULES = ("bench", "cli", "entanglement", "generators", "schemes", "stateio", "
 #: into ``null`` only where ``cli`` writes a report, so ``optional_field`` is
 #: private to it.  A report's cross-scheme ``consistency`` section is gone,
 #: and a transcript is the tuple of the bench's observations, so the
-#: per-reading ``TranscriptRecord`` is gone too.
+#: per-reading ``TranscriptRecord`` is gone too.  ``reconstruct_from_transcript``
+#: returns all that the per-scheme ``reconstruct_scheme1`` and
+#: ``reconstruct_scheme2`` returned, and a table's values come from
+#: ``propagate`` without errors, so ``propagated_value`` is gone.
 REMOVED = (
     "eof_symmetric",
     "eof_lower_bound",
@@ -32,6 +35,9 @@ REMOVED = (
     "CONSISTENCY_TOL",
     "TranscriptRecord",
     "symplectic_eigenvalues",
+    "reconstruct_scheme1",
+    "reconstruct_scheme2",
+    "propagated_value",
 )
 
 

@@ -22,7 +22,6 @@ from gaussbench import (
     quad_to_mode,
     random_state,
     reconstruct_from_transcript,
-    reconstruct_scheme2,
     scheme1,
     scheme2,
     special_form_state,
@@ -379,10 +378,10 @@ def test_negative_mc_square_is_reported_signed(mc_sq):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inv, _, aux = reconstruct_scheme2(records)
-    assert inv.j3 == pytest.approx(-mc_sq, rel=1e-6)
-    assert inv.j4 == pytest.approx(0.5 * mc_sq, rel=1e-6)
-    assert math.isnan(aux["mc_magnitude"])
+        result = reconstruct_from_transcript(records, "scheme2")
+    assert result.invariants.j3 == pytest.approx(-mc_sq, rel=1e-6)
+    assert result.invariants.j4 == pytest.approx(0.5 * mc_sq, rel=1e-6)
+    assert math.isnan(result.mc_magnitude)
 
 
 @pytest.mark.parametrize("form", [None, "diagonal", "antidiagonal"])
@@ -551,8 +550,8 @@ def test_scheme1_eof_lower_bound_attached_for_symmetric_states():
 def test_finite_shot_reconstruction_overflow_obeys_errstate(points, stderr):
     # Readings near 1e200, whose squares overflow.  One state's finite-shot
     # readings are evaluated on the stacked array of ``propagate``, as a
-    # batch's are, so they raise under np.errstate; Python floats would raise
-    # OverflowError from ``**`` instead.  One state's exact readings are not
+    # batch's are, so they raise under np.errstate; Python floats would
+    # overflow to inf on ``*`` without raising.  One state's exact readings are not
     # stacked: they obey np.errstate because the bench, and replay reading a
     # report, hand them over as numpy scalars.
     value = 1e200 if points == () else np.full(points, 1e200)
@@ -668,11 +667,34 @@ def _numbers(result):
 @pytest.mark.parametrize("kind, shots", [("lossy-homodyne", 5000), ("lossy-photocount", 20000)])
 def test_one_noisy_state_reads_alike_on_both_routes_over_many_seeds(kind, shots):
     # One state's noisy readings go through the formulas as a stacked array on
-    # both routes.  As numpy scalars they would not: a scalar ``x**2`` is C's
-    # pow, which misrounds x*x for about one x in 1000.
+    # the report route and as numpy scalars on the table route, which round
+    # alike because every square is written ``x * x``.
     v = quad_to_mode(random_state(4))
     det = DetectorModel(kind, 0.8, shots)
     for report, table in ((scheme1, scheme1_values), (scheme2, scheme2_values)):
         for seed in range(400):
             want, got = (_numbers(run(v, det, seed)) for run in (report, table))
             assert _bits(want) == _bits(got)
+
+
+@pytest.mark.parametrize("scheme, plan, form", [
+    ("scheme1", SCHEME1_PLAN, "diagonal"), ("scheme2", SCHEME2_PLAN, None),
+], ids=["scheme1", "scheme2"])
+def test_one_state_rounds_as_a_batch_of_one(scheme, plan, form):
+    # A scalar ``x**2`` is C's pow, which misrounds x*x for about one x in
+    # 1000 where an array's ``x**2`` squares exactly; the formulas square by
+    # multiplication, so one state's exact readings give the bits of the same
+    # readings as a batch of one.
+    rng = np.random.default_rng(33)
+    n = rng.uniform(0.5, 3.0, (3000, len(plan)))
+    j = rng.uniform(0.25, 4.0, (3000, len(plan)))
+    fields = ["ms_real", "ms_imag", "mc_magnitude"] if scheme == "scheme2" else []
+
+    def numbers(n_row, j_row):
+        records = [Mode1Observation(e.setting, a, b, math.nan) for e, a, b in zip(plan, n_row, j_row)]
+        result = reconstruct_from_transcript(records, scheme, form)
+        values = [*vars(result.invariants).values(), *(getattr(result, f) for f in fields)]
+        return np.array(values, dtype=float).ravel().tobytes()
+
+    differ = [i for i in range(len(n)) if numbers(n[i], j[i]) != numbers(n[i, :, None], j[i, :, None])]
+    assert differ == []
