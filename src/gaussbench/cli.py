@@ -13,9 +13,9 @@ scheme pinned.  Options may also come from a JSON config file (--config);
 explicit flags win.  Exit codes: 0 success, 1 configuration error,
 2 physics failure or replay mismatch (never a noisy reading: that gives null).
 
-``build_parser`` declares every option.  A line of ``--flag value`` pairs
-after a command name is read from that command's option table, built once
-from the parser's actions: one lookup per flag, then its type and choices.
+``_COMMANDS`` declares each command once, for ``build_parser`` and for the
+option tables: a line of ``--flag value`` pairs after a command name is read
+from its command's table, one lookup per flag, then its type and choices.
 Any other line (help, an abbreviation, ``--flag=value``, a value that starts
 with ``-``, a bad value, an unknown flag, a missing value, a bare command)
 goes through argparse, so usage and error text are argparse's.
@@ -42,6 +42,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,15 +83,15 @@ from .stateio import is_json_number, load_state, read_json_object, render_json
 
 __all__ = ["main", "build_parser"]
 
-#: Each generator's parameters (the flags of the same name) and their defaults.
-_GENERATOR_PARAMS = {
-    "vacuum": {},
-    "tmsv": {"r": 0.5},
-    "thermal": {"nu1": 1.0, "nu2": 1.0},
-    "tmst": {"r": 0.5, "nu1": 1.0, "nu2": 1.0},
-    "random": {},
+#: Each generator's maker and its parameters (the flags of the same name)
+#: with their defaults; the random generator's maker takes the seed instead.
+_GENERATORS = {
+    "vacuum": (vacuum_state, {}),
+    "tmsv": (tmsv_state, {"r": 0.5}),
+    "thermal": (thermal_state, {"nu1": 1.0, "nu2": 1.0}),
+    "tmst": (two_mode_squeezed_thermal, {"r": 0.5, "nu1": 1.0, "nu2": 1.0}),
+    "random": (random_state, {}),
 }
-_GENERATORS = tuple(_GENERATOR_PARAMS)
 _SCHEMES = ("oracle", "scheme1", "scheme2", "both")
 
 #: The entanglement measures of a report, in the order of their CSV columns.
@@ -100,21 +101,11 @@ _MEASURES = ("eof", "eof_lower_bound", "log_negativity", "simon_lhs_minus_rhs", 
 #: memory grows with the number of points.
 MAX_SWEEP_STEPS = 10_000
 
+#: The CSV header: the grid value, the oracle's and the scheme's J1..J4, the measures.
 _CSV_COLUMNS = [
     "param",
-    "J1_oracle",
-    "J2_oracle",
-    "J3_oracle",
-    "J4_oracle",
-    "J1_scheme",
-    "J2_scheme",
-    "J3_scheme",
-    "J4_scheme",
-    "E_f",
-    "E_f_bound",
-    "E_N",
-    "simon_margin",
-    "nu_minus",
+    *(f"{key.upper()}_{side}" for side in ("oracle", "scheme") for key in J_KEYS),
+    "E_f", "E_f_bound", "E_N", "simon_margin", "nu_minus",
 ]
 
 
@@ -141,106 +132,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_state_options(parser) -> None:
-    parser.add_argument("--state", metavar="FILE", help="load the state from a JSON file")
-    parser.add_argument("--generator", choices=_GENERATORS, help="generate the state instead")
-    parser.add_argument("--r", type=float, help="squeezing parameter for tmsv/tmst")
-    parser.add_argument("--nu1", type=float, help="first thermal symplectic eigenvalue")
-    parser.add_argument("--nu2", type=float, help="second thermal symplectic eigenvalue")
-    parser.add_argument("--seed", type=int, help="64-bit seed behind all randomness (default 0)")
+#: An option is ``(flag, type, choices, metavar, help)``: its value passes
+#: ``type``, then ``choices``, and its help shows ``metavar`` and ``help``.
+_STATE_OPTIONS = (
+    ("--state", None, None, "FILE", "load the state from a JSON file"),
+    ("--generator", None, tuple(_GENERATORS), None, "generate the state instead"),
+    ("--r", float, None, None, "squeezing parameter for tmsv/tmst"),
+    ("--nu1", float, None, None, "first thermal symplectic eigenvalue"),
+    ("--nu2", float, None, None, "second thermal symplectic eigenvalue"),
+    ("--seed", int, None, None, "64-bit seed behind all randomness (default 0)"),
+)
+_CONFIG_OPTION = ("--config", None, None, "FILE", "JSON config file; explicit flags win")
+#: The options of every command that evaluates a state, after its own.
+_EVALUATE_OPTIONS = (
+    *_STATE_OPTIONS,
+    ("--detector", None, DETECTOR_KINDS, None, "detector kind (default ideal)"),
+    ("--eta", float, None, None, "detector efficiency in (0, 1]"),
+    ("--shots", int, None, None, "shots per setting (omit for exact moments)"),
+    ("--out", None, None, "PATH", "write the report here instead of stdout"),
+    ("--format", None, ("json", "csv"), None, "report format"),
+    _CONFIG_OPTION,
+)
 
 
-def _add_detector_options(parser) -> None:
-    parser.add_argument("--detector", choices=DETECTOR_KINDS, help="detector kind (default ideal)")
-    parser.add_argument("--eta", type=float, help="detector efficiency in (0, 1]")
-    parser.add_argument("--shots", type=int, help="shots per setting (omit for exact moments)")
-
-
-def _add_output_options(parser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format")
-    parser.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gaussbench", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub.required = True
-
-    for name, blurb in (
-        ("run", "oracle plus reconstruction schemes on one state"),
-        ("oracle", "invariants and measures straight from the covariance matrix"),
-        ("scheme1", "three-invariant reconstruction from ten readings"),
-        ("scheme2", "four-invariant reconstruction after standard-form prep"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        if name == "run":
-            p.add_argument(
-                "--scheme", choices=_SCHEMES, help="which pipeline(s) to run (default both)"
-            )
-        _add_state_options(p)
-        _add_detector_options(p)
-        _add_output_options(p)
-
-    swp = sub.add_parser("sweep", help="grid over r or eta, one CSV row per point")
-    swp.add_argument("--param", choices=("r", "eta"), help="which parameter the grid varies")
-    swp.add_argument("--start", type=float, help="first grid value")
-    swp.add_argument("--stop", type=float, help="last grid value (inclusive)")
-    swp.add_argument("--steps", type=int, help="number of grid points")
-    swp.add_argument("--scheme", choices=_SCHEMES, help="pipeline for the scheme columns")
-    _add_state_options(swp)
-    _add_detector_options(swp)
-    _add_output_options(swp)
-
-    val = sub.add_parser("validate", help="physicality check; exit 0 iff physical")
-    _add_state_options(val)
-    # validate prints one JSON payload, so it has no --format.
-    val.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
-    val.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
-
-    rep = sub.add_parser("replay", help="re-run reconstructions from a report's observations")
-    rep.add_argument("--report", metavar="FILE", help="report JSON produced by run")
-    rep.add_argument("--config", metavar="FILE", help="JSON config file; explicit flags win")
-
-    for name, command in sub.choices.items():  # parsed alone, a command still names itself
-        command.set_defaults(command=name)
-    return parser
-
-
-@functools.lru_cache(maxsize=1)  # main passes its one parser: built once per process
-def _commands(parser) -> dict[str, tuple[dict, dict]]:
-    """Each command's option table, read from ``parser``'s actions:
-    ``(defaults, flags)``, the values of the command given alone (each
-    option's default, and ``command``), and each option string of a
-    one-value store action, mapped to that action."""
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    tables = {}
-    for name, command in subparsers.choices.items():
-        actions = [a for a in command._actions if a.dest is not argparse.SUPPRESS]
-        defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
-        flags = {
-            flag: a
-            for a in actions
-            if isinstance(a, argparse._StoreAction) and a.nargs is None
-            for flag in a.option_strings
-        }
-        tables[name] = ({**defaults, **command._defaults}, flags)
-    return tables
-
-
-def _flag_value(action, text: str):
-    """``text`` through ``action``'s type and choices check, as argparse applies them."""
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+def _flag_value(kind, choices, text: str):
+    """``text`` through an option's type and choices check, as argparse applies them."""
+    value = text if kind is None else kind(text)
+    if choices is not None and value not in choices:
+        raise ValueError(f"{value!r} is not one of {list(choices)}")
     return value
 
 
-def _config_value(action, key, value):
+def _config_value(kind, choices, key, value):
     """A config-file value through the same type and choices checks as its flag."""
     text = value if isinstance(value, str) else json.dumps(value)
     try:
-        return _flag_value(action, text)
+        return _flag_value(kind, choices, text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
@@ -252,16 +179,17 @@ def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
     each value passing its flag's type and choices.  A repeated flag keeps
     its last value, as in argparse.  Any other line goes through ``parser``.
     """
-    table = _commands(parser).get(argv[0]) if len(argv) > 1 and len(argv) % 2 else None
+    table = _TABLES.get(argv[0]) if len(argv) > 1 and len(argv) % 2 else None
     if table is not None:
         defaults, flags = table
         values = {}
         for flag, text in zip(argv[1::2], argv[2::2]):
-            action = flags.get(flag)
-            if action is None or text.startswith("-"):
+            option = flags.get(flag)
+            if option is None or text.startswith("-"):
                 break
+            dest, kind, choices = option
             try:
-                values[action.dest] = _flag_value(action, text)
+                values[dest] = _flag_value(kind, choices, text)
             except ValueError:
                 break
         else:
@@ -269,19 +197,19 @@ def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _merge_config(parser, args) -> dict:
-    """Fold the optional config file under the explicit flags."""
+def _merge_config(args) -> dict:
+    """Fold the optional config file under the explicit flags; each key names a command flag."""
     ns = dict(vars(args))
     path = ns.get("config")
     if path:
         loaded = read_json_object(path, "config file")
-        _, flags = _commands(parser)[args.command]
-        actions = {a.dest: a for a in flags.values()}
+        _, flags = _TABLES[args.command]
         for key, value in loaded.items():
-            if key in ("command", "config") or key not in ns:
+            option = None if key == "config" else flags.get(f"--{key}")
+            if option is None:
                 raise ConfigError(f"unknown config key {key!r}")
             if ns[key] is None and value is not None:
-                ns[key] = _config_value(actions[key], key, value)
+                ns[key] = _config_value(*option[1:], key, value)
     return ns
 
 
@@ -308,7 +236,7 @@ def _resolve_state(cfg, seed: int) -> tuple[QuadCovariance, dict]:
     generator = cfg.get("generator")
     if (state_path is None) == (generator is None):
         raise ConfigError("exactly one of --state and --generator is required")
-    takes = () if generator is None else _GENERATOR_PARAMS[generator]
+    maker, takes = _GENERATORS.get(generator, (None, {}))
     for name in ("r", "nu1", "nu2"):
         if cfg.get(name) is not None and name not in takes:
             source = f"the {generator} generator" if generator else "a state file"
@@ -326,19 +254,10 @@ def _resolve_state(cfg, seed: int) -> tuple[QuadCovariance, dict]:
     try:
         params = {
             name: as_field(default if cfg.get(name) is None else cfg[name])
-            for name, default in _GENERATOR_PARAMS[generator].items()
-        }
-        makers = {
-            "vacuum": vacuum_state,
-            "tmsv": tmsv_state,
-            "thermal": thermal_state,
-            "tmst": two_mode_squeezed_thermal,
+            for name, default in takes.items()
         }
         with np.errstate(over="raise", invalid="raise"):
-            if generator == "random":
-                g = random_state(_seed_child(seed, 0))
-            else:
-                g = makers[generator](**params)
+            g = maker(_seed_child(seed, 0)) if generator == "random" else maker(**params)
     except (ValueError, FloatingPointError) as exc:
         # Non-finite or overflowing parameters leave no valid covariance.
         raise ConfigError(f"cannot build the {generator} state: {exc}") from exc
@@ -561,11 +480,13 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_run(cfg, scheme_choice: str) -> int:
+def _cmd_run(cfg) -> int:
+    scheme_choice = cfg["command"] if cfg["command"] != "run" else cfg["scheme"] or "both"
     fmt = cfg.get("format") or "json"
     ev = _evaluate(cfg, scheme_choice, table=fmt == "csv")
     if fmt == "csv":
-        text = "\n".join(_csv_table(cfg.get("r"), ev)) + "\n"
+        # The r the state was built at, the default one too; empty for no r.
+        text = "\n".join(_csv_table(ev.source.get("params", {}).get("r"), ev)) + "\n"
     else:
         text = render_json(_build_report(ev))
     _emit(text, cfg.get("out"))
@@ -742,8 +663,69 @@ def _cmd_replay(cfg) -> int:
     return 0
 
 
+_Command = namedtuple("_Command", "help handler options")
+
+#: Every command, declared once: its help line, the handler that ``main``
+#: calls with the merged options, and its options in help order.
+_COMMANDS = {
+    "run": _Command("oracle plus reconstruction schemes on one state", _cmd_run, (
+        ("--scheme", None, _SCHEMES, None, "which pipeline(s) to run (default both)"),
+        *_EVALUATE_OPTIONS,
+    )),
+    "oracle": _Command(
+        "invariants and measures straight from the covariance matrix", _cmd_run, _EVALUATE_OPTIONS
+    ),
+    "scheme1": _Command(
+        "three-invariant reconstruction from ten readings", _cmd_run, _EVALUATE_OPTIONS
+    ),
+    "scheme2": _Command(
+        "four-invariant reconstruction after standard-form prep", _cmd_run, _EVALUATE_OPTIONS
+    ),
+    "sweep": _Command("grid over r or eta, one CSV row per point", _cmd_sweep, (
+        ("--param", None, ("r", "eta"), None, "which parameter the grid varies"),
+        ("--start", float, None, None, "first grid value"),
+        ("--stop", float, None, None, "last grid value (inclusive)"),
+        ("--steps", int, None, None, "number of grid points"),
+        ("--scheme", None, _SCHEMES, None, "pipeline for the scheme columns"),
+        *_EVALUATE_OPTIONS,
+    )),
+    # validate prints one JSON payload, so it has no --format.
+    "validate": _Command("physicality check; exit 0 iff physical", _cmd_validate, (
+        *_STATE_OPTIONS,
+        ("--out", None, None, "PATH", "write the payload here instead of stdout"),
+        _CONFIG_OPTION,
+    )),
+    "replay": _Command("re-run reconstructions from a report's observations", _cmd_replay, (
+        ("--report", None, None, "FILE", "report JSON produced by run"),
+        _CONFIG_OPTION,
+    )),
+}
+
+#: Each command's option table: the values of the command given alone, and
+#: each flag mapped to ``(dest, type, choices)``.
+_TABLES = {
+    name: (
+        {"command": name, **{option[0][2:]: None for option in command.options}},
+        {flag: (flag[2:], kind, choices) for flag, kind, choices, _, _ in command.options},
+    )
+    for name, command in _COMMANDS.items()
+}
+
+
+def build_parser() -> _Parser:
+    """A fresh parser of ``_COMMANDS``, the one renderer of help and usage errors."""
+    parser = _Parser(prog="gaussbench", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub.required = True
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kind, choices, metavar, text in command.options:
+            p.add_argument(flag, type=kind, choices=choices, metavar=metavar, help=text)
+    return parser
+
+
 #: The parser ``main`` uses, built on the first call and then shared by every
-#: call in the process.  Nothing may write into it: ``_commands`` reads its actions.
+#: call in the process.
 _parser = functools.cache(build_parser)
 
 
@@ -751,22 +733,11 @@ def main(argv=None) -> int:
     parser = _parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = _merge_config(parser, args)
-        command = args.command
+        cfg = _merge_config(args)
         # A finite, even physical, state can still be too large for its
         # spectrum or invariants: any float overflow is a physics failure.
         with np.errstate(over="raise"):
-            if command == "run":
-                return _cmd_run(cfg, cfg.get("scheme") or "both")
-            if command in ("oracle", "scheme1", "scheme2"):
-                return _cmd_run(cfg, command)
-            if command == "sweep":
-                return _cmd_sweep(cfg)
-            if command == "validate":
-                return _cmd_validate(cfg)
-            if command == "replay":
-                return _cmd_replay(cfg)
-        raise ConfigError(f"unknown command {command!r}")
+            return _COMMANDS[args.command].handler(cfg)
     except ConfigError as exc:
         print(f"gaussbench: config error: {exc}", file=sys.stderr)
         return 1

@@ -76,7 +76,7 @@ def _quad_invariants(inv: InvariantSet):
 
 def _det_gamma(i1, i2, i3, i4):
     """det gamma through the invariants: I1 I2 + I3^2 - I4 (NaN without I4)."""
-    return i1 * i2 + i3**2 - i4
+    return i1 * i2 + i3 * i3 - i4
 
 
 def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
@@ -91,7 +91,8 @@ def simon_separable(inv: InvariantSet) -> tuple[bool | None, float]:
 
 
 def _simon(i1, i2, i3, i4):
-    margin = i1 * i2 + (1.0 - abs(i3)) ** 2 - i4 - i1 - i2
+    gap = 1.0 - abs(i3)
+    margin = i1 * i2 + gap * gap - i4 - i1 - i2
     undecided = (margin != margin).astype(np.intp)  # NaN
     separable = _SEPARABLE.take(2 * undecided + ((i3 >= 0.0) | (margin >= 0.0)))
     return separable, as_field(margin)
@@ -119,8 +120,9 @@ def _entropy_of_squeeze_factor(x):
     Strictly decreasing on (0, 1) and zero at x = 1; x >= 1 gives zero.
     """
     root = np.sqrt(np.minimum(x, 1.0))
-    c_plus = (1.0 / root + root) ** 2 / 4.0
-    c_minus = (1.0 / root - root) ** 2 / 4.0
+    plus, minus = 1.0 / root + root, 1.0 / root - root
+    c_plus = plus * plus / 4.0
+    c_minus = minus * minus / 4.0
     # c- log2 c- -> 0 as c- -> 0; at x >= 1 (root = 1) both terms vanish.
     return c_plus * np.log2(c_plus) - c_minus * np.log2(c_minus + (c_minus == 0.0))
 
@@ -135,7 +137,7 @@ def _negativity(i1, i2, i3, i4):
     det_gamma = _det_gamma(i1, i2, i3, i4)
     delta_tilde = i1 + i2 - 2.0 * i3
     radicand = delta_tilde * delta_tilde - 4.0 * det_gamma
-    radicand_bad = radicand < -NEGATIVITY_RADICAND_ATOL * np.maximum(1.0, delta_tilde**2)
+    radicand_bad = radicand < -NEGATIVITY_RADICAND_ATOL * np.maximum(1.0, delta_tilde * delta_tilde)
     nu_sq = (delta_tilde - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
     nu_minus = np.sqrt(np.where(radicand_bad | (nu_sq <= 0.0), np.nan, nu_sq))
     # + 0.0 turns the -0.0 of nu~_- = 1 into 0.0.

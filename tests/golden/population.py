@@ -38,7 +38,8 @@ The population covers:
 * the input checks that no call above reaches: an efficiency out of
   (0, 1], no shots, shots on the ideal detector, a NaN squeezing, replayed
   settings out of range, and mode files with an infinite n1, an n1 below
-  the vacuum floor and a mode below det V >= 1/4.
+  the vacuum floor and a mode below det V >= 1/4;
+* a CSV table of a generator at its default squeezing.
 """
 
 from __future__ import annotations
@@ -581,4 +582,7 @@ def steps(reports: Path) -> list:
     s.steps.append(Prepare("mode files out of range", write_range_files))
     for name in RANGE_STATE_FILES:
         s.call("run", "--state", name)
+
+    # A CSV table of a generator at its default r prints that r.
+    s.call("run", "--generator", "tmsv", "--format", "csv")
     return s.steps

@@ -846,12 +846,23 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert r2["state"]["params"]["r"] == 0.2
 
 
-@pytest.mark.parametrize("key", ["color", "command", "config"])
-def test_unknown_config_key_is_config_error(key, tmp_path, capsys):
-    # ``command`` and ``config`` name parsed arguments, but no option a file can set.
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("run", "color"),
+        ("run", "command"),
+        ("run", "config"),
+        ("oracle", "scheme"),
+        ("validate", "format"),
+        ("replay", "generator"),
+    ],
+)
+def test_unknown_config_key_is_config_error(command, key, tmp_path, capsys):
+    # ``command`` and ``config`` name parsed arguments, but no option a file
+    # can set, and a key is an option of its own command only.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"generator": "vacuum", key: "red"}))
-    assert run_cli("run", "--config", str(cfg)) == 1
+    assert run_cli(command, "--config", str(cfg)) == 1
     assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
 
 
@@ -1139,6 +1150,17 @@ def test_run_csv_format_single_row(capsys):
     assert lines[0] == GOLDEN_CSV_HEADER
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 0.5
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "scheme1", "scheme2"])
+@pytest.mark.parametrize("generator", ["tmsv", "tmst"])
+def test_csv_param_cell_is_the_r_the_state_was_built_at(command, generator, capsys):
+    # The default r builds the same state as --r 0.5, so the table is the same.
+    assert run_cli(command, "--generator", generator, "--format", "csv") == 0
+    default = capsys.readouterr().out
+    assert run_cli(command, "--generator", generator, "--r", "0.5", "--format", "csv") == 0
+    assert capsys.readouterr().out == default
+    assert default.splitlines()[1].startswith("0.5,")
 
 
 @pytest.mark.parametrize(
