@@ -36,11 +36,12 @@ a reading costs the same at any shot count.  Such a reading is an estimate:
 the check that the corrected mode's quadrature variances are not negative
 applies to exact readings only.
 
-One draw serves two callers.  :func:`observe_mode1` adds what a report
-prints: each reading's standard error, propagated from the raw readings'
-(a stencil of moved copies), its purity, and one :class:`Mode1Observation`
-per setting.  :func:`read_mode1` stops at the central readings, which is
-all a table prints.
+One draw (:func:`draw_mode1`) reads the central (n', j') of a whole plan
+and checks the exact ones.  What a report adds, each reading's standard
+error (propagated from the raw readings' by a stencil of moved copies), its
+purity and one :class:`Mode1Observation` per setting, is built from the same
+draw when asked for: :func:`observe_mode1` asks at once, the measurement
+protocols when a report first reads their transcript.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "homodyne_variance",
     "invert_loss",
     "observe_mode1",
-    "read_mode1",
     "transcript",
 ]
 
@@ -288,10 +288,13 @@ def _photocount_readings(n, m, det: DetectorModel, seed):
     return [n + n_err * z_n, j + j_err * z_j], [n_err, j_err]
 
 
-def _draw(v: ModeCovariance, settings, det: DetectorModel, seed):
-    """The bench's one draw at each setting of a plan: the raw readings of
-    the attenuated mode, their standard errors (None when exact), and the
-    estimate that turns raw readings into the corrected mode's (n', j')."""
+def draw_mode1(v: ModeCovariance, settings, det: DetectorModel, seed):
+    """The bench's one draw at each setting of a plan, as
+    :func:`observe_mode1` makes it: the corrected mode's (n', j') on a
+    leading settings axis, exact ones checked, and a function of no
+    arguments that builds their transcript, standard errors included, from
+    the same draw.  The measurement protocols call it, so that a caller that
+    reads no transcript builds none."""
     n, m = output_mode1_moments(v, settings)
     if np.ndim(det.eta) > np.ndim(v.n1):  # one state over an eta grid
         n, m = n[:, None], m[:, None]
@@ -303,7 +306,16 @@ def _draw(v: ModeCovariance, settings, det: DetectorModel, seed):
     def estimate(*raw):
         return _invert_loss(*(_homodyne_moments(*raw) if homodyne else raw), det.eta)
 
-    return estimate, readings, errors
+    n_prime, j_prime = estimate(*readings)
+    if errors is None:
+        _check_exact(n_prime, j_prime, det.eta)
+
+    def records():
+        # Row 0 of the stencil is (n', j') again, bit for bit.
+        stderr = () if errors is None else propagate(estimate, readings, errors)[1]
+        return transcript(settings, n_prime, j_prime, *stderr)
+
+    return n_prime, j_prime, records
 
 
 def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorModel(), seed=None):
@@ -331,30 +343,8 @@ def observe_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorMode
     was.
     """
     lone = isinstance(settings, BenchSetting)
-    if lone:
-        settings = (settings,)
-    estimate, readings, errors = _draw(v, settings, det, seed)
-    (n_prime, j_prime), errors = propagate(estimate, readings, errors)
-    if errors is None:
-        _check_exact(n_prime, j_prime, det.eta)
-    observations = transcript(settings, n_prime, j_prime, *(errors or ()))
+    observations = draw_mode1(v, (settings,) if lone else settings, det, seed)[2]()
     return observations[0] if lone else observations
-
-
-def read_mode1(v: ModeCovariance, settings, det: DetectorModel = DetectorModel(), seed=None):
-    """(n', j') of output mode 1 at each setting of a plan, on a leading axis.
-
-    These are the readings of :func:`observe_mode1` with the same ``seed``,
-    bit for bit: the same draw and the same estimate, and the same check of
-    exact readings.  Nothing else is made: no standard error (its stencil
-    is not evaluated), no purity and no :class:`Mode1Observation`.  A caller
-    that prints no error bar needs no more.
-    """
-    estimate, readings, errors = _draw(v, settings, det, seed)
-    n_prime, j_prime = estimate(*readings)
-    if errors is None:
-        _check_exact(n_prime, j_prime, det.eta)
-    return n_prime, j_prime
 
 
 def transcript(settings, n_prime, j_prime, n_stderr=None, j_stderr=None):

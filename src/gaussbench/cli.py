@@ -27,11 +27,10 @@ byte-identical output.  A scheme section holds its transcript, the
 the section again from the transcript and verifies that the report holds
 the same values and no key that ``run`` does not write.
 
-Tables (``sweep``, and ``--format csv``) print no observation and no
-standard error, so they build neither: they run the schemes' table route
-(:func:`~gaussbench.schemes.scheme1_values`,
-:func:`~gaussbench.schemes.scheme2_values`) on the same draw, and their
-cells are the numbers a report would hold.
+Tables (``sweep``, and ``--format csv``) run the same schemes as reports
+and print the numbers a report would hold.  They read no observation and no
+standard error, so they build neither: a scheme result builds its
+transcript and error bars when a report first reads them.
 """
 
 from __future__ import annotations
@@ -57,14 +56,7 @@ from .generators import (
     two_mode_squeezed_thermal,
     vacuum_state,
 )
-from .schemes import (
-    SchemeResult,
-    reconstruct_from_transcript,
-    scheme1,
-    scheme1_values,
-    scheme2,
-    scheme2_values,
-)
+from .schemes import SchemeResult, reconstruct_from_transcript, scheme1, scheme2
 from .states import (
     J_KEYS,
     PHYSICALITY_SLACK,
@@ -172,12 +164,13 @@ def _config_value(kind, choices, key, value):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, read from the command's option table
-    where ``argv`` is a command and then ``--flag value`` pairs: each flag an
-    exact option string of that command, no value starting with ``-``, and
-    each value passing its flag's type and choices.  A repeated flag keeps
-    its last value, as in argparse.  Any other line goes through ``parser``.
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read from the command's option
+    table where ``argv`` is a command and then ``--flag value`` pairs: each
+    flag an exact option string of that command, no value starting with
+    ``-``, and each value passing its flag's type and choices.  A repeated
+    flag keeps its last value, as in argparse.  Any other line goes through
+    the parser, built then.
     """
     table = _TABLES.get(argv[0]) if len(argv) > 1 and len(argv) % 2 else None
     if table is not None:
@@ -194,7 +187,7 @@ def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
                 break
         else:
             return argparse.Namespace(**{**defaults, **values})
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _merge_config(args) -> dict:
@@ -372,14 +365,8 @@ def _scheme_section(result: SchemeResult, oracle_inv: InvariantSet) -> dict:
     return section
 
 
-def _evaluate(cfg, scheme_choice: str, table: bool = False) -> SimpleNamespace:
-    """Input, oracle and the chosen schemes for one state, or elementwise for a grid.
-
-    A report runs each scheme in full (:func:`scheme1`, :func:`scheme2`).  A
-    ``table`` prints no observation and no error bar, so it runs
-    :func:`scheme1_values` and :func:`scheme2_values`: the same draw and
-    the same formulas on the central readings only, with the same checks.
-    """
+def _evaluate(cfg, scheme_choice: str) -> SimpleNamespace:
+    """Input, oracle and the chosen schemes for one state, or elementwise for a grid."""
     seed = _seed(cfg)
     g, source = _resolve_state(cfg, seed)
     det = _resolve_detector(cfg)
@@ -402,11 +389,9 @@ def _evaluate(cfg, scheme_choice: str, table: bool = False) -> SimpleNamespace:
     # An exact plan never reads its seed.
     finite = det.shots is not None
     if scheme_choice in ("scheme1", "both"):
-        run = scheme1_values if table else scheme1
-        res1 = run(v, det, seed=_seed_child(seed, 1) if finite else None)
+        res1 = scheme1(v, det, seed=_seed_child(seed, 1) if finite else None)
     if scheme_choice in ("scheme2", "both"):
-        run = scheme2_values if table else scheme2
-        res2 = run(v, det, seed=_seed_child(seed, 2) if finite else None)
+        res2 = scheme2(v, det, seed=_seed_child(seed, 2) if finite else None)
     return SimpleNamespace(
         seed=seed, state=g, source=source, detector=det, physicality=phys,
         oracle=oracle_inv, scheme1=res1, scheme2=res2,
@@ -483,7 +468,7 @@ def _emit(text: str, out_path) -> None:
 def _cmd_run(cfg) -> int:
     scheme_choice = cfg["command"] if cfg["command"] != "run" else cfg["scheme"] or "both"
     fmt = cfg.get("format") or "json"
-    ev = _evaluate(cfg, scheme_choice, table=fmt == "csv")
+    ev = _evaluate(cfg, scheme_choice)
     if fmt == "csv":
         # The r the state was built at, the default one too; empty for no r.
         text = "\n".join(_csv_table(ev.source.get("params", {}).get("r"), ev)) + "\n"
@@ -521,7 +506,7 @@ def _cmd_sweep(cfg) -> int:
         cfg = {**cfg, "generator": cfg.get("generator") or "tmsv"}
 
     # The whole grid is one batch through the same draw and formulas as ``run``.
-    lines = _csv_table(grid, _evaluate({**cfg, param: grid}, scheme_choice, table=True))
+    lines = _csv_table(grid, _evaluate({**cfg, param: grid}, scheme_choice))
 
     fmt = cfg.get("format") or "csv"
     if fmt == "json":
@@ -724,14 +709,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-#: The parser ``main`` uses, built on the first call and then shared by every
-#: call in the process.
+#: The parser of the lines that the option tables leave to argparse, built
+#: on the first such line and then shared by every call in the process.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         cfg = _merge_config(args)
         # A finite, even physical, state can still be too large for its

@@ -37,22 +37,23 @@ has the symmetric lower bound only.
 Both protocols are elementwise: one bench call reads a whole plan for a batch
 of states, and its observations hold arrays.
 
-A table prints the invariants and measures only, so it takes a shorter
-route to the same numbers: :func:`scheme1_values` and :func:`scheme2_values`
-take the bench's central readings (:func:`~gaussbench.bench.read_mode1`)
-through the same reconstruction once, with no transcript and no standard
-errors, and give what :func:`scheme1` and :func:`scheme2` give, bit for bit.
+A result's invariants, measures and cross-block pieces come from the central
+readings when it is made.  Its transcript and standard errors are built from
+the same draw when first read, and kept: a table, which prints neither,
+builds no :class:`~gaussbench.bench.Mode1Observation` and evaluates no
+stencil.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .bench import BenchSetting, DetectorModel, Mode1Observation, observe_mode1, read_mode1
+from .bench import BenchSetting, DetectorModel, Mode1Observation, draw_mode1
 from .entanglement import EntanglementReport, entanglement_report
 from .errors import ReconstructionError
 from .states import (
@@ -70,11 +71,8 @@ __all__ = [
     "SCHEME1_PLAN",
     "SCHEME2_PLAN",
     "SchemeResult",
-    "SchemeValues",
     "scheme1",
     "scheme2",
-    "scheme1_values",
-    "scheme2_values",
     "reconstruct_from_transcript",
 ]
 
@@ -103,29 +101,53 @@ SCHEME1_PLAN = (
 #: Protocol 2: both observables at the four standard-form settings.
 SCHEME2_PLAN = SCHEME1_PLAN[:4]
 
+
+def _picks(plan, names):
+    """Each named reading of ``plan`` as (its entry's index, whether it is N)."""
+    entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
+    return tuple((entry_of[name], name[0] == "N") for name in names)
+
+
 #: Each protocol's plan, and the readings its invariants take, in argument order.
 _PROTOCOLS = {
-    "scheme1": (
+    "scheme1": (SCHEME1_PLAN, _picks(
         SCHEME1_PLAN, ("J00", "J90", "J45", "J45pi", "J45p", "J45m", "N00", "N90", "N45", "N45p")
-    ),
-    "scheme2": (SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45")),
+    )),
+    "scheme2": (SCHEME2_PLAN, _picks(SCHEME2_PLAN, ("N00", "N90", "N45", "N45p", "J45"))),
 }
 
 
 @dataclass(frozen=True)
 class SchemeResult:
     """Reconstructed invariants plus everything needed to audit them; the
-    ``observations`` and scheme 1's ``special_form`` fix every field."""
+    ``observations`` and scheme 1's ``special_form`` fix every field.
+
+    The ``observations`` and the ``invariant_stderr`` (``None`` for exact
+    readings) are built on first read and kept, so a caller that reads
+    neither pays for neither.  An overflow in their stencils raises at that
+    read, under the ``np.errstate`` in force there.
+    """
 
     scheme: str
     invariants: InvariantSet
     entanglement: EntanglementReport
-    observations: tuple[Mode1Observation, ...]
-    invariant_stderr: dict | None
     special_form: str | None = None
     ms_real: float | None = None
     ms_imag: float | None = None
     mc_magnitude: float | None = None  # sign is unrecoverable; NaN where |m~c|^2 < 0
+    _transcript: Callable[[], tuple] = field(kw_only=True, repr=False, compare=False)
+
+    @functools.cached_property
+    def observations(self) -> tuple[Mode1Observation, ...]:
+        return self._transcript()
+
+    @functools.cached_property
+    def invariant_stderr(self) -> dict | None:
+        values, errors = _readings(self.observations, *_PROTOCOLS[self.scheme])
+        if errors is None:
+            return None
+        stderr = propagate(_formula(self.scheme, values, self.special_form), values, errors)[1]
+        return dict(zip(J_KEYS, stderr))
 
 
 def _at(setting: BenchSetting) -> str:
@@ -133,8 +155,8 @@ def _at(setting: BenchSetting) -> str:
     return f"theta={setting.theta!r}, phi={setting.phi!r}"
 
 
-def _readings(observations, plan, names):
-    """Values and standard errors of the named readings of ``plan``, from
+def _readings(observations, plan, picks):
+    """Values and standard errors of the readings ``picks`` of ``plan``, from
     one observation at each plan setting (``==``), in any order; else
     :class:`ReconstructionError` names the first setting off the plan or
     observed twice, or else the first missing.  The errors are ``None`` when
@@ -156,13 +178,8 @@ def _readings(observations, plan, names):
     for entry, obs in zip(plan, found):
         if obs is None:
             raise ReconstructionError(f"transcript has no observation at {_at(entry.setting)}")
-    obs_of = {name: obs for entry, obs in zip(plan, found) for name in entry.readings}
-    values, errors = [], []
-    for name in names:
-        obs = obs_of[name]
-        n = name[0] == "N"
-        values.append(obs.n_prime if n else obs.j_prime)
-        errors.append(obs.n_stderr if n else obs.j_stderr)
+    values = [found[i].n_prime if n else found[i].j_prime for i, n in picks]
+    errors = [found[i].n_stderr if n else found[i].j_stderr for i, n in picks]
     if all(e is None for e in errors):
         return values, None
     return values, [0.0 if e is None else e for e in errors]
@@ -198,10 +215,23 @@ def _scheme2_invariants(defined, n1t, n2t, n45, n45_p, j45):
     return n1t * n1t, n2t * n2t, ms_sq - mc_sq, j4, ms_re, ms_im, mc_sq
 
 
-def _reconstruct(scheme, values, errors, special_form):
-    """The invariants, their standard errors (``None`` for exact readings)
-    and scheme 2's cross-block pieces, from a protocol's readings in
-    ``_PROTOCOLS`` order.
+def _formula(scheme, values, special_form):
+    """The protocol's invariants (and scheme 2's cross-block pieces) as one
+    elementwise function of its readings in ``_PROTOCOLS`` order, J4 NaN
+    unless the first two readings (J1 and J2, or n1 and n2) are positive as
+    measured in ``values``, so that no copy moved by ``propagate`` takes a
+    root where the measured point has none; scheme 1's J4 needs a known
+    ``special_form`` too."""
+    defined = (values[0] > 0.0) & (values[1] > 0.0)
+    if scheme == "scheme1":
+        known = np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
+        return functools.partial(_scheme1_invariants, known & defined)
+    return functools.partial(_scheme2_invariants, defined)
+
+
+def _result(scheme, values, special_form, transcript) -> SchemeResult:
+    """The result of a protocol's central readings ``values``, in
+    ``_PROTOCOLS`` order, whose observations ``transcript`` builds.
 
     Scheme 1's J1 and J2 are the determinant readings at (0, 0) and
     (pi/2, 0), and J3 combines the four theta = pi/4 determinant readings
@@ -209,29 +239,25 @@ def _reconstruct(scheme, values, errors, special_form):
     ``special_form`` (``None`` for an unknown cross block) says the cross
     block is diagonal or antidiagonal.  Scheme 2 reads a standard-form
     state: J3 and J4 use the signed, unbiased |m~c|^2 = N45^2 - J45, whose
-    root ``mc_magnitude`` is NaN where it is negative.  J4 is NaN unless the
-    first two readings (J1 and J2, or n1 and n2) are positive as measured,
-    so that no copy moved by ``propagate`` takes a root where the measured
-    point has none.
+    root ``mc_magnitude`` is NaN where it is negative.
     """
-    defined = (values[0] > 0.0) & (values[1] > 0.0)
+    outputs = _formula(scheme, values, special_form)(*values)
+    aux = {}
     if scheme == "scheme1":
-        known = np.asarray(special_form, dtype=object) != None  # noqa: E711 (elementwise)
-        formula = functools.partial(_scheme1_invariants, known & defined)
-        (j1, j2, j3, signed_j4), stderr = propagate(formula, values, errors)
-        # J4 = 2 |J3| sqrt(J1 J2), with the sign of the measured J3 for every
-        # moved copy: the signed formula has no kink at J3 = 0 for the stencil
-        # to straddle, and one sign for all copies leaves the error as it is.
-        # A product by -1, unlike a negation, leaves a NaN J4 as it is.
+        j1, j2, j3, signed_j4 = outputs
+        # J4 = 2 |J3| sqrt(J1 J2) is the signed formula times the sign of
+        # J3: the signed formula has no kink at J3 = 0 for the error stencil
+        # to straddle, and its error is J4's.  A product by -1, unlike a
+        # negation, leaves a NaN J4 as it is.
         inv = InvariantSet(j1, j2, j3, np.where(j3 < 0.0, -1.0, 1.0) * signed_j4)
-        aux = {}
     else:
-        formula = functools.partial(_scheme2_invariants, defined)
-        (*invariants, ms_re, ms_im, mc_sq), stderr = propagate(formula, values, errors)
+        *invariants, ms_re, ms_im, mc_sq = outputs
         inv = InvariantSet(*invariants)
         mc_magnitude = as_field(np.sqrt(np.where(mc_sq < 0.0, np.nan, mc_sq)))
         aux = {"ms_real": ms_re, "ms_imag": ms_im, "mc_magnitude": mc_magnitude}
-    return inv, None if stderr is None else dict(zip(J_KEYS, stderr)), aux
+    return SchemeResult(
+        scheme, inv, entanglement_report(inv), special_form, **aux, _transcript=transcript
+    )
 
 
 def reconstruct_from_transcript(observations, scheme: str, special_form=None) -> SchemeResult:
@@ -243,32 +269,19 @@ def reconstruct_from_transcript(observations, scheme: str, special_form=None) ->
     """
     if scheme not in _PROTOCOLS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    values, errors = _readings(observations, *_PROTOCOLS[scheme])
-    inv, stderr, aux = _reconstruct(scheme, values, errors, special_form)
-    return SchemeResult(
-        scheme=scheme,
-        invariants=inv,
-        entanglement=entanglement_report(inv),
-        observations=tuple(observations),
-        invariant_stderr=stderr,
-        special_form=special_form,
-        **aux,
-    )
+    observations = tuple(observations)
+    values = _readings(observations, *_PROTOCOLS[scheme])[0]
+    # Numpy scalars, so that one state's readings obey np.errstate.
+    values = [x if isinstance(x, (np.ndarray, np.generic)) else np.float64(x) for x in values]
+    return _result(scheme, values, special_form, lambda: observations)
 
 
-@dataclass(frozen=True)
-class SchemeValues:
-    """What a table prints of a protocol run: the invariants and their
-    measures, from the bench's central readings alone."""
-
-    invariants: InvariantSet
-    entanglement: EntanglementReport
-
-
-def _central_readings(plan, names, n_prime, j_prime):
-    """The named readings of ``plan`` from (n', j') along its settings axis."""
-    entry_of = {name: i for i, entry in enumerate(plan) for name in entry.readings}
-    return [(n_prime if name[0] == "N" else j_prime)[entry_of[name]] for name in names]
+def _run(scheme, v, det, seed, special_form) -> SchemeResult:
+    """One bench draw of the protocol's plan on ``v``, and its result."""
+    plan, picks = _PROTOCOLS[scheme]
+    n_prime, j_prime, transcript = draw_mode1(v, [entry.setting for entry in plan], det, seed)
+    values = [(n_prime if n else j_prime)[i] for i, n in picks]
+    return _result(scheme, values, special_form, transcript)
 
 
 def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
@@ -280,8 +293,7 @@ def scheme1(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     entanglement report has the symmetric lower bound only (every other
     measure NaN).
     """
-    observations = observe_mode1(v, [entry.setting for entry in SCHEME1_PLAN], det, seed)
-    return reconstruct_from_transcript(observations, "scheme1", cross_block_form(v))
+    return _run("scheme1", v, det, seed, cross_block_form(v))
 
 
 def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeResult:
@@ -294,33 +306,4 @@ def scheme2(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> 
     leaves of the prepared squeezing is ``abs(standard_form_prep(v).vt.m1)``
     (and ``m2``), which no reading sees.
     """
-    vt = standard_form_prep(v).vt
-    observations = observe_mode1(vt, [entry.setting for entry in SCHEME2_PLAN], det, seed)
-    return reconstruct_from_transcript(observations, "scheme2")
-
-
-def _table_values(scheme, v, det, seed, special_form) -> SchemeValues:
-    """A protocol's invariants and measures from the central readings of its
-    plan on ``v``, with no transcript and no standard errors."""
-    plan, names = _PROTOCOLS[scheme]
-    readings = read_mode1(v, [entry.setting for entry in plan], det, seed)
-    inv = _reconstruct(scheme, _central_readings(plan, names, *readings), None, special_form)[0]
-    return SchemeValues(inv, entanglement_report(inv))
-
-
-def scheme1_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
-    """The invariants and measures of :func:`scheme1` with the same ``seed``,
-    bit for bit, and what fails there fails here, but with no transcript
-    and no standard errors: the bench's central readings
-    (:func:`~gaussbench.bench.read_mode1`) go through the same formulas once,
-    where a transcript's copies moved for the error bars go through them
-    2K + 1 times.  A copy that would overflow alone is not evaluated."""
-    return _table_values("scheme1", v, det, seed, cross_block_form(v))
-
-
-def scheme2_values(v: ModeCovariance, det: DetectorModel = DetectorModel(), seed=0) -> SchemeValues:
-    """The invariants and measures of :func:`scheme2` with the same ``seed``,
-    bit for bit, from the bench's central readings alone, as
-    :func:`scheme1_values` gives scheme 1's: no transcript, no standard
-    errors and no cross-block pieces."""
-    return _table_values("scheme2", standard_form_prep(v).vt, det, seed, None)
+    return _run("scheme2", standard_form_prep(v).vt, det, seed, None)

@@ -39,7 +39,8 @@ The population covers:
   (0, 1], no shots, shots on the ideal detector, a NaN squeezing, replayed
   settings out of range, and mode files with an infinite n1, an n1 below
   the vacuum floor and a mode below det V >= 1/4;
-* a CSV table of a generator at its default squeezing.
+* a CSV table of a generator at its default squeezing;
+* finite-shot photon-counting JSON reports of each scheme alone, replayed.
 """
 
 from __future__ import annotations
@@ -585,4 +586,11 @@ def steps(reports: Path) -> list:
 
     # A CSV table of a generator at its default r prints that r.
     s.call("run", "--generator", "tmsv", "--format", "csv")
+
+    # Finite-shot JSON reports of each scheme alone, with photon counting,
+    # each replayed: a report reads the transcript and error bars that a
+    # scheme's result builds on first read.
+    for scheme in ("scheme1", "scheme2"):
+        s.report(scheme, "--generator", "tmst", "--r", "0.4", "--nu1", "1.3", "--nu2", "1.1",
+                 "--seed", "9", "--detector", "lossy-photocount", "--eta", "0.8", "--shots", "20000")
     return s.steps

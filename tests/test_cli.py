@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes, formats."""
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -931,7 +932,7 @@ def test_main_parses_as_the_top_level_parser_does(argv, code, monkeypatch, capsy
         return got, out.out, out.err
 
     direct = outcome()
-    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
     assert outcome() == direct
     assert direct[0] == code and (direct[1] or direct[2])
     if argv[:2] == ["sweep", "--bogus"]:
@@ -1010,18 +1011,18 @@ def test_the_option_table_parses_as_argparse_does(source, capsys):
     assert len(argvs) >= len(PARSER_ROUTES)
     differ = [
         argv for argv in argvs
-        if _parse_outcome(lambda a: cli._parse_args(parser, a), list(argv), capsys)
+        if _parse_outcome(cli._parse_args, list(argv), capsys)
         != _parse_outcome(parser.parse_args, list(argv), capsys)
     ]
     assert differ == []
 
 
-def test_the_benchmark_command_lines_never_reach_argparse(monkeypatch, tmp_path):
-    # The argv shapes of sweep_r, sweep_eta_shots and reports_mixed's run and
-    # replay are read from the option table alone.
+def _benchmark_argvs(tmp_path):
+    """The argv shapes of sweep_r, sweep_eta_shots and reports_mixed's run
+    and replay, in an order that runs."""
     save_state(random_state(11), tmp_path / "state.json")
     report = str(tmp_path / "report.json")
-    argvs = [
+    return [
         ["sweep", "--param", "r", "--generator", "tmsv", "--scheme", "both", "--start", "0.1",
          "--stop", "1.95", "--steps", "180", "--out", str(tmp_path / "r.csv")],
         ["sweep", "--param", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "3",
@@ -1032,6 +1033,11 @@ def test_the_benchmark_command_lines_never_reach_argparse(monkeypatch, tmp_path)
          "--out", report, "--detector", "lossy-homodyne", "--eta", "0.8"],
         ["replay", "--report", report],
     ]
+
+
+def test_the_benchmark_command_lines_never_reach_argparse(monkeypatch, tmp_path):
+    # The argv shapes of the benchmark are read from the option table alone.
+    argvs = _benchmark_argvs(tmp_path)
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -1045,6 +1051,25 @@ def test_the_benchmark_command_lines_never_reach_argparse(monkeypatch, tmp_path)
     assert calls == []
     assert main(["sweep", "--param=r", *argvs[0][3:]]) == 0  # argparse's line
     assert calls
+
+
+def test_the_benchmark_command_lines_build_no_parser(monkeypatch, tmp_path):
+    # Building the argparse parser costs more than reading a line from the
+    # option table, so a process that never falls back never builds it.
+    argvs = _benchmark_argvs(tmp_path)
+    built = []
+
+    def build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(build))
+    for argv in argvs:
+        assert main(argv) == 0
+    assert built == []
+    assert main(["sweep", "--param=r", *argvs[0][3:]]) == 0  # argparse's line
+    assert main(["sweep", "--param=r", *argvs[0][3:]]) == 0
+    assert built == [1]
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -1709,7 +1734,7 @@ def test_a_table_of_both_schemes_still_runs_scheme1(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise cli.GaussBenchError("scheme 1 failed")
 
-    monkeypatch.setattr(cli, "scheme1_values", fail)
+    monkeypatch.setattr(cli, "scheme1", fail)
     assert run_cli("run", "--generator", "tmsv", "--scheme", "both", "--format", "csv") == 2
     assert capsys.readouterr().err == "gaussbench: error: scheme 1 failed\n"
     assert run_cli("run", "--generator", "tmsv", "--scheme", "scheme2", "--format", "csv") == 0

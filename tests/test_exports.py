@@ -38,6 +38,10 @@ REMOVED = (
     "reconstruct_scheme1",
     "reconstruct_scheme2",
     "propagated_value",
+    "SchemeValues",
+    "scheme1_values",
+    "scheme2_values",
+    "read_mode1",
 )
 
 

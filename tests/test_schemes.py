@@ -19,6 +19,7 @@ from gaussbench import (
     QuadCovariance,
     ReconstructionError,
     entanglement_report,
+    observe_mode1,
     quad_to_mode,
     random_state,
     reconstruct_from_transcript,
@@ -33,7 +34,6 @@ from gaussbench import (
 )
 from gaussbench.cli import _observation_dict, _observations
 from gaussbench.entanglement import EntanglementReport
-from gaussbench.schemes import scheme1_values, scheme2_values
 from matrix_oracle import invariants_mode
 
 IDEAL = DetectorModel()
@@ -585,16 +585,16 @@ def test_scheme1_overflow_obeys_errstate(points):
             run()
 
 
-#: States for the table route: one state, an r batch and one state over an
-#: eta grid, each with the efficiency it is read at.
-TABLE_STATES = {
+#: States whose results are replayed: one state, an r batch and one state
+#: over an eta grid, each with the efficiency it is read at.
+REPLAY_STATES = {
     "one-state": lambda: (quad_to_mode(two_mode_squeezed_thermal(0.6, 1.2, 1.05)), 0.8),
     "r-batch": lambda: (quad_to_mode(tmsv_state(np.linspace(0.0, 1.5, 13))), 0.8),
     "eta-grid": lambda: (quad_to_mode(random_state(3)), np.linspace(0.6, 1.0, 5)),
 }
 #: Detector kind and shots; the last two read so few shots that some rows
 #: come out with a null J4.
-TABLE_DETECTORS = [
+REPLAY_DETECTORS = [
     ("ideal", None), ("lossy-homodyne", None), ("lossy-photocount", None),
     ("lossy-homodyne", 5000), ("lossy-photocount", 20000),
     ("lossy-homodyne", 5), ("lossy-photocount", 1),
@@ -606,31 +606,19 @@ def _bits(x):
     return x.shape, x.tobytes()
 
 
-@pytest.mark.parametrize(
-    "points, kind, shots",
-    # The ideal detector reads at eta = 1 only, so it has no eta grid.
-    [(p, k, n) for p in TABLE_STATES for k, n in TABLE_DETECTORS
-     if (p, k) != ("eta-grid", "ideal")],
-    ids=lambda x: str(x),
-)
-@pytest.mark.parametrize(
-    "report, table", [(scheme1, scheme1_values), (scheme2, scheme2_values)],
-    ids=["scheme1", "scheme2"],
-)
-def test_table_route_gives_the_report_route_bit_for_bit(report, table, points, kind, shots):
-    # A table takes the central readings of the same draw through the same
-    # formulas, so its invariants and measures are the report's: the same
-    # bits and NaN masks, -0.0 included, and the same types for one state.
-    v, eta = TABLE_STATES[points]()
-    eta = 1.0 if kind == "ideal" else eta
-    det = DetectorModel(kind, eta, shots)
-    seed = None if shots is None else np.random.SeedSequence(11, spawn_key=(2,))
-    want, got = report(v, det, seed), table(v, det, seed)
+def assert_replays_bit_for_bit(result):
+    """``result``'s invariants, cross-block pieces and measures, made from
+    the bench's central readings, are those of its own transcript: the same
+    bits and NaN masks, -0.0 included, and the same types for one state."""
+    replayed = reconstruct_from_transcript(result.observations, result.scheme, result.special_form)
     for name in ("j1", "j2", "j3", "j4"):
-        a, b = getattr(want.invariants, name), getattr(got.invariants, name)
+        a, b = getattr(result.invariants, name), getattr(replayed.invariants, name)
         assert type(a) is type(b) and _bits(a) == _bits(b), name
+    for name in ("ms_real", "ms_imag", "mc_magnitude"):
+        a, b = getattr(result, name), getattr(replayed, name)
+        assert type(a) is type(b) and (a is None or _bits(a) == _bits(b)), name
     for name in EntanglementReport.__dataclass_fields__:
-        a, b = getattr(want.entanglement, name), getattr(got.entanglement, name)
+        a, b = getattr(result.entanglement, name), getattr(replayed.entanglement, name)
         assert type(a) is type(b), name
         if name == "separable":
             assert np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object)), name
@@ -638,24 +626,52 @@ def test_table_route_gives_the_report_route_bit_for_bit(report, table, points, k
             assert _bits(a) == _bits(b), name
 
 
-def test_table_route_rows_cover_null_and_defined_j4():
+@pytest.mark.parametrize(
+    "points, kind, shots",
+    # The ideal detector reads at eta = 1 only, so it has no eta grid.
+    [(p, k, n) for p in REPLAY_STATES for k, n in REPLAY_DETECTORS
+     if (p, k) != ("eta-grid", "ideal")],
+    ids=lambda x: str(x),
+)
+@pytest.mark.parametrize("run", [scheme1, scheme2], ids=["scheme1", "scheme2"])
+def test_a_result_reads_as_its_transcript_replays_bit_for_bit(run, points, kind, shots):
+    # A result takes the central readings of its draw through the formulas
+    # once, as the bench hands them over; a replay takes them from the
+    # transcript that the same draw builds on first read.
+    v, eta = REPLAY_STATES[points]()
+    eta = 1.0 if kind == "ideal" else eta
+    det = DetectorModel(kind, eta, shots)
+    seed = None if shots is None else np.random.SeedSequence(11, spawn_key=(2,))
+    assert_replays_bit_for_bit(run(v, det, seed))
+
+
+def test_low_shot_rows_cover_null_and_defined_j4():
     # The low-shot cases above are there for their null J4 cells: in one
     # batch some rows have a J4 and some do not, for both schemes.
     v = quad_to_mode(tmsv_state(np.linspace(0.0, 1.5, 13)))
-    for table, det in ((scheme1_values, DetectorModel("lossy-homodyne", 0.8, 5)),
-                       (scheme2_values, DetectorModel("lossy-photocount", 0.8, 1))):
-        j4 = table(v, det, np.random.SeedSequence(11, spawn_key=(2,))).invariants.j4
+    for run, det in ((scheme1, DetectorModel("lossy-homodyne", 0.8, 5)),
+                     (scheme2, DetectorModel("lossy-photocount", 0.8, 1))):
+        result = run(v, det, np.random.SeedSequence(11, spawn_key=(2,)))
+        j4 = result.invariants.j4
         assert np.isnan(j4).any() and not np.isnan(j4).all()
+        assert_replays_bit_for_bit(result)
 
 
-def test_table_route_runs_the_checks_of_the_report_route():
-    # Scheme 1's overflow of J1 J2 for a physical 1e100-vacuum raises on both
-    # routes, one state and batch alike.
-    for points in ((), (2,)):
-        v = quad_to_mode(QuadCovariance(np.broadcast_to(1e100 * np.eye(4), (*points, 4, 4))))
-        for run in (scheme1_values, scheme2_values):
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                run(v)
+@pytest.mark.parametrize("points", [(), (2,)], ids=["one-state", "batch"])
+def test_a_result_runs_the_checks_of_its_transcripts_replay(points):
+    # Scheme 1's overflow of J1 J2 for a physical 1e100-vacuum raises when
+    # the result is made, and so does the replay of the same readings.
+    v = quad_to_mode(QuadCovariance(np.broadcast_to(1e100 * np.eye(4), (*points, 4, 4))))
+    for run in (scheme1, scheme2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run(v)
+    for name, plan, vt, form in (
+        ("scheme1", SCHEME1_PLAN, v, "diagonal"),
+        ("scheme2", SCHEME2_PLAN, standard_form_prep(v).vt, None),
+    ):
+        records = observe_mode1(vt, [e.setting for e in plan])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            reconstruct_from_transcript(records, name, form)
 
 
 def _numbers(result):
@@ -665,16 +681,56 @@ def _numbers(result):
 
 
 @pytest.mark.parametrize("kind, shots", [("lossy-homodyne", 5000), ("lossy-photocount", 20000)])
-def test_one_noisy_state_reads_alike_on_both_routes_over_many_seeds(kind, shots):
-    # One state's noisy readings go through the formulas as a stacked array on
-    # the report route and as numpy scalars on the table route, which round
-    # alike because every square is written ``x * x``.
+def test_one_noisy_state_reads_as_its_replay_over_many_seeds(kind, shots):
+    # One state's noisy readings go through the formulas as numpy scalars
+    # taken from the bench's arrays, and on replay as the transcript's
+    # numpy scalars, as written to a report and read back too.
     v = quad_to_mode(random_state(4))
     det = DetectorModel(kind, 0.8, shots)
-    for report, table in ((scheme1, scheme1_values), (scheme2, scheme2_values)):
+    for run in (scheme1, scheme2):
         for seed in range(400):
-            want, got = (_numbers(run(v, det, seed)) for run in (report, table))
-            assert _bits(want) == _bits(got)
+            result = run(v, det, seed)
+            assert_replays_bit_for_bit(result)
+            replayed = reconstruct_from_transcript(
+                through_a_report(result.observations), result.scheme, result.special_form
+            )
+            assert _bits(_numbers(result)) == _bits(_numbers(replayed))
+
+
+def test_a_result_builds_its_transcript_and_error_bars_on_first_read(monkeypatch):
+    # The invariants and measures alone build no record and evaluate no
+    # stencil; the first read of the observations builds the transcript,
+    # and of the standard errors the invariants' stencil, each once.
+    from gaussbench import bench, schemes
+
+    counts = {"records": 0, "stencils": 0}
+    observation, stencil = bench.Mode1Observation, bench.propagate
+
+    def record(*args, **kwargs):
+        counts["records"] += 1
+        return observation(*args, **kwargs)
+
+    def propagate(f, values, errors):
+        counts["stencils"] += errors is not None
+        return stencil(f, values, errors)
+
+    monkeypatch.setattr(bench, "Mode1Observation", record)
+    for module in (bench, schemes):
+        monkeypatch.setattr(module, "propagate", propagate)
+    v = quad_to_mode(two_mode_squeezed_thermal(0.4, 1.3, 1.1))
+    det = DetectorModel("lossy-homodyne", 0.8, 5000)
+    for run, entries in ((scheme1, len(SCHEME1_PLAN)), (scheme2, len(SCHEME2_PLAN))):
+        counts.update(records=0, stencils=0)
+        result = run(v, det, 7)
+        assert not math.isnan(result.invariants.j1 + result.entanglement.log_negativity)
+        assert counts == {"records": 0, "stencils": 0}
+        observations = result.observations
+        assert len(observations) == entries and observations[0].n_stderr is not None
+        assert counts == {"records": entries, "stencils": 1}
+        assert set(result.invariant_stderr) == {"j1", "j2", "j3", "j4"}
+        assert counts == {"records": entries, "stencils": 2}
+        assert result.observations is observations and result.invariant_stderr is not None
+        assert counts == {"records": entries, "stencils": 2}
 
 
 @pytest.mark.parametrize("scheme, plan, form", [
